@@ -31,16 +31,7 @@ from .estimators import (
     mc_expectation_untilted,
     tilted_bin_averages,
 )
-from .jumpsim import (
-    PathBatch,
-    PathOutcome,
-    RngStream,
-    StateId,
-    StateKind,
-    sample_initial,
-    simulate_batch,
-    simulate_path,
-)
+from .jumpsim import PathBatch, RngStream, simulate_batch
 from .linalg import mat_exp, solve_linear, spectral_abscissa
 from .medist import MEParams, ValidationReport, density, laplace_transform, tilt, validate
 from .models import exponential_model, phase_type_example, reference_model
@@ -55,7 +46,6 @@ from .splitting import (
     doubled_signed_density,
     exit_profile,
     initial_split,
-    lambda_zero,
     resolve_lambda,
     sign_split,
 )
@@ -68,11 +58,10 @@ __all__ = [
     "SingularMatrixError", "EigenConvergenceError",
     "MEParams", "ValidationReport", "validate", "density", "laplace_transform", "tilt",
     "SignSplit", "InitialSplit", "ExitProfile", "DoubledGenerator",
-    "sign_split", "lambda_zero", "initial_split", "build_generator",
+    "sign_split", "initial_split", "build_generator",
     "doubled_matrix", "exit_profile", "check_transience", "resolve_lambda",
     "doubled_signed_density",
-    "StateId", "StateKind", "PathOutcome", "PathBatch", "RngStream",
-    "sample_initial", "simulate_path", "simulate_batch",
+    "PathBatch", "RngStream", "simulate_batch",
     "Grid", "DensityEstimate", "ExpectationEstimate", "HSpec",
     "mc_density_beta", "mc_density_qbar", "mc_expectation_untilted",
     "analytic_untilted_doubled", "decay_cancellation_check", "tilted_bin_averages",

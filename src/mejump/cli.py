@@ -273,6 +273,9 @@ def cmd_debug(args) -> int:
         if len(parts) != 3 or current is None:
             raise ParseError(f"{args.trace_file}:{ln}: malformed trace line {line!r}")
         paths[current].append((float(parts[0]), parts[1], parts[2]))
+    for k, rows in paths.items():
+        if not rows:
+            raise ParseError(f"{args.trace_file}: path {k} has no jump rows")
     print(f"paths: {len(paths)}")
     if paths:
         jumps = [len(v) for v in paths.values()]

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .jumpsim import PathBatch
 from .medist import MEParams, laplace_transform
-from .splitting import ExitProfile, InitialSplit, SignSplit, doubled_matrix
+from .splitting import ExitProfile, InitialSplit, SignSplit, doubled_expm_action
 
 
 @dataclass(frozen=True)
@@ -158,18 +158,6 @@ def finalize_density(partial: DensityPartial, grid: Grid, scale: float) -> Densi
     )
 
 
-def _as_batch(outcomes, p: int | None = None) -> PathBatch:
-    if isinstance(outcomes, PathBatch):
-        return outcomes
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("empty outcome set")
-    if p is None:
-        # enough for sign/tau-based estimators, whose weights ignore the codes
-        p = max(o.pre_exit.index for o in outcomes) + 1
-    return PathBatch.from_outcomes(outcomes, p=p, lam=0.0)
-
-
 def _folded_density(batch: PathBatch, weights: np.ndarray, grid: Grid, scale: float):
     parts = [
         density_partial(batch.tau[sl], weights[sl], grid) for sl in batch.chunk_slices()
@@ -177,14 +165,13 @@ def _folded_density(batch: PathBatch, weights: np.ndarray, grid: Grid, scale: fl
     return finalize_density(merge_density_partials(parts), grid, scale)
 
 
-def mc_density_beta(outcomes, grid: Grid, scale: float) -> DensityEstimate:
+def mc_density_beta(batch: PathBatch, grid: Grid, scale: float) -> DensityEstimate:
     """Histogram estimate of the tilted density from landing signs.
 
     With ``scale = (w^+ + w^-) / L(lam)`` the per-bin estimate is unbiased for
     the bin average of the tilted density; ``scale = 1`` estimates the raw
     signed exit density ``(alphahat) expm(D x) (s; -s)``.
     """
-    batch = _as_batch(outcomes)
     return _folded_density(batch, batch.sign.astype(float), grid, scale)
 
 
@@ -194,11 +181,10 @@ def qbar_weights(batch: PathBatch, profile: ExitProfile) -> np.ndarray:
 
 
 def mc_density_qbar(
-    outcomes, profile: ExitProfile, grid: Grid, scale: float
+    batch: PathBatch, profile: ExitProfile, grid: Grid, scale: float
 ) -> DensityEstimate:
     """Histogram estimate weighting every exiting path (terminated ones
     included) by the conditional expected sign of its pre-exit state."""
-    batch = _as_batch(outcomes, p=profile.d.shape[0])
     return _folded_density(batch, qbar_weights(batch, profile), grid, scale)
 
 
@@ -264,7 +250,7 @@ def h_spec_from_dict(spec: dict) -> HSpec:
 
 
 def mc_expectation_untilted(
-    outcomes,
+    batch: PathBatch,
     h,
     lam: float,
     w_total: float,
@@ -280,15 +266,13 @@ def mc_expectation_untilted(
     :class:`HSpec` and ``eta`` is supplied, a failing second-moment condition
     is reported in ``variance_warning`` (the estimate is still returned).
     """
-    batch = _as_batch(outcomes, p=None if profile is None else profile.d.shape[0])
     n = len(batch)
+    if n == 0:
+        raise ValueError("empty outcome set")
     if isinstance(h, HSpec):
         weight = h.tilted_weight(batch.tau, lam)
     else:
-        ht = np.asarray(h(batch.tau), dtype=float)
-        if ht.shape != batch.tau.shape:
-            ht = np.array([float(h(t)) for t in batch.tau])
-        weight = ht * np.exp(lam * batch.tau)
+        weight = np.asarray(h(batch.tau), dtype=float) * np.exp(lam * batch.tau)
     if not np.all(np.isfinite(weight)):
         raise ValueError("h(tau) e^{lam tau} is non-finite for some path")
 
@@ -344,16 +328,13 @@ def analytic_untilted_doubled(split: SignSplit, init: InitialSplit, x):
     Equals ``alpha expm(T x) s`` for every x, even though ``D(0)`` itself may
     have a nonnegative dominant eigenvalue.
     """
-    D0 = doubled_matrix(split, 0.0)
-    s = split.splus - split.sminus
-    svec = np.concatenate([s, -s])
     ah = np.concatenate([init.alphahat_plus, init.alphahat_minus])
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1:
         raise ValueError("x must be a scalar or 1-d array")
     if np.any(xs < 0.0):
         raise ValueError("x must be nonnegative")
-    out = np.array([init.w_total * (ah @ linalg.mat_exp(D0 * xi) @ svec) for xi in xs])
+    out = init.w_total * (doubled_expm_action(split, 0.0, xs) @ ah)
     return out if np.ndim(x) else float(out[0])
 
 
@@ -364,15 +345,8 @@ def decay_cancellation_check(split: SignSplit, sigma0: float, xs) -> np.ndarray:
     dominant eigenvalue of T even when ``D(0)`` has a larger abscissa: the
     faster-growing modes cancel in the product with ``(s; -s)``.
     """
-    D0 = doubled_matrix(split, 0.0)
-    s = split.splus - split.sminus
-    svec = np.concatenate([s, -s])
-    return np.array(
-        [
-            np.abs(linalg.mat_exp(D0 * xi) @ svec).max() * math.exp(-sigma0 * xi)
-            for xi in np.asarray(xs, dtype=float)
-        ]
-    )
+    xs = np.asarray(xs, dtype=float)
+    return np.abs(doubled_expm_action(split, 0.0, xs)).max(axis=1) * np.exp(-sigma0 * xs)
 
 
 def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> np.ndarray:

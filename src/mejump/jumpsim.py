@@ -17,14 +17,16 @@ reproduce identical paths.  ``simulate_batch`` assigns paths to streams in
 fixed chunks, which makes its output independent of how many worker threads
 execute the chunks.
 
-Transient states are coded ``0..p-1`` (original) and ``p..2p-1`` (anti);
-indices are 0-based throughout.
+There is one simulator, ``simulate_batch``, and it works on integer codes
+only: transient states are ``0..p-1`` (original) and ``p..2p-1`` (anti), the
+categorical targets ``2p..2p+2`` are the landings, stored in a batch as
+landing codes ``0/1/2`` (positive absorption / negative absorption /
+termination).  ``code_label`` names a code for traces.  Indices are 0-based
+throughout.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,86 +41,13 @@ DEFAULT_CHUNK = 65536
 _SIGN_OF_LANDING = np.array([1, -1, 0], dtype=np.int8)
 
 
-class StateKind(enum.Enum):
-    ORIGINAL = "original"
-    ANTI = "anti"
-    DELTA_O = "delta_o"
-    DELTA_A = "delta_a"
-    TERMINATED = "terminated"
-
-
-@dataclass(frozen=True)
-class StateId:
-    """Tagged state: Original(i) / Anti(i) with 0-based i, or one of the three
-    absorbing outcomes."""
-
-    kind: StateKind
-    index: int | None = None
-
-    def label(self) -> str:
-        if self.kind is StateKind.ORIGINAL:
-            return f"o{self.index}"
-        if self.kind is StateKind.ANTI:
-            return f"a{self.index}"
-        return {
-            StateKind.DELTA_O: "DeltaO",
-            StateKind.DELTA_A: "DeltaA",
-            StateKind.TERMINATED: "term",
-        }[self.kind]
-
-
-DELTA_O = StateId(StateKind.DELTA_O)
-DELTA_A = StateId(StateKind.DELTA_A)
-TERMINATED = StateId(StateKind.TERMINATED)
-
-
-def original(i: int) -> StateId:
-    return StateId(StateKind.ORIGINAL, i)
-
-
-def anti(i: int) -> StateId:
-    return StateId(StateKind.ANTI, i)
-
-
-def transient_code(state: StateId, p: int) -> int:
-    """Integer code of a transient state: i for Original(i), p+i for Anti(i)."""
-    if state.kind is StateKind.ORIGINAL:
-        i = state.index
-    elif state.kind is StateKind.ANTI:
-        i = state.index + p
-    else:
-        raise ValueError(f"{state} is not a transient state")
-    if not 0 <= state.index < p:
-        raise ValueError(f"state index {state.index} out of range for p={p}")
-    return i
-
-
-def transient_state(code: int, p: int) -> StateId:
-    return original(code) if code < p else anti(code - p)
-
-
-def landing_state(code: int) -> StateId:
-    return (DELTA_O, DELTA_A, TERMINATED)[code]
-
-
 def code_label(code: int, p: int) -> str:
     """Human-readable label for a transient (0..2p-1) or landing (2p..2p+2) code."""
+    if code < p:
+        return f"o{code}"
     if code < 2 * p:
-        return transient_state(code, p).label()
-    return landing_state(code - 2 * p).label()
-
-
-@dataclass(frozen=True)
-class PathOutcome:
-    """One realization: exit time, state just before exit, landing, and the
-    landing sign (+1 positive absorption, -1 negative, 0 terminated)."""
-
-    tau: float
-    pre_exit: StateId
-    landing: StateId
-    sign: int
-    n_jumps: int
-    trace: tuple | None = None
+        return f"a{code - p}"
+    return ("DeltaO", "DeltaA", "term")[code - 2 * p]
 
 
 @dataclass(frozen=True)
@@ -137,12 +66,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def _as_generator(stream) -> np.random.Generator:
-    if isinstance(stream, np.random.Generator):
-        return stream
-    return stream.generator()
-
-
 def _cum_and_last(weights: np.ndarray):
     """Row-wise cumulative probabilities plus the index of the last strictly
     positive weight.  Categorical draws are clamped to that index so targets
@@ -158,8 +81,9 @@ def _cum_and_last(weights: np.ndarray):
 class JumpChain:
     """Compiled jump tables for one (split, lam) pair.
 
-    Validates ``lam >= lambda_0`` and transience once, then exposes cheap
-    per-jump sampling used by both the scalar and the vectorized simulators.
+    Validates ``lam >= lambda_0`` and transience once, then holds the
+    per-state exit rates and cumulative target tables that ``simulate_batch``
+    samples from.
     """
 
     def __init__(self, split: SignSplit, lam: float):
@@ -183,68 +107,11 @@ class JumpChain:
         weights[:, 2 * p + 2] = gen.term
         self.cum, self.last = _cum_and_last(weights)
 
-    def sample_jump(self, code: int, rng: np.random.Generator):
-        """One embedded-chain step from transient state ``code``: returns
-        (holding_time, next_code)."""
-        dt = -math.log1p(-rng.random()) / self.rate[code]
-        nxt = int(np.searchsorted(self.cum[code], rng.random(), side="right"))
-        return dt, min(nxt, int(self.last[code]))
-
 
 def _initial_cum(init: InitialSplit):
     weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
-    return _cum_and_last(weights[None, :])
-
-
-def sample_initial(init: InitialSplit, stream) -> StateId:
-    """Draw the starting state: Original(i) w.p. alphahat^+_i, Anti(i) w.p.
-    alphahat^-_i."""
-    rng = _as_generator(stream)
-    cum, last = _initial_cum(init)
-    code = min(int(np.searchsorted(cum[0], rng.random(), side="right")), int(last[0]))
-    return transient_state(code, init.alphahat_plus.shape[0])
-
-
-def simulate_path(
-    split: SignSplit,
-    lam: float,
-    init_state: StateId,
-    stream,
-    collect_trace: bool = False,
-    _chain: JumpChain | None = None,
-) -> PathOutcome:
-    """Simulate one path from ``init_state`` until absorption or termination."""
-    chain = _chain if _chain is not None else JumpChain(split, lam)
-    rng = _as_generator(stream)
-    code = transient_code(init_state, chain.p)
-    t = 0.0
-    n_jumps = 0
-    trace = [] if collect_trace else None
-    while True:
-        dt, nxt = chain.sample_jump(code, rng)
-        t += dt
-        n_jumps += 1
-        if collect_trace:
-            trace.append(
-                (
-                    t,
-                    transient_state(code, chain.p),
-                    transient_state(nxt, chain.p)
-                    if nxt < 2 * chain.p
-                    else landing_state(nxt - 2 * chain.p),
-                )
-            )
-        if nxt >= 2 * chain.p:
-            landing_code = nxt - 2 * chain.p
-            return PathOutcome(
-                tau=t,
-                pre_exit=transient_state(code, chain.p),
-                landing=landing_state(landing_code),
-                sign=int(_SIGN_OF_LANDING[landing_code]),
-                n_jumps=n_jumps,
-                trace=tuple(trace) if collect_trace else None,
-            )
-        code = nxt
+    cum, last = _cum_and_last(weights[None, :])
+    return cum[0], int(last[0])
 
 
 @dataclass
@@ -252,12 +119,10 @@ class PathBatch:
     """Column-oriented collection of path outcomes.
 
     ``pre_exit`` holds transient codes (0..2p-1), ``landing`` codes 0/1/2 for
-    positive absorption / negative absorption / termination.  ``occupancy``
-    (present when a probe time was requested) holds the transient code
-    occupied at the probe time, or -1 if the path had already exited.
-    ``trace`` (present when tracing) is a tuple of arrays
-    (path_index, time, from_code, to_code) sorted by path then time.
-    Indexing returns a :class:`PathOutcome`.
+    positive absorption / negative absorption / termination.  ``trace``
+    (present when tracing) is a tuple of arrays (path_index, time, from_code,
+    to_code) sorted by path then time; the state held at time ``x`` is the
+    ``from_code`` of a path's first row with time ``> x``.
     """
 
     p: int
@@ -269,21 +134,10 @@ class PathBatch:
     landing: np.ndarray
     sign: np.ndarray
     n_jumps: np.ndarray
-    probe_time: float | None = None
-    occupancy: np.ndarray | None = None
     trace: tuple | None = None
 
     def __len__(self) -> int:
         return self.tau.shape[0]
-
-    def __getitem__(self, k: int) -> PathOutcome:
-        return PathOutcome(
-            tau=float(self.tau[k]),
-            pre_exit=transient_state(int(self.pre_exit[k]), self.p),
-            landing=landing_state(int(self.landing[k])),
-            sign=int(self.sign[k]),
-            n_jumps=int(self.n_jumps[k]),
-        )
 
     def chunk_slices(self):
         """Slices of the generation chunks, in order; estimator folds follow
@@ -291,33 +145,8 @@ class PathBatch:
         n = len(self)
         return [slice(lo, min(lo + self.chunk, n)) for lo in range(0, n, self.chunk)]
 
-    @classmethod
-    def from_outcomes(cls, outcomes, p: int, lam: float) -> "PathBatch":
-        """Pack a sequence of :class:`PathOutcome` into a single-chunk batch."""
-        outcomes = list(outcomes)
-        landing_code = {
-            StateKind.DELTA_O: 0,
-            StateKind.DELTA_A: 1,
-            StateKind.TERMINATED: 2,
-        }
-        return cls(
-            p=p,
-            lam=lam,
-            seed=0,
-            chunk=max(1, len(outcomes)),
-            tau=np.array([o.tau for o in outcomes]),
-            pre_exit=np.array(
-                [transient_code(o.pre_exit, p) for o in outcomes], dtype=np.int32
-            ),
-            landing=np.array(
-                [landing_code[o.landing.kind] for o in outcomes], dtype=np.int8
-            ),
-            sign=np.array([o.sign for o in outcomes], dtype=np.int8),
-            n_jumps=np.array([o.n_jumps for o in outcomes], dtype=np.int32),
-        )
 
-
-def _simulate_chunk(chain, init_cum, init_last, m, rng, probe_time, collect_trace):
+def _simulate_chunk(chain, init_cum, init_last, m, rng, collect_trace):
     """Vectorized embedded-chain simulation of ``m`` paths on one stream.
 
     Per iteration, every active path consumes exactly two uniforms (holding
@@ -336,7 +165,6 @@ def _simulate_chunk(chain, init_cum, init_last, m, rng, probe_time, collect_trac
     pre_exit = np.zeros(m, dtype=np.int32)
     landing = np.zeros(m, dtype=np.int8)
     n_jumps = np.zeros(m, dtype=np.int32)
-    occupancy = np.full(m, -1, dtype=np.int32) if probe_time is not None else None
     trace_parts = [] if collect_trace else None
 
     iteration = 0
@@ -345,9 +173,6 @@ def _simulate_chunk(chain, init_cum, init_last, m, rng, probe_time, collect_trac
         u1 = rng.random(k)
         dt = -np.log1p(-u1) / chain.rate[state]
         t_new = t + dt
-        if probe_time is not None:
-            holds = (t <= probe_time) & (probe_time < t_new)
-            occupancy[alive[holds]] = state[holds]
         u2 = rng.random(k)
         nxt = (chain.cum[state] <= u2[:, None]).sum(axis=1)
         np.minimum(nxt, chain.last[state], out=nxt)
@@ -381,7 +206,6 @@ def _simulate_chunk(chain, init_cum, init_last, m, rng, probe_time, collect_trac
         "landing": landing,
         "sign": _SIGN_OF_LANDING[landing],
         "n_jumps": n_jumps,
-        "occupancy": occupancy,
         "trace": trace,
     }
 
@@ -394,7 +218,6 @@ def simulate_batch(
     seed: int,
     chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
-    probe_time: float | None = None,
     collect_trace: bool = False,
 ) -> PathBatch:
     """Simulate ``n_paths`` outcomes with reproducible chunked streams.
@@ -410,7 +233,6 @@ def simulate_batch(
         raise ValueError("chunk must be positive")
     chain = JumpChain(split, lam)
     init_cum, init_last = _initial_cum(init)
-    init_cum, init_last = init_cum[0], int(init_last[0])
 
     sizes = [
         min(chunk, n_paths - lo) for lo in range(0, n_paths, chunk)
@@ -419,7 +241,7 @@ def simulate_batch(
     def run(c_and_m):
         c, m = c_and_m
         rng = RngStream(seed, c).generator()
-        return _simulate_chunk(chain, init_cum, init_last, m, rng, probe_time, collect_trace)
+        return _simulate_chunk(chain, init_cum, init_last, m, rng, collect_trace)
 
     tasks = list(enumerate(sizes))
     if workers > 1:
@@ -454,7 +276,5 @@ def simulate_batch(
         landing=cat("landing"),
         sign=cat("sign"),
         n_jumps=cat("n_jumps"),
-        probe_time=probe_time,
-        occupancy=cat("occupancy") if probe_time is not None else None,
         trace=trace,
     )

@@ -125,20 +125,12 @@ def sign_split(T, s) -> SignSplit:
     np.fill_diagonal(Tminus, 0.0)
     splus = np.maximum(s, 0.0)
     sminus = np.maximum(-s, 0.0)
-    lam0 = _lambda_zero(Tplus, Tminus, splus, sminus)
+    # least lam >= 0 making every doubled row sum nonpositive
+    rows = (Tplus + Tminus).sum(axis=1) + splus + sminus
+    lam0 = float(max(0.0, rows.max()))
     for arr in (Tplus, Tminus, splus, sminus):
         arr.flags.writeable = False
     return SignSplit(Tplus=Tplus, Tminus=Tminus, splus=splus, sminus=sminus, lambda0=lam0)
-
-
-def _lambda_zero(Tplus, Tminus, splus, sminus) -> float:
-    rows = (Tplus + Tminus).sum(axis=1) + splus + sminus
-    return float(max(0.0, rows.max()))
-
-
-def lambda_zero(split: SignSplit) -> float:
-    """Least ``lam >= 0`` making every doubled row sum nonpositive."""
-    return _lambda_zero(split.Tplus, split.Tminus, split.splus, split.sminus)
 
 
 def initial_split(alpha) -> InitialSplit:
@@ -175,6 +167,9 @@ def doubled_matrix(split: SignSplit, lam: float) -> np.ndarray:
 
 
 def _require_at_least_lambda0(split: SignSplit, lam: float):
+    if not np.isfinite(lam):
+        # a non-finite rate gives a NaN jump table, on which no path ever exits
+        raise ValueError(f"tilting rate must be finite, got {lam!r}")
     if lam < split.lambda0 - LAMBDA_SLACK * max(1.0, abs(split.lambda0)):
         raise LambdaTooSmallError(
             f"tilting rate {lam:g} is below lambda_0 = {split.lambda0:g}; "
@@ -243,6 +238,22 @@ def resolve_lambda(split: SignSplit, request, delta: float = 1.0) -> float:
     return float(request)
 
 
+def doubled_expm_action(split: SignSplit, lam: float, xs) -> np.ndarray:
+    """Rows ``expm(D(lam) x) @ (s; -s)``, one per entry of the 1-d ``xs``.
+
+    The single place the doubled signed vector is built.  No precondition is
+    checked: ``lam = 0`` gives the untilted recovery even where ``D(0)`` has a
+    nonnegative abscissa.
+    """
+    D = doubled_matrix(split, lam)
+    s = split.splus - split.sminus
+    svec = np.concatenate([s, -s])
+    out = np.empty((len(xs), 2 * split.p))
+    for k, x in enumerate(xs):
+        out[k] = linalg.mat_exp(D * x) @ svec
+    return out
+
+
 def doubled_signed_density(split: SignSplit, lam: float, x: float) -> np.ndarray:
     """Signed exit-time density vector ``expm(D(lam) x) @ (s; -s)``.
 
@@ -259,5 +270,4 @@ def doubled_signed_density(split: SignSplit, lam: float, x: float) -> np.ndarray
         )
     if x < 0.0:
         raise ValueError("x must be nonnegative")
-    s = split.splus - split.sminus
-    return linalg.mat_exp(doubled_matrix(split, lam) * x) @ np.concatenate([s, -s])
+    return doubled_expm_action(split, lam, [x])[0]

@@ -215,6 +215,22 @@ class TestEstimateCommand:
         assert code == 3
         assert "transient" in err
 
+    def test_non_finite_rate_exits_1(self, model_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["estimate", model_file, "--lambda", "inf", "--paths", "1000", "--out", out],
+            capsys,
+        )
+        assert code == 1
+        assert "finite" in err
+        cfg = tmp_path / "inf.json"
+        cfg.write_text('{"lambda": Infinity, "n_paths": 1000}')
+        code, _, err = run_cli(
+            ["estimate", model_file, "--config", cfg, "--out", out], capsys
+        )
+        assert code == 1
+        assert "finite" in err
+
     def test_flag_overrides_beat_config(self, model_file, tmp_path, capsys):
         out = tmp_path / "c.csv"
         code, stdout, _ = run_cli(
@@ -310,6 +326,14 @@ class TestDebugCommand:
         bad.write_text("0.5\to0\n")
         code, _, _ = run_cli(["debug", bad], capsys)
         assert code == 1
+
+    def test_path_without_rows_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "empty_path.tsv"
+        for text, k in (("# path 0\n", 0), ("# path 0\n0.5\to0\tDeltaO\n# path 1\n", 1)):
+            bad.write_text(text)
+            code, _, err = run_cli(["debug", bad], capsys)
+            assert code == 1
+            assert f"path {k} has no jump rows" in err
 
 
 class TestExpectCommand:

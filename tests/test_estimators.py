@@ -19,13 +19,28 @@ from mejump.estimators import (
     merge_density_partials,
     tilted_bin_averages,
 )
-from mejump.jumpsim import simulate_batch
+from mejump.jumpsim import PathBatch, simulate_batch
 from mejump.models import (
     exponential_model,
     random_me_model,
     random_phase_type,
     reference_model,
 )
+
+
+def one_chunk_batch(p, tau, pre_exit, landing, sign):
+    """A hand-made single-chunk batch of ``len(tau)`` paths."""
+    return PathBatch(
+        p=p,
+        lam=0.0,
+        seed=0,
+        chunk=max(1, len(tau)),
+        tau=np.asarray(tau, dtype=float),
+        pre_exit=np.asarray(pre_exit, dtype=np.int32),
+        landing=np.asarray(landing, dtype=np.int8),
+        sign=np.asarray(sign, dtype=np.int8),
+        n_jumps=np.ones(len(tau), dtype=np.int32),
+    )
 
 
 def make_batch(params, lam, n, seed, chunk=20_000):
@@ -141,18 +156,18 @@ class TestDensityBeta:
         assert abs(total - 1.0) <= 4 * se_total
 
     def test_empty_outcomes_rejected(self):
+        empty = one_chunk_batch(3, [], [], [], [])
         with pytest.raises(ValueError):
-            mc_density_beta([], Grid(0.0, 1.0, 2), 1.0)
+            mc_density_beta(empty, Grid(0.0, 1.0, 2), 1.0)
+        with pytest.raises(ValueError):
+            mc_expectation_untilted(empty, HSpec("exp-decay", 3.0), 2.0, 1.0)
 
     def test_qbar_on_raw_outcomes_uses_profile_dimension(self, ref_split):
-        # a lone anti-state outcome must map to the anti half of the qbar
-        # table even though no high-index state appears in the collection
-        from mejump.jumpsim import PathOutcome, TERMINATED, anti
-
+        # a lone path leaving anti state 0 (code p) must take qbar_anti[0]
         prof = splitting.exit_profile(ref_split, 2.0)
-        out = PathOutcome(tau=0.5, pre_exit=anti(0), landing=TERMINATED, sign=0, n_jumps=1)
+        batch = one_chunk_batch(3, [0.5], [3], [2], [0])
         grid = Grid(0.0, 1.0, 1)
-        est = mc_density_qbar([out], prof, grid, scale=1.0)
+        est = mc_density_qbar(batch, prof, grid, scale=1.0)
         assert est.estimate[0] == pytest.approx(prof.qbar_anti[0], rel=1e-15)
         assert prof.qbar_anti[0] == pytest.approx(-1.0, rel=1e-14)
 

@@ -3,25 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from mejump import jumpsim, linalg, splitting
-from mejump.jumpsim import (
-    DELTA_O,
-    JumpChain,
-    PathBatch,
-    RngStream,
-    StateKind,
-    anti,
-    original,
-    sample_initial,
-    simulate_batch,
-    simulate_path,
-)
+from mejump import linalg, splitting
+from mejump.jumpsim import RngStream, code_label, simulate_batch
 from conftest import decoupled_rotator
 
 
 @pytest.fixture
 def exp_split(exp1):
     return splitting.sign_split(exp1.T, exp1.s)
+
+
+def first_rows(path):
+    """Index of each path's first row in a trace's path column (rows are
+    sorted by path, then time)."""
+    return np.flatnonzero(np.r_[True, path[1:] != path[:-1]])
 
 
 class TestRngStream:
@@ -37,74 +32,61 @@ class TestRngStream:
 
 
 class TestStateIds:
-    def test_codes_round_trip(self):
-        p = 3
-        for code in range(2 * p):
-            state = jumpsim.transient_state(code, p)
-            assert jumpsim.transient_code(state, p) == code
+    """Integer state codes and their trace labels."""
 
     def test_labels(self):
-        assert original(0).label() == "o0"
-        assert anti(2).label() == "a2"
-        assert DELTA_O.label() == "DeltaO"
-
-    def test_absorbing_has_no_code(self):
-        with pytest.raises(ValueError):
-            jumpsim.transient_code(DELTA_O, 3)
+        labels = [code_label(code, 3) for code in range(9)]
+        assert labels == [
+            "o0", "o1", "o2", "a0", "a1", "a2", "DeltaO", "DeltaA", "term",
+        ]
 
 
 class TestSampleInitial:
-    def test_reference_always_first_original(self, ref_init):
-        for k in range(50):
-            state = sample_initial(ref_init, RngStream(9, k))
-            assert state == original(0)
+    """Initial states, read from each path's first trace ``from`` code."""
 
-    def test_negative_alpha_starts_anti(self):
+    def test_reference_always_first_original(self, ref_split, ref_init):
+        batch = simulate_batch(
+            ref_split, 2.0, ref_init, n_paths=50, seed=9, collect_trace=True
+        )
+        assert np.all(batch.trace[2][first_rows(batch.trace[0])] == 0)
+
+    def test_negative_alpha_starts_anti(self, exp_split):
         init = splitting.initial_split(np.array([-1.0]))
-        for k in range(20):
-            assert sample_initial(init, RngStream(1, k)) == anti(0)
+        batch = simulate_batch(
+            exp_split, 1.0, init, n_paths=20, seed=1, collect_trace=True
+        )
+        assert np.all(batch.trace[2][first_rows(batch.trace[0])] == 1)
 
     def test_balanced_frequencies(self):
+        split = splitting.sign_split(-np.eye(2), np.ones(2))
         init = splitting.initial_split(np.array([0.5, -0.5]))
-        rng = RngStream(77).generator()
         n = 100_000
-        hits = sum(
-            sample_initial(init, rng).kind is StateKind.ORIGINAL for _ in range(n)
-        )
+        batch = simulate_batch(split, 0.0, init, n_paths=n, seed=77, collect_trace=True)
+        hits = np.count_nonzero(batch.trace[2][first_rows(batch.trace[0])] < 2)
         # binomial 4-sigma band around 1/2
         assert abs(hits / n - 0.5) <= 4.0 * math.sqrt(0.25 / n)
 
 
 class TestSimulatePath:
-    def test_single_state_law(self, exp_split):
+    def test_single_state_law(self, exp1, exp_split):
         # rate-1 model tilted at 1: exit rate 2, half absorb half terminate
-        chain = JumpChain(exp_split, 1.0)
-        rng = RngStream(5).generator()
+        init = splitting.initial_split(exp1.alpha)
         n = 100_000
-        outs = [
-            simulate_path(exp_split, 1.0, original(0), rng, _chain=chain)
-            for _ in range(n)
-        ]
-        taus = np.array([o.tau for o in outs])
-        signs = np.array([o.sign for o in outs])
-        assert all(o.n_jumps == 1 for o in outs[:1000])
-        assert taus.mean() == pytest.approx(0.5, abs=4 * taus.std() / math.sqrt(n))
-        assert abs((signs == 1).mean() - 0.5) <= 4 * math.sqrt(0.25 / n)
-        assert np.all(taus > 0.0)
-
-    def test_reference_first_holding_time(self, ref_split):
-        # every diagonal of the doubled block at rate 2 is -3
-        chain = JumpChain(ref_split, 2.0)
-        rng = RngStream(17).generator()
-        n = 50_000
-        first = np.array(
-            [
-                simulate_path(
-                    ref_split, 2.0, original(0), rng, collect_trace=True, _chain=chain
-                ).trace[0][0]
-                for _ in range(n)
-            ]
+        batch = simulate_batch(exp_split, 1.0, init, n_paths=n, seed=5)
+        assert np.all(batch.n_jumps == 1)
+        assert batch.tau.mean() == pytest.approx(
+            0.5, abs=4 * batch.tau.std() / math.sqrt(n)
         )
+        assert abs((batch.sign == 1).mean() - 0.5) <= 4 * math.sqrt(0.25 / n)
+        assert np.all(batch.tau > 0.0)
+
+    def test_reference_first_holding_time(self, ref_split, ref_init):
+        # every diagonal of the doubled block at rate 2 is -3
+        n = 50_000
+        batch = simulate_batch(
+            ref_split, 2.0, ref_init, n_paths=n, seed=17, collect_trace=True
+        )
+        first = batch.trace[1][first_rows(batch.trace[0])]
         assert first.mean() == pytest.approx(1.0 / 3.0, abs=4 * first.std() / math.sqrt(n))
 
     def test_anti_sojourn_cannot_absorb_positive_when_sminus_zero(self, ref_split):
@@ -116,16 +98,6 @@ class TestSimulatePath:
         assert not np.any(batch.landing[from_anti] == 0)
         # and symmetrically original exits never land DeltaA here
         assert not np.any(batch.landing[~from_anti] == 1)
-
-    def test_trace_consistent(self, ref_split):
-        out = simulate_path(ref_split, 2.0, original(0), RngStream(21), collect_trace=True)
-        assert len(out.trace) == out.n_jumps
-        times = [t for t, _, _ in out.trace]
-        assert times == sorted(times)
-        assert times[-1] == out.tau
-        _, last_from, last_to = out.trace[-1]
-        assert last_from == out.pre_exit
-        assert last_to == out.landing
 
 
 class TestSimulateBatch:
@@ -154,6 +126,9 @@ class TestSimulateBatch:
 
         with pytest.raises(LambdaTooSmallError):
             simulate_batch(ref_split, 1.0, ref_init, n_paths=10, seed=1)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_batch(ref_split, lam, ref_init, n_paths=10, seed=1)
         m = decoupled_rotator()
         split = splitting.sign_split(m.T, m.s)
         init = splitting.initial_split(m.alpha)
@@ -167,17 +142,20 @@ class TestSimulateBatch:
         x = 0.5
         n = 200_000
         batch = simulate_batch(
-            ref_split, 2.0, ref_init, n_paths=n, seed=11, probe_time=x
+            ref_split, 2.0, ref_init, n_paths=n, seed=11, collect_trace=True
         )
+        path, times, frm, _ = batch.trace
+        # the state held at x is the from-code of a path's first row after x
+        after = np.flatnonzero(times > x)
+        held = after[first_rows(path[after])]
         oracle = linalg.mat_exp(splitting.doubled_matrix(ref_split, 2.0) * x)[0]
-        emp = np.bincount(
-            batch.occupancy[batch.occupancy >= 0], minlength=6
-        ) / float(n)
+        emp = np.bincount(frm[held], minlength=6) / float(n)
         se = np.sqrt(oracle * (1.0 - oracle) / n)
         assert np.all(np.abs(emp - oracle) <= 4.0 * se)
-        # tau > x consistency: paths with occupancy recorded are exactly those
-        # still alive at x
-        assert np.array_equal(batch.occupancy >= 0, batch.tau > x)
+        # the paths holding a state at x are exactly those still alive at x
+        alive = np.zeros(n, dtype=bool)
+        alive[path[held]] = True
+        assert np.array_equal(alive, batch.tau > x)
 
     def test_landing_split_given_pre_exit(self, ref_split, ref_init):
         batch = simulate_batch(ref_split, 2.0, ref_init, n_paths=300_000, seed=13)
@@ -202,17 +180,6 @@ class TestSimulateBatch:
         assert max(means) - min(means) < 0.05
         assert all(np.isfinite(m) for m in means)
 
-    def test_batch_indexing(self, ref_split, ref_init):
-        batch = simulate_batch(ref_split, 2.0, ref_init, n_paths=100, seed=5)
-        out = batch[7]
-        assert out.tau == batch.tau[7]
-        assert out.sign in (-1, 0, 1)
-        assert len(batch) == 100
-        packed = PathBatch.from_outcomes([batch[k] for k in range(100)], p=3, lam=2.0)
-        assert np.array_equal(packed.tau, batch.tau)
-        assert np.array_equal(packed.pre_exit, batch.pre_exit)
-        assert np.array_equal(packed.sign, batch.sign)
-
     def test_batch_trace(self, ref_split, ref_init):
         batch = simulate_batch(
             ref_split, 2.0, ref_init, n_paths=200, seed=3, chunk=64, collect_trace=True
@@ -223,6 +190,7 @@ class TestSimulateBatch:
             rows = path == k
             assert rows.sum() == batch.n_jumps[k]
             assert to[rows][-1] == 6 + batch.landing[k]
+            assert frm[rows][-1] == batch.pre_exit[k]
             assert times[rows][-1] == batch.tau[k]
             assert np.all(np.diff(times[rows]) > 0)
         # tracing must not perturb the draws

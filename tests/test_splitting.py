@@ -51,7 +51,6 @@ class TestSignSplit:
 class TestLambdaZero:
     def test_reference_is_two(self, ref_split):
         assert ref_split.lambda0 == pytest.approx(2.0, abs=1e-12)
-        assert splitting.lambda_zero(ref_split) == ref_split.lambda0
 
     def test_phase_type_is_zero(self, phase_type):
         split = splitting.sign_split(phase_type.T, phase_type.s)
