@@ -99,6 +99,21 @@ class TestSimulatePath:
         # and symmetrically original exits never land DeltaA here
         assert not np.any(batch.landing[~from_anti] == 1)
 
+    def test_trace_consistent(self, ref_split):
+        # one path started in original state 0
+        init = splitting.initial_split(np.array([1.0, 0.0, 0.0]))
+        batch = simulate_batch(ref_split, 2.0, init, n_paths=1, seed=21, collect_trace=True)
+        path, times, frm, to = batch.trace
+        assert np.all(path == 0)
+        assert len(times) == batch.n_jumps[0]
+        assert frm[0] == 0
+        assert np.all(np.diff(times) > 0)
+        assert times[-1] == batch.tau[0]
+        assert frm[-1] == batch.pre_exit[0]
+        assert to[-1] == 6 + batch.landing[0]
+        # each jump leaves the state the previous one entered
+        assert np.array_equal(frm[1:], to[:-1])
+
 
 class TestSimulateBatch:
     def test_deterministic_repeat(self, ref_split, ref_init):
