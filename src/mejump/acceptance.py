@@ -31,7 +31,8 @@ from .estimators import (
     mc_density_qbar,
     mc_expectation_untilted,
 )
-from .jumpsim import simulate_batch
+from .jumpsim import JumpChain, simulate_batch
+from .modelio import RunConfig, simulate_run, write_model
 from .models import (
     exponential_model,
     phase_type_example,
@@ -40,7 +41,6 @@ from .models import (
     reference_model,
 )
 from .splitting import (
-    check_transience,
     doubled_matrix,
     exit_profile,
     initial_split,
@@ -252,10 +252,8 @@ def criterion_6(params, split) -> CriterionResult:
 
 
 def _simulate_reference(params, lam, n_paths, seed):
-    split = sign_split(params.T, params.s)
-    init = initial_split(params.alpha)
     t0 = time.perf_counter()
-    batch = simulate_batch(split, lam, init, n_paths=n_paths, seed=seed)
+    split, lam, init, batch = simulate_run(params, RunConfig(lam=lam, n_paths=n_paths, seed=seed))
     sim_time = time.perf_counter() - t0
     scale = init.w_total / medist.laplace_transform(params, lam)
     return {
@@ -321,7 +319,7 @@ def criterion_8(shared) -> CriterionResult:
 
 def criterion_9(shared, params) -> CriterionResult:
     h = HSpec("exp-decay", 2.0)
-    eta = linalg.spectral_abscissa(shared["split"].Tplus + shared["split"].Tminus)
+    eta = shared["split"].eta
     profile = exit_profile(shared["split"], shared["lam"])
     w_total = shared["init"].w_total
     est_b = mc_expectation_untilted(
@@ -408,7 +406,6 @@ def criterion_13(n_paths, seed) -> CriterionResult:
     import io
 
     from . import cli  # deferred: cli imports this module
-    from .modelio import write_model
 
     n = min(n_paths, 100_000)
     with tempfile.TemporaryDirectory() as tmp:
@@ -448,14 +445,7 @@ def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
     split = sign_split(params.T, params.s)
     lam_value = resolve_lambda(split, lam)
     # fail fast on an inadmissible rate, mirroring the simulation commands
-    from .splitting import build_generator
-
-    build_generator(split, lam_value)
-    transient, _ = check_transience(split, lam_value)
-    if not transient:
-        from .errors import NotTransientError
-
-        raise NotTransientError(f"reference model is not transient at rate {lam_value:g}")
+    JumpChain(split, lam_value)
 
     results = [
         criterion_1(params),

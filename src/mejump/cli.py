@@ -10,9 +10,7 @@ checks in reproduce-example.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -28,14 +26,14 @@ from .errors import (
     ZeroAlphaError,
 )
 from .estimators import mc_expectation_untilted
-from .jumpsim import simulate_batch
-from .linalg import spectral_abscissa
 from .modelio import (
     ParseError,
     config_from_dict,
+    read_json,
     read_model,
     render_estimate_csv,
     run_estimate,
+    simulate_run,
     write_model,
     write_split_outputs,
     write_trace,
@@ -44,7 +42,6 @@ from .splitting import (
     build_generator,
     check_transience,
     exit_profile,
-    initial_split,
     resolve_lambda,
     sign_split,
 )
@@ -95,15 +92,9 @@ def _matrix_lines(name, M):
 def _load_run_config(args):
     raw = {}
     if getattr(args, "config", None):
-        path = Path(args.config)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}")
+        raw = read_json(args.config)
         if not isinstance(raw, dict):
-            raise ParseError(f"{path}: top level must be a JSON object")
+            raise ParseError(f"{args.config}: top level must be a JSON object")
     if getattr(args, "lam", None) is not None:
         raw["lambda"] = _parse_lambda(args.lam)
     if getattr(args, "paths", None) is not None:
@@ -226,21 +217,15 @@ def cmd_expect(args) -> int:
         raise ParseError(
             'expect needs an integrand: config {"h": {"type": "exp-decay", "c": ...}}'
         )
-    medist.validate(params)
-    split = sign_split(params.T, params.s)
-    lam = resolve_lambda(split, cfg.lam, delta=cfg.auto_delta)
-    init = initial_split(params.alpha)
-    batch = simulate_batch(
-        split, lam, init, n_paths=cfg.n_paths, seed=cfg.seed,
-        chunk=cfg.chunk, workers=cfg.workers,
-    )
-    eta = spectral_abscissa(split.Tplus + split.Tminus)
+    split, lam, init, batch = simulate_run(params, cfg)
     profile = exit_profile(split, lam)
+    # bound here, not in modelio: the benchmark probe wraps this estimator
+    # only after modelio is imported
     est_b = mc_expectation_untilted(
-        batch, cfg.h, lam, init.w_total, form="beta", eta=eta
+        batch, cfg.h, lam, init.w_total, form="beta", eta=split.eta
     )
     est_q = mc_expectation_untilted(
-        batch, cfg.h, lam, init.w_total, form="qbar", profile=profile, eta=eta
+        batch, cfg.h, lam, init.w_total, form="qbar", profile=profile, eta=split.eta
     )
     analytic = cfg.h.analytic_expectation(params)
     print(f"model: {name or args.model} (p={params.p})")
@@ -264,15 +249,18 @@ def cmd_debug(args) -> int:
         raise ParseError(f"cannot read {args.trace_file}: {exc}")
     paths = {}
     current = None
-    for ln, line in enumerate(lines, 1):
-        if line.startswith("# path "):
-            current = int(line[len("# path "):])
-            paths[current] = []
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or current is None:
-            raise ParseError(f"{args.trace_file}:{ln}: malformed trace line {line!r}")
-        paths[current].append((float(parts[0]), parts[1], parts[2]))
+    try:
+        for ln, line in enumerate(lines, 1):
+            if line.startswith("# path "):
+                current = int(line[len("# path "):])
+                paths[current] = []
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or current is None:
+                raise ParseError(f"{args.trace_file}:{ln}: malformed trace line {line!r}")
+            paths[current].append((float(parts[0]), parts[1], parts[2]))
+    except ValueError as exc:  # a path number or time that does not parse
+        raise ParseError(f"{args.trace_file}:{ln}: {exc}") from exc
     for k, rows in paths.items():
         if not rows:
             raise ParseError(f"{args.trace_file}: path {k} has no jump rows")

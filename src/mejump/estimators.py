@@ -159,6 +159,8 @@ def finalize_density(partial: DensityPartial, grid: Grid, scale: float) -> Densi
 
 
 def _folded_density(batch: PathBatch, weights: np.ndarray, grid: Grid, scale: float):
+    if len(batch) == 0:
+        raise ValueError("empty outcome set")
     parts = [
         density_partial(batch.tau[sl], weights[sl], grid) for sl in batch.chunk_slices()
     ]
@@ -176,8 +178,8 @@ def mc_density_beta(batch: PathBatch, grid: Grid, scale: float) -> DensityEstima
 
 
 def qbar_weights(batch: PathBatch, profile: ExitProfile) -> np.ndarray:
-    table = np.concatenate([profile.qbar_original, profile.qbar_anti])
-    return table[batch.pre_exit]
+    q = profile.qbar_original
+    return np.concatenate([q, -q])[batch.pre_exit]
 
 
 def mc_density_qbar(
@@ -219,11 +221,10 @@ class HSpec:
 
     def analytic_expectation(self, params: MEParams) -> float:
         """Exact ``integral of h(x) f(x) dx`` through repeated resolvent solves."""
-        sigma0 = linalg.spectral_abscissa(params.T)
-        if self.c <= sigma0:
+        if self.c <= params.sigma0:
             raise ValueError(
                 f"h decay rate {self.c:g} must exceed the dominant eigenvalue "
-                f"{sigma0:.6g} for the integral to converge"
+                f"{params.sigma0:.6g} for the integral to converge"
             )
         A = self.c * np.eye(params.p) - params.T
         v = params.s

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotTransientError
-from .splitting import InitialSplit, SignSplit, build_generator, check_transience
+from .splitting import InitialSplit, SignSplit, admit_rate, build_generator
 
 #: Paths per random stream in simulate_batch.
 DEFAULT_CHUNK = 65536
@@ -81,25 +81,22 @@ def _cum_and_last(weights: np.ndarray):
 class JumpChain:
     """Compiled jump tables for one (split, lam) pair.
 
-    Validates ``lam >= lambda_0`` and transience once, then holds the
+    Admits ``lam`` through ``splitting.admit_rate``, then holds the
     per-state exit rates and cumulative target tables that ``simulate_batch``
     samples from.
     """
 
     def __init__(self, split: SignSplit, lam: float):
+        admit_rate(split, lam)
         gen = build_generator(split, lam)
-        transient, abscissa = check_transience(split, lam)
-        if not transient:
-            raise NotTransientError(
-                f"doubled states are not transient at rate {lam:g} "
-                f"(spectral abscissa {abscissa:.6g} >= 0)"
-            )
         p = split.p
         self.p = p
         self.lam = lam
         self.rate = -np.diag(gen.D).copy()
-        # transience rules out absorbing-with-zero-rate transient states
-        assert np.all(self.rate > 0.0), "zero total exit rate in a transient chain"
+        # transience rules out a transient state that is never left
+        if not np.all(self.rate > 0.0):
+            stuck = code_label(int(np.argmin(self.rate)), p)
+            raise NotTransientError(f"state {stuck} has zero total exit rate at rate {lam:g}")
         weights = np.zeros((2 * p, 2 * p + 3))
         weights[:, : 2 * p] = np.maximum(gen.D, 0.0)  # off-diagonal jump rates
         weights[:, 2 * p] = gen.abs_o

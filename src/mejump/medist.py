@@ -18,6 +18,7 @@ a matrix-exponential distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class MEParams:
     def p(self) -> int:
         return self.alpha.shape[0]
 
+    @cached_property
+    def sigma0(self) -> float:
+        """Dominant eigenvalue (spectral abscissa) of T, solved once."""
+        return linalg.spectral_abscissa(self.T)
+
 
 @dataclass
 class ValidationReport:
@@ -80,10 +86,9 @@ def validate(params: MEParams, tol: float = NORMALIZATION_TOL) -> ValidationRepo
     NotADensityError
         If ``alpha (-T)^{-1} s`` differs from 1 by more than ``tol``.
     """
-    sigma0 = linalg.spectral_abscissa(params.T)
-    if sigma0 >= 0.0:
+    if params.sigma0 >= 0.0:
         raise UnstableTError(
-            f"dominant eigenvalue of T is {sigma0:.6g}; must be strictly negative"
+            f"dominant eigenvalue of T is {params.sigma0:.6g}; must be strictly negative"
         )
     normalization = float(params.alpha @ linalg.solve_linear(-params.T, params.s))
     if abs(normalization - 1.0) > tol:
@@ -98,7 +103,7 @@ def validate(params: MEParams, tol: float = NORMALIZATION_TOL) -> ValidationRepo
             "sign split / jump construction will be refused"
         )
     return ValidationReport(
-        sigma0=sigma0,
+        sigma0=params.sigma0,
         normalization=normalization,
         diag_nonpositive=diag_ok,
         messages=messages,
@@ -133,10 +138,9 @@ def laplace_transform(params: MEParams, lam: float) -> float:
     Requires ``lam`` above the dominant eigenvalue of T, where the resolvent
     exists and the integral converges.
     """
-    sigma0 = linalg.spectral_abscissa(params.T)
-    if lam <= sigma0:
+    if lam <= params.sigma0:
         raise LambdaTooSmallError(
-            f"tilting rate {lam:g} must exceed the dominant eigenvalue {sigma0:.6g}"
+            f"tilting rate {lam:g} must exceed the dominant eigenvalue {params.sigma0:.6g}"
         )
     resolvent = lam * np.eye(params.p) - params.T
     return float(params.alpha @ linalg.solve_linear(resolvent, params.s))

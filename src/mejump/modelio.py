@@ -1,4 +1,5 @@
-"""Model/config file parsing, the estimation pipeline, and result rendering.
+"""Model/config file parsing, the simulate front end shared by ``estimate``
+and ``expect``, the estimation pipeline, and result rendering.
 
 Model and run-configuration files are JSON (UTF-8, no comments).  Floats are
 serialized through Python's shortest round-trip repr, so a model written from
@@ -80,15 +81,20 @@ def model_from_dict(raw, where: str = "model"):
     return params, name
 
 
-def read_model(path):
+def read_json(path):
+    """Parsed JSON of a file; unreadable files and invalid JSON raise
+    :class:`ParseError`."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return model_from_dict(raw, where=str(path))
+
+
+def read_model(path):
+    return model_from_dict(read_json(path), where=str(path))
 
 
 def write_model(params: MEParams, path, name: str | None = None):
@@ -117,6 +123,21 @@ class RunConfig:
     auto_delta: float = 1.0
 
 
+#: Run-config fields holding integers, at any nesting depth.
+_INTEGER_FIELDS = frozenset({"n_paths", "seed", "chunk", "workers", "n_bins", "degree"})
+
+
+def _refuse_loose_numbers(raw: dict, where: str):
+    """Refuse booleans, which ``float()`` reads as 1, and fractions in integer fields."""
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            _refuse_loose_numbers(value, where)
+        elif isinstance(value, bool):
+            raise ParseError(f"{where}: field {key!r} must not be a boolean")
+        elif key in _INTEGER_FIELDS and isinstance(value, float) and not value.is_integer():
+            raise ParseError(f"{where}: field {key!r} must be an integer, got {value!r}")
+
+
 def config_from_dict(raw, where: str = "config") -> RunConfig:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: top level must be a JSON object")
@@ -127,6 +148,7 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+    _refuse_loose_numbers(raw, where)
     cfg = RunConfig()
     try:
         lam = raw.get("lambda", cfg.lam)
@@ -163,17 +185,6 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
     )
 
 
-def read_config(path) -> RunConfig:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(raw, where=str(path))
-
-
 @dataclass
 class EstimateRun:
     """Everything produced by one estimation pipeline run."""
@@ -189,11 +200,12 @@ class EstimateRun:
     est_qbar: DensityEstimate | None
 
 
-def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) -> EstimateRun:
-    """Validate, split, resolve the tilting rate, simulate, estimate.
+def simulate_run(params: MEParams, cfg: RunConfig, collect_trace: bool = False):
+    """Validate, split, resolve the tilting rate and simulate: the front end
+    shared by ``estimate`` and ``expect``.
 
-    Raises the underlying model/construction errors unchanged; the CLI maps
-    them to exit codes.
+    Returns ``(split, lam, init, batch)``.  Raises the underlying
+    model/construction errors unchanged; the CLI maps them to exit codes.
     """
     medist.validate(params)
     split = sign_split(params.T, params.s)
@@ -209,6 +221,12 @@ def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) 
         workers=cfg.workers,
         collect_trace=collect_trace,
     )
+    return split, lam, init, batch
+
+
+def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) -> EstimateRun:
+    """Simulate through :func:`simulate_run`, then estimate."""
+    split, lam, init, batch = simulate_run(params, cfg, collect_trace)
     scale = init.w_total / medist.laplace_transform(params, lam)
     analytic = tilted_bin_averages(params, lam, cfg.grid)
     est_beta = est_qbar = None

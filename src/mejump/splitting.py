@@ -39,13 +39,15 @@ LAMBDA_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SignSplit:
-    """Elementwise sign decomposition of (T, s) plus the threshold rate."""
+    """Elementwise sign decomposition of (T, s), the threshold rate and
+    ``eta``, the spectral abscissa of ``T^+ + T^-`` (see check_transience)."""
 
     Tplus: np.ndarray
     Tminus: np.ndarray
     splus: np.ndarray
     sminus: np.ndarray
     lambda0: float
+    eta: float
 
     @property
     def p(self) -> int:
@@ -85,7 +87,6 @@ class ExitProfile:
     qplus: np.ndarray
     qminus: np.ndarray
     qbar_original: np.ndarray
-    qbar_anti: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,12 @@ def sign_split(T, s) -> SignSplit:
     # least lam >= 0 making every doubled row sum nonpositive
     rows = (Tplus + Tminus).sum(axis=1) + splus + sminus
     lam0 = float(max(0.0, rows.max()))
+    eta = linalg.spectral_abscissa(Tplus + Tminus)
     for arr in (Tplus, Tminus, splus, sminus):
         arr.flags.writeable = False
-    return SignSplit(Tplus=Tplus, Tminus=Tminus, splus=splus, sminus=sminus, lambda0=lam0)
+    return SignSplit(
+        Tplus=Tplus, Tminus=Tminus, splus=splus, sminus=sminus, lambda0=lam0, eta=eta
+    )
 
 
 def initial_split(alpha) -> InitialSplit:
@@ -177,6 +181,11 @@ def _require_at_least_lambda0(split: SignSplit, lam: float):
         )
 
 
+def _exit_rates(split: SignSplit, lam: float) -> np.ndarray:
+    """Unclipped per-state exit intensities ``lam 1 - (T^+ + T^-) 1``."""
+    return lam - (split.Tplus + split.Tminus).sum(axis=1)
+
+
 def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
     """Assemble the doubled generator at rate ``lam >= lambda_0``.
 
@@ -188,7 +197,7 @@ def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
     D = doubled_matrix(split, lam)
     abs_o = np.concatenate([split.splus, split.sminus])
     abs_a = np.concatenate([split.sminus, split.splus])
-    term_half = lam - (split.Tplus + split.Tminus).sum(axis=1) - split.splus - split.sminus
+    term_half = _exit_rates(split, lam) - split.splus - split.sminus
     term = np.concatenate([term_half, term_half])
     term[(term < 0.0) & (term > -1e-12)] = 0.0
     if np.any(term < 0.0):
@@ -202,15 +211,14 @@ def exit_profile(split: SignSplit, lam: float) -> ExitProfile:
     """Exit intensities ``d = lam 1 - (T^+ + T^-) 1`` and conditional landing
     probabilities ``q^{+/-} = s^{+/-} / d`` (zero where ``d_i = 0``)."""
     _require_at_least_lambda0(split, lam)
-    d = lam - (split.Tplus + split.Tminus).sum(axis=1)
+    d = _exit_rates(split, lam)
     d[(d < 0.0) & (d > -1e-12)] = 0.0
     qplus = np.zeros(split.p)
     qminus = np.zeros(split.p)
     positive = d > 0.0
     qplus[positive] = split.splus[positive] / d[positive]
     qminus[positive] = split.sminus[positive] / d[positive]
-    qbar = qplus - qminus
-    return ExitProfile(d=d, qplus=qplus, qminus=qminus, qbar_original=qbar, qbar_anti=-qbar)
+    return ExitProfile(d=d, qplus=qplus, qminus=qminus, qbar_original=qplus - qminus)
 
 
 def check_transience(split: SignSplit, lam: float):
@@ -218,13 +226,27 @@ def check_transience(split: SignSplit, lam: float):
 
     Returns ``(transient, abscissa)`` where ``abscissa`` is the spectral
     abscissa of ``D(lam)``.  The eigenvalues of the doubled block are the
-    union of those of ``T^+ + T^-`` and ``T^+ - T^- = T`` shifted by ``-lam``,
-    so transience is equivalent to ``spectral_abscissa(T^+ + T^-) < lam``.
+    union of those of ``T^+ + T^-`` and ``T^+ - T^- = T`` shifted by ``-lam``.
+    ``T^+ + T^-`` is ``T`` with its off-diagonal entries replaced by their
+    absolute values, so ``|e^{T x}| <= e^{(T^+ + T^-) x}`` entrywise for
+    ``x >= 0`` and the abscissa of ``T`` never exceeds ``eta``, that of
+    ``T^+ + T^-``.  The doubled abscissa is therefore ``split.eta - lam``, and
+    transience is ``eta < lam``; no eigenproblem is solved here.
     """
-    eta = linalg.spectral_abscissa(split.Tplus + split.Tminus)
-    sigma0 = linalg.spectral_abscissa(split.Tplus - split.Tminus)
-    abscissa = max(eta, sigma0) - lam
+    abscissa = split.eta - lam
     return abscissa < 0.0, abscissa
+
+
+def admit_rate(split: SignSplit, lam: float):
+    """The one gate on a simulation rate: ``lam`` must be finite, at least
+    ``lambda_0``, and make the doubled chain transient."""
+    _require_at_least_lambda0(split, lam)
+    transient, abscissa = check_transience(split, lam)
+    if not transient:
+        raise NotTransientError(
+            f"doubled states are not transient at rate {lam:g} "
+            f"(spectral abscissa {abscissa:.6g} >= 0)"
+        )
 
 
 def resolve_lambda(split: SignSplit, request, delta: float = 1.0) -> float:
@@ -261,13 +283,7 @@ def doubled_signed_density(split: SignSplit, lam: float, x: float) -> np.ndarray
     state i; entry p+i, started from anti state i, is its exact negative.
     Requires ``lam >= lambda_0`` and transience.
     """
-    _require_at_least_lambda0(split, lam)
-    transient, abscissa = check_transience(split, lam)
-    if not transient:
-        raise NotTransientError(
-            f"doubled states are not transient at rate {lam:g} "
-            f"(spectral abscissa {abscissa:.6g} >= 0)"
-        )
+    admit_rate(split, lam)
     if x < 0.0:
         raise ValueError("x must be nonnegative")
     return doubled_expm_action(split, lam, [x])[0]

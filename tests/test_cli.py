@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -69,6 +70,32 @@ class TestConfig:
             config_from_dict({"mystery": 1})
         with pytest.raises(ParseError):
             config_from_dict({"grid": {"x_min": 2.0, "x_max": 1.0, "n_bins": 5}})
+        grid = {"x_min": 0.0, "x_max": 1.0, "n_bins": 3}
+        h = {"type": "poly-exp-decay", "c": 2.0, "degree": 1}
+        for raw in (
+            {"n_paths": 1000.9},
+            {"n_paths": True},
+            {"seed": True},
+            {"seed": 4.5},
+            {"lambda": True},
+            {"chunk": 100.5},
+            {"workers": 1.5},
+            {"auto_delta": False},
+            {"grid": dict(grid, n_bins=3.7)},
+            {"grid": dict(grid, x_max=True)},
+            {"h": dict(h, c=True)},
+            {"h": dict(h, degree=1.5)},
+            {"n_paths": float("inf")},
+        ):
+            with pytest.raises(ParseError):
+                config_from_dict(raw)
+
+    def test_integral_floats_accepted(self):
+        cfg = config_from_dict(
+            {"n_paths": 1e6, "seed": 7.0, "grid": {"x_min": 0, "x_max": 2, "n_bins": 4.0}}
+        )
+        assert (cfg.n_paths, cfg.seed, cfg.grid.n_bins) == (1_000_000, 7, 4)
+        assert isinstance(cfg.n_paths, int) and isinstance(cfg.grid.n_bins, int)
 
 
 class TestValidateCommand:
@@ -323,9 +350,12 @@ class TestDebugCommand:
 
     def test_malformed_trace_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
-        bad.write_text("0.5\to0\n")
-        code, _, _ = run_cli(["debug", bad], capsys)
-        assert code == 1
+        for text in ("0.5\to0\n", "# path x\n", "# path 0\nabc\to0\tDeltaO\n"):
+            bad.write_text(text)
+            code, _, err = run_cli(["debug", bad], capsys)
+            assert code == 1
+            line = text.count("\n")
+            assert f"{bad}:{line}:" in err
 
     def test_path_without_rows_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "empty_path.tsv"
@@ -334,6 +364,37 @@ class TestDebugCommand:
             code, _, err = run_cli(["debug", bad], capsys)
             assert code == 1
             assert f"path {k} has no jump rows" in err
+
+
+class TestEigenSolves:
+    """A run solves one eigenproblem for T and one for T^+ + T^-."""
+
+    @pytest.mark.parametrize("command", ["estimate", "expect", "split"])
+    @pytest.mark.parametrize("which", ["reference", "random-30"])
+    def test_two_per_run(self, command, which, tmp_path, capsys, monkeypatch):
+        from mejump import linalg
+
+        if which == "reference":
+            model = pathlib.Path(__file__).parents[1] / "models" / "reference.json"
+        else:
+            model = tmp_path / "random.json"
+            write_model(random_me_model(30, np.random.default_rng(30)), model)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"n_paths": 200, "seed": 1, "grid": {"x_min": 0.0, "x_max": 2.0, "n_bins": 4}, '
+            '"h": {"type": "exp-decay", "c": 2.0}}'
+        )
+        args = [command, model]
+        if command != "split":
+            args += ["--config", cfg]
+        if command == "estimate":
+            args += ["--out", tmp_path / "est.csv"]
+        calls = []
+        eigenvalues = linalg.eigenvalues
+        monkeypatch.setattr(linalg, "eigenvalues", lambda A: calls.append(1) or eigenvalues(A))
+        code, _, _ = run_cli(args, capsys)
+        assert code == 0
+        assert len(calls) == 2
 
 
 class TestExpectCommand:

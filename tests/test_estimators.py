@@ -155,21 +155,24 @@ class TestDensityBeta:
         se_total = contrib.std(ddof=1) / math.sqrt(len(batch))
         assert abs(total - 1.0) <= 4 * se_total
 
-    def test_empty_outcomes_rejected(self):
+    def test_empty_outcomes_rejected(self, ref_split):
         empty = one_chunk_batch(3, [], [], [], [])
-        with pytest.raises(ValueError):
+        prof = splitting.exit_profile(ref_split, 2.0)
+        with pytest.raises(ValueError, match="empty outcome set"):
             mc_density_beta(empty, Grid(0.0, 1.0, 2), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty outcome set"):
+            mc_density_qbar(empty, prof, Grid(0.0, 1.0, 2), 1.0)
+        with pytest.raises(ValueError, match="empty outcome set"):
             mc_expectation_untilted(empty, HSpec("exp-decay", 3.0), 2.0, 1.0)
 
     def test_qbar_on_raw_outcomes_uses_profile_dimension(self, ref_split):
-        # a lone path leaving anti state 0 (code p) must take qbar_anti[0]
+        # a lone path leaving anti state 0 (code p) must take -qbar_original[0]
         prof = splitting.exit_profile(ref_split, 2.0)
         batch = one_chunk_batch(3, [0.5], [3], [2], [0])
         grid = Grid(0.0, 1.0, 1)
         est = mc_density_qbar(batch, prof, grid, scale=1.0)
-        assert est.estimate[0] == pytest.approx(prof.qbar_anti[0], rel=1e-15)
-        assert prof.qbar_anti[0] == pytest.approx(-1.0, rel=1e-14)
+        assert est.estimate[0] == pytest.approx(-prof.qbar_original[0], rel=1e-15)
+        assert est.estimate[0] == pytest.approx(-1.0, rel=1e-14)
 
 
 class TestMergeAssociativity:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mejump import linalg, splitting
-from mejump.jumpsim import RngStream, code_label, simulate_batch
+from mejump import jumpsim, linalg, splitting
+from mejump.errors import NotTransientError
+from mejump.jumpsim import JumpChain, RngStream, code_label, simulate_batch
 from conftest import decoupled_rotator
 
 
@@ -152,6 +153,16 @@ class TestSimulateBatch:
         # above the threshold the rotator simulates fine
         batch = simulate_batch(split, 1.0, init, n_paths=1000, seed=1)
         assert len(batch) == 1000
+
+    def test_zero_rate_state_refused(self, monkeypatch):
+        # a state that is never left: only the transience gate rules it out,
+        # so with the gate passed JumpChain must still refuse it
+        split = splitting.sign_split([[0.0]], [0.0])
+        with pytest.raises(NotTransientError, match="not transient"):
+            JumpChain(split, 0.0)
+        monkeypatch.setattr(jumpsim, "admit_rate", lambda split, lam: None)
+        with pytest.raises(NotTransientError, match="state o0 has zero total exit rate"):
+            JumpChain(split, 0.0)
 
     def test_occupancy_matches_matrix_exponential(self, ref_split, ref_init):
         x = 0.5

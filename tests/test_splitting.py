@@ -8,7 +8,7 @@ from mejump.errors import (
     PositiveDiagonalError,
     ZeroAlphaError,
 )
-from mejump.models import random_me_model
+from mejump.models import random_me_model, random_phase_type
 
 from conftest import decoupled_rotator
 
@@ -136,7 +136,6 @@ class TestExitProfile:
         assert prof.d == pytest.approx([4.0 / 3.0, 4.0 / 3.0, 3.0], rel=1e-14)
         assert prof.qplus == pytest.approx([1.0, 0.5, 1.0 / 3.0], rel=1e-14)
         assert np.array_equal(prof.qminus, np.zeros(3))
-        assert np.array_equal(prof.qbar_anti, -prof.qbar_original)
         assert prof.qbar_original == pytest.approx([1.0, 0.5, 1.0 / 3.0], rel=1e-14)
 
     def test_zero_exit_vector(self):
@@ -174,10 +173,21 @@ class TestTransience:
         assert transient
 
     def test_matches_doubled_abscissa(self, ref_split):
-        for lam in (0.0, 2.0, 3.5):
-            _, abscissa = splitting.check_transience(ref_split, lam)
-            direct = linalg.spectral_abscissa(splitting.doubled_matrix(ref_split, lam))
-            assert abscissa == pytest.approx(direct, abs=1e-8)
+        rng = np.random.default_rng(14)
+        splits = [ref_split]
+        for p in (2, 5, 12, 30):
+            m = random_me_model(p, rng)
+            splits.append(splitting.sign_split(m.T, m.s))
+        # S |T| S with S = diag(+-1) has the spectrum of |T| = T^+ + T^-, so
+        # the abscissa of T reaches eta: the bound is tight
+        base = random_phase_type(4, rng)
+        S = np.diag([1.0, -1.0, 1.0, -1.0])
+        splits.append(splitting.sign_split(S @ base.T @ S, S @ base.s))
+        for split in splits:
+            for lam in (0.0, split.lambda0, split.lambda0 + 1.5):
+                _, abscissa = splitting.check_transience(split, lam)
+                direct = linalg.spectral_abscissa(splitting.doubled_matrix(split, lam))
+                assert abscissa == pytest.approx(direct, abs=1e-8)
 
 
 class TestResolveLambda:
