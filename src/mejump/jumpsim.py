@@ -23,6 +23,16 @@ categorical targets ``2p..2p+2`` are the landings, stored in a batch as
 landing codes ``0/1/2`` (positive absorption / negative absorption /
 termination).  ``code_label`` names a code for traces.  Indices are 0-based
 throughout.
+
+Each jump's target is drawn by branchless bisection, so a draw costs
+``O(log p)`` whatever the width ``W = 2p + 3`` of the target table.
+``JumpChain`` pads every cumulative row to ``P2 = 2**shift`` columns, the
+smallest power of two above ``W``, with ``+inf`` and stores the rows flat.
+Bisection then finds the number of entries ``<= u`` in ``log2(P2)`` vectorized
+gathers.  That count is the index a linear scan of the row would give, ties
+included, because a cumsum of non-negative weights is non-decreasing even
+after rounding, and the padding exceeds every uniform ``u < 1``.  So a
+stream yields the same paths under either method.
 """
 
 from __future__ import annotations
@@ -78,12 +88,42 @@ def _cum_and_last(weights: np.ndarray):
     return cum, last.astype(np.int64)
 
 
+def _padded_table(cum: np.ndarray):
+    """Rows of ``cum`` padded with ``+inf`` to ``2**shift`` columns, the
+    smallest power of two above the row width, flattened C-contiguous.
+    Returns ``(table, shift)``."""
+    rows, width = cum.shape
+    shift = width.bit_length()
+    table = np.full((rows, 1 << shift), np.inf)
+    table[:, :width] = cum
+    return table.ravel(), shift
+
+
+def _draw_targets(table, shift, last, state, u):
+    """Target index of each jump from ``state`` with uniform ``u``: the count
+    of row entries ``<= u``, clamped to the row's last positive target.
+
+    Branchless bisection over the padded rows of ``_padded_table``: each of
+    the ``shift`` steps adds ``step`` to the offset exactly when the entry
+    just before ``offset + step`` is ``<= u``.
+    """
+    base = state << shift
+    pos = base.copy()
+    step = 1 << (shift - 1)
+    while step:
+        pos += step * (table[pos + (step - 1)] <= u)
+        step >>= 1
+    pos -= base
+    np.minimum(pos, last[state], out=pos)
+    return pos
+
+
 class JumpChain:
     """Compiled jump tables for one (split, lam) pair.
 
     Admits ``lam`` through ``splitting.admit_rate``, then holds the
-    per-state exit rates and cumulative target tables that ``simulate_batch``
-    samples from.
+    per-state exit rates and the padded cumulative target table (see
+    ``_padded_table``) that ``simulate_batch`` samples from.
     """
 
     def __init__(self, split: SignSplit, lam: float):
@@ -102,7 +142,8 @@ class JumpChain:
         weights[:, 2 * p] = gen.abs_o
         weights[:, 2 * p + 1] = gen.abs_a
         weights[:, 2 * p + 2] = gen.term
-        self.cum, self.last = _cum_and_last(weights)
+        cum, self.last = _cum_and_last(weights)
+        self.table, self.shift = _padded_table(cum)
 
 
 def _initial_cum(init: InitialSplit):
@@ -148,7 +189,9 @@ def _simulate_chunk(chain, init_cum, init_last, m, rng, collect_trace):
 
     Per iteration, every active path consumes exactly two uniforms (holding
     time, categorical target) in path order, so the draw sequence depends only
-    on the chunk itself.
+    on the chunk itself.  The target is drawn by ``_draw_targets``: ``shift``
+    gathers of one double per path over the padded table, where a linear
+    scan of the row would read ``2p + 3`` doubles per path.
     """
     two_p = 2 * chain.p
     u0 = rng.random(m)
@@ -171,8 +214,7 @@ def _simulate_chunk(chain, init_cum, init_last, m, rng, collect_trace):
         dt = -np.log1p(-u1) / chain.rate[state]
         t_new = t + dt
         u2 = rng.random(k)
-        nxt = (chain.cum[state] <= u2[:, None]).sum(axis=1)
-        np.minimum(nxt, chain.last[state], out=nxt)
+        nxt = _draw_targets(chain.table, chain.shift, chain.last, state, u2)
         if collect_trace:
             trace_parts.append((alive.copy(), t_new.copy(), state.copy(), nxt.copy()))
         iteration += 1

@@ -46,7 +46,9 @@ class ParseError(Exception):
 
 
 def _as_number_list(raw, field: str, where: str) -> list:
-    if not isinstance(raw, list) or not all(isinstance(v, (int, float)) for v in raw):
+    if not isinstance(raw, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
+    ):
         raise ParseError(f"{where}: field {field!r} must be an array of numbers")
     return [float(v) for v in raw]
 

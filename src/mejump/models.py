@@ -72,7 +72,15 @@ def random_me_model(p: int, rng: np.random.Generator, max_tries: int = 200) -> M
     keeps the density (and so the normalization and the dominant eigenvalue)
     unchanged while scrambling the parameter signs; retries until the
     transformed T keeps a nonpositive diagonal so the sign split applies.
+
+    Needs ``p >= 2``: for ``p = 1`` the transform is a scalar and cannot make
+    any parameter negative.  ``exponential_model`` covers the 1-state case.
     """
+    if p < 2:
+        raise ValueError(
+            f"random_me_model needs p >= 2, got p = {p}: a 1-state similarity "
+            "transform leaves every sign as it is (use exponential_model)"
+        )
     for _ in range(max_tries):
         base = random_phase_type(p, rng)
         K = rng.normal(0.0, 0.25 / p, size=(p, p))

@@ -54,6 +54,13 @@ class TestModelRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ParseError, match="invalid JSON"):
             read_model(path)
+        # a JSON boolean passes isinstance(v, int) but is not a number
+        path.write_text('{"alpha": [true], "T": [[-1.0]], "s": [1]}')
+        with pytest.raises(ParseError, match="'alpha' must be an array of numbers"):
+            read_model(path)
+        path.write_text('{"alpha": [1.0], "T": [[false]], "s": [1]}')
+        with pytest.raises(ParseError, match=r"'T\[0\]' must be an array of numbers"):
+            read_model(path)
 
 
 class TestConfig:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from mejump import jumpsim, linalg, splitting
 from mejump.errors import NotTransientError
 from mejump.jumpsim import JumpChain, RngStream, code_label, simulate_batch
+from mejump.models import random_me_model
 from conftest import decoupled_rotator
 
 
@@ -116,6 +118,62 @@ class TestSimulatePath:
         assert np.array_equal(frm[1:], to[:-1])
 
 
+class TestDrawTargets:
+    """The bisection draw equals the count of row entries ``<= u``, clamped
+    to the last positive target, which is the index a linear scan gives."""
+
+    @staticmethod
+    def weight_rows(rng, n_rows, width):
+        weights = rng.exponential(size=(n_rows, width))
+        weights[rng.random((n_rows, width)) < 0.3] = 0.0  # zeros anywhere
+        trailing = rng.integers(0, width, n_rows)
+        cols = np.arange(width)
+        some_rows = (rng.random(n_rows) < 0.3)[:, None]
+        weights[(cols >= trailing[:, None]) & some_rows] = 0.0  # trailing zeros
+        weights[:, 0] += (weights.sum(axis=1) == 0.0)  # every row has a target
+        weights[0] = 0.0
+        weights[0, 0] = 1.0  # a single target, so last = 0
+        return weights
+
+    @pytest.mark.parametrize("p", [1, 2, 62, 63, 64])
+    def test_equals_clamped_count(self, p):
+        width = 2 * p + 3
+        rng = np.random.default_rng(width)
+        cum, last = jumpsim._cum_and_last(self.weight_rows(rng, 4000, width))
+        table, shift = jumpsim._padded_table(cum)
+        assert (1 << shift) > width >= (1 << (shift - 1))
+        assert table.flags.c_contiguous and table.size == cum.shape[0] << shift
+        # the row ends under test: rounded just above 1, just below, exactly 1
+        assert (cum[:, -1] > 1.0).any() and (cum[:, -1] < 1.0).any()
+        assert (cum[:, -1] == 1.0).any()
+        assert (last < width - 1).any()
+
+        state = rng.integers(0, cum.shape[0], 60_000)
+        u = rng.random(state.size)
+        # ties: u equal to a stored cumsum, among them repeats from zero weights
+        tie = rng.random(state.size) < 0.5
+        u[tie] = cum[state[tie], rng.integers(0, width, tie.sum())]
+        u[:4] = (0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))
+        # rows ending just under 1 receive the uniforms past their end
+        short = np.flatnonzero(cum[:, -1] < 1.0)
+        state[-short.size :] = short
+        u[-short.size :] = np.nextafter(1.0, 0.0)
+
+        got = jumpsim._draw_targets(table, shift, last, state, u)
+        want = np.minimum((cum[state] <= u[:, None]).sum(axis=1), last[state])
+        assert np.array_equal(got, want)
+        # and every drawn target has positive weight: a rise in its row
+        before = np.where(got > 0, cum[state, got - 1], 0.0)
+        assert np.all(cum[state, got] > before)
+
+    def test_chain_table(self, ref_split):
+        chain = JumpChain(ref_split, 2.0)
+        assert chain.shift == 4  # width 9 padded to 16
+        rows = chain.table.reshape(6, 16)
+        assert np.all(np.isinf(rows[:, 9:]))
+        assert np.all(np.diff(rows[:, :9], axis=1) >= 0.0)
+
+
 class TestSimulateBatch:
     def test_deterministic_repeat(self, ref_split, ref_init):
         a = simulate_batch(ref_split, 2.0, ref_init, n_paths=30_000, seed=42, chunk=7000)
@@ -130,6 +188,23 @@ class TestSimulateBatch:
         assert np.array_equal(a.tau, b.tau)
         assert np.array_equal(a.pre_exit, b.pre_exit)
         assert np.array_equal(a.landing, b.landing)
+
+    def test_wide_table_digest(self):
+        # pins the stream-to-path mapping on a width-63 target table, where the
+        # golden CSV pins only the width-9 table of the reference model
+        m = random_me_model(30, np.random.default_rng(30))
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto")
+        init = splitting.initial_split(m.alpha)
+        batch = simulate_batch(split, lam, init, n_paths=50_000, seed=42, chunk=8192, workers=2)
+        digest = hashlib.sha256()
+        for field, dtype in (
+            ("tau", "<f8"), ("pre_exit", "<i4"), ("landing", "i1"), ("sign", "i1"), ("n_jumps", "<i4"),
+        ):
+            digest.update(np.ascontiguousarray(getattr(batch, field), dtype=dtype).tobytes())
+        assert digest.hexdigest() == (
+            "aff4284a8638d237dbfa25bfad089418ef90e6d86bb596c4704e2e01923534bd"
+        )
 
     def test_invalid_args(self, ref_split, ref_init):
         with pytest.raises(ValueError):
