@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.integrate
 
 from . import linalg, medist
 from .estimators import (
@@ -193,6 +192,10 @@ def criterion_3(params) -> CriterionResult:
 
 
 def criterion_4(params) -> CriterionResult:
+    # imported here, its only use: scipy.integrate pulls in scipy.optimize,
+    # scipy.special and scipy.sparse, which no other mejump command needs
+    import scipy.integrate
+
     lt_solve = medist.laplace_transform(params, 2.0)
     lt_quad, quad_err = scipy.integrate.quad(
         lambda x: math.exp(-2.0 * x) * medist.density(params, x), 0.0, np.inf

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, medist
+from . import medist
 from .errors import (
     EigenConvergenceError,
     LambdaTooSmallError,
@@ -198,13 +198,13 @@ def cmd_estimate(args) -> int:
     )
     print(f"scale (w_total / normalizer): {run.scale!r}")
     csv_text = render_estimate_csv(run)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv_text)
-    if args.trace:
+    if args.trace is not None:
         write_trace(args.trace, run.batch)
         print(f"wrote trace to {args.trace}")
     return 0
@@ -279,6 +279,9 @@ def cmd_debug(args) -> int:
 
 
 def cmd_reproduce_example(args) -> int:
+    # the acceptance module is the only one that loads scipy.integrate
+    from . import acceptance
+
     n_paths = args.paths if args.paths is not None else 1_000_000
     seed = args.seed if args.seed is not None else 42
     lam = _parse_lambda(args.lam) if args.lam is not None else "auto"
@@ -361,6 +364,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("out", "trace"):
+            if getattr(args, flag, None) == "":
+                # an empty path would silently drop the output
+                raise ParseError(f"--{flag} needs a file path, got an empty string")
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

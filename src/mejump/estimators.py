@@ -144,7 +144,14 @@ def finalize_density(partial: DensityPartial, grid: Grid, scale: float) -> Densi
     per_path = scale / grid.delta
     estimate = per_path * partial.sum_w / n
     if n > 1:
-        var = (per_path**2 * partial.sum_w2 - n * estimate**2) / (n - 1)
+        try:
+            per_path_sq = per_path**2
+        except OverflowError:
+            raise ValueError(
+                f"per-path bin weight scale / bin width = {per_path:g} overflows "
+                "when squared; widen the bins"
+            ) from None
+        var = (per_path_sq * partial.sum_w2 - n * estimate**2) / (n - 1)
         stderr = np.sqrt(np.maximum(var, 0.0) / n)
     else:
         stderr = np.zeros_like(estimate)

@@ -132,12 +132,20 @@ def density(params: MEParams, x):
     return out if np.ndim(x) else float(out[0])
 
 
+def require_finite_rate(lam: float):
+    """Refuse a NaN or infinite tilting rate: every matrix built from it is
+    non-finite, and a jump table built from it lets no path exit."""
+    if not np.isfinite(lam):
+        raise ValueError(f"tilting rate must be finite, got {lam!r}")
+
+
 def laplace_transform(params: MEParams, lam: float) -> float:
     """``alpha (lam I - T)^{-1} s``, the integral of e^{-lam x} f(x) over x >= 0.
 
-    Requires ``lam`` above the dominant eigenvalue of T, where the resolvent
-    exists and the integral converges.
+    Requires a finite ``lam`` above the dominant eigenvalue of T, where the
+    resolvent exists and the integral converges.
     """
+    require_finite_rate(lam)
     if lam <= params.sigma0:
         raise LambdaTooSmallError(
             f"tilting rate {lam:g} must exceed the dominant eigenvalue {params.sigma0:.6g}"

@@ -231,6 +231,11 @@ def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) 
     split, lam, init, batch = simulate_run(params, cfg, collect_trace)
     scale = init.w_total / medist.laplace_transform(params, lam)
     analytic = tilted_bin_averages(params, lam, cfg.grid)
+    if not (np.isfinite(scale) and np.all(np.isfinite(analytic))):
+        raise ValueError(
+            f"tilting rate {lam!r} is too large: the scale or the analytic "
+            "bin averages of the tilted density are not finite"
+        )
     est_beta = est_qbar = None
     if cfg.estimator in ("beta", "both"):
         est_beta = mc_density_beta(batch, cfg.grid, scale)

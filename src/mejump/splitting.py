@@ -32,6 +32,7 @@ from .errors import (
     PositiveDiagonalError,
     ZeroAlphaError,
 )
+from .medist import require_finite_rate
 
 #: Slack used when comparing a requested rate against lambda_0.
 LAMBDA_SLACK = 1e-12
@@ -171,9 +172,7 @@ def doubled_matrix(split: SignSplit, lam: float) -> np.ndarray:
 
 
 def _require_at_least_lambda0(split: SignSplit, lam: float):
-    if not np.isfinite(lam):
-        # a non-finite rate gives a NaN jump table, on which no path ever exits
-        raise ValueError(f"tilting rate must be finite, got {lam!r}")
+    require_finite_rate(lam)
     if lam < split.lambda0 - LAMBDA_SLACK * max(1.0, abs(split.lambda0)):
         raise LambdaTooSmallError(
             f"tilting rate {lam:g} is below lambda_0 = {split.lambda0:g}; "

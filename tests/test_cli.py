@@ -190,6 +190,13 @@ class TestTiltCommand:
         assert tilted.alpha[0] == pytest.approx(45.0 / 19.0, rel=1e-15)
         assert tilted.T[0, 0] == -3.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_rate_exits_1(self, model_file, lam, capsys):
+        code, _, err = run_cli(["tilt", model_file, "--lambda", lam], capsys)
+        assert code == 1
+        assert err == f"error: tilting rate must be finite, got {lam}\n"
+
 
 class TestEstimateCommand:
     def cfg(self, tmp_path, **kw):
@@ -264,6 +271,41 @@ class TestEstimateCommand:
         )
         assert code == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize("lam", ["1e300", "1e150"])
+    def test_overflowing_rate_exits_1(self, model_file, tmp_path, lam, capsys):
+        # the analytic oracle and the bin weights overflow long before the
+        # chain does; no CSV is written from them
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["estimate", model_file, "--lambda", lam, "--paths", "1000", "--out", out],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: tilting rate {float(lam)!r} is too large")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_bin_weight_exits_1(self, model_file, tmp_path, capsys):
+        code, _, err = run_cli(
+            [
+                "estimate", model_file, "--paths", "1000", "--grid", "0:1e-160:1",
+                "--out", tmp_path / "x.csv",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "widen the bins" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_empty_output_path_exits_1(self, model_file, tmp_path, flag, capsys):
+        args = ["estimate", model_file, "--paths", "100", f"{flag}="]
+        if flag == "--trace":
+            args += ["--out", tmp_path / "x.csv"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert f"{flag} needs a file path" in err
+        assert out == "" and not (tmp_path / "x.csv").exists()
 
     def test_flag_overrides_beat_config(self, model_file, tmp_path, capsys):
         out = tmp_path / "c.csv"
