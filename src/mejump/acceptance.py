@@ -192,8 +192,7 @@ def criterion_3(params) -> CriterionResult:
 
 
 def criterion_4(params) -> CriterionResult:
-    # imported here, its only use: scipy.integrate pulls in scipy.optimize,
-    # scipy.special and scipy.sparse, which no other mejump command needs
+    # imported here, its only use: no other mejump command needs scipy
     import scipy.integrate
 
     lt_solve = medist.laplace_transform(params, 2.0)

@@ -164,8 +164,7 @@ def cmd_tilt(args) -> int:
         lam = resolve_lambda(sign_split(params.T, params.s), "auto")
     else:
         lam = lam_spec
-    norm = medist.laplace_transform(params, lam)
-    tilted = medist.tilt(params, lam)
+    tilted, norm = medist.tilt(params, lam)
     print(f"model: {name or args.model} (p={params.p})")
     print(f"lambda: {lam!r}")
     print(f"normalizer alpha (lambda I - T)^-1 s: {norm!r}")
@@ -279,7 +278,7 @@ def cmd_debug(args) -> int:
 
 
 def cmd_reproduce_example(args) -> int:
-    # the acceptance module is the only one that loads scipy.integrate
+    # the acceptance module is the only one that loads scipy
     from . import acceptance
 
     n_paths = args.paths if args.paths is not None else 1_000_000

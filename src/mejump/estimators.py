@@ -360,15 +360,24 @@ def decay_cancellation_check(split: SignSplit, sigma0: float, xs) -> np.ndarray:
 def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> np.ndarray:
     """Exact bin averages of the tilted density over the grid.
 
-    Uses the closed-form integral ``int_a^b e^{M x} dx = M^{-1}(e^{M b} -
-    e^{M a})`` with ``M = T - lam I``; this is what the histogram estimators
-    are unbiased for.
+    With ``M = T - lam I``, one Van Loan (1978) block exponential
+    ``expm([[M, s], [0, 0]] delta)`` holds both the step ``e^{M delta}`` and
+    the bin integral ``int_0^delta e^{M y} dy s``.  The row ``alpha e^{M x}``
+    starts at ``x_min`` and steps from edge to edge, so the grid costs two
+    exponentials and no subtraction of nearly equal terms.  This is what the
+    histogram estimators are unbiased for.
     """
     norm = laplace_transform(params, lam)
-    M = params.T - lam * np.eye(params.p)
-    row = linalg.solve_linear(M.T, params.alpha)  # alpha M^{-1}
-    exps = [linalg.mat_exp(M * edge) for edge in grid.edges]
+    p = params.p
+    M = params.T - lam * np.eye(p)
+    block = np.zeros((p + 1, p + 1))
+    block[:p, :p] = M
+    block[:p, p] = params.s
+    F = linalg.mat_exp(block * grid.delta)
+    step, integral = F[:p, :p], F[:p, p]
+    row = params.alpha @ linalg.mat_exp(M * grid.x_min)
     out = np.empty(grid.n_bins)
     for b in range(grid.n_bins):
-        out[b] = row @ (exps[b + 1] - exps[b]) @ params.s
+        out[b] = row @ integral
+        row = row @ step
     return out / (norm * grid.delta)

@@ -154,15 +154,17 @@ def laplace_transform(params: MEParams, lam: float) -> float:
     return float(params.alpha @ linalg.solve_linear(resolvent, params.s))
 
 
-def tilt(params: MEParams, lam: float) -> MEParams:
-    """Exponentially tilted parameters ``(alpha / L(lam), T - lam I, s)``.
+def tilt(params: MEParams, lam: float) -> tuple[MEParams, float]:
+    """Exponentially tilted parameters ``(alpha / L(lam), T - lam I, s)`` and
+    the normalizer ``L(lam)`` they were divided by, from one resolvent solve.
 
-    The result is a valid matrix-exponential distribution; its density is
-    ``e^{-lam x} f(x) / L(lam)``.  ``lam = 0`` is the identity.
+    The tilted triple is a valid matrix-exponential distribution; its density
+    is ``e^{-lam x} f(x) / L(lam)``.  ``lam = 0`` is the identity.
     """
     norm = laplace_transform(params, lam)
-    return MEParams(
+    tilted = MEParams(
         alpha=params.alpha / norm,
         T=params.T - lam * np.eye(params.p),
         s=params.s,
     )
+    return tilted, norm

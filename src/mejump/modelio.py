@@ -227,8 +227,19 @@ def simulate_run(params: MEParams, cfg: RunConfig, collect_trace: bool = False):
 
 
 def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) -> EstimateRun:
-    """Simulate through :func:`simulate_run`, then estimate."""
+    """Simulate through :func:`simulate_run`, then estimate.
+
+    A rate at which every landing probability ``(s^+ + s^-)_i / d_i`` is
+    below machine epsilon is refused before the oracle runs: no path can be
+    seen to land, whatever the grid.
+    """
     split, lam, init, batch = simulate_run(params, cfg, collect_trace)
+    profile = exit_profile(split, lam)
+    if np.all(profile.qplus + profile.qminus < np.finfo(float).eps):
+        raise ValueError(
+            f"tilting rate {lam!r} is too large: every landing probability "
+            "is below machine epsilon, so no path can be seen to land"
+        )
     scale = init.w_total / medist.laplace_transform(params, lam)
     analytic = tilted_bin_averages(params, lam, cfg.grid)
     if not (np.isfinite(scale) and np.all(np.isfinite(analytic))):
@@ -240,7 +251,6 @@ def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) 
     if cfg.estimator in ("beta", "both"):
         est_beta = mc_density_beta(batch, cfg.grid, scale)
     if cfg.estimator in ("qbar", "both"):
-        profile = exit_profile(split, lam)
         est_qbar = mc_density_qbar(batch, profile, cfg.grid, scale)
     return EstimateRun(
         params=params,

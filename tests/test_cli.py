@@ -286,6 +286,16 @@ class TestEstimateCommand:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_large_rate_with_visible_landings_runs(self, model_file, tmp_path, capsys):
+        # at 1e6 a landing still has probability about 1e-6 per exit
+        out = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            ["estimate", model_file, "--lambda", "1e6", "--paths", "1000", "--out", out],
+            capsys,
+        )
+        assert code == 0
+        assert out.exists()
+
     def test_overflowing_bin_weight_exits_1(self, model_file, tmp_path, capsys):
         code, _, err = run_cli(
             [
@@ -443,6 +453,21 @@ class TestEigenSolves:
         monkeypatch.setattr(linalg, "eigenvalues", lambda A: calls.append(1) or eigenvalues(A))
         code, _, _ = run_cli(args, capsys)
         assert code == 0
+        assert len(calls) == 2
+
+
+class TestResolventSolves:
+    def test_tilt_solves_twice(self, tmp_path, capsys, monkeypatch):
+        # one solve validates the model, one gives the normalizer
+        from mejump import linalg
+
+        model = pathlib.Path(__file__).parents[1] / "models" / "reference.json"
+        calls = []
+        solve = linalg.solve_linear
+        monkeypatch.setattr(linalg, "solve_linear", lambda A, b: calls.append(1) or solve(A, b))
+        code, out, _ = run_cli(["tilt", model, "--lambda", "2"], capsys)
+        assert code == 0
+        assert "0.42222222222222" in out  # 19/45
         assert len(calls) == 2
 
 

@@ -343,9 +343,40 @@ class TestTiltedBinAverages:
     def test_matches_quadrature(self, ref):
         grid = Grid(0.0, 4.0, 8)
         got = tilted_bin_averages(ref, 2.0, grid)
-        tilted = medist.tilt(ref, 2.0)
+        tilted, _ = medist.tilt(ref, 2.0)
         for b in range(grid.n_bins):
             want, _ = scipy.integrate.quad(
                 lambda x: medist.density(tilted, x), grid.edges[b], grid.edges[b + 1]
             )
             assert got[b] == pytest.approx(want / grid.delta, rel=1e-9)
+
+    def test_golden_grid_against_mpmath(self, ref):
+        # (2/3) e^{-3x} (1 + cos x) / (19/45), averaged over 0:4:40 in 40 digits;
+        # the old edge-difference oracle was off by up to 2.4e-10 here
+        import mpmath
+
+        mpmath.mp.dps = 40
+
+        def antideriv(x):
+            e = mpmath.exp(-3 * x)
+            return -e / 3 + e * (mpmath.sin(x) - 3 * mpmath.cos(x)) / 10
+
+        grid = Grid(0.0, 4.0, 40)
+        got = tilted_bin_averages(ref, 2.0, grid)
+        delta = mpmath.mpf(4) / 40
+        for b in range(grid.n_bins):
+            lo, hi = b * delta, (b + 1) * delta
+            want = (antideriv(hi) - antideriv(lo)) * 30 / (19 * delta)
+            assert abs((mpmath.mpf(got[b]) - want) / want) <= 5e-11
+
+    def test_huge_rate_puts_the_mass_in_the_first_bin(self, ref):
+        got = tilted_bin_averages(ref, 1e12, Grid(0.0, 4.0, 40))
+        assert got[0] == pytest.approx(10.0, rel=1e-14)
+        assert np.all(got[1:] == 0.0)
+
+    def test_two_exponentials_per_grid(self, ref, monkeypatch):
+        calls = []
+        mat_exp = linalg.mat_exp
+        monkeypatch.setattr(linalg, "mat_exp", lambda A: calls.append(1) or mat_exp(A))
+        tilted_bin_averages(ref, 2.0, Grid(0.5, 4.0, 40))
+        assert len(calls) == 2

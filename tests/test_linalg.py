@@ -5,6 +5,8 @@ import pytest
 
 from mejump import linalg
 from mejump.errors import SingularMatrixError
+from mejump.models import exponential_model, random_me_model
+from mejump.splitting import doubled_matrix, sign_split
 
 
 def random_stable(rng, p):
@@ -59,6 +61,77 @@ class TestMatExp:
             deriv = ref.alpha @ (ref.T @ linalg.mat_exp(ref.T * x)) @ ref.s
             central = (f(x + h) - f(x - h)) / (2 * h)
             assert deriv == pytest.approx(central, rel=1e-6)
+
+
+class TestPadeKernel:
+    """The numpy scaling-and-squaring kernel against scipy's ``expm``."""
+
+    @staticmethod
+    def rel_err(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 10, 30, 100])
+    def test_agrees_with_scipy(self, p):
+        import scipy.linalg
+
+        if p == 1:
+            params = exponential_model(1.7)
+        else:
+            params = random_me_model(p, np.random.default_rng(p))
+        split = sign_split(params.T, params.s)
+        for M in (params.T, doubled_matrix(split, split.lambda0)):
+            for x in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
+                want = scipy.linalg.expm(M * x)
+                assert self.rel_err(linalg.mat_exp(M * x), want) <= 1e-12
+
+    def test_every_degree_and_the_scaling_are_reached(self, monkeypatch):
+        import scipy.linalg
+
+        seen = []
+        pade_uv = linalg._pade_uv
+
+        def recording(A, m):
+            seen.append((m, np.abs(A).sum(axis=0).max()))
+            return pade_uv(A, m)
+
+        monkeypatch.setattr(linalg, "_pade_uv", recording)
+        B = np.random.default_rng(5).normal(size=(6, 6))
+        B /= np.abs(B).sum(axis=0).max()  # unit 1-norm
+        theta = linalg.PADE_THETA
+        cases = [
+            (theta[3], 3), (theta[3] * 1.001, 5), (theta[5], 5), (theta[7], 7),
+            (theta[9], 9), (theta[9] * 1.001, 13), (theta[13], 13), (60.0, 13),
+        ]
+        for norm, degree in cases:
+            seen.clear()
+            got = linalg.mat_exp(B * norm)
+            assert [m for m, _ in seen] == [degree]
+            assert self.rel_err(got, scipy.linalg.expm(B * norm)) <= 1e-12
+        # 60 > theta_13: degree 13 runs on A / 2^4, then squares four times
+        assert seen[0][1] == pytest.approx(60.0 / 16.0, rel=1e-14)
+
+    def test_diagonal_is_exp_of_the_diagonal(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_pade_uv", None)  # never reached
+        d = np.array([-1.5, 0.3, -40.0, 2.0, 0.0])
+        assert np.array_equal(linalg.mat_exp(np.diag(d)), np.diag(np.exp(d)))
+
+    @pytest.mark.parametrize("lam", [1e3, 1e9, 1e15])
+    def test_zero_row_survives_the_squaring(self, ref, lam):
+        # the Van Loan block [[M, s], [0, 0]] delta: its last row stays e_p,
+        # and its corner column is M^{-1} (e^{M delta} - I) s, here -M^{-1} s
+        M = ref.T - lam * np.eye(3)
+        block = np.zeros((4, 4))
+        block[:3, :3] = M
+        block[:3, 3] = ref.s
+        E = linalg.mat_exp(block * 0.1)
+        assert np.array_equal(E[3], [0.0, 0.0, 0.0, 1.0])
+        want = -np.linalg.solve(M, ref.s)
+        assert np.abs(E[:3, 3] - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_overflowing_norm_raises_value_error(self):
+        A = np.full((2, 2), 1e308)
+        with pytest.raises(ValueError, match="1-norm overflows"):
+            linalg.mat_exp(A)
 
 
 class TestSolve:

@@ -113,19 +113,20 @@ class TestLaplace:
 
 class TestTilt:
     def test_reference_at_two(self, ref):
-        tilted = medist.tilt(ref, 2.0)
+        tilted, norm = medist.tilt(ref, 2.0)
+        assert norm == pytest.approx(19.0 / 45.0, rel=1e-12)
         assert tilted.alpha == pytest.approx([45.0 / 19.0, 0.0, 0.0], rel=1e-12)
         assert np.array_equal(tilted.T, ref.T - 2.0 * np.eye(3))
         assert np.array_equal(tilted.s, ref.s)
         medist.validate(tilted)
 
     def test_zero_rate_is_identity(self, ref):
-        tilted = medist.tilt(ref, 0.0)
+        tilted, _ = medist.tilt(ref, 0.0)
         assert tilted.alpha == pytest.approx(ref.alpha, rel=1e-12)
         assert np.array_equal(tilted.T, ref.T)
 
     def test_exponential_becomes_faster_exponential(self, exp1):
-        tilted = medist.tilt(exp1, 1.0)
+        tilted, _ = medist.tilt(exp1, 1.0)
         assert tilted.alpha == pytest.approx([2.0], rel=1e-12)
         assert tilted.T[0, 0] == pytest.approx(-2.0, rel=1e-12)
         assert tilted.s == pytest.approx([1.0])
@@ -136,7 +137,7 @@ class TestTilt:
         models = [reference_model()] + [random_me_model(3, rng) for _ in range(3)]
         xs = np.linspace(0.0, 10.0, 21)
         for params in models:
-            tilted = medist.tilt(params, lam)
+            tilted, _ = medist.tilt(params, lam)
             norm = medist.laplace_transform(params, lam)
             lhs = medist.density(tilted, xs)
             rhs = np.exp(-lam * xs) * medist.density(params, xs) / norm
@@ -144,12 +145,12 @@ class TestTilt:
 
     def test_laplace_composition(self, ref):
         lam, mu = 1.5, 0.8
-        lhs = medist.laplace_transform(medist.tilt(ref, lam), mu)
+        lhs = medist.laplace_transform(medist.tilt(ref, lam)[0], mu)
         rhs = medist.laplace_transform(ref, lam + mu) / medist.laplace_transform(ref, lam)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_tilted_mass_approaches_one(self, ref):
-        tilted = medist.tilt(ref, 2.0)
+        tilted, _ = medist.tilt(ref, 2.0)
         masses = [
             scipy.integrate.quad(lambda x: medist.density(tilted, x), 0.0, X, limit=200)[0]
             for X in (5.0, 10.0, 20.0)
