@@ -30,7 +30,7 @@ from .estimators import (
     mc_density_qbar,
     mc_expectation_untilted,
 )
-from .jumpsim import JumpChain, simulate_batch
+from .jumpsim import simulate_batch
 from .modelio import RunConfig, simulate_run, write_model
 from .models import (
     exponential_model,
@@ -40,8 +40,8 @@ from .models import (
     reference_model,
 )
 from .splitting import (
+    admit_rate,
     doubled_matrix,
-    exit_profile,
     initial_split,
     resolve_lambda,
     sign_split,
@@ -255,12 +255,15 @@ def criterion_6(params, split) -> CriterionResult:
 
 def _simulate_reference(params, lam, n_paths, seed):
     t0 = time.perf_counter()
-    split, lam, init, batch = simulate_run(params, RunConfig(lam=lam, n_paths=n_paths, seed=seed))
+    split, lam, init, profile, batch = simulate_run(
+        params, RunConfig(lam=lam, n_paths=n_paths, seed=seed)
+    )
     sim_time = time.perf_counter() - t0
     scale = init.w_total / medist.laplace_transform(params, lam)
     return {
         "split": split,
         "init": init,
+        "profile": profile,
         "batch": batch,
         "scale": scale,
         "sim_time": sim_time,
@@ -292,8 +295,7 @@ def criterion_7(shared) -> CriterionResult:
 
 def criterion_8(shared) -> CriterionResult:
     grid = Grid(0.0, 4.0, 40)
-    profile = exit_profile(shared["split"], shared["lam"])
-    est_q = mc_density_qbar(shared["batch"], profile, grid, shared["scale"])
+    est_q = mc_density_qbar(shared["batch"], shared["profile"], grid, shared["scale"])
     analytic = reference_tilted_bin_averages(shared["lam"], grid)
     ok4, _ = _band_check(est_q, analytic, len(shared["batch"]), 4.0)
     est_b = shared["est_beta"]
@@ -322,13 +324,13 @@ def criterion_8(shared) -> CriterionResult:
 def criterion_9(shared, params) -> CriterionResult:
     h = HSpec("exp-decay", 2.0)
     eta = shared["split"].eta
-    profile = exit_profile(shared["split"], shared["lam"])
     w_total = shared["init"].w_total
     est_b = mc_expectation_untilted(
         shared["batch"], h, shared["lam"], w_total, form="beta", eta=eta
     )
     est_q = mc_expectation_untilted(
-        shared["batch"], h, shared["lam"], w_total, form="qbar", profile=profile, eta=eta
+        shared["batch"], h, shared["lam"], w_total, form="qbar",
+        profile=shared["profile"], eta=eta,
     )
     target = REFERENCE_NORMALIZER
     ok = abs(est_b.value - target) <= 4 * est_b.stderr and abs(
@@ -447,7 +449,7 @@ def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
     split = sign_split(params.T, params.s)
     lam_value = resolve_lambda(split, lam)
     # fail fast on an inadmissible rate, mirroring the simulation commands
-    JumpChain(split, lam_value)
+    admit_rate(split, lam_value)
 
     results = [
         criterion_1(params),

@@ -216,8 +216,7 @@ def cmd_expect(args) -> int:
         raise ParseError(
             'expect needs an integrand: config {"h": {"type": "exp-decay", "c": ...}}'
         )
-    split, lam, init, batch = simulate_run(params, cfg)
-    profile = exit_profile(split, lam)
+    split, lam, init, profile, batch = simulate_run(params, cfg)
     # bound here, not in modelio: the benchmark probe wraps this estimator
     # only after modelio is imported
     est_b = mc_expectation_untilted(

@@ -357,8 +357,9 @@ def decay_cancellation_check(split: SignSplit, sigma0: float, xs) -> np.ndarray:
     return np.abs(doubled_expm_action(split, 0.0, xs)).max(axis=1) * np.exp(-sigma0 * xs)
 
 
-def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> np.ndarray:
-    """Exact bin averages of the tilted density over the grid.
+def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> tuple[np.ndarray, float]:
+    """Exact bin averages of the tilted density over the grid, and the
+    normalizer ``L(lam) = alpha (lam I - T)^{-1} s`` they were divided by.
 
     With ``M = T - lam I``, one Van Loan (1978) block exponential
     ``expm([[M, s], [0, 0]] delta)`` holds both the step ``e^{M delta}`` and
@@ -380,4 +381,4 @@ def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> np.ndarray:
     for b in range(grid.n_bins):
         out[b] = row @ integral
         row = row @ step
-    return out / (norm * grid.delta)
+    return out / (norm * grid.delta), norm

@@ -14,8 +14,9 @@ Randomness is pinned for reproducibility: streams are numpy ``Philox``
 (stream_index,))``, and every variate is derived from 53-bit uniforms by
 inverse transform (no ziggurat), so identical ``(seed, stream_index)`` always
 reproduce identical paths.  ``simulate_batch`` assigns paths to streams in
-fixed chunks, which makes its output independent of how many worker threads
-execute the chunks.
+fixed chunks and allocates the output columns once; each chunk writes only
+its own slice of them, which makes the output independent of how many worker
+threads execute the chunks.
 
 There is one simulator, ``simulate_batch``, and it works on integer codes
 only: transient states are ``0..p-1`` (original) and ``p..2p-1`` (anti), the
@@ -24,8 +25,10 @@ landing codes ``0/1/2`` (positive absorption / negative absorption /
 termination).  ``code_label`` names a code for traces.  Indices are 0-based
 throughout.
 
-Each jump's target is drawn by branchless bisection, so a draw costs
-``O(log p)`` whatever the width ``W = 2p + 3`` of the target table.
+One sampler, ``_draw_targets``, makes every categorical draw: a path's first
+state from a one-row table of the initial law, and each jump's target from
+the row of the state it leaves.  It uses branchless bisection, so a jump
+costs ``O(log p)`` whatever the width ``W = 2p + 3`` of the target table.
 ``JumpChain`` pads every cumulative row to ``P2 = 2**shift`` columns, the
 smallest power of two above ``W``, with ``+inf`` and stores the rows flat.
 Bisection then finds the number of entries ``<= u`` in ``log2(P2)`` vectorized
@@ -146,12 +149,6 @@ class JumpChain:
         self.table, self.shift = _padded_table(cum)
 
 
-def _initial_cum(init: InitialSplit):
-    weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
-    cum, last = _cum_and_last(weights[None, :])
-    return cum[0], int(last[0])
-
-
 @dataclass
 class PathBatch:
     """Column-oriented collection of path outcomes.
@@ -164,8 +161,6 @@ class PathBatch:
     """
 
     p: int
-    lam: float
-    seed: int
     chunk: int
     tau: np.ndarray
     pre_exit: np.ndarray
@@ -184,28 +179,23 @@ class PathBatch:
         return [slice(lo, min(lo + self.chunk, n)) for lo in range(0, n, self.chunk)]
 
 
-def _simulate_chunk(chain, init_cum, init_last, m, rng, collect_trace):
-    """Vectorized embedded-chain simulation of ``m`` paths on one stream.
+def _simulate_chunk(chain, first, alive, rng, columns, collect_trace):
+    """Vectorized embedded-chain simulation, on one stream, of the paths whose
+    global indices are ``alive``; each path's outcome is written at its index
+    in ``columns`` = ``(tau, pre_exit, landing, n_jumps)``.
 
-    Per iteration, every active path consumes exactly two uniforms (holding
-    time, categorical target) in path order, so the draw sequence depends only
-    on the chunk itself.  The target is drawn by ``_draw_targets``: ``shift``
-    gathers of one double per path over the padded table, where a linear
-    scan of the row would read ``2p + 3`` doubles per path.
+    The first state is drawn from ``first``, the one-row table of the initial
+    law, and every jump's target from the chain's rows, both by
+    ``_draw_targets``.  Per iteration, every active path consumes exactly two
+    uniforms (holding time, categorical target) in path order, so the draw
+    sequence depends only on the chunk itself.  Returns the chunk's trace
+    parts ``(path, time, from, to)``, one per iteration, or ``[]``.
     """
+    tau, pre_exit, landing, n_jumps = columns
     two_p = 2 * chain.p
-    u0 = rng.random(m)
-    state = np.minimum(
-        np.searchsorted(init_cum, u0, side="right"), init_last
-    ).astype(np.int64)
-
-    alive = np.arange(m, dtype=np.int64)
-    t = np.zeros(m)
-    tau = np.zeros(m)
-    pre_exit = np.zeros(m, dtype=np.int32)
-    landing = np.zeros(m, dtype=np.int8)
-    n_jumps = np.zeros(m, dtype=np.int32)
-    trace_parts = [] if collect_trace else None
+    state = _draw_targets(*first, np.zeros(alive.size, dtype=np.int64), rng.random(alive.size))
+    t = np.zeros(alive.size)
+    trace_parts = []
 
     iteration = 0
     while alive.size:
@@ -216,7 +206,8 @@ def _simulate_chunk(chain, init_cum, init_last, m, rng, collect_trace):
         u2 = rng.random(k)
         nxt = _draw_targets(chain.table, chain.shift, chain.last, state, u2)
         if collect_trace:
-            trace_parts.append((alive.copy(), t_new.copy(), state.copy(), nxt.copy()))
+            # every array here is rebound, never written, by later iterations
+            trace_parts.append((alive, t_new, state, nxt))
         iteration += 1
         exited = nxt >= two_p
         if exited.any():
@@ -229,24 +220,7 @@ def _simulate_chunk(chain, init_cum, init_last, m, rng, collect_trace):
         alive = alive[keep]
         state = nxt[keep]
         t = t_new[keep]
-
-    trace = None
-    if collect_trace:
-        path = np.concatenate([part[0] for part in trace_parts])
-        times = np.concatenate([part[1] for part in trace_parts])
-        frm = np.concatenate([part[2] for part in trace_parts])
-        to = np.concatenate([part[3] for part in trace_parts])
-        order = np.lexsort((times, path))
-        trace = (path[order], times[order], frm[order], to[order])
-
-    return {
-        "tau": tau,
-        "pre_exit": pre_exit,
-        "landing": landing,
-        "sign": _SIGN_OF_LANDING[landing],
-        "n_jumps": n_jumps,
-        "trace": trace,
-    }
+    return trace_parts
 
 
 def simulate_batch(
@@ -261,59 +235,55 @@ def simulate_batch(
 ) -> PathBatch:
     """Simulate ``n_paths`` outcomes with reproducible chunked streams.
 
-    Path k is generated from ``RngStream(seed, k // chunk)``; results are
-    bit-identical for fixed ``(seed, n_paths, chunk)`` whatever the worker
-    count, since chunks are simulated on independent streams and reassembled
-    in chunk order.
+    Path k is generated from ``RngStream(seed, k // chunk)``.  One sampler,
+    ``_draw_targets``, draws each path's first state from the initial law
+    ``(alphahat^+, alphahat^-)`` and every jump's target.  The output columns
+    are allocated once and each chunk writes only its own slice of them, so
+    results are bit-identical for fixed ``(seed, n_paths, chunk)`` whatever
+    the worker count.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
     if chunk <= 0:
         raise ValueError("chunk must be positive")
     chain = JumpChain(split, lam)
-    init_cum, init_last = _initial_cum(init)
+    init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
+    init_cum, init_last = _cum_and_last(init_weights[None, :])
+    first = (*_padded_table(init_cum), init_last)
+    columns = (
+        np.empty(n_paths),
+        np.empty(n_paths, dtype=np.int32),
+        np.empty(n_paths, dtype=np.int8),
+        np.empty(n_paths, dtype=np.int32),
+    )
 
-    sizes = [
-        min(chunk, n_paths - lo) for lo in range(0, n_paths, chunk)
-    ]
+    def run(lo):
+        rng = RngStream(seed, lo // chunk).generator()
+        paths = np.arange(lo, min(lo + chunk, n_paths), dtype=np.int64)
+        return _simulate_chunk(chain, first, paths, rng, columns, collect_trace)
 
-    def run(c_and_m):
-        c, m = c_and_m
-        rng = RngStream(seed, c).generator()
-        return _simulate_chunk(chain, init_cum, init_last, m, rng, collect_trace)
-
-    tasks = list(enumerate(sizes))
+    starts = range(0, n_paths, chunk)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
+            parts = list(pool.map(run, starts))
     else:
-        results = [run(task) for task in tasks]
-
-    def cat(key):
-        return np.concatenate([r[key] for r in results])
+        parts = [run(lo) for lo in starts]
 
     trace = None
     if collect_trace:
-        offsets = np.cumsum([0] + sizes[:-1])
-        path = np.concatenate(
-            [r["trace"][0] + off for r, off in zip(results, offsets)]
-        )
-        trace = (
-            path,
-            np.concatenate([r["trace"][1] for r in results]),
-            np.concatenate([r["trace"][2] for r in results]),
-            np.concatenate([r["trace"][3] for r in results]),
-        )
+        rows = [part for chunk_parts in parts for part in chunk_parts]
+        path, times, frm, to = (np.concatenate(col) for col in zip(*rows))
+        order = np.lexsort((times, path))
+        trace = (path[order], times[order], frm[order], to[order])
 
+    tau, pre_exit, landing, n_jumps = columns
     return PathBatch(
         p=chain.p,
-        lam=lam,
-        seed=seed,
         chunk=chunk,
-        tau=cat("tau"),
-        pre_exit=cat("pre_exit"),
-        landing=cat("landing"),
-        sign=cat("sign"),
-        n_jumps=cat("n_jumps"),
+        tau=tau,
+        pre_exit=pre_exit,
+        landing=landing,
+        sign=_SIGN_OF_LANDING[landing],
+        n_jumps=n_jumps,
         trace=trace,
     )

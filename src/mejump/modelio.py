@@ -122,7 +122,6 @@ class RunConfig:
     estimator: str = "both"
     h: HSpec | None = None
     workers: int = 1
-    auto_delta: float = 1.0
 
 
 #: Run-config fields holding integers, at any nesting depth.
@@ -143,10 +142,7 @@ def _refuse_loose_numbers(raw: dict, where: str):
 def config_from_dict(raw, where: str = "config") -> RunConfig:
     if not isinstance(raw, dict):
         raise ParseError(f"{where}: top level must be a JSON object")
-    known = {
-        "lambda", "n_paths", "seed", "chunk", "grid", "estimator", "h",
-        "workers", "auto_delta",
-    }
+    known = {"lambda", "n_paths", "seed", "chunk", "grid", "estimator", "h", "workers"}
     unknown = set(raw) - known
     if unknown:
         raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
@@ -160,7 +156,6 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
         seed = int(raw.get("seed", cfg.seed))
         chunk = int(raw.get("chunk", cfg.chunk))
         workers = int(raw.get("workers", cfg.workers))
-        auto_delta = float(raw.get("auto_delta", cfg.auto_delta))
         estimator = str(raw.get("estimator", cfg.estimator))
         grid = cfg.grid
         if "grid" in raw:
@@ -183,7 +178,7 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
         raise ParseError(f"{where}: estimator must be beta, qbar or both")
     return RunConfig(
         lam=lam, n_paths=n_paths, seed=seed, chunk=chunk, grid=grid,
-        estimator=estimator, h=h, workers=workers, auto_delta=auto_delta,
+        estimator=estimator, h=h, workers=workers,
     )
 
 
@@ -206,12 +201,23 @@ def simulate_run(params: MEParams, cfg: RunConfig, collect_trace: bool = False):
     """Validate, split, resolve the tilting rate and simulate: the front end
     shared by ``estimate`` and ``expect``.
 
-    Returns ``(split, lam, init, batch)``.  Raises the underlying
+    A rate at which every landing probability ``(s^+ + s^-)_i / d_i`` is
+    below machine epsilon is refused before any path is simulated: no path
+    could be seen to land, so every estimate would read zero.
+
+    Returns ``(split, lam, init, profile, batch)`` with ``profile`` the
+    :class:`ExitProfile` at ``lam``.  Raises the underlying
     model/construction errors unchanged; the CLI maps them to exit codes.
     """
     medist.validate(params)
     split = sign_split(params.T, params.s)
-    lam = resolve_lambda(split, cfg.lam, delta=cfg.auto_delta)
+    lam = resolve_lambda(split, cfg.lam)
+    profile = exit_profile(split, lam)
+    if np.all(profile.qplus + profile.qminus < np.finfo(float).eps):
+        raise ValueError(
+            f"tilting rate {lam!r} is too large: every landing probability "
+            "is below machine epsilon, so no path can be seen to land"
+        )
     init = initial_split(params.alpha)
     batch = simulate_batch(
         split,
@@ -223,25 +229,14 @@ def simulate_run(params: MEParams, cfg: RunConfig, collect_trace: bool = False):
         workers=cfg.workers,
         collect_trace=collect_trace,
     )
-    return split, lam, init, batch
+    return split, lam, init, profile, batch
 
 
 def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) -> EstimateRun:
-    """Simulate through :func:`simulate_run`, then estimate.
-
-    A rate at which every landing probability ``(s^+ + s^-)_i / d_i`` is
-    below machine epsilon is refused before the oracle runs: no path can be
-    seen to land, whatever the grid.
-    """
-    split, lam, init, batch = simulate_run(params, cfg, collect_trace)
-    profile = exit_profile(split, lam)
-    if np.all(profile.qplus + profile.qminus < np.finfo(float).eps):
-        raise ValueError(
-            f"tilting rate {lam!r} is too large: every landing probability "
-            "is below machine epsilon, so no path can be seen to land"
-        )
-    scale = init.w_total / medist.laplace_transform(params, lam)
-    analytic = tilted_bin_averages(params, lam, cfg.grid)
+    """Simulate through :func:`simulate_run`, then estimate."""
+    split, lam, init, profile, batch = simulate_run(params, cfg, collect_trace)
+    analytic, norm = tilted_bin_averages(params, lam, cfg.grid)
+    scale = init.w_total / norm
     if not (np.isfinite(scale) and np.all(np.isfinite(analytic))):
         raise ValueError(
             f"tilting rate {lam!r} is too large: the scale or the analytic "

@@ -37,6 +37,12 @@ from .medist import require_finite_rate
 #: Slack used when comparing a requested rate against lambda_0.
 LAMBDA_SLACK = 1e-12
 
+#: Step of ``"auto"`` off ``lambda_0`` when the chain is not transient there.
+#: The abscissa ``eta`` of the Metzler matrix ``T^+ + T^-`` is at most its
+#: largest row sum, hence at most ``lambda_0``, so that only happens at
+#: ``eta = lambda_0`` exactly, where any positive step makes it transient.
+AUTO_LAMBDA_STEP = 1.0
+
 
 @dataclass(frozen=True)
 class SignSplit:
@@ -248,14 +254,14 @@ def admit_rate(split: SignSplit, lam: float):
         )
 
 
-def resolve_lambda(split: SignSplit, request, delta: float = 1.0) -> float:
+def resolve_lambda(split: SignSplit, request) -> float:
     """Resolve a tilting-rate request: a number is passed through, ``"auto"``
     picks ``lambda_0`` when the chain is transient there and ``lambda_0 +
-    delta`` otherwise."""
+    AUTO_LAMBDA_STEP`` otherwise."""
     if request == "auto":
         lam0 = split.lambda0
         transient, _ = check_transience(split, lam0)
-        return lam0 if transient else lam0 + delta
+        return lam0 if transient else lam0 + AUTO_LAMBDA_STEP
     return float(request)
 
 

@@ -273,9 +273,15 @@ class TestEstimateCommand:
         assert "finite" in err
 
     @pytest.mark.parametrize("lam", ["1e300", "1e150"])
-    def test_overflowing_rate_exits_1(self, model_file, tmp_path, lam, capsys):
+    def test_overflowing_rate_exits_1(self, model_file, tmp_path, lam, capsys, monkeypatch):
         # the analytic oracle and the bin weights overflow long before the
-        # chain does; no CSV is written from them
+        # chain does; no CSV is written from them, and no path is simulated
+        from mejump import modelio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated at a rate with no visible landing")
+
+        monkeypatch.setattr(modelio, "simulate_batch", refuse)
         out = tmp_path / "x.csv"
         code, _, err = run_cli(
             ["estimate", model_file, "--lambda", lam, "--paths", "1000", "--out", out],
@@ -470,6 +476,21 @@ class TestResolventSolves:
         assert "0.42222222222222" in out  # 19/45
         assert len(calls) == 2
 
+    def test_estimate_solves_twice(self, tmp_path, capsys, monkeypatch):
+        # one solve validates the model, one gives the normalizer, which the
+        # scale and the analytic bin averages share
+        from mejump import linalg
+
+        model = pathlib.Path(__file__).parents[1] / "models" / "reference.json"
+        calls = []
+        solve = linalg.solve_linear
+        monkeypatch.setattr(linalg, "solve_linear", lambda A, b: calls.append(1) or solve(A, b))
+        code, _, _ = run_cli(
+            ["estimate", model, "--paths", "1000", "--out", tmp_path / "est.csv"], capsys
+        )
+        assert code == 0
+        assert len(calls) == 2
+
 
 class TestExpectCommand:
     def test_exp_decay_reports_analytic(self, model_file, tmp_path, capsys):
@@ -494,6 +515,22 @@ class TestExpectCommand:
         assert code == 0  # still reports
         assert "warning" in err
         assert "beta form" in out
+
+    @pytest.mark.parametrize("lam, want", [("1e300", 1), ("1e150", 1), ("1e6", 0)])
+    def test_rate_needs_a_visible_landing(self, model_file, tmp_path, lam, want, capsys):
+        # at 1e150 every landing probability is below machine epsilon, so both
+        # forms would print 0.0 +- 0.0; at 1e6 a landing is still about 1e-6
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_paths": 1000, "seed": 3, "h": {"type": "exp-decay", "c": 2.0}}')
+        code, out, err = run_cli(
+            ["expect", model_file, "--config", cfg, "--lambda", lam], capsys
+        )
+        assert code == want
+        if want:
+            assert err.startswith(f"error: tilting rate {float(lam)!r} is too large")
+            assert out == ""
+        else:
+            assert "beta form" in out
 
     def test_missing_h_is_usage_error(self, model_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -32,8 +32,6 @@ def one_chunk_batch(p, tau, pre_exit, landing, sign):
     """A hand-made single-chunk batch of ``len(tau)`` paths."""
     return PathBatch(
         p=p,
-        lam=0.0,
-        seed=0,
         chunk=max(1, len(tau)),
         tau=np.asarray(tau, dtype=float),
         pre_exit=np.asarray(pre_exit, dtype=np.int32),
@@ -112,7 +110,7 @@ class TestDensityBeta:
             sigma0 = linalg.spectral_abscissa(params.T)
             x_max = 5.0 / (lam - sigma0)
             grid = Grid(0.0, x_max, 20)
-            analytic = tilted_bin_averages(params, lam, grid)
+            analytic, _ = tilted_bin_averages(params, lam, grid)
             est_b = mc_density_beta(batch, grid, scale)
             prof = splitting.exit_profile(split, lam)
             est_q = mc_density_qbar(batch, prof, grid, scale)
@@ -342,8 +340,9 @@ class TestDecayCancellation:
 class TestTiltedBinAverages:
     def test_matches_quadrature(self, ref):
         grid = Grid(0.0, 4.0, 8)
-        got = tilted_bin_averages(ref, 2.0, grid)
-        tilted, _ = medist.tilt(ref, 2.0)
+        got, norm = tilted_bin_averages(ref, 2.0, grid)
+        tilted, tilt_norm = medist.tilt(ref, 2.0)
+        assert norm == tilt_norm
         for b in range(grid.n_bins):
             want, _ = scipy.integrate.quad(
                 lambda x: medist.density(tilted, x), grid.edges[b], grid.edges[b + 1]
@@ -362,7 +361,7 @@ class TestTiltedBinAverages:
             return -e / 3 + e * (mpmath.sin(x) - 3 * mpmath.cos(x)) / 10
 
         grid = Grid(0.0, 4.0, 40)
-        got = tilted_bin_averages(ref, 2.0, grid)
+        got, _ = tilted_bin_averages(ref, 2.0, grid)
         delta = mpmath.mpf(4) / 40
         for b in range(grid.n_bins):
             lo, hi = b * delta, (b + 1) * delta
@@ -370,7 +369,7 @@ class TestTiltedBinAverages:
             assert abs((mpmath.mpf(got[b]) - want) / want) <= 5e-11
 
     def test_huge_rate_puts_the_mass_in_the_first_bin(self, ref):
-        got = tilted_bin_averages(ref, 1e12, Grid(0.0, 4.0, 40))
+        got, _ = tilted_bin_averages(ref, 1e12, Grid(0.0, 4.0, 40))
         assert got[0] == pytest.approx(10.0, rel=1e-14)
         assert np.all(got[1:] == 0.0)
 

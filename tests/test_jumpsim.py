@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +168,20 @@ class TestDrawTargets:
         before = np.where(got > 0, cum[state, got - 1], 0.0)
         assert np.all(cum[state, got] > before)
 
+        # the initial law: one row of width 2p, with no landing columns
+        alpha = rng.normal(size=p)
+        alpha[rng.random(p) < 0.3] = 0.0
+        alpha[0] = 1.0
+        init = splitting.initial_split(alpha)
+        init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
+        cum, last = jumpsim._cum_and_last(init_weights[None, :])
+        table, shift = jumpsim._padded_table(cum)
+        tie = rng.random(u.size) < 0.5
+        u[tie] = cum[0, rng.integers(0, 2 * p, tie.sum())]
+        got = jumpsim._draw_targets(table, shift, last, np.zeros(u.size, dtype=np.int64), u)
+        want = np.minimum(np.searchsorted(cum[0], u, side="right"), last[0])
+        assert np.array_equal(got, want)
+
     def test_chain_table(self, ref_split):
         chain = JumpChain(ref_split, 2.0)
         assert chain.shift == 4  # width 9 padded to 16
@@ -182,12 +198,21 @@ class TestSimulateBatch:
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_deterministic_across_workers(self, ref_split, ref_init):
-        kw = dict(n_paths=50_000, seed=9, chunk=8192)
+        # 8192 does not divide 50_000: the last chunk is short.  The threads
+        # write into shared columns, so switch between them often
+        kw = dict(n_paths=50_000, seed=9, chunk=8192, collect_trace=True)
         a = simulate_batch(ref_split, 2.0, ref_init, workers=1, **kw)
-        b = simulate_batch(ref_split, 2.0, ref_init, workers=3, **kw)
-        assert np.array_equal(a.tau, b.tau)
-        assert np.array_equal(a.pre_exit, b.pre_exit)
-        assert np.array_equal(a.landing, b.landing)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = simulate_batch(ref_split, 2.0, ref_init, workers=3, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        for field in ("tau", "pre_exit", "landing", "sign", "n_jumps"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for col_a, col_b in zip(a.trace, b.trace, strict=True):
+            assert col_a.dtype == col_b.dtype
+            assert np.array_equal(col_a, col_b)
 
     def test_wide_table_digest(self):
         # pins the stream-to-path mapping on a width-63 target table, where the
@@ -205,6 +230,43 @@ class TestSimulateBatch:
         assert digest.hexdigest() == (
             "aff4284a8638d237dbfa25bfad089418ef90e6d86bb596c4704e2e01923534bd"
         )
+
+    def test_wide_trace_digest(self):
+        # pins the traced rows of every path, chunk boundaries included, on the
+        # width-63 table; three workers run the three chunks
+        m = random_me_model(30, np.random.default_rng(30))
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto")
+        init = splitting.initial_split(m.alpha)
+        batch = simulate_batch(
+            split, lam, init, n_paths=20_000, seed=42, chunk=7000, workers=3, collect_trace=True
+        )
+        digest = hashlib.sha256()
+        for col, dtype in zip(batch.trace, ("<i8", "<f8", "<i8", "<i8"), strict=True):
+            assert col.dtype == np.dtype(dtype)
+            digest.update(np.ascontiguousarray(col).tobytes())
+        assert digest.hexdigest() == (
+            "3f228615a8f124955a57c12e4e856b964650a2f94d2ba25b37fbf437a9d05f39"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_allocation_near_the_columns(self, ref_split, ref_init, workers):
+        # chunks write into the output columns, so with 40 chunks the peak is
+        # the columns plus the temporaries of the chunks in flight, not a
+        # second copy of every column
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(
+                ref_split, 2.0, ref_init, n_paths=400_000, seed=5, chunk=10_000, workers=workers
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(
+            getattr(batch, field).nbytes
+            for field in ("tau", "pre_exit", "landing", "sign", "n_jumps")
+        )
+        assert peak <= 1.5 * columns
 
     def test_invalid_args(self, ref_split, ref_init):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import pathlib
 
 import mejump
@@ -40,3 +41,28 @@ def test_no_module_level_scipy_import_in_package():
             if any(name.split(".")[0] == "scipy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_probe_layers_resolve():
+    # benchmarks/probe.py skips a layer it cannot find, so a renamed function
+    # would drop its span from a traced run without any error
+    path = pathlib.Path(__file__).parents[1] / "benchmarks" / "probe.py"
+    spec = importlib.util.spec_from_file_location("probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in probe.LAYERS
+        if not hasattr(importlib.import_module(f"mejump.{module}"), attr)
+    ]
+    assert missing == []
+    # hooked by the probe outside LAYERS
+    from mejump import estimators, jumpsim
+
+    for owner, attr in (
+        (jumpsim, "simulate_batch"),
+        (jumpsim.RngStream, "generator"),
+        (estimators, "mc_expectation_untilted"),
+        (estimators.HSpec, "analytic_expectation"),
+    ):
+        assert callable(getattr(owner, attr, None)), attr

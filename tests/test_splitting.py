@@ -201,7 +201,6 @@ class TestResolveLambda:
         transient, _ = splitting.check_transience(split, 0.0)
         assert not transient
         assert splitting.resolve_lambda(split, "auto") == 1.0
-        assert splitting.resolve_lambda(split, "auto", delta=0.25) == 0.25
 
     def test_numeric_passthrough(self, ref_split):
         assert splitting.resolve_lambda(ref_split, 3.5) == 3.5
