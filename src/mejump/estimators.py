@@ -181,7 +181,7 @@ def mc_density_beta(batch: PathBatch, grid: Grid, scale: float) -> DensityEstima
     the bin average of the tilted density; ``scale = 1`` estimates the raw
     signed exit density ``(alphahat) expm(D x) (s; -s)``.
     """
-    return _folded_density(batch, batch.sign.astype(float), grid, scale)
+    return _folded_density(batch, batch.sign, grid, scale)
 
 
 def qbar_weights(batch: PathBatch, profile: ExitProfile) -> np.ndarray:
@@ -277,27 +277,38 @@ def mc_expectation_untilted(
     n = len(batch)
     if n == 0:
         raise ValueError("empty outcome set")
-    if isinstance(h, HSpec):
-        weight = h.tilted_weight(batch.tau, lam)
-    else:
-        weight = np.asarray(h(batch.tau), dtype=float) * np.exp(lam * batch.tau)
-    if not np.all(np.isfinite(weight)):
-        raise ValueError("h(tau) e^{lam tau} is non-finite for some path")
-
-    if form == "beta":
-        signed = weight * batch.sign
-    elif form == "qbar":
+    if form == "qbar":
         if profile is None:
             raise ValueError('form="qbar" needs an ExitProfile')
-        signed = weight * qbar_weights(batch, profile)
-    else:
+        q = profile.qbar_original
+        qbar_of_code = np.concatenate([q, -q])
+    elif form != "beta":
         raise ValueError(f"unknown form {form!r}")
 
+    # one chunk at a time, so no full-length temporary exists; the running
+    # maximum carries across chunks and each decile is read in its own chunk
+    deciles = np.minimum((np.arange(1, 11) * n) // 10, n - 1)
+    prefix_max = np.empty(deciles.size)
+    running = 0.0
     sum_v = 0.0
     sum_v2 = 0.0
     for sl in batch.chunk_slices():
-        sum_v += float(np.sum(signed[sl]))
-        sum_v2 += float(np.sum(signed[sl] ** 2))
+        tau = batch.tau[sl]
+        if isinstance(h, HSpec):
+            weight = h.tilted_weight(tau, lam)
+        else:
+            weight = np.asarray(h(tau), dtype=float) * np.exp(lam * tau)
+        if not np.all(np.isfinite(weight)):
+            raise ValueError("h(tau) e^{lam tau} is non-finite for some path")
+        sign = batch.sign[sl] if form == "beta" else qbar_of_code[batch.pre_exit[sl]]
+        signed = weight * sign
+        sum_v += float(np.sum(signed))
+        sum_v2 += float(np.sum(signed**2))
+        chunk_max = np.maximum.accumulate(np.abs(weight))
+        np.maximum(chunk_max, running, out=chunk_max)
+        here = (deciles >= sl.start) & (deciles < sl.stop)
+        prefix_max[here] = chunk_max[deciles[here] - sl.start]
+        running = chunk_max[-1]
     mean = sum_v / n
     value = w_total * mean
     if n > 1:
@@ -305,11 +316,6 @@ def mc_expectation_untilted(
         stderr = w_total * math.sqrt(var / n)
     else:
         stderr = 0.0
-
-    abs_w = np.abs(weight)
-    running = np.maximum.accumulate(abs_w)
-    deciles = np.minimum((np.arange(1, 11) * n) // 10, n - 1)
-    prefix_max = running[deciles]
 
     warning = None
     if isinstance(h, HSpec) and eta is not None:
@@ -323,7 +329,7 @@ def mc_expectation_untilted(
         value=value,
         stderr=stderr,
         n_paths=n,
-        max_abs_weight=float(abs_w.max()),
+        max_abs_weight=float(running),
         prefix_max_weights=prefix_max,
         variance_warning=warning,
     )

@@ -35,7 +35,15 @@ Bisection then finds the number of entries ``<= u`` in ``log2(P2)`` vectorized
 gathers.  That count is the index a linear scan of the row would give, ties
 included, because a cumsum of non-negative weights is non-decreasing even
 after rounding, and the padding exceeds every uniform ``u < 1``.  So a
-stream yields the same paths under either method.
+stream yields the same paths under either method.  The clamp to a row's last
+positive target lives in the table too: the row is ``+inf`` from that column
+on, so a row sum rounded below 1 can never yield a zero-weight target.
+
+Each iteration of the chunk loop draws all its uniforms in one call, holding
+times first, then targets.  It finds the exiting paths once, as an index
+list, and both writes their outcomes and compacts the survivors by gathering
+through index lists, which costs far less than boolean-mask indexing with
+scattered ``True``s.
 """
 
 from __future__ import annotations
@@ -91,33 +99,37 @@ def _cum_and_last(weights: np.ndarray):
     return cum, last.astype(np.int64)
 
 
-def _padded_table(cum: np.ndarray):
+def _padded_table(cum: np.ndarray, last: np.ndarray):
     """Rows of ``cum`` padded with ``+inf`` to ``2**shift`` columns, the
     smallest power of two above the row width, flattened C-contiguous.
-    Returns ``(table, shift)``."""
+    Returns ``(table, shift)``.
+
+    Each row is also ``+inf`` from its column ``last`` onwards.  The row
+    stays non-decreasing, so its count of entries ``<= u`` is the count of
+    ``cum`` clamped to ``last``: below ``last`` nothing changed, and at or
+    above it every entry before ``last`` is ``<= u`` and none after."""
     rows, width = cum.shape
     shift = width.bit_length()
     table = np.full((rows, 1 << shift), np.inf)
     table[:, :width] = cum
+    table[np.arange(1 << shift) >= last[:, None]] = np.inf
     return table.ravel(), shift
 
 
-def _draw_targets(table, shift, last, state, u):
+def _draw_targets(table, shift, state, u):
     """Target index of each jump from ``state`` with uniform ``u``: the count
-    of row entries ``<= u``, clamped to the row's last positive target.
+    of row entries ``<= u`` in the padded rows of ``_padded_table``, hence
+    never past the row's last positive target.
 
-    Branchless bisection over the padded rows of ``_padded_table``: each of
-    the ``shift`` steps adds ``step`` to the offset exactly when the entry
-    just before ``offset + step`` is ``<= u``.
+    Branchless bisection: each of the ``shift`` steps adds ``step`` to the
+    offset exactly when the entry just before ``offset + step`` is ``<= u``.
     """
-    base = state << shift
-    pos = base.copy()
+    pos = state << shift
     step = 1 << (shift - 1)
     while step:
-        pos += step * (table[pos + (step - 1)] <= u)
+        pos += step * (table.take(pos + (step - 1)) <= u)
         step >>= 1
-    pos -= base
-    np.minimum(pos, last[state], out=pos)
+    pos &= (1 << shift) - 1
     return pos
 
 
@@ -145,8 +157,7 @@ class JumpChain:
         weights[:, 2 * p] = gen.abs_o
         weights[:, 2 * p + 1] = gen.abs_a
         weights[:, 2 * p + 2] = gen.term
-        cum, self.last = _cum_and_last(weights)
-        self.table, self.shift = _padded_table(cum)
+        self.table, self.shift = _padded_table(*_cum_and_last(weights))
 
 
 @dataclass
@@ -200,26 +211,35 @@ def _simulate_chunk(chain, first, alive, rng, columns, collect_trace):
     iteration = 0
     while alive.size:
         k = alive.size
-        u1 = rng.random(k)
-        dt = -np.log1p(-u1) / chain.rate[state]
+        # one call yields the holding-time uniforms, then the target uniforms,
+        # in the order two calls of k would, so every stream is unchanged
+        u = rng.random(2 * k)
+        dt, u2 = u[:k], u[k:]
+        np.negative(dt, out=dt)
+        np.log1p(dt, out=dt)
+        np.negative(dt, out=dt)
+        dt /= chain.rate.take(state)
         t_new = t + dt
-        u2 = rng.random(k)
-        nxt = _draw_targets(chain.table, chain.shift, chain.last, state, u2)
+        nxt = _draw_targets(chain.table, chain.shift, state, u2)
         if collect_trace:
             # every array here is rebound, never written, by later iterations
             trace_parts.append((alive, t_new, state, nxt))
         iteration += 1
         exited = nxt >= two_p
-        if exited.any():
-            done = alive[exited]
-            tau[done] = t_new[exited]
-            pre_exit[done] = state[exited]
-            landing[done] = (nxt[exited] - two_p).astype(np.int8)
+        out = np.flatnonzero(exited)
+        if out.size:
+            done = alive.take(out)
+            tau[done] = t_new.take(out)
+            pre_exit[done] = state.take(out)
+            landing[done] = nxt.take(out) - two_p
             n_jumps[done] = iteration
-        keep = ~exited
-        alive = alive[keep]
-        state = nxt[keep]
-        t = t_new[keep]
+            keep = np.flatnonzero(~exited)
+            alive = alive.take(keep)
+            state = nxt.take(keep)
+            t = t_new.take(keep)
+        else:
+            state = nxt
+            t = t_new
     return trace_parts
 
 
@@ -248,8 +268,7 @@ def simulate_batch(
         raise ValueError("chunk must be positive")
     chain = JumpChain(split, lam)
     init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
-    init_cum, init_last = _cum_and_last(init_weights[None, :])
-    first = (*_padded_table(init_cum), init_last)
+    first = _padded_table(*_cum_and_last(init_weights[None, :]))
     columns = (
         np.empty(n_paths),
         np.empty(n_paths, dtype=np.int32),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,51 @@ class TestExpectation:
             mc_expectation_untilted(
                 batch, lambda x: np.where(x > 0.1, np.nan, 1.0), 2.0, 1.0
             )
+
+    @pytest.mark.parametrize("n, chunk", [(100_000, 7000), (10, 3)])
+    def test_chunked_fold_equals_whole_array_formula(self, ref, n, chunk):
+        # the chunk does not divide n; deciles 7 (n = 10^5) and 3, 6, 9
+        # (n = 10) fall on a chunk's first path, the others inside chunks
+        split, init, batch, _ = make_batch(ref, 2.0, n, seed=21, chunk=chunk)
+        prof = splitting.exit_profile(split, 2.0)
+        h = HSpec("poly-exp-decay", 1.0, degree=1)
+        weight = h.tilted_weight(batch.tau, 2.0)
+        running = np.maximum.accumulate(np.abs(weight))
+        deciles = np.minimum((np.arange(1, 11) * n) // 10, n - 1)
+        for form, signs in (("beta", batch.sign), ("qbar", estimators.qbar_weights(batch, prof))):
+            signed = weight * signs
+            sum_v = sum_v2 = 0.0
+            for sl in batch.chunk_slices():
+                sum_v += float(np.sum(signed[sl]))
+                sum_v2 += float(np.sum(signed[sl] ** 2))
+            mean = sum_v / n
+            var = max(0.0, (sum_v2 - n * mean**2) / (n - 1))
+            est = mc_expectation_untilted(
+                batch, h, 2.0, init.w_total, form=form, profile=prof
+            )
+            assert est.value == init.w_total * mean
+            assert est.stderr == init.w_total * math.sqrt(var / n)
+            assert est.max_abs_weight == running[-1]
+            assert np.array_equal(est.prefix_max_weights, running[deciles])
+
+    @pytest.mark.parametrize("form", ["beta", "qbar"])
+    def test_peak_allocation_per_chunk(self, ref, form):
+        # the fold holds one chunk's temporaries, not full-length arrays
+        split, init, batch, _ = make_batch(ref, 2.0, 400_000, seed=22, chunk=10_000)
+        prof = splitting.exit_profile(split, 2.0)
+        columns = sum(
+            getattr(batch, field).nbytes
+            for field in ("tau", "pre_exit", "landing", "sign", "n_jumps")
+        )
+        tracemalloc.start()
+        try:
+            mc_expectation_untilted(
+                batch, HSpec("exp-decay", 2.0), 2.0, init.w_total, form=form, profile=prof
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * columns
 
     def test_prefix_max_is_monotone(self, ref):
         _, init, batch, _ = make_batch(ref, 2.0, 50_000, seed=20)

@@ -137,14 +137,27 @@ class TestDrawTargets:
         weights[0, 0] = 1.0  # a single target, so last = 0
         return weights
 
+    @staticmethod
+    def assert_padded(table, shift, cum, last):
+        """Each padded row is ``cum`` before its column ``last``, ``+inf`` from
+        there on, and non-decreasing."""
+        rows = table.reshape(cum.shape[0], 1 << shift)
+        clamped = np.arange(1 << shift) >= last[:, None]
+        assert np.all(np.isinf(rows[clamped]))
+        width = cum.shape[1]
+        assert np.array_equal(rows[:, :width][~clamped[:, :width]], cum[~clamped[:, :width]])
+        # np.diff would give nan on inf - inf, so compare neighbours directly
+        assert np.all(rows[:, 1:] >= rows[:, :-1])
+
     @pytest.mark.parametrize("p", [1, 2, 62, 63, 64])
     def test_equals_clamped_count(self, p):
         width = 2 * p + 3
         rng = np.random.default_rng(width)
         cum, last = jumpsim._cum_and_last(self.weight_rows(rng, 4000, width))
-        table, shift = jumpsim._padded_table(cum)
+        table, shift = jumpsim._padded_table(cum, last)
         assert (1 << shift) > width >= (1 << (shift - 1))
         assert table.flags.c_contiguous and table.size == cum.shape[0] << shift
+        self.assert_padded(table, shift, cum, last)
         # the row ends under test: rounded just above 1, just below, exactly 1
         assert (cum[:, -1] > 1.0).any() and (cum[:, -1] < 1.0).any()
         assert (cum[:, -1] == 1.0).any()
@@ -161,7 +174,7 @@ class TestDrawTargets:
         state[-short.size :] = short
         u[-short.size :] = np.nextafter(1.0, 0.0)
 
-        got = jumpsim._draw_targets(table, shift, last, state, u)
+        got = jumpsim._draw_targets(table, shift, state, u)
         want = np.minimum((cum[state] <= u[:, None]).sum(axis=1), last[state])
         assert np.array_equal(got, want)
         # and every drawn target has positive weight: a rise in its row
@@ -175,10 +188,11 @@ class TestDrawTargets:
         init = splitting.initial_split(alpha)
         init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
         cum, last = jumpsim._cum_and_last(init_weights[None, :])
-        table, shift = jumpsim._padded_table(cum)
+        table, shift = jumpsim._padded_table(cum, last)
+        self.assert_padded(table, shift, cum, last)
         tie = rng.random(u.size) < 0.5
         u[tie] = cum[0, rng.integers(0, 2 * p, tie.sum())]
-        got = jumpsim._draw_targets(table, shift, last, np.zeros(u.size, dtype=np.int64), u)
+        got = jumpsim._draw_targets(table, shift, np.zeros(u.size, dtype=np.int64), u)
         want = np.minimum(np.searchsorted(cum[0], u, side="right"), last[0])
         assert np.array_equal(got, want)
 
@@ -186,8 +200,11 @@ class TestDrawTargets:
         chain = JumpChain(ref_split, 2.0)
         assert chain.shift == 4  # width 9 padded to 16
         rows = chain.table.reshape(6, 16)
-        assert np.all(np.isinf(rows[:, 9:]))
-        assert np.all(np.diff(rows[:, :9], axis=1) >= 0.0)
+        # at rate 2 every row's last positive target is column 8, termination
+        # (for o0 and a0 a rounding residue of 2.2e-16)
+        assert np.all(np.isfinite(rows[:, :8]))
+        assert np.all(np.isinf(rows[:, 8:]))
+        assert np.all(rows[:, 1:] >= rows[:, :-1])
 
 
 class TestSimulateBatch:
@@ -247,6 +264,27 @@ class TestSimulateBatch:
             digest.update(np.ascontiguousarray(col).tobytes())
         assert digest.hexdigest() == (
             "3f228615a8f124955a57c12e4e856b964650a2f94d2ba25b37fbf437a9d05f39"
+        )
+
+    def test_one_path_chunks_digest(self):
+        # one path per chunk: every iteration before a path's last exits
+        # nobody, and the last one exits everyone
+        m = random_me_model(30, np.random.default_rng(30))
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto")
+        init = splitting.initial_split(m.alpha)
+        batch = simulate_batch(split, lam, init, n_paths=300, seed=42, chunk=1, collect_trace=True)
+        assert batch.n_jumps.max() > 1
+        digest = hashlib.sha256()
+        for field, dtype in (
+            ("tau", "<f8"), ("pre_exit", "<i4"), ("landing", "i1"), ("sign", "i1"), ("n_jumps", "<i4"),
+        ):
+            digest.update(np.ascontiguousarray(getattr(batch, field), dtype=dtype).tobytes())
+        for col, dtype in zip(batch.trace, ("<i8", "<f8", "<i8", "<i8"), strict=True):
+            assert col.dtype == np.dtype(dtype)
+            digest.update(np.ascontiguousarray(col).tobytes())
+        assert digest.hexdigest() == (
+            "963b1253fe637e969ed9d165d49d5a53b2d00de808bcd67da4f109c082ac252a"
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
