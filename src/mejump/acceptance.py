@@ -323,14 +323,10 @@ def criterion_8(shared) -> CriterionResult:
 
 def criterion_9(shared, params) -> CriterionResult:
     h = HSpec("exp-decay", 2.0)
-    eta = shared["split"].eta
     w_total = shared["init"].w_total
-    est_b = mc_expectation_untilted(
-        shared["batch"], h, shared["lam"], w_total, form="beta", eta=eta
-    )
+    est_b = mc_expectation_untilted(shared["batch"], h, shared["lam"], w_total, form="beta")
     est_q = mc_expectation_untilted(
-        shared["batch"], h, shared["lam"], w_total, form="qbar",
-        profile=shared["profile"], eta=eta,
+        shared["batch"], h, shared["lam"], w_total, form="qbar", profile=shared["profile"]
     )
     target = REFERENCE_NORMALIZER
     ok = abs(est_b.value - target) <= 4 * est_b.stderr and abs(

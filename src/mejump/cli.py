@@ -219,11 +219,9 @@ def cmd_expect(args) -> int:
     split, lam, init, profile, batch = simulate_run(params, cfg)
     # bound here, not in modelio: the benchmark probe wraps this estimator
     # only after modelio is imported
-    est_b = mc_expectation_untilted(
-        batch, cfg.h, lam, init.w_total, form="beta", eta=split.eta
-    )
+    est_b = mc_expectation_untilted(batch, cfg.h, lam, init.w_total, form="beta")
     est_q = mc_expectation_untilted(
-        batch, cfg.h, lam, init.w_total, form="qbar", profile=profile, eta=split.eta
+        batch, cfg.h, lam, init.w_total, form="qbar", profile=profile
     )
     analytic = cfg.h.analytic_expectation(params)
     print(f"model: {name or args.model} (p={params.p})")
@@ -233,8 +231,9 @@ def cmd_expect(args) -> int:
     print(f"beta form:  {est_b.value!r} +- {est_b.stderr!r}")
     print(f"qbar form:  {est_q.value!r} +- {est_q.stderr!r}")
     print(f"max |h(tau) e^(lambda tau)|: {est_b.max_abs_weight!r}")
-    if est_b.variance_warning:
-        print(f"warning: {est_b.variance_warning}", file=sys.stderr)
+    warning = cfg.h.variance_warning(lam, split.eta)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 

@@ -1,14 +1,17 @@
 """Signed Monte-Carlo estimators and their exact analytic counterparts.
 
-The tilted density is estimated on a histogram grid in two ways: weighting
-each path by its landing sign (+1/-1/0), or by the conditional expected sign
+The tilted density is the signed landing law of the doubled jump process, so
+every Monte-Carlo estimator here folds the exit times against one signed
+weight per path: its landing sign (+1/-1/0), or the conditional expected sign
 ``qbar`` of its pre-exit state, which keeps terminated paths contributing and
-never increases the per-bin variance.  Untilted expectations reweight by
-``e^{lam tau}``, which is where the variance diagnostics matter.
+never increases the per-bin variance.  The two weights give the two histogram
+estimators of the tilted density and the two forms of the untilted
+expectation, which reweights by ``e^{lam tau}``.
 
-Reductions fold per-chunk partial sums in chunk order, so an estimate built by
-merging partials from the generation chunks is bit-identical to the one-call
-result.
+``_signed_chunks`` yields the ``(tau, weight)`` pairs one generation chunk at
+a time, in chunk order, so no estimator holds a full-length temporary, and an
+estimate built by merging partials from the generation chunks is
+bit-identical to the one-call result.
 """
 
 from __future__ import annotations
@@ -77,20 +80,13 @@ class DensityEstimate:
 
 @dataclass
 class ExpectationEstimate:
-    """Untilted expectation estimate with the heavy-tail diagnostics.
-
-    ``max_abs_weight`` is the largest ``|h(tau) e^{lam tau}|`` seen;
-    ``prefix_max_weights`` tracks its running maximum at each decile of the
-    path order, so steady growth across the whole run flags a weight whose
-    second moment may not exist.
-    """
+    """Untilted expectation estimate; ``max_abs_weight`` is the largest
+    ``|h(tau) e^{lam tau}|`` seen, a heavy-tail diagnostic."""
 
     value: float
     stderr: float
     n_paths: int
     max_abs_weight: float
-    prefix_max_weights: np.ndarray
-    variance_warning: str | None = None
 
 
 @dataclass
@@ -165,12 +161,26 @@ def finalize_density(partial: DensityPartial, grid: Grid, scale: float) -> Densi
     )
 
 
-def _folded_density(batch: PathBatch, weights: np.ndarray, grid: Grid, scale: float):
+def _signed_chunks(batch: PathBatch, profile: ExitProfile | None = None):
+    """Yield ``(tau, weight)`` for each generation chunk, in chunk order.
+
+    The weight is the landing sign, or with a ``profile`` the conditional
+    expected sign ``qbar`` of the pre-exit state (``-qbar`` on the anti side).
+    """
     if len(batch) == 0:
         raise ValueError("empty outcome set")
-    parts = [
-        density_partial(batch.tau[sl], weights[sl], grid) for sl in batch.chunk_slices()
-    ]
+    if profile is not None:
+        q = profile.qbar_original
+        qbar_of_code = np.concatenate([q, -q])
+    for sl in batch.chunk_slices():
+        if profile is None:
+            yield batch.tau[sl], batch.sign[sl]
+        else:
+            yield batch.tau[sl], qbar_of_code.take(batch.pre_exit[sl])
+
+
+def _folded_density(batch: PathBatch, profile: ExitProfile | None, grid: Grid, scale: float):
+    parts = [density_partial(tau, w, grid) for tau, w in _signed_chunks(batch, profile)]
     return finalize_density(merge_density_partials(parts), grid, scale)
 
 
@@ -181,12 +191,7 @@ def mc_density_beta(batch: PathBatch, grid: Grid, scale: float) -> DensityEstima
     the bin average of the tilted density; ``scale = 1`` estimates the raw
     signed exit density ``(alphahat) expm(D x) (s; -s)``.
     """
-    return _folded_density(batch, batch.sign, grid, scale)
-
-
-def qbar_weights(batch: PathBatch, profile: ExitProfile) -> np.ndarray:
-    q = profile.qbar_original
-    return np.concatenate([q, -q])[batch.pre_exit]
+    return _folded_density(batch, None, grid, scale)
 
 
 def mc_density_qbar(
@@ -194,7 +199,7 @@ def mc_density_qbar(
 ) -> DensityEstimate:
     """Histogram estimate weighting every exiting path (terminated ones
     included) by the conditional expected sign of its pre-exit state."""
-    return _folded_density(batch, qbar_weights(batch, profile), grid, scale)
+    return _folded_density(batch, profile, grid, scale)
 
 
 @dataclass(frozen=True)
@@ -223,8 +228,10 @@ class HSpec:
         return x**self.degree * np.exp(-self.c * x)
 
     def tilted_weight(self, tau: np.ndarray, lam: float) -> np.ndarray:
-        """``h(tau) e^{lam tau}`` evaluated without intermediate overflow."""
-        return tau**self.degree * np.exp((lam - self.c) * tau)
+        """``h(tau) e^{lam tau}`` evaluated without intermediate overflow; an
+        overflowing weight is ``inf``, which the estimator rejects."""
+        with np.errstate(over="ignore"):
+            return tau**self.degree * np.exp((lam - self.c) * tau)
 
     def analytic_expectation(self, params: MEParams) -> float:
         """Exact ``integral of h(x) f(x) dx`` through repeated resolvent solves."""
@@ -239,11 +246,17 @@ class HSpec:
             v = linalg.solve_linear(A, v)
         return math.factorial(self.degree) * float(params.alpha @ v)
 
-    def second_moment_margin(self, lam: float, eta: float) -> float:
-        """Negative iff the sufficient condition for a finite second moment of
-        ``h(tau) e^{lam tau}`` holds (``eta`` = spectral abscissa of
-        ``T^+ + T^-``, the decay rate of the unsigned exit density)."""
-        return lam + eta - 2.0 * self.c
+    def variance_warning(self, lam: float, eta: float) -> str | None:
+        """Why ``h(tau) e^{lam tau}`` may have an infinite second moment, or
+        None when the sufficient condition ``c > (lam + eta)/2`` holds
+        (``eta`` = spectral abscissa of ``T^+ + T^-``, the decay rate of the
+        unsigned exit density)."""
+        if lam + eta - 2.0 * self.c < 0.0:
+            return None
+        return (
+            f"weight e^{{(lam - c) tau}} may have infinite variance: "
+            f"need c > (lam + eta)/2 = {(lam + eta) / 2:g}, got c = {self.c:g}"
+        )
 
 
 def h_spec_from_dict(spec: dict) -> HSpec:
@@ -259,56 +272,37 @@ def h_spec_from_dict(spec: dict) -> HSpec:
 
 def mc_expectation_untilted(
     batch: PathBatch,
-    h,
+    h: HSpec,
     lam: float,
     w_total: float,
     form: str = "beta",
     profile: ExitProfile | None = None,
-    eta: float | None = None,
 ) -> ExpectationEstimate:
     """Estimate ``integral of h(x) f(x) dx`` as
     ``w_total * mean(h(tau) e^{lam tau} * weight)``.
 
     ``form="beta"`` weights by the landing sign; ``form="qbar"`` (requires
-    ``profile``) by the pre-exit conditional expected sign.  When ``h`` is an
-    :class:`HSpec` and ``eta`` is supplied, a failing second-moment condition
-    is reported in ``variance_warning`` (the estimate is still returned).
+    ``profile``) by the pre-exit conditional expected sign.
     """
-    n = len(batch)
-    if n == 0:
-        raise ValueError("empty outcome set")
-    if form == "qbar":
-        if profile is None:
-            raise ValueError('form="qbar" needs an ExitProfile')
-        q = profile.qbar_original
-        qbar_of_code = np.concatenate([q, -q])
-    elif form != "beta":
+    if form == "beta":
+        profile = None
+    elif form != "qbar":
         raise ValueError(f"unknown form {form!r}")
+    elif profile is None:
+        raise ValueError('form="qbar" needs an ExitProfile')
 
-    # one chunk at a time, so no full-length temporary exists; the running
-    # maximum carries across chunks and each decile is read in its own chunk
-    deciles = np.minimum((np.arange(1, 11) * n) // 10, n - 1)
-    prefix_max = np.empty(deciles.size)
-    running = 0.0
     sum_v = 0.0
     sum_v2 = 0.0
-    for sl in batch.chunk_slices():
-        tau = batch.tau[sl]
-        if isinstance(h, HSpec):
-            weight = h.tilted_weight(tau, lam)
-        else:
-            weight = np.asarray(h(tau), dtype=float) * np.exp(lam * tau)
+    max_abs = 0.0
+    for tau, sign in _signed_chunks(batch, profile):
+        weight = h.tilted_weight(tau, lam)
         if not np.all(np.isfinite(weight)):
             raise ValueError("h(tau) e^{lam tau} is non-finite for some path")
-        sign = batch.sign[sl] if form == "beta" else qbar_of_code[batch.pre_exit[sl]]
         signed = weight * sign
         sum_v += float(np.sum(signed))
         sum_v2 += float(np.sum(signed**2))
-        chunk_max = np.maximum.accumulate(np.abs(weight))
-        np.maximum(chunk_max, running, out=chunk_max)
-        here = (deciles >= sl.start) & (deciles < sl.stop)
-        prefix_max[here] = chunk_max[deciles[here] - sl.start]
-        running = chunk_max[-1]
+        max_abs = max(max_abs, float(np.max(np.abs(weight))))
+    n = len(batch)
     mean = sum_v / n
     value = w_total * mean
     if n > 1:
@@ -316,23 +310,7 @@ def mc_expectation_untilted(
         stderr = w_total * math.sqrt(var / n)
     else:
         stderr = 0.0
-
-    warning = None
-    if isinstance(h, HSpec) and eta is not None:
-        margin = h.second_moment_margin(lam, eta)
-        if margin >= 0.0:
-            warning = (
-                f"weight e^{{(lam - c) tau}} may have infinite variance: "
-                f"need c > (lam + eta)/2 = {(lam + eta) / 2:g}, got c = {h.c:g}"
-            )
-    return ExpectationEstimate(
-        value=value,
-        stderr=stderr,
-        n_paths=n,
-        max_abs_weight=float(running),
-        prefix_max_weights=prefix_max,
-        variance_warning=warning,
-    )
+    return ExpectationEstimate(value=value, stderr=stderr, n_paths=n, max_abs_weight=max_abs)
 
 
 def analytic_untilted_doubled(split: SignSplit, init: InitialSplit, x):

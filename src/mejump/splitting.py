@@ -196,7 +196,9 @@ def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
 
     The termination defect of row i is
     ``lam - sum_j (T^+ + T^-)_{ij} - s^+_i - s^-_i`` (identical for the
-    original and anti copies); rounding noise below zero is clipped.
+    original and anti copies).  The row's total rate ``-D_ii`` bounds every
+    weight in it, so a defect of either sign no larger than ``1e-12`` times
+    that rate is rounding noise and is set to zero.
     """
     _require_at_least_lambda0(split, lam)
     D = doubled_matrix(split, lam)
@@ -204,7 +206,7 @@ def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
     abs_a = np.concatenate([split.sminus, split.splus])
     term_half = _exit_rates(split, lam) - split.splus - split.sminus
     term = np.concatenate([term_half, term_half])
-    term[(term < 0.0) & (term > -1e-12)] = 0.0
+    term[np.abs(term) <= 1e-12 * -np.diag(D)] = 0.0
     if np.any(term < 0.0):
         raise LambdaTooSmallError(
             f"negative termination intensity {term.min():g} at rate {lam:g}"

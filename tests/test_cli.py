@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -227,6 +230,19 @@ class TestEstimateCommand:
         run_cli(["estimate", model_file, "--config", cfg, "--out", out1], capsys)
         run_cli(["estimate", model_file, "--config", cfg, "--out", out2], capsys)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_auto_rate_with_rates_near_a_million(self, tmp_path, capsys):
+        # at rates of about 1e5..1e6, a zero termination defect rounds to
+        # about -3e-11; it is noise against the row's total rate, not a
+        # negative intensity
+        m = random_me_model(2, np.random.default_rng(20))
+        path = tmp_path / "scaled.json"
+        write_model(MEParams(m.alpha, m.T * 1e6, m.s * 1e6), path)
+        code, out, err = run_cli(
+            ["estimate", path, "--lambda", "auto", "--paths", "2000"], capsys
+        )
+        assert code == 0, err
+        assert out.count("\n0.05,") == 1
 
     def test_beta_only_leaves_qbar_columns_empty(self, model_file, tmp_path, capsys):
         out = tmp_path / "beta.csv"
@@ -515,6 +531,24 @@ class TestExpectCommand:
         assert code == 0  # still reports
         assert "warning" in err
         assert "beta form" in out
+
+    def test_overflowing_weight_is_one_error_line(self, model_file, tmp_path):
+        # e^{(2 + 1000) tau} overflows; a fresh interpreter with the default
+        # warning filters shows what a user sees on stderr
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"lambda": 2.0, "n_paths": 5000, "seed": 3, '
+            '"h": {"type": "exp-decay", "c": -1000}}'
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mejump.cli", "expect", str(model_file), "--config", str(cfg)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: h(tau) e^{lam tau} is non-finite for some path\n"
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("lam, want", [("1e300", 1), ("1e150", 1), ("1e6", 0)])
     def test_rate_needs_a_visible_landing(self, model_file, tmp_path, lam, want, capsys):

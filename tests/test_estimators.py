@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from mejump import estimators, linalg, medist, splitting
+from mejump import linalg, medist, splitting
 from mejump.estimators import (
     Grid,
     HSpec,
@@ -188,7 +188,8 @@ class TestMergeAssociativity:
         assert np.array_equal(merged_b.estimate, one_b.estimate)
         assert np.array_equal(merged_b.stderr, one_b.stderr)
         assert np.array_equal(merged_b.n_hits, one_b.n_hits)
-        qw = estimators.qbar_weights(batch, prof)
+        q = prof.qbar_original
+        qw = np.concatenate([q, -q])[batch.pre_exit]
         parts_q = [
             density_partial(batch.tau[sl], qw[sl], grid) for sl in batch.chunk_slices()
         ]
@@ -204,12 +205,10 @@ class TestExpectation:
         h = HSpec("exp-decay", 2.0)
         eta = linalg.spectral_abscissa(split.Tplus + split.Tminus)
         prof = splitting.exit_profile(split, 2.0)
+        assert h.variance_warning(2.0, eta) is None
         for form, kw in (("beta", {}), ("qbar", {"profile": prof})):
-            est = mc_expectation_untilted(
-                batch, h, 2.0, init.w_total, form=form, eta=eta, **kw
-            )
+            est = mc_expectation_untilted(batch, h, 2.0, init.w_total, form=form, **kw)
             assert abs(est.value - 19.0 / 45.0) <= 4 * est.stderr
-            assert est.variance_warning is None
             assert est.max_abs_weight == pytest.approx(1.0)
 
     def test_exponential_example(self):
@@ -218,41 +217,34 @@ class TestExpectation:
         est = mc_expectation_untilted(batch, HSpec("exp-decay", 3.0), 1.0, init.w_total)
         assert abs(est.value - 0.25) <= 4 * est.stderr
 
-    def test_zero_integrand(self, ref):
-        _, init, batch, _ = make_batch(ref, 2.0, 10_000, seed=17)
-        est = mc_expectation_untilted(batch, lambda x: np.zeros_like(x), 2.0, 1.0)
-        assert est.value == 0.0 and est.stderr == 0.0
-
-    def test_variance_guard_warns(self, ref):
-        split, init, batch, _ = make_batch(ref, 2.0, 10_000, seed=18)
-        eta = linalg.spectral_abscissa(split.Tplus + split.Tminus)
-        est = mc_expectation_untilted(
-            batch, HSpec("exp-decay", 0.0), 2.0, init.w_total, eta=eta
+    def test_variance_guard_warns(self, ref_split):
+        eta = ref_split.eta
+        # the sufficient condition is c > (lam + eta)/2 = 1 at lam = 2
+        warning = HSpec("exp-decay", 0.0).variance_warning(2.0, eta)
+        assert warning == (
+            "weight e^{(lam - c) tau} may have infinite variance: "
+            "need c > (lam + eta)/2 = 1, got c = 0"
         )
-        assert est.variance_warning is not None
-        ok = mc_expectation_untilted(
-            batch, HSpec("exp-decay", 2.0), 2.0, init.w_total, eta=eta
-        )
-        assert ok.variance_warning is None
+        assert HSpec("exp-decay", 1.0).variance_warning(2.0, eta) is not None
+        assert HSpec("exp-decay", 2.0).variance_warning(2.0, eta) is None
 
     def test_nonfinite_integrand_rejected(self, ref):
+        # e^{1002 tau} overflows for tau above about 0.71; numpy stays silent
+        # (the suite turns warnings into errors) and the estimator refuses
         _, _, batch, _ = make_batch(ref, 2.0, 1000, seed=19)
-        with pytest.raises(ValueError):
-            mc_expectation_untilted(
-                batch, lambda x: np.where(x > 0.1, np.nan, 1.0), 2.0, 1.0
-            )
+        with pytest.raises(ValueError, match="non-finite"):
+            mc_expectation_untilted(batch, HSpec("exp-decay", -1000.0), 2.0, 1.0)
 
     @pytest.mark.parametrize("n, chunk", [(100_000, 7000), (10, 3)])
     def test_chunked_fold_equals_whole_array_formula(self, ref, n, chunk):
-        # the chunk does not divide n; deciles 7 (n = 10^5) and 3, 6, 9
-        # (n = 10) fall on a chunk's first path, the others inside chunks
+        # the chunk does not divide n, so the last chunk is short
         split, init, batch, _ = make_batch(ref, 2.0, n, seed=21, chunk=chunk)
         prof = splitting.exit_profile(split, 2.0)
         h = HSpec("poly-exp-decay", 1.0, degree=1)
         weight = h.tilted_weight(batch.tau, 2.0)
-        running = np.maximum.accumulate(np.abs(weight))
-        deciles = np.minimum((np.arange(1, 11) * n) // 10, n - 1)
-        for form, signs in (("beta", batch.sign), ("qbar", estimators.qbar_weights(batch, prof))):
+        q = prof.qbar_original
+        qbar = np.concatenate([q, -q])[batch.pre_exit]
+        for form, signs in (("beta", batch.sign), ("qbar", qbar)):
             signed = weight * signs
             sum_v = sum_v2 = 0.0
             for sl in batch.chunk_slices():
@@ -265,33 +257,32 @@ class TestExpectation:
             )
             assert est.value == init.w_total * mean
             assert est.stderr == init.w_total * math.sqrt(var / n)
-            assert est.max_abs_weight == running[-1]
-            assert np.array_equal(est.prefix_max_weights, running[deciles])
+            assert est.max_abs_weight == np.max(np.abs(weight))
 
-    @pytest.mark.parametrize("form", ["beta", "qbar"])
+    @pytest.mark.parametrize("form", ["beta", "qbar", "density_beta", "density_qbar"])
     def test_peak_allocation_per_chunk(self, ref, form):
-        # the fold holds one chunk's temporaries, not full-length arrays
+        # every fold holds one chunk's temporaries, not full-length arrays
         split, init, batch, _ = make_batch(ref, 2.0, 400_000, seed=22, chunk=10_000)
         prof = splitting.exit_profile(split, 2.0)
+        grid = Grid(0.0, 4.0, 40)
         columns = sum(
             getattr(batch, field).nbytes
             for field in ("tau", "pre_exit", "landing", "sign", "n_jumps")
         )
         tracemalloc.start()
         try:
-            mc_expectation_untilted(
-                batch, HSpec("exp-decay", 2.0), 2.0, init.w_total, form=form, profile=prof
-            )
+            if form == "density_beta":
+                mc_density_beta(batch, grid, 1.0)
+            elif form == "density_qbar":
+                mc_density_qbar(batch, prof, grid, 1.0)
+            else:
+                mc_expectation_untilted(
+                    batch, HSpec("exp-decay", 2.0), 2.0, init.w_total, form=form, profile=prof
+                )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * columns
-
-    def test_prefix_max_is_monotone(self, ref):
-        _, init, batch, _ = make_batch(ref, 2.0, 50_000, seed=20)
-        est = mc_expectation_untilted(batch, HSpec("exp-decay", 1.0), 2.0, init.w_total)
-        assert np.all(np.diff(est.prefix_max_weights) >= 0.0)
-        assert est.prefix_max_weights[-1] == est.max_abs_weight
 
 
 class TestHSpec:
