@@ -27,11 +27,10 @@ from .estimators import (
     analytic_untilted_doubled,
     decay_cancellation_check,
     mc_density_beta,
-    mc_density_qbar,
     mc_expectation_untilted,
 )
 from .jumpsim import simulate_batch
-from .modelio import RunConfig, simulate_run, write_model
+from .modelio import RunConfig, run_estimate, write_model
 from .models import (
     exponential_model,
     phase_type_example,
@@ -42,6 +41,7 @@ from .models import (
 from .splitting import (
     admit_rate,
     doubled_matrix,
+    exit_profile,
     initial_split,
     resolve_lambda,
     sign_split,
@@ -253,52 +253,29 @@ def criterion_6(params, split) -> CriterionResult:
     )
 
 
-def _simulate_reference(params, lam, n_paths, seed):
-    t0 = time.perf_counter()
-    split, lam, init, profile, batch = simulate_run(
-        params, RunConfig(lam=lam, n_paths=n_paths, seed=seed)
-    )
-    sim_time = time.perf_counter() - t0
-    scale = init.w_total / medist.laplace_transform(params, lam)
-    return {
-        "split": split,
-        "init": init,
-        "profile": profile,
-        "batch": batch,
-        "scale": scale,
-        "sim_time": sim_time,
-        "lam": lam,
-    }
-
-
-def criterion_7(shared) -> CriterionResult:
-    grid = Grid(0.0, 4.0, 40)
-    t0 = time.perf_counter()
-    est = mc_density_beta(shared["batch"], grid, shared["scale"])
-    est_time = time.perf_counter() - t0
-    analytic = reference_tilted_bin_averages(shared["lam"], grid)
-    ok4, n_empty = _band_check(est, analytic, len(shared["batch"]), 4.0)
-    ok3, _ = _band_check(est, analytic, len(shared["batch"]), 3.0)
+def criterion_7(run, elapsed: float) -> CriterionResult:
+    grid = run.config.grid
+    n = len(run.batch)
+    analytic = reference_tilted_bin_averages(run.lam, grid)
+    ok4, n_empty = _band_check(run.est_beta, analytic, n, 4.0)
+    ok3, _ = _band_check(run.est_beta, analytic, n, 3.0)
     frac3 = ok3.mean()
-    runtime = shared["sim_time"] + est_time
-    passed = bool(ok4.all()) and frac3 >= 0.99 and runtime < 60.0
-    shared["est_beta"] = est
+    passed = bool(ok4.all()) and frac3 >= 0.99 and elapsed < 60.0
     return CriterionResult(
         7,
         "signed-landing density estimate within 4 stderr bin-by-bin",
         passed,
         f"{int(ok4.sum())}/{grid.n_bins} bins within 4 stderr, "
         f"{frac3:.1%} within 3 stderr, {n_empty} no-signal bins, "
-        f"sim+estimate {runtime:.1f}s (n={len(shared['batch'])})",
+        f"sim+estimate {elapsed:.1f}s (n={n})",
     )
 
 
-def criterion_8(shared) -> CriterionResult:
-    grid = Grid(0.0, 4.0, 40)
-    est_q = mc_density_qbar(shared["batch"], shared["profile"], grid, shared["scale"])
-    analytic = reference_tilted_bin_averages(shared["lam"], grid)
-    ok4, _ = _band_check(est_q, analytic, len(shared["batch"]), 4.0)
-    est_b = shared["est_beta"]
+def criterion_8(run) -> CriterionResult:
+    grid = run.config.grid
+    est_b, est_q = run.est_beta, run.est_qbar
+    analytic = reference_tilted_bin_averages(run.lam, grid)
+    ok4, _ = _band_check(est_q, analytic, len(run.batch), 4.0)
     both = (est_b.stderr > 0) & (est_q.stderr > 0)
     ratio = np.full(grid.n_bins, np.nan)
     ratio[both] = (est_q.stderr[both] / est_b.stderr[both]) ** 2
@@ -321,12 +298,13 @@ def criterion_8(shared) -> CriterionResult:
     )
 
 
-def criterion_9(shared, params) -> CriterionResult:
+def criterion_9(run) -> CriterionResult:
     h = HSpec("exp-decay", 2.0)
-    w_total = shared["init"].w_total
-    est_b = mc_expectation_untilted(shared["batch"], h, shared["lam"], w_total, form="beta")
+    w_total = initial_split(run.params.alpha).w_total
+    profile = exit_profile(run.split, run.lam)
+    est_b = mc_expectation_untilted(run.batch, h, run.lam, w_total, form="beta")
     est_q = mc_expectation_untilted(
-        shared["batch"], h, shared["lam"], w_total, form="qbar", profile=shared["profile"]
+        run.batch, h, run.lam, w_total, form="qbar", profile=profile
     )
     target = REFERENCE_NORMALIZER
     ok = abs(est_b.value - target) <= 4 * est_b.stderr and abs(
@@ -455,10 +433,12 @@ def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
         criterion_5(params, split),
         criterion_6(params, split),
     ]
-    shared = _simulate_reference(params, lam_value, n_paths, seed)
-    results.append(criterion_7(shared))
-    results.append(criterion_8(shared))
-    results.append(criterion_9(shared, params))
+    # criteria 7-9 check the run `mejump estimate` makes, on its default grid
+    t0 = time.perf_counter()
+    run = run_estimate(params, RunConfig(lam=lam_value, n_paths=n_paths, seed=seed))
+    results.append(criterion_7(run, time.perf_counter() - t0))
+    results.append(criterion_8(run))
+    results.append(criterion_9(run))
     results.append(criterion_10(n_paths, seed))
     results.append(criterion_11(split))
     results.append(criterion_12(params, split))

@@ -216,6 +216,10 @@ def cmd_expect(args) -> int:
         raise ParseError(
             'expect needs an integrand: config {"h": {"type": "exp-decay", "c": ...}}'
         )
+    # an invalid model exits 2 before a non-convergent h exits 1, and both
+    # before any path is simulated
+    medist.validate(params)
+    analytic = cfg.h.analytic_expectation(params)
     split, lam, init, profile, batch = simulate_run(params, cfg)
     # bound here, not in modelio: the benchmark probe wraps this estimator
     # only after modelio is imported
@@ -223,7 +227,6 @@ def cmd_expect(args) -> int:
     est_q = mc_expectation_untilted(
         batch, cfg.h, lam, init.w_total, form="qbar", profile=profile
     )
-    analytic = cfg.h.analytic_expectation(params)
     print(f"model: {name or args.model} (p={params.p})")
     print(f"h: type={cfg.h.kind} c={cfg.h.c!r} degree={cfg.h.degree}")
     print(f"lambda: {lam!r}  seed: {cfg.seed}  n_paths: {cfg.n_paths}")

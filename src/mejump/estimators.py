@@ -241,10 +241,20 @@ class HSpec:
                 f"{params.sigma0:.6g} for the integral to converge"
             )
         A = self.c * np.eye(params.p) - params.T
-        v = params.s
-        for _ in range(self.degree + 1):
-            v = linalg.solve_linear(A, v)
-        return math.factorial(self.degree) * float(params.alpha @ v)
+        # the factorial rides along as one float factor per solve, so a
+        # degree whose factorial alone overflows can still give a finite value
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = linalg.solve_linear(A, params.s)
+            for k in range(1, self.degree + 1):
+                if not np.all(np.isfinite(v)):
+                    break
+                v = k * linalg.solve_linear(A, v)
+            value = float(params.alpha @ v)
+        if not math.isfinite(value):
+            raise ValueError(
+                f"the exact value of integral h(x) f(x) dx overflows at degree {self.degree}"
+            )
+        return value
 
     def variance_warning(self, lam: float, eta: float) -> str | None:
         """Why ``h(tau) e^{lam tau}`` may have an infinite second moment, or
@@ -299,9 +309,13 @@ def mc_expectation_untilted(
         if not np.all(np.isfinite(weight)):
             raise ValueError("h(tau) e^{lam tau} is non-finite for some path")
         signed = weight * sign
-        sum_v += float(np.sum(signed))
-        sum_v2 += float(np.sum(signed**2))
+        with np.errstate(over="ignore"):
+            sum_v += float(np.sum(signed))
+            sum_v2 += float(np.sum(signed**2))
         max_abs = max(max_abs, float(np.max(np.abs(weight))))
+    # a finite sum of squares bounds n mean^2, so nothing below overflows
+    if not math.isfinite(sum_v2):
+        raise ValueError("h(tau) e^{lam tau} is too large: the sum of its squares overflows")
     n = len(batch)
     mean = sum_v / n
     value = w_total * mean

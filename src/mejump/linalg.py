@@ -152,9 +152,13 @@ def solve_linear(A, b, rtol: float = SOLVE_RESIDUAL_RTOL) -> np.ndarray:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular linear system: {exc}") from exc
+    # the bound is homogeneous in (x, b): check it at unit scale, where the
+    # squares inside the norms cannot overflow; a power of two scales exactly
+    _, e = np.frexp(max(np.abs(x).max(), np.abs(b).max()))
+    xs, bs = np.ldexp(x, -e), np.ldexp(b, -e)
     norm_a = np.linalg.norm(A, 1)
-    residual = np.linalg.norm(A @ x - b)
-    bound = rtol * (norm_a * np.linalg.norm(x) + np.linalg.norm(b))
+    residual = np.linalg.norm(A @ xs - bs)
+    bound = rtol * (norm_a * np.linalg.norm(xs) + np.linalg.norm(bs))
     if not np.isfinite(residual) or residual > bound:
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds bound {bound:.3e}; "

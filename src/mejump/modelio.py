@@ -139,13 +139,21 @@ def _refuse_loose_numbers(raw: dict, where: str):
             raise ParseError(f"{where}: field {key!r} must be an integer, got {value!r}")
 
 
-def config_from_dict(raw, where: str = "config") -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ParseError(f"{where}: top level must be a JSON object")
-    known = {"lambda", "n_paths", "seed", "chunk", "grid", "estimator", "h", "workers"}
+def _refuse_unknown_fields(raw: dict, known: set, where: str):
     unknown = set(raw) - known
     if unknown:
         raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+
+
+def config_from_dict(raw, where: str = "config") -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: top level must be a JSON object")
+    _refuse_unknown_fields(
+        raw, {"lambda", "n_paths", "seed", "chunk", "grid", "estimator", "h", "workers"}, where
+    )
+    for field, known in (("grid", {"x_min", "x_max", "n_bins"}), ("h", {"type", "c", "degree"})):
+        if isinstance(raw.get(field), dict):
+            _refuse_unknown_fields(raw[field], known, f"{where}: field {field!r}")
     _refuse_loose_numbers(raw, where)
     cfg = RunConfig()
     try:

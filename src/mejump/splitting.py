@@ -186,9 +186,22 @@ def _require_at_least_lambda0(split: SignSplit, lam: float):
         )
 
 
-def _exit_rates(split: SignSplit, lam: float) -> np.ndarray:
-    """Unclipped per-state exit intensities ``lam 1 - (T^+ + T^-) 1``."""
-    return lam - (split.Tplus + split.Tminus).sum(axis=1)
+def _rows(split: SignSplit, lam: float):
+    """Gate ``lam`` and return the per-state exit rates
+    ``d = lam 1 - (T^+ + T^-) 1`` and termination defects ``d - s^+ - s^-``.
+
+    The row's total rate ``lam - T_ii`` bounds every weight in it, so a
+    defect no larger than ``1e-12`` times that rate is rounding noise and
+    reads zero.  So does every negative defect: the gate keeps ``lam`` within
+    the slack below ``lambda_0``, so it is slack or rounding.  ``d`` is
+    floored at ``s^+ + s^-`` to match, so the landing probabilities never sum
+    above one.
+    """
+    _require_at_least_lambda0(split, lam)
+    d = lam - (split.Tplus + split.Tminus).sum(axis=1)
+    defect = d - split.splus - split.sminus
+    defect[defect <= 1e-12 * (lam - np.diag(split.Tplus))] = 0.0
+    return np.maximum(d, split.splus + split.sminus), defect
 
 
 def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
@@ -196,30 +209,21 @@ def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
 
     The termination defect of row i is
     ``lam - sum_j (T^+ + T^-)_{ij} - s^+_i - s^-_i`` (identical for the
-    original and anti copies).  The row's total rate ``-D_ii`` bounds every
-    weight in it, so a defect of either sign no larger than ``1e-12`` times
-    that rate is rounding noise and is set to zero.
+    original and anti copies), with rounding noise read as zero by
+    :func:`_rows`.
     """
-    _require_at_least_lambda0(split, lam)
+    _, defect = _rows(split, lam)
     D = doubled_matrix(split, lam)
     abs_o = np.concatenate([split.splus, split.sminus])
     abs_a = np.concatenate([split.sminus, split.splus])
-    term_half = _exit_rates(split, lam) - split.splus - split.sminus
-    term = np.concatenate([term_half, term_half])
-    term[np.abs(term) <= 1e-12 * -np.diag(D)] = 0.0
-    if np.any(term < 0.0):
-        raise LambdaTooSmallError(
-            f"negative termination intensity {term.min():g} at rate {lam:g}"
-        )
+    term = np.concatenate([defect, defect])
     return DoubledGenerator(lam=lam, D=D, abs_o=abs_o, abs_a=abs_a, term=term)
 
 
 def exit_profile(split: SignSplit, lam: float) -> ExitProfile:
     """Exit intensities ``d = lam 1 - (T^+ + T^-) 1`` and conditional landing
     probabilities ``q^{+/-} = s^{+/-} / d`` (zero where ``d_i = 0``)."""
-    _require_at_least_lambda0(split, lam)
-    d = _exit_rates(split, lam)
-    d[(d < 0.0) & (d > -1e-12)] = 0.0
+    d, _ = _rows(split, lam)
     qplus = np.zeros(split.p)
     qminus = np.zeros(split.p)
     positive = d > 0.0

@@ -95,6 +95,8 @@ class TestConfig:
             {"grid": dict(grid, x_max=True)},
             {"h": dict(h, c=True)},
             {"h": dict(h, degree=1.5)},
+            {"h": {"type": "poly-exp-decay", "c": 2.0, "degre": 3}},
+            {"grid": dict(grid, xmax=2.0)},
             {"n_paths": float("inf")},
         ):
             with pytest.raises(ParseError):
@@ -508,6 +510,39 @@ class TestResolventSolves:
         assert len(calls) == 2
 
 
+#: Runs ``mejump`` with argv[2:]; if argv[1] is a list of exit times, the
+#: simulation returns hand-built paths with those times in place of simulating.
+_HAND_BUILT_CLI = """
+import ast, sys
+import numpy as np
+from mejump import cli, modelio
+from mejump.jumpsim import PathBatch
+taus = ast.literal_eval(sys.argv[1])
+if taus is not None:
+    n = len(taus)
+    modelio.simulate_batch = lambda *args, **kwargs: PathBatch(
+        p=3, chunk=n, tau=np.array(taus), pre_exit=np.zeros(n, dtype=np.int32),
+        landing=np.zeros(n, dtype=np.int8), sign=np.ones(n, dtype=np.int8),
+        n_jumps=np.ones(n, dtype=np.int32),
+    )
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def _expect_in_fresh_interpreter(model_file, tmp_path, h, taus):
+    """``mejump expect`` at rate 2 in a fresh interpreter with the default
+    warning filters, which shows what a user sees on stderr."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": 2.0, "n_paths": 1000, "seed": 3, "h": h}))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-c", _HAND_BUILT_CLI, repr(taus),
+         "expect", str(model_file), "--config", str(cfg)],
+        env=env, capture_output=True, text=True,
+    )
+
+
 class TestExpectCommand:
     def test_exp_decay_reports_analytic(self, model_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -532,22 +567,52 @@ class TestExpectCommand:
         assert "warning" in err
         assert "beta form" in out
 
-    def test_overflowing_weight_is_one_error_line(self, model_file, tmp_path):
-        # e^{(2 + 1000) tau} overflows; a fresh interpreter with the default
-        # warning filters shows what a user sees on stderr
+    def test_non_convergent_h_refused_before_simulating(
+        self, model_file, tmp_path, capsys, monkeypatch
+    ):
+        from mejump import modelio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated with a non-convergent integrand")
+
+        monkeypatch.setattr(modelio, "simulate_batch", refuse)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            '{"lambda": 2.0, "n_paths": 5000, "seed": 3, '
-            '"h": {"type": "exp-decay", "c": -1000}}'
-        )
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-        env.pop("PYTHONWARNINGS", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "mejump.cli", "expect", str(model_file), "--config", str(cfg)],
-            env=env, capture_output=True, text=True,
+        cfg.write_text('{"n_paths": 1000, "h": {"type": "exp-decay", "c": -2}}')
+        code, out, err = run_cli(["expect", model_file, "--config", cfg], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: h decay rate -2 must exceed the dominant eigenvalue")
+        # an invalid model is still a validation failure
+        unstable = tmp_path / "unstable.json"
+        write_model(MEParams(np.array([1.0]), np.array([[0.5]]), np.array([1.0])), unstable)
+        code, _, err = run_cli(["expect", unstable, "--config", cfg], capsys)
+        assert code == 2 and "dominant eigenvalue" in err
+
+    def test_overflowing_weight_is_one_error_line(self, model_file, tmp_path):
+        # e^{(2 - 0) tau} overflows at tau = 1000; a convergent h cannot get
+        # there in a real run, so hand-built paths stand in for the simulation
+        proc = _expect_in_fresh_interpreter(
+            model_file, tmp_path, {"type": "exp-decay", "c": 0.0}, [1000.0, 0.5]
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: h(tau) e^{lam tau} is non-finite for some path\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "degree, taus, message",
+        [
+            # tau^171 is finite at tau = 10, its square is not
+            (171, [10.0, 0.5], "h(tau) e^{lam tau} is too large: the sum of its squares overflows"),
+            # 400! (2I - T)^{-401} s overflows before any path is simulated
+            (400, None, "the exact value of integral h(x) f(x) dx overflows at degree 400"),
+        ],
+    )
+    def test_overflowing_polynomial_is_one_error_line(
+        self, model_file, tmp_path, degree, taus, message
+    ):
+        h = {"type": "poly-exp-decay", "c": 2.0, "degree": degree}
+        proc = _expect_in_fresh_interpreter(model_file, tmp_path, h, taus)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("lam, want", [("1e300", 1), ("1e150", 1), ("1e6", 0)])

@@ -235,6 +235,17 @@ class TestExpectation:
         with pytest.raises(ValueError, match="non-finite"):
             mc_expectation_untilted(batch, HSpec("exp-decay", -1000.0), 2.0, 1.0)
 
+    @pytest.mark.parametrize("form", ["beta", "qbar"])
+    def test_overflowing_square_sum_rejected(self, ref_split, form):
+        # tau^200 is finite at tau = 10, its square is not; numpy stays
+        # silent and no OverflowError escapes from the variance
+        batch = one_chunk_batch(3, [10.0, 10.0, 0.5], [0, 3, 1], [0, 1, 0], [1, -1, 1])
+        prof = splitting.exit_profile(ref_split, 2.0)
+        with pytest.raises(ValueError, match="sum of its squares overflows"):
+            mc_expectation_untilted(
+                batch, HSpec("poly-exp-decay", 2.0, 200), 2.0, 1.0, form=form, profile=prof
+            )
+
     @pytest.mark.parametrize("n, chunk", [(100_000, 7000), (10, 3)])
     def test_chunked_fold_equals_whole_array_formula(self, ref, n, chunk):
         # the chunk does not divide n, so the last chunk is short
@@ -307,6 +318,19 @@ class TestHSpec:
             lambda x: h(x) * medist.density(ref, x), 0.0, np.inf
         )
         assert h.analytic_expectation(ref) == pytest.approx(want, rel=1e-9)
+
+    def test_degree_past_the_float_factorial(self, ref):
+        # 171! overflows a float, d! (cI - T)^{-(d+1)} does not
+        import mpmath
+
+        with mpmath.workdps(60):
+            A = mpmath.matrix((2.0 * np.eye(3) - ref.T).tolist())
+            v = mpmath.lu_solve(A**172, mpmath.matrix(ref.s.tolist()))
+            want = mpmath.factorial(171) * (mpmath.matrix([ref.alpha.tolist()]) * v)[0]
+        got = HSpec("poly-exp-decay", 2.0, 171).analytic_expectation(ref)
+        assert got == pytest.approx(float(want), rel=1e-10)
+        with pytest.raises(ValueError, match="overflows at degree 400"):
+            HSpec("poly-exp-decay", 2.0, 400).analytic_expectation(ref)
 
     def test_divergent_rate_rejected(self, ref):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mejump import linalg, splitting
 from mejump.errors import (
@@ -8,7 +9,7 @@ from mejump.errors import (
     PositiveDiagonalError,
     ZeroAlphaError,
 )
-from mejump.models import random_me_model, random_phase_type
+from mejump.models import exponential_model, random_me_model, random_phase_type
 
 from conftest import decoupled_rotator
 
@@ -156,6 +157,42 @@ class TestExitProfile:
             prof = splitting.exit_profile(ref_split, lam)
             assert np.all(prof.qplus + prof.qminus <= 1.0 + 1e-12)
             assert np.all(prof.qplus >= 0.0) and np.all(prof.qminus >= 0.0)
+
+
+class TestRowRule:
+    """The rate gate, the generator and the exit profile agree on every rate
+    the gate admits."""
+
+    @pytest.mark.parametrize("rate", [0.25, 0.1])
+    def test_rate_just_below_a_zero_threshold(self, rate):
+        # lambda_0 = 0 for Exp(rate), and the gate admits down to -1e-12
+        split = splitting.sign_split(exponential_model(rate).T, exponential_model(rate).s)
+        gen = splitting.build_generator(split, -9e-13)
+        assert np.array_equal(gen.term, [0.0, 0.0])
+        prof = splitting.exit_profile(split, -9e-13)
+        assert np.array_equal(prof.qplus, [1.0]) and np.array_equal(prof.d, [rate])
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        p=st.integers(1, 8),
+        k=st.integers(-4, 6),
+        seed=st.integers(0, 2**32 - 1),
+        step=st.sampled_from([-0.9, 0.0, 1.0]),
+    )
+    def test_every_admitted_rate_builds(self, p, k, seed, step):
+        rng = np.random.default_rng(seed)
+        if p == 1:
+            m = exponential_model(float(rng.uniform(0.05, 3.0)))
+        else:
+            m = random_me_model(p, rng)
+        split = splitting.sign_split(m.T * 10.0**k, m.s * 10.0**k)
+        lam0 = split.lambda0
+        lam = lam0 + step * splitting.LAMBDA_SLACK * max(1.0, abs(lam0))
+        gen = splitting.build_generator(split, lam)
+        assert np.all(gen.term >= 0.0)
+        prof = splitting.exit_profile(split, lam)
+        assert np.all(prof.d >= 0.0)
+        assert np.all(prof.qplus + prof.qminus <= 1.0 + 1e-12)
 
 
 class TestTransience:
