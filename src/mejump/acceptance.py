@@ -29,8 +29,7 @@ from .estimators import (
     mc_density_beta,
     mc_expectation_untilted,
 )
-from .jumpsim import simulate_batch
-from .modelio import RunConfig, run_estimate, write_model
+from .modelio import RunConfig, plan, run_estimate, simulate, write_model
 from .models import (
     exponential_model,
     phase_type_example,
@@ -38,14 +37,7 @@ from .models import (
     reference_density,
     reference_model,
 )
-from .splitting import (
-    admit_rate,
-    doubled_matrix,
-    exit_profile,
-    initial_split,
-    resolve_lambda,
-    sign_split,
-)
+from .splitting import admit_rate, doubled_matrix, initial_split, sign_split
 
 #: Exact normalizer of the rate-2 tilt of the reference model; both the
 #: resolvent solve and quadrature of e^{-2x} f(x) give 19/45.  The value 4
@@ -192,21 +184,19 @@ def criterion_3(params) -> CriterionResult:
 
 
 def criterion_4(params) -> CriterionResult:
-    # imported here, its only use: no other mejump command needs scipy
-    import scipy.integrate
-
     lt_solve = medist.laplace_transform(params, 2.0)
-    lt_quad, quad_err = scipy.integrate.quad(
-        lambda x: math.exp(-2.0 * x) * medist.density(params, x), 0.0, np.inf
-    )
+    # e^{-2x} f(x) = e^{-x} (e^{-x} f(x)): the Gauss-Laguerre weights carry
+    # the first factor
+    nodes, weights = np.polynomial.laguerre.laggauss(32)
+    lt_quad = float(weights @ (np.exp(-nodes) * medist.density(params, nodes)))
     agree = abs(lt_solve - lt_quad)
     ok = agree <= 1e-8 and abs(lt_solve - REFERENCE_NORMALIZER) <= 1e-10
     return CriterionResult(
         4,
         "tilt normalizer cross-oracle: solve vs quadrature, value 19/45",
         ok,
-        f"solve={lt_solve:.12g}, quad={lt_quad:.12g} (+-{quad_err:.1e}), "
-        f"diff={agree:.3e}; {ERRATUM_NOTE}",
+        f"solve={lt_solve:.12g}, quad={lt_quad:.12g} "
+        f"(32-node Gauss-Laguerre), diff={agree:.3e}; {ERRATUM_NOTE}",
     )
 
 
@@ -256,7 +246,7 @@ def criterion_6(params, split) -> CriterionResult:
 def criterion_7(run, elapsed: float) -> CriterionResult:
     grid = run.config.grid
     n = len(run.batch)
-    analytic = reference_tilted_bin_averages(run.lam, grid)
+    analytic = reference_tilted_bin_averages(run.plan.lam, grid)
     ok4, n_empty = _band_check(run.est_beta, analytic, n, 4.0)
     ok3, _ = _band_check(run.est_beta, analytic, n, 3.0)
     frac3 = ok3.mean()
@@ -274,7 +264,7 @@ def criterion_7(run, elapsed: float) -> CriterionResult:
 def criterion_8(run) -> CriterionResult:
     grid = run.config.grid
     est_b, est_q = run.est_beta, run.est_qbar
-    analytic = reference_tilted_bin_averages(run.lam, grid)
+    analytic = reference_tilted_bin_averages(run.plan.lam, grid)
     ok4, _ = _band_check(est_q, analytic, len(run.batch), 4.0)
     both = (est_b.stderr > 0) & (est_q.stderr > 0)
     ratio = np.full(grid.n_bins, np.nan)
@@ -300,11 +290,10 @@ def criterion_8(run) -> CriterionResult:
 
 def criterion_9(run) -> CriterionResult:
     h = HSpec("exp-decay", 2.0)
-    w_total = initial_split(run.params.alpha).w_total
-    profile = exit_profile(run.split, run.lam)
-    est_b = mc_expectation_untilted(run.batch, h, run.lam, w_total, form="beta")
+    lam, w_total = run.plan.lam, run.plan.init.w_total
+    est_b = mc_expectation_untilted(run.batch, h, lam, w_total, form="beta")
     est_q = mc_expectation_untilted(
-        run.batch, h, run.lam, w_total, form="qbar", profile=profile
+        run.batch, h, lam, w_total, form="qbar", profile=run.plan.profile
     )
     target = REFERENCE_NORMALIZER
     ok = abs(est_b.value - target) <= 4 * est_b.stderr and abs(
@@ -320,10 +309,7 @@ def criterion_9(run) -> CriterionResult:
 
 
 def criterion_10(n_paths, seed) -> CriterionResult:
-    params = exponential_model(1.0)
-    split = sign_split(params.T, params.s)
-    init = initial_split(params.alpha)
-    batch = simulate_batch(split, 1.0, init, n_paths=n_paths, seed=seed)
+    batch = simulate(plan(exponential_model(1.0), 1.0), RunConfig(n_paths=n_paths, seed=seed))
     mean_tau = float(batch.tau.mean())
     se_tau = float(batch.tau.std(ddof=1)) / math.sqrt(len(batch))
     mean_ok = abs(mean_tau - 0.5) <= 4 * se_tau
@@ -357,10 +343,9 @@ def criterion_11(split) -> CriterionResult:
     )
 
 
-def criterion_12(params, split) -> CriterionResult:
-    init = initial_split(params.alpha)
+def criterion_12(ref_plan) -> CriterionResult:
     xs = np.linspace(0.0, 10.0, 101)
-    got = analytic_untilted_doubled(split, init, xs)
+    got = analytic_untilted_doubled(ref_plan.split, ref_plan.init, xs)
     err = float(np.abs(got - reference_density(xs)).max())
     pt = phase_type_example()
     pt_split = sign_split(pt.T, pt.s)
@@ -420,10 +405,10 @@ def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
     """Run every acceptance criterion; raises if ``lam`` is below the
     threshold of the reference model."""
     params = reference_model()
-    split = sign_split(params.T, params.s)
-    lam_value = resolve_lambda(split, lam)
+    ref_plan = plan(params, lam)
+    split = ref_plan.split
     # fail fast on an inadmissible rate, mirroring the simulation commands
-    admit_rate(split, lam_value)
+    admit_rate(split, ref_plan.lam)
 
     results = [
         criterion_1(params),
@@ -435,13 +420,13 @@ def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
     ]
     # criteria 7-9 check the run `mejump estimate` makes, on its default grid
     t0 = time.perf_counter()
-    run = run_estimate(params, RunConfig(lam=lam_value, n_paths=n_paths, seed=seed))
+    run = run_estimate(params, RunConfig(lam=ref_plan.lam, n_paths=n_paths, seed=seed))
     results.append(criterion_7(run, time.perf_counter() - t0))
     results.append(criterion_8(run))
     results.append(criterion_9(run))
     results.append(criterion_10(n_paths, seed))
     results.append(criterion_11(split))
-    results.append(criterion_12(params, split))
+    results.append(criterion_12(ref_plan))
     results.append(criterion_13(n_paths, seed))
     return results
 

@@ -29,22 +29,17 @@ from .estimators import mc_expectation_untilted
 from .modelio import (
     ParseError,
     config_from_dict,
+    plan,
     read_json,
     read_model,
     render_estimate_csv,
     run_estimate,
-    simulate_run,
+    simulate,
     write_model,
     write_split_outputs,
     write_trace,
 )
-from .splitting import (
-    build_generator,
-    check_transience,
-    exit_profile,
-    resolve_lambda,
-    sign_split,
-)
+from .splitting import build_generator, resolve_lambda, sign_split
 
 _VALIDATION_ERRORS = (
     NotADensityError,
@@ -126,15 +121,12 @@ def cmd_validate(args) -> int:
 
 def cmd_split(args) -> int:
     params, name = read_model(args.model)
-    medist.validate(params)
-    split = sign_split(params.T, params.s)
-    lam = resolve_lambda(split, _parse_lambda(args.lam))
-    gen = build_generator(split, lam)
-    profile = exit_profile(split, lam)
-    transient, abscissa = check_transience(split, lam)
+    run_plan = plan(params, _parse_lambda(args.lam))
+    split, profile = run_plan.split, run_plan.profile
+    gen = build_generator(split, run_plan.lam)
     print(f"model: {name or args.model} (p={params.p})")
     print(f"lambda0: {split.lambda0!r}")
-    print(f"lambda: {lam!r}")
+    print(f"lambda: {run_plan.lam!r}")
     for block in (
         _matrix_lines("T_plus", split.Tplus),
         _matrix_lines("T_minus", split.Tminus),
@@ -149,9 +141,12 @@ def cmd_split(args) -> int:
     ):
         for line in block:
             print(line)
-    print(f"transient: {str(transient).lower()} (doubled abscissa {abscissa!r})")
+    print(
+        f"transient: {str(run_plan.transient).lower()} "
+        f"(doubled abscissa {run_plan.abscissa!r})"
+    )
     if args.out:
-        write_split_outputs(args.out, split, lam, gen.D)
+        write_split_outputs(args.out, run_plan, gen.D)
         print(f"wrote CSV files with prefix {args.out}_")
     return 0
 
@@ -185,11 +180,10 @@ def cmd_estimate(args) -> int:
     params, name = read_model(args.model)
     cfg = _load_run_config(args)
     run = run_estimate(params, cfg, collect_trace=args.trace is not None)
-    transient, abscissa = check_transience(run.split, run.lam)
     print(f"model: {name or args.model} (p={params.p})")
     print(
-        f"lambda: {run.lam!r} (lambda0 {run.split.lambda0!r}, "
-        f"doubled abscissa {abscissa!r})"
+        f"lambda: {run.plan.lam!r} (lambda0 {run.plan.split.lambda0!r}, "
+        f"doubled abscissa {run.plan.abscissa!r})"
     )
     print(
         f"seed: {cfg.seed}  chunk: {cfg.chunk}  n_paths: {cfg.n_paths}  "
@@ -216,16 +210,17 @@ def cmd_expect(args) -> int:
         raise ParseError(
             'expect needs an integrand: config {"h": {"type": "exp-decay", "c": ...}}'
         )
-    # an invalid model exits 2 before a non-convergent h exits 1, and both
-    # before any path is simulated
-    medist.validate(params)
+    # a model or rate refusal (exit 2 or 3) comes before a non-convergent h
+    # (exit 1), and all of them before any path is simulated
+    run_plan = plan(params, cfg.lam)
+    lam, w_total = run_plan.lam, run_plan.init.w_total
     analytic = cfg.h.analytic_expectation(params)
-    split, lam, init, profile, batch = simulate_run(params, cfg)
+    batch = simulate(run_plan, cfg)
     # bound here, not in modelio: the benchmark probe wraps this estimator
     # only after modelio is imported
-    est_b = mc_expectation_untilted(batch, cfg.h, lam, init.w_total, form="beta")
+    est_b = mc_expectation_untilted(batch, cfg.h, lam, w_total, form="beta")
     est_q = mc_expectation_untilted(
-        batch, cfg.h, lam, init.w_total, form="qbar", profile=profile
+        batch, cfg.h, lam, w_total, form="qbar", profile=run_plan.profile
     )
     print(f"model: {name or args.model} (p={params.p})")
     print(f"h: type={cfg.h.kind} c={cfg.h.c!r} degree={cfg.h.degree}")
@@ -234,7 +229,7 @@ def cmd_expect(args) -> int:
     print(f"beta form:  {est_b.value!r} +- {est_b.stderr!r}")
     print(f"qbar form:  {est_q.value!r} +- {est_q.stderr!r}")
     print(f"max |h(tau) e^(lambda tau)|: {est_b.max_abs_weight!r}")
-    warning = cfg.h.variance_warning(lam, split.eta)
+    warning = cfg.h.variance_warning(lam, run_plan.split.eta)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
@@ -279,7 +274,6 @@ def cmd_debug(args) -> int:
 
 
 def cmd_reproduce_example(args) -> int:
-    # the acceptance module is the only one that loads scipy
     from . import acceptance
 
     n_paths = args.paths if args.paths is not None else 1_000_000

@@ -1,5 +1,6 @@
-"""Model/config file parsing, the simulate front end shared by ``estimate``
-and ``expect``, the estimation pipeline, and result rendering.
+"""Model/config file parsing, the run plan every chain-building command
+reads, the simulation back end shared by ``estimate`` and ``expect``, the
+estimation pipeline, and result rendering.
 
 Model and run-configuration files are JSON (UTF-8, no comments).  Floats are
 serialized through Python's shortest round-trip repr, so a model written from
@@ -28,6 +29,8 @@ from .estimators import (
 from .jumpsim import DEFAULT_CHUNK, PathBatch, code_label, simulate_batch
 from .medist import MEParams
 from .splitting import (
+    ExitProfile,
+    InitialSplit,
     SignSplit,
     check_transience,
     exit_profile,
@@ -168,6 +171,10 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
         grid = cfg.grid
         if "grid" in raw:
             g = raw["grid"]
+            if not isinstance(g, dict) or not {"x_min", "x_max", "n_bins"} <= set(g):
+                raise ValueError(
+                    'grid must be an object with "x_min", "x_max" and "n_bins" fields'
+                )
             grid = Grid(
                 x_min=float(g["x_min"]),
                 x_max=float(g["x_max"]),
@@ -190,13 +197,46 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
     )
 
 
-@dataclass
-class EstimateRun:
-    """Everything produced by one estimation pipeline run."""
+@dataclass(frozen=True)
+class RunPlan:
+    """What a command derives once from a model and a tilting-rate request:
+    the validated parameters, their sign split, the resolved rate ``lam``, the
+    initial mixture, the exit profile at ``lam`` and the doubled abscissa
+    ``eta - lam`` (the chain is transient where it is negative)."""
 
     params: MEParams
     split: SignSplit
     lam: float
+    init: InitialSplit
+    profile: ExitProfile
+    abscissa: float
+
+    @property
+    def transient(self) -> bool:
+        return bool(self.abscissa < 0.0)
+
+
+def plan(params: MEParams, lam_request) -> RunPlan:
+    """Validate, split, resolve the rate and derive the profile, once each.
+
+    A rate below ``lambda_0`` is refused (by :func:`exit_profile`); a
+    non-transient one is only reported, for ``split`` to show, and refused by
+    the simulator.  Errors are raised unchanged; the CLI maps them to exit
+    codes.
+    """
+    medist.validate(params)
+    split = sign_split(params.T, params.s)
+    lam = resolve_lambda(split, lam_request)
+    profile = exit_profile(split, lam)
+    _, abscissa = check_transience(split, lam)
+    return RunPlan(params, split, lam, initial_split(params.alpha), profile, abscissa)
+
+
+@dataclass
+class EstimateRun:
+    """Everything produced by one estimation pipeline run."""
+
+    plan: RunPlan
     scale: float
     config: RunConfig
     batch: PathBatch
@@ -205,46 +245,33 @@ class EstimateRun:
     est_qbar: DensityEstimate | None
 
 
-def simulate_run(params: MEParams, cfg: RunConfig, collect_trace: bool = False):
-    """Validate, split, resolve the tilting rate and simulate: the front end
-    shared by ``estimate`` and ``expect``.
+def simulate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> PathBatch:
+    """Simulate the planned chain: the back end shared by ``estimate`` and
+    ``expect``.
 
     A rate at which every landing probability ``(s^+ + s^-)_i / d_i`` is
     below machine epsilon is refused before any path is simulated: no path
     could be seen to land, so every estimate would read zero.
-
-    Returns ``(split, lam, init, profile, batch)`` with ``profile`` the
-    :class:`ExitProfile` at ``lam``.  Raises the underlying
-    model/construction errors unchanged; the CLI maps them to exit codes.
     """
-    medist.validate(params)
-    split = sign_split(params.T, params.s)
-    lam = resolve_lambda(split, cfg.lam)
-    profile = exit_profile(split, lam)
+    profile = run_plan.profile
     if np.all(profile.qplus + profile.qminus < np.finfo(float).eps):
         raise ValueError(
-            f"tilting rate {lam!r} is too large: every landing probability "
+            f"tilting rate {run_plan.lam!r} is too large: every landing probability "
             "is below machine epsilon, so no path can be seen to land"
         )
-    init = initial_split(params.alpha)
-    batch = simulate_batch(
-        split,
-        lam,
-        init,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        chunk=cfg.chunk,
-        workers=cfg.workers,
-        collect_trace=collect_trace,
+    return simulate_batch(
+        run_plan.split, run_plan.lam, run_plan.init, n_paths=cfg.n_paths, seed=cfg.seed,
+        chunk=cfg.chunk, workers=cfg.workers, collect_trace=collect_trace,
     )
-    return split, lam, init, profile, batch
 
 
 def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) -> EstimateRun:
-    """Simulate through :func:`simulate_run`, then estimate."""
-    split, lam, init, profile, batch = simulate_run(params, cfg, collect_trace)
+    """Plan at ``cfg.lam``, simulate, then estimate."""
+    run_plan = plan(params, cfg.lam)
+    lam = run_plan.lam
+    batch = simulate(run_plan, cfg, collect_trace)
     analytic, norm = tilted_bin_averages(params, lam, cfg.grid)
-    scale = init.w_total / norm
+    scale = run_plan.init.w_total / norm
     if not (np.isfinite(scale) and np.all(np.isfinite(analytic))):
         raise ValueError(
             f"tilting rate {lam!r} is too large: the scale or the analytic "
@@ -254,18 +281,8 @@ def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) 
     if cfg.estimator in ("beta", "both"):
         est_beta = mc_density_beta(batch, cfg.grid, scale)
     if cfg.estimator in ("qbar", "both"):
-        est_qbar = mc_density_qbar(batch, profile, cfg.grid, scale)
-    return EstimateRun(
-        params=params,
-        split=split,
-        lam=lam,
-        scale=scale,
-        config=cfg,
-        batch=batch,
-        analytic=analytic,
-        est_beta=est_beta,
-        est_qbar=est_qbar,
-    )
+        est_qbar = mc_density_qbar(batch, run_plan.profile, cfg.grid, scale)
+    return EstimateRun(run_plan, scale, cfg, batch, analytic, est_beta, est_qbar)
 
 
 def _fmt(x) -> str:
@@ -326,16 +343,15 @@ def write_matrix_csv(path, M):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_split_outputs(prefix, split: SignSplit, lam: float, D: np.ndarray):
+def write_split_outputs(prefix, run_plan: RunPlan, D: np.ndarray):
     """Write the split pieces as CSV files sharing a path prefix."""
     prefix = str(prefix)
+    split, profile = run_plan.split, run_plan.profile
     write_matrix_csv(f"{prefix}_Tplus.csv", split.Tplus)
     write_matrix_csv(f"{prefix}_Tminus.csv", split.Tminus)
     write_matrix_csv(f"{prefix}_splus.csv", split.splus)
     write_matrix_csv(f"{prefix}_sminus.csv", split.sminus)
     write_matrix_csv(f"{prefix}_D.csv", D)
-    profile = exit_profile(split, lam)
-    transient, abscissa = check_transience(split, lam)
     with open(f"{prefix}_exit_profile.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("state,d,q_plus,q_minus,q_bar_original\n")
         for i in range(split.p):
@@ -346,6 +362,6 @@ def write_split_outputs(prefix, split: SignSplit, lam: float, D: np.ndarray):
     with open(f"{prefix}_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("key,value\n")
         fh.write(f"lambda0,{_fmt(split.lambda0)}\n")
-        fh.write(f"lambda,{_fmt(lam)}\n")
-        fh.write(f"transient,{str(bool(transient)).lower()}\n")
-        fh.write(f"doubled_abscissa,{_fmt(abscissa)}\n")
+        fh.write(f"lambda,{_fmt(run_plan.lam)}\n")
+        fh.write(f"transient,{str(run_plan.transient).lower()}\n")
+        fh.write(f"doubled_abscissa,{_fmt(run_plan.abscissa)}\n")

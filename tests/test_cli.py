@@ -102,6 +102,14 @@ class TestConfig:
             with pytest.raises(ParseError):
                 config_from_dict(raw)
 
+    @pytest.mark.parametrize("grid", [[1, 2], "0:4:40", None])
+    def test_non_object_grid_is_named(self, grid):
+        with pytest.raises(ParseError) as err:
+            config_from_dict({"grid": grid})
+        assert str(err.value) == (
+            'config: grid must be an object with "x_min", "x_max" and "n_bins" fields'
+        )
+
     def test_integral_floats_accepted(self):
         cfg = config_from_dict(
             {"n_paths": 1e6, "seed": 7.0, "grid": {"x_min": 0, "x_max": 2, "n_bins": 4.0}}
@@ -509,6 +517,24 @@ class TestResolventSolves:
         assert code == 0
         assert len(calls) == 2
 
+    def test_expect_solves_twice(self, tmp_path, capsys, monkeypatch):
+        # one solve validates the model, one gives the exact value
+        from mejump import linalg
+
+        model = pathlib.Path(__file__).parents[1] / "models" / "reference.json"
+        cfg = tmp_path / "cfg.json"  # the ref-expect-2w benchmark config at seed 42
+        cfg.write_text(
+            '{"lambda": 3.0, "h": {"type": "exp-decay", "c": 2.0}, "n_paths": 1000000, '
+            '"chunk": 65536, "workers": 2, "seed": 42}'
+        )
+        calls = []
+        solve = linalg.solve_linear
+        monkeypatch.setattr(linalg, "solve_linear", lambda A, b: calls.append(1) or solve(A, b))
+        code, out, _ = run_cli(["expect", model, "--config", cfg], capsys)
+        assert code == 0
+        assert "analytic value: 0.42222222222222" in out  # 19/45
+        assert len(calls) == 2
+
 
 #: Runs ``mejump`` with argv[2:]; if argv[1] is a list of exit times, the
 #: simulation returns hand-built paths with those times in place of simulating.
@@ -586,6 +612,11 @@ class TestExpectCommand:
         write_model(MEParams(np.array([1.0]), np.array([[0.5]]), np.array([1.0])), unstable)
         code, _, err = run_cli(["expect", unstable, "--config", cfg], capsys)
         assert code == 2 and "dominant eigenvalue" in err
+        # a rate below lambda_0 = 2 is refused (exit 3) before the integrand is looked at
+        cfg.write_text('{"lambda": 1.5, "n_paths": 1000, "h": {"type": "exp-decay", "c": -2}}')
+        code, out, err = run_cli(["expect", model_file, "--config", cfg], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: tilting rate 1.5 is below lambda_0 = 2")
 
     def test_overflowing_weight_is_one_error_line(self, model_file, tmp_path):
         # e^{(2 - 0) tau} overflows at tau = 1000; a convergent h cannot get
