@@ -27,17 +27,21 @@ throughout.
 
 One sampler, ``_draw_targets``, makes every categorical draw: a path's first
 state from a one-row table of the initial law, and each jump's target from
-the row of the state it leaves.  It uses branchless bisection, so a jump
-costs ``O(log p)`` whatever the width ``W = 2p + 3`` of the target table.
-``JumpChain`` pads every cumulative row to ``P2 = 2**shift`` columns, the
-smallest power of two above ``W``, with ``+inf`` and stores the rows flat.
-Bisection then finds the number of entries ``<= u`` in ``log2(P2)`` vectorized
-gathers.  That count is the index a linear scan of the row would give, ties
-included, because a cumsum of non-negative weights is non-decreasing even
-after rounding, and the padding exceeds every uniform ``u < 1``.  So a
-stream yields the same paths under either method.  The clamp to a row's last
-positive target lives in the table too: the row is ``+inf`` from that column
-on, so a row sum rounded below 1 can never yield a zero-weight target.
+the row of the state it leaves.  It is an indexed search over a guide table
+(Chen & Asau 1974), so a jump costs three vectorized gathers whatever the
+width ``W = 2p + 3`` of the target rows.  ``_guide_table`` keeps, per row,
+the distinct cumulative values before the row's last positive target, so the
+ties that zero weights make collapse into one value.  With ``P2 = 2**shift``
+the smallest power of two above ``W``, each of ``G = 2 P2`` equal buckets of
+``[0, 1)`` stores how many distinct values lie at or below its left edge; one
+comparison with the bucket's next value completes the count, and an answer
+row maps it back to a target.  The result is the number of row entries
+``<= u`` clamped to the last positive target: the index a linear scan of the
+row would give, ties included, because a cumsum of non-negative weights is
+non-decreasing even after rounding.  So every stream yields the paths a linear
+scan would, and a row sum rounded below 1 can never yield a zero-weight
+target.  A bucket holding two or more distinct values is flagged in the
+guide; the few draws that land in one count their row's values by bisection.
 
 Each iteration of the chunk loop draws all its uniforms in one call, holding
 times first, then targets.  It finds the exiting paths once, as an index
@@ -99,46 +103,102 @@ def _cum_and_last(weights: np.ndarray):
     return cum, last.astype(np.int64)
 
 
-def _padded_table(cum: np.ndarray, last: np.ndarray):
-    """Rows of ``cum`` padded with ``+inf`` to ``2**shift`` columns, the
-    smallest power of two above the row width, flattened C-contiguous.
-    Returns ``(table, shift)``.
+@dataclass(frozen=True)
+class GuideTable:
+    """Indexed-search tables for categorical draws over the rows of ``cum``,
+    each clamped to its last positive target (see ``_guide_table``).
 
-    Each row is also ``+inf`` from its column ``last`` onwards.  The row
-    stays non-decreasing, so its count of entries ``<= u`` is the count of
-    ``cum`` clamped to ``last``: below ``last`` nothing changed, and at or
-    above it every entry before ``last`` is ``<= u`` and none after."""
+    Row ``r`` of ``values`` holds the distinct entries of ``cum[r, :last[r]]``
+    in increasing order, then ``+inf``, in ``2**shift`` slots; ``answer`` has
+    the same layout and maps ``k`` distinct values ``<= u`` to the target
+    ``min(count of cum[r] <= u, last[r])``.  ``guide`` has ``G + 2`` entries
+    per row, ``G = 2**(shift + 1)``: entry ``b <= G`` is the flat ``values``
+    index of the first distinct value above ``b / G``, or its bitwise
+    complement when the bucket ``(b / G, (b + 1) / G]`` holds two or more
+    distinct values (entry ``G``: two or more above 1); entry ``G + 1`` is
+    never read.
+    """
+
+    guide: np.ndarray
+    values: np.ndarray
+    answer: np.ndarray
+    shift: int
+
+
+def _guide_table(cum: np.ndarray, last: np.ndarray) -> GuideTable:
+    """Guide table over the distinct values of each row of ``cum`` before its
+    column ``last``.  A cumsum of non-negative weights is non-decreasing even
+    after rounding, so a value is new exactly when it differs from its left
+    neighbour, and ``min(count of cum <= u, last)`` is the column where the
+    first distinct value ``> u`` starts, or ``last`` when there is none."""
     rows, width = cum.shape
     shift = width.bit_length()
-    table = np.full((rows, 1 << shift), np.inf)
-    table[:, :width] = cum
-    table[np.arange(1 << shift) >= last[:, None]] = np.inf
-    return table.ravel(), shift
+    n_buckets = 2 << shift
+    new = np.arange(width) < last[:, None]
+    new[:, 1:] &= cum[:, 1:] != cum[:, :-1]
+    at = np.flatnonzero(new)
+    row, col = np.divmod(at, width)
+    value = cum.ravel().take(at)
+    # distinct values before each row, so row r holds start[r + 1] - start[r]
+    start = np.searchsorted(row, np.arange(rows + 1))
+    flat = np.arange(at.size) + ((row << shift) - start.take(row))
+    values = np.full(rows << shift, np.inf)
+    values[flat] = value
+    answer = np.repeat(last, 1 << shift)
+    answer[flat] = col
+    # a value d is <= b / G exactly when b >= ceil(d G), and d G is exact;
+    # every value above 1 goes to column G + 1, counted by no bucket
+    stride = n_buckets + 2
+    key = row * stride + np.minimum(np.ceil(value * n_buckets), n_buckets + 1).astype(np.int64)
+    # keys are sorted, so two values in one bucket are neighbours
+    crowd = key[1:][key[1:] == key[:-1]] - 1
+    guide = np.bincount(key, minlength=rows * stride)
+    # one running sum over all rows: lifting each row's column 0 by what it
+    # takes to reach r * 2**shift starts row r's counts at its values row
+    guide[stride::stride] += (1 << shift) - np.diff(start)[:-1]
+    np.cumsum(guide, out=guide)
+    guide[crowd] = ~guide[crowd]
+    return GuideTable(guide, values, answer, shift)
 
 
-def _draw_targets(table, shift, state, u):
-    """Target index of each jump from ``state`` with uniform ``u``: the count
-    of row entries ``<= u`` in the padded rows of ``_padded_table``, hence
-    never past the row's last positive target.
+def _draw_targets(table: GuideTable, state, u):
+    """Target index of each jump from ``state`` with uniform ``u`` in
+    ``[0, 1 + 1/G)``: the count of entries ``<= u`` in the row of ``cum``,
+    clamped to the row's last positive target.
 
-    Branchless bisection: each of the ``shift`` steps adds ``step`` to the
-    offset exactly when the entry just before ``offset + step`` is ``<= u``.
+    Bucket ``b = floor(u G)`` holds ``u`` in ``[b / G, (b + 1) / G)``, and
+    ``u >= 1`` has bucket ``G`` of its own; ``G`` is a power of two, so
+    ``u G`` is exact.  The guide gives the distinct values ``<= b / G``, one
+    comparison adds the bucket's own value if it is ``<= u``, and ``answer``
+    maps that count to the target: three gathers.  Draws into a crowded
+    bucket count their row's distinct values by branchless bisection in
+    ``shift`` more gathers, each step adding ``step`` to the offset exactly
+    when the value just before ``offset + step`` is ``<= u``.
     """
-    pos = state << shift
-    step = 1 << (shift - 1)
-    while step:
-        pos += step * (table.take(pos + (step - 1)) <= u)
-        step >>= 1
-    pos &= (1 << shift) - 1
-    return pos
+    buckets = 2 << table.shift
+    index = (u * buckets).astype(np.int64)
+    index += state * (buckets + 2)
+    pos = table.guide.take(index)
+    crowd = np.flatnonzero(pos < 0)
+    # a complemented entry is a valid negative index; its draw is redone below
+    pos += table.values.take(pos) <= u
+    if crowd.size:
+        fix = state.take(crowd) << table.shift
+        v = u.take(crowd)
+        step = 1 << (table.shift - 1)
+        while step:
+            fix += step * (table.values.take(fix + (step - 1)) <= v)
+            step >>= 1
+        pos[crowd] = fix
+    return table.answer.take(pos)
 
 
 class JumpChain:
     """Compiled jump tables for one (split, lam) pair.
 
     Admits ``lam`` through ``splitting.admit_rate``, then holds the
-    per-state exit rates and the padded cumulative target table (see
-    ``_padded_table``) that ``simulate_batch`` samples from.
+    per-state exit rates and the guide table over the cumulative target rows
+    (see ``_guide_table``) that ``simulate_batch`` samples from.
     """
 
     def __init__(self, split: SignSplit, lam: float):
@@ -157,7 +217,7 @@ class JumpChain:
         weights[:, 2 * p] = gen.abs_o
         weights[:, 2 * p + 1] = gen.abs_a
         weights[:, 2 * p + 2] = gen.term
-        self.table, self.shift = _padded_table(*_cum_and_last(weights))
+        self.table = _guide_table(*_cum_and_last(weights))
 
 
 @dataclass
@@ -204,7 +264,7 @@ def _simulate_chunk(chain, first, alive, rng, columns, collect_trace):
     """
     tau, pre_exit, landing, n_jumps = columns
     two_p = 2 * chain.p
-    state = _draw_targets(*first, np.zeros(alive.size, dtype=np.int64), rng.random(alive.size))
+    state = _draw_targets(first, np.zeros(alive.size, dtype=np.int64), rng.random(alive.size))
     t = np.zeros(alive.size)
     trace_parts = []
 
@@ -220,7 +280,7 @@ def _simulate_chunk(chain, first, alive, rng, columns, collect_trace):
         np.negative(dt, out=dt)
         dt /= chain.rate.take(state)
         t_new = t + dt
-        nxt = _draw_targets(chain.table, chain.shift, state, u2)
+        nxt = _draw_targets(chain.table, state, u2)
         if collect_trace:
             # every array here is rebound, never written, by later iterations
             trace_parts.append((alive, t_new, state, nxt))
@@ -268,7 +328,7 @@ def simulate_batch(
         raise ValueError("chunk must be positive")
     chain = JumpChain(split, lam)
     init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
-    first = _padded_table(*_cum_and_last(init_weights[None, :]))
+    first = _guide_table(*_cum_and_last(init_weights[None, :]))
     columns = (
         np.empty(n_paths),
         np.empty(n_paths, dtype=np.int32),

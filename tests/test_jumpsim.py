@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mejump import jumpsim, linalg, splitting
 from mejump.errors import NotTransientError
 from mejump.jumpsim import JumpChain, RngStream, code_label, simulate_batch
-from mejump.models import random_me_model
+from mejump.models import exponential_model, random_me_model
 from conftest import decoupled_rotator
 
 
@@ -121,7 +122,7 @@ class TestSimulatePath:
 
 
 class TestDrawTargets:
-    """The bisection draw equals the count of row entries ``<= u``, clamped
+    """The guide-table draw equals the count of row entries ``<= u``, clamped
     to the last positive target, which is the index a linear scan gives."""
 
     @staticmethod
@@ -138,45 +139,79 @@ class TestDrawTargets:
         return weights
 
     @staticmethod
-    def assert_padded(table, shift, cum, last):
-        """Each padded row is ``cum`` before its column ``last``, ``+inf`` from
-        there on, and non-decreasing."""
-        rows = table.reshape(cum.shape[0], 1 << shift)
-        clamped = np.arange(1 << shift) >= last[:, None]
-        assert np.all(np.isinf(rows[clamped]))
-        width = cum.shape[1]
-        assert np.array_equal(rows[:, :width][~clamped[:, :width]], cum[~clamped[:, :width]])
-        # np.diff would give nan on inf - inf, so compare neighbours directly
-        assert np.all(rows[:, 1:] >= rows[:, :-1])
+    def uniforms(rng, cum, state, shift):
+        """Uniforms for draws from ``state``: a quarter random, a quarter tied
+        with a stored cumsum (zero weights make repeats among them), a
+        quarter on a bucket edge ``b / G`` and a quarter one ulp below one,
+        led by 0, 1 - ulp, 1 and 1 + ulp."""
+        n_buckets = 2 << shift
+        u = rng.random(state.size)
+        kind = rng.integers(0, 4, state.size)
+        tie = kind == 1
+        u[tie] = cum[state[tie], rng.integers(0, cum.shape[1], tie.sum())]
+        edge = kind >= 2
+        u[edge] = rng.integers(0, n_buckets + 1, edge.sum()) / n_buckets
+        below = (kind == 3) & (u > 0.0)
+        u[below] = np.nextafter(u[below], 0.0)
+        u[:4] = (0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))
+        return u
+
+    @staticmethod
+    def clamped_count(cum, last, state, u):
+        return np.minimum((cum[state] <= u[:, None]).sum(axis=1), last[state])
+
+    @staticmethod
+    def assert_guide(table, cum, last, every=1):
+        """On every ``every``-th row ``r``: row ``r`` of ``values`` is the
+        distinct entries of ``cum[r, :last[r]]``, then ``+inf``, and
+        ``answer`` maps ``k`` of them to the column where the next starts, or
+        ``last[r]``.  Guide entry ``b`` is the flat index of the first value
+        above ``b / G``, complemented exactly when two or more lie in
+        ``(b / G, (b + 1) / G]`` (above 1 for ``b = G``)."""
+        rows, width = cum.shape
+        slots = 1 << table.shift
+        assert slots > width >= slots // 2
+        n_buckets = 2 << table.shift
+        assert table.values.size == table.answer.size == rows * slots
+        assert table.guide.size == rows * (n_buckets + 2)
+        values = table.values.reshape(rows, slots)
+        answer = table.answer.reshape(rows, slots)
+        guide = table.guide.reshape(rows, n_buckets + 2)[:, : n_buckets + 1]
+        edges = np.arange(n_buckets + 1) / n_buckets
+        for r in range(0, rows, every):
+            live = cum[r, : last[r]]
+            distinct = np.unique(live)
+            m = distinct.size
+            assert np.array_equal(values[r, :m], distinct)
+            assert np.all(np.isinf(values[r, m:]))
+            starts = np.searchsorted(live, distinct, side="left")
+            assert np.array_equal(answer[r, : m + 1], np.append(starts, last[r]))
+            lo = np.searchsorted(distinct, edges, side="right")
+            crowded = np.diff(np.append(lo, m)) >= 2
+            want = np.where(crowded, ~(r * slots + lo), r * slots + lo)
+            assert np.array_equal(guide[r], want)
 
     @pytest.mark.parametrize("p", [1, 2, 62, 63, 64])
     def test_equals_clamped_count(self, p):
         width = 2 * p + 3
         rng = np.random.default_rng(width)
         cum, last = jumpsim._cum_and_last(self.weight_rows(rng, 4000, width))
-        table, shift = jumpsim._padded_table(cum, last)
-        assert (1 << shift) > width >= (1 << (shift - 1))
-        assert table.flags.c_contiguous and table.size == cum.shape[0] << shift
-        self.assert_padded(table, shift, cum, last)
+        table = jumpsim._guide_table(cum, last)
+        self.assert_guide(table, cum, last, every=16)
         # the row ends under test: rounded just above 1, just below, exactly 1
         assert (cum[:, -1] > 1.0).any() and (cum[:, -1] < 1.0).any()
         assert (cum[:, -1] == 1.0).any()
         assert (last < width - 1).any()
 
         state = rng.integers(0, cum.shape[0], 60_000)
-        u = rng.random(state.size)
-        # ties: u equal to a stored cumsum, among them repeats from zero weights
-        tie = rng.random(state.size) < 0.5
-        u[tie] = cum[state[tie], rng.integers(0, width, tie.sum())]
-        u[:4] = (0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))
+        u = self.uniforms(rng, cum, state, table.shift)
         # rows ending just under 1 receive the uniforms past their end
         short = np.flatnonzero(cum[:, -1] < 1.0)
         state[-short.size :] = short
         u[-short.size :] = np.nextafter(1.0, 0.0)
 
-        got = jumpsim._draw_targets(table, shift, state, u)
-        want = np.minimum((cum[state] <= u[:, None]).sum(axis=1), last[state])
-        assert np.array_equal(got, want)
+        got = jumpsim._draw_targets(table, state, u)
+        assert np.array_equal(got, self.clamped_count(cum, last, state, u))
         # and every drawn target has positive weight: a rise in its row
         before = np.where(got > 0, cum[state, got - 1], 0.0)
         assert np.all(cum[state, got] > before)
@@ -188,26 +223,96 @@ class TestDrawTargets:
         init = splitting.initial_split(alpha)
         init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
         cum, last = jumpsim._cum_and_last(init_weights[None, :])
-        table, shift = jumpsim._padded_table(cum, last)
-        self.assert_padded(table, shift, cum, last)
-        tie = rng.random(u.size) < 0.5
-        u[tie] = cum[0, rng.integers(0, 2 * p, tie.sum())]
-        got = jumpsim._draw_targets(table, shift, np.zeros(u.size, dtype=np.int64), u)
+        table = jumpsim._guide_table(cum, last)
+        self.assert_guide(table, cum, last)
+        state = np.zeros(u.size, dtype=np.int64)
+        u = self.uniforms(rng, cum, state, table.shift)
+        got = jumpsim._draw_targets(table, state, u)
         want = np.minimum(np.searchsorted(cum[0], u, side="right"), last[0])
         assert np.array_equal(got, want)
 
+    def test_crowded_buckets(self):
+        # row 0: the cumsums 1/2 -+ 7.5e-10 and -+ 2.5e-10 put two distinct
+        # values in each of the buckets (7/16, 8/16] and (8/16, 9/16].  Row 1,
+        # written by hand: 1 + ulp and 1 + 2 ulp share the bucket of u >= 1
+        ulp = np.spacing(1.0)
+        cum0, last0 = jumpsim._cum_and_last(np.array([[1.0, 1e-9, 1e-9, 1e-9, 1.0, 0.0]]))
+        cum = np.vstack([cum0, [0.25, 1.0, 1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 3 * ulp, 1.0 + 3 * ulp]])
+        last = np.array([last0[0], 4])
+        table = jumpsim._guide_table(cum, last)
+        assert table.shift == 3  # 8 slots, 16 buckets
+        self.assert_guide(table, cum, last)
+        guide = table.guide.reshape(2, 18)
+        assert guide[0, 7] < 0 and guide[0, 8] < 0 and guide[1, 16] < 0
+        assert np.count_nonzero(guide[:, :17] < 0) == 3
+
+        rng = np.random.default_rng(5)
+        row0 = cum[0, :4]
+        u0 = np.concatenate([
+            row0, np.nextafter(row0, 0.0), np.nextafter(row0, 1.0),
+            [7 / 16, 8 / 16, 9 / 16, np.nextafter(8 / 16, 0.0), np.nextafter(9 / 16, 0.0)],
+            rng.uniform(0.5 - 1e-9, 0.5 + 1e-9, 500), rng.uniform(7 / 16, 9 / 16, 500),
+        ])
+        u1 = np.array([np.nextafter(1.0, 0.0), 1.0, 1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 3 * ulp])
+        state = np.repeat([0, 1], [u0.size, u1.size])
+        u = np.concatenate([u0, u1])
+        got = jumpsim._draw_targets(table, state, u)
+        assert np.array_equal(got, self.clamped_count(cum, last, state, u))
+        assert np.array_equal(got[-5:], [1, 2, 3, 4, 4])
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        p=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        step=st.sampled_from([0.0, 1.0]),
+    )
+    def test_random_models(self, p, seed, step):
+        # the compiled chain's rows and the initial law's row, at lambda_0 (or
+        # the "auto" step above it) and one above
+        rng = np.random.default_rng(seed)
+        if p == 1:
+            m = exponential_model(float(rng.uniform(0.05, 3.0)))
+        else:
+            m = random_me_model(p, rng)
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto") + step
+        gen = splitting.build_generator(split, lam)
+        weights = np.column_stack([np.maximum(gen.D, 0.0), gen.abs_o, gen.abs_a, gen.term])
+        cum, last = jumpsim._cum_and_last(weights)
+        table = JumpChain(split, lam).table
+        self.assert_guide(table, cum, last)
+        state = np.repeat(np.arange(2 * p), 250)
+        u = self.uniforms(rng, cum, state, table.shift)
+        got = jumpsim._draw_targets(table, state, u)
+        assert np.array_equal(got, self.clamped_count(cum, last, state, u))
+
+        init = splitting.initial_split(m.alpha)
+        init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
+        cum, last = jumpsim._cum_and_last(init_weights[None, :])
+        table = jumpsim._guide_table(cum, last)
+        self.assert_guide(table, cum, last)
+        state = np.zeros(500, dtype=np.int64)
+        u = self.uniforms(rng, cum, state, table.shift)
+        got = jumpsim._draw_targets(table, state, u)
+        assert np.array_equal(got, self.clamped_count(cum, last, state, u))
+
     def test_chain_table(self, ref_split):
-        chain = JumpChain(ref_split, 2.0)
-        assert chain.shift == 4  # width 9 padded to 16
-        rows = chain.table.reshape(6, 16)
+        table = JumpChain(ref_split, 2.0).table
+        assert table.shift == 4  # width 9 in 16 slots, 32 buckets
+        assert table.guide.size == 6 * 34
         # at rate 2, o0 and a0 have no termination defect, so their last
         # positive targets are the absorbing columns 6 and 7; every other
-        # row's is column 8, termination
+        # row's is column 8, termination.  The answer after a row's last
+        # distinct value is that target, and so is every draw at u >= 1
         ends = np.array([6, 8, 8, 7, 8, 8])
-        cols = np.arange(16)
-        assert np.all(np.isfinite(rows[cols < ends[:, None]]))
-        assert np.all(np.isinf(rows[cols >= ends[:, None]]))
-        assert np.all(rows[:, 1:] >= rows[:, :-1])
+        values = table.values.reshape(6, 16)
+        n_distinct = np.isfinite(values).sum(axis=1)
+        assert np.array_equal(table.answer.reshape(6, 16)[np.arange(6), n_distinct], ends)
+        for u in (1.0, np.nextafter(1.0, 2.0)):
+            got = jumpsim._draw_targets(table, np.arange(6), np.full(6, u))
+            assert np.array_equal(got, ends)
+        # no bucket of the reference chain holds two distinct values
+        assert np.all(table.guide >= 0)
 
 
 class TestSimulateBatch:
