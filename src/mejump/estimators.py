@@ -231,7 +231,10 @@ class HSpec:
         """``h(tau) e^{lam tau}`` evaluated without intermediate overflow; an
         overflowing weight is ``inf``, which the estimator rejects."""
         with np.errstate(over="ignore"):
-            return tau**self.degree * np.exp((lam - self.c) * tau)
+            weight = np.exp((lam - self.c) * tau)
+            if self.degree:
+                weight = tau**self.degree * weight
+            return weight
 
     def analytic_expectation(self, params: MEParams) -> float:
         """Exact ``integral of h(x) f(x) dx`` through repeated resolvent solves."""
@@ -306,13 +309,15 @@ def mc_expectation_untilted(
     max_abs = 0.0
     for tau, sign in _signed_chunks(batch, profile):
         weight = h.tilted_weight(tau, lam)
-        if not np.all(np.isfinite(weight)):
+        # weights are >= 0 or NaN, and the maximum carries either NaN or inf
+        top = float(np.max(weight))
+        if not math.isfinite(top):
             raise ValueError("h(tau) e^{lam tau} is non-finite for some path")
+        max_abs = max(max_abs, top)
         signed = weight * sign
         with np.errstate(over="ignore"):
             sum_v += float(np.sum(signed))
             sum_v2 += float(np.sum(signed**2))
-        max_abs = max(max_abs, float(np.max(np.abs(weight))))
     # a finite sum of squares bounds n mean^2, so nothing below overflows
     if not math.isfinite(sum_v2):
         raise ValueError("h(tau) e^{lam tau} is too large: the sum of its squares overflows")

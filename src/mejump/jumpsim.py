@@ -41,18 +41,27 @@ row would give, ties included, because a cumsum of non-negative weights is
 non-decreasing even after rounding.  So every stream yields the paths a linear
 scan would, and a row sum rounded below 1 can never yield a zero-weight
 target.  A bucket holding two or more distinct values is flagged in the
-guide; the few draws that land in one count their row's values by bisection.
+guide; the few draws that land in one count the values of that bucket alone,
+by a bisection over a window as wide as the widest bucket.
 
 Each iteration of the chunk loop draws all its uniforms in one call, holding
 times first, then targets.  It finds the exiting paths once, as an index
 list, and both writes their outcomes and compacts the survivors by gathering
 through index lists, which costs far less than boolean-mask indexing with
 scattered ``True``s.
+
+Each worker runs its chunks in one ``_Arena``: chunk-sized arrays allocated
+once per ``simulate_batch`` call, which every iteration of every chunk writes
+its intermediates into (``out=`` arguments, and ``take(..., mode="wrap")``,
+since ``take`` copies through a hidden buffer under the default
+``mode="raise"``).  Only the index lists of exiting and surviving paths and
+the arrays of crowded draws are allocated per iteration, so a fresh process
+does not fault a chunk's temporaries back in on every iteration.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,20 +118,24 @@ class GuideTable:
     each clamped to its last positive target (see ``_guide_table``).
 
     Row ``r`` of ``values`` holds the distinct entries of ``cum[r, :last[r]]``
-    in increasing order, then ``+inf``, in ``2**shift`` slots; ``answer`` has
-    the same layout and maps ``k`` distinct values ``<= u`` to the target
+    in increasing order, then ``+inf``, in ``S`` slots; ``answer`` has the
+    same layout and maps ``k`` distinct values ``<= u`` to the target
     ``min(count of cum[r] <= u, last[r])``.  ``guide`` has ``G + 2`` entries
-    per row, ``G = 2**(shift + 1)``: entry ``b <= G`` is the flat ``values``
-    index of the first distinct value above ``b / G``, or its bitwise
-    complement when the bucket ``(b / G, (b + 1) / G]`` holds two or more
-    distinct values (entry ``G``: two or more above 1); entry ``G + 1`` is
-    never read.
+    per row, ``G = 2**(shift + 1)`` with ``2**shift`` the smallest power of
+    two above the row width: entry ``b <= G`` is the flat ``values`` index of
+    the first distinct value above ``b / G``, or its bitwise complement when
+    the bucket ``(b / G, (b + 1) / G]`` holds two or more distinct values
+    (entry ``G``: two or more above 1); entry ``G + 1`` is never read.  No
+    bucket holds more than ``2**window_bits - 1`` values, and ``S`` is the
+    most distinct values of a row plus ``2**window_bits``, so a window of
+    ``2**window_bits - 1`` slots from any value ends inside its row.
     """
 
     guide: np.ndarray
     values: np.ndarray
     answer: np.ndarray
     shift: int
+    window_bits: int
 
 
 def _guide_table(cum: np.ndarray, last: np.ndarray) -> GuideTable:
@@ -139,13 +152,9 @@ def _guide_table(cum: np.ndarray, last: np.ndarray) -> GuideTable:
     at = np.flatnonzero(new)
     row, col = np.divmod(at, width)
     value = cum.ravel().take(at)
-    # distinct values before each row, so row r holds start[r + 1] - start[r]
+    # distinct values before each row, so row r holds count[r]
     start = np.searchsorted(row, np.arange(rows + 1))
-    flat = np.arange(at.size) + ((row << shift) - start.take(row))
-    values = np.full(rows << shift, np.inf)
-    values[flat] = value
-    answer = np.repeat(last, 1 << shift)
-    answer[flat] = col
+    count = np.diff(start)
     # a value d is <= b / G exactly when b >= ceil(d G), and d G is exact;
     # every value above 1 goes to column G + 1, counted by no bucket
     stride = n_buckets + 2
@@ -153,52 +162,66 @@ def _guide_table(cum: np.ndarray, last: np.ndarray) -> GuideTable:
     # keys are sorted, so two values in one bucket are neighbours
     crowd = key[1:][key[1:] == key[:-1]] - 1
     guide = np.bincount(key, minlength=rows * stride)
+    window_bits = int(guide.max()).bit_length()
+    slots = int(count.max()) + (1 << window_bits)
+    flat = np.arange(at.size) + (row * slots - start.take(row))
+    values = np.full(rows * slots, np.inf)
+    values[flat] = value
+    answer = np.repeat(last, slots)
+    answer[flat] = col
     # one running sum over all rows: lifting each row's column 0 by what it
-    # takes to reach r * 2**shift starts row r's counts at its values row
-    guide[stride::stride] += (1 << shift) - np.diff(start)[:-1]
+    # takes to reach r * slots starts row r's counts at its values row
+    guide[stride::stride] += slots - count[:-1]
     np.cumsum(guide, out=guide)
     guide[crowd] = ~guide[crowd]
-    return GuideTable(guide, values, answer, shift)
+    return GuideTable(guide, values, answer, shift, window_bits)
 
 
-def _draw_targets(table: GuideTable, state, u):
+def _draw_targets(table: GuideTable, state, u, out, arena):
     """Target index of each jump from ``state`` with uniform ``u`` in
     ``[0, 1 + 1/G)``: the count of entries ``<= u`` in the row of ``cum``,
-    clamped to the row's last positive target.
+    clamped to the row's last positive target.  Writes the targets into
+    ``out``, an int64 array of ``state``'s size apart from ``state`` and
+    from ``arena``'s scratch arrays (``floats``, ``ints``, ``mask``), which
+    it overwrites, and returns ``out``.
 
     Bucket ``b = floor(u G)`` holds ``u`` in ``[b / G, (b + 1) / G)``, and
     ``u >= 1`` has bucket ``G`` of its own; ``G`` is a power of two, so
     ``u G`` is exact.  The guide gives the distinct values ``<= b / G``, one
     comparison adds the bucket's own value if it is ``<= u``, and ``answer``
-    maps that count to the target: three gathers.  Draws into a crowded
-    bucket count their row's distinct values by branchless bisection in
-    ``shift`` more gathers, each step adding ``step`` to the offset exactly
-    when the value just before ``offset + step`` is ``<= u``.
+    maps that count to the target: three gathers.  A draw into a crowded
+    bucket counts the bucket's values from the first, by branchless
+    bisection over ``window_bits`` more gathers, each step adding ``step``
+    to the offset exactly when the value just before ``offset + step`` is
+    ``<= u``; the window's values past the bucket's are above ``u``.
     """
+    k = state.size
+    ints, floats, mask = arena.ints[:k], arena.floats[:k], arena.mask[:k]
     buckets = 2 << table.shift
-    index = (u * buckets).astype(np.int64)
-    index += state * (buckets + 2)
-    pos = table.guide.take(index)
-    crowd = np.flatnonzero(pos < 0)
+    np.multiply(u, buckets, out=out, casting="unsafe")
+    out += np.multiply(state, buckets + 2, out=ints)
+    pos = table.guide.take(out, out=ints, mode="wrap")
+    crowd = np.flatnonzero(np.less(pos, 0, out=mask))
+    fix = ~pos.take(crowd)
     # a complemented entry is a valid negative index; its draw is redone below
-    pos += table.values.take(pos) <= u
+    pos += np.less_equal(table.values.take(pos, out=floats, mode="wrap"), u, out=mask)
     if crowd.size:
-        fix = state.take(crowd) << table.shift
         v = u.take(crowd)
-        step = 1 << (table.shift - 1)
+        step = 1 << (table.window_bits - 1)
         while step:
             fix += step * (table.values.take(fix + (step - 1)) <= v)
             step >>= 1
         pos[crowd] = fix
-    return table.answer.take(pos)
+    return table.answer.take(pos, out=out, mode="wrap")
 
 
 class JumpChain:
     """Compiled jump tables for one (split, lam) pair.
 
     Admits ``lam`` through ``splitting.admit_rate``, then holds the
-    per-state exit rates and the guide table over the cumulative target rows
-    (see ``_guide_table``) that ``simulate_batch`` samples from.
+    per-state exit rates, negated (the diagonal of the doubled block), and
+    the guide table over the cumulative target rows (see ``_guide_table``)
+    that ``simulate_batch`` samples from.
     """
 
     def __init__(self, split: SignSplit, lam: float):
@@ -207,10 +230,10 @@ class JumpChain:
         p = split.p
         self.p = p
         self.lam = lam
-        self.rate = -np.diag(gen.D).copy()
+        self.neg_rate = np.diag(gen.D).copy()
         # transience rules out a transient state that is never left
-        if not np.all(self.rate > 0.0):
-            stuck = code_label(int(np.argmin(self.rate)), p)
+        if not np.all(self.neg_rate < 0.0):
+            stuck = code_label(int(np.argmax(self.neg_rate)), p)
             raise NotTransientError(f"state {stuck} has zero total exit rate at rate {lam:g}")
         weights = np.zeros((2 * p, 2 * p + 3))
         weights[:, : 2 * p] = np.maximum(gen.D, 0.0)  # off-diagonal jump rates
@@ -250,10 +273,28 @@ class PathBatch:
         return [slice(lo, min(lo + self.chunk, n)) for lo in range(0, n, self.chunk)]
 
 
-def _simulate_chunk(chain, first, alive, rng, columns, collect_trace):
-    """Vectorized embedded-chain simulation, on one stream, of the paths whose
-    global indices are ``alive``; each path's outcome is written at its index
-    in ``columns`` = ``(tau, pre_exit, landing, n_jumps)``.
+class _Arena:
+    """One worker's chunk-sized buffers, reused by every chunk it runs:
+    the uniforms (``2 n``), which double as the holding and exit times; one
+    float, one int64 and one bool scratch array; the running times; two
+    int64 state buffers (the state, and the next) and two int64 path-index
+    buffers (the alive paths, and their compaction)."""
+
+    def __init__(self, n: int):
+        self.uniforms = np.empty(2 * n)
+        self.floats = np.empty(n)
+        self.ints = np.empty(n, dtype=np.int64)
+        self.mask = np.empty(n, dtype=bool)
+        self.times = np.empty(n)
+        self.states = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+        self.paths = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+
+
+def _simulate_chunk(chain, first, lo, hi, rng, columns, arena, collect_trace):
+    """Vectorized embedded-chain simulation, on one stream, of the paths
+    ``lo..hi-1``; each path's outcome is written at its index in
+    ``columns`` = ``(tau, pre_exit, landing, n_jumps)``.  Every intermediate
+    of at most ``hi - lo`` items lives in ``arena``.
 
     The first state is drawn from ``first``, the one-row table of the initial
     law, and every jump's target from the chain's rows, both by
@@ -264,42 +305,56 @@ def _simulate_chunk(chain, first, alive, rng, columns, collect_trace):
     """
     tau, pre_exit, landing, n_jumps = columns
     two_p = 2 * chain.p
-    state = _draw_targets(first, np.zeros(alive.size, dtype=np.int64), rng.random(alive.size))
-    t = np.zeros(alive.size)
+    k = hi - lo
+    state_buf, next_buf = arena.states
+    path_buf, spare_buf = arena.paths
+    alive = path_buf[:k]
+    alive.fill(1)
+    alive[0] = lo
+    np.cumsum(alive, out=alive)  # lo, lo + 1, ..., hi - 1
+    origin = next_buf[:k]
+    origin.fill(0)
+    state = _draw_targets(first, origin, rng.random(out=arena.uniforms[:k]), state_buf[:k], arena)
+    t = arena.times[:k]
+    t.fill(0.0)
     trace_parts = []
 
     iteration = 0
-    while alive.size:
-        k = alive.size
+    while k:
+        iteration += 1
         # one call yields the holding-time uniforms, then the target uniforms,
         # in the order two calls of k would, so every stream is unchanged
-        u = rng.random(2 * k)
-        dt, u2 = u[:k], u[k:]
-        np.negative(dt, out=dt)
-        np.log1p(dt, out=dt)
-        np.negative(dt, out=dt)
-        dt /= chain.rate.take(state)
-        t_new = t + dt
-        nxt = _draw_targets(chain.table, state, u2)
+        u = rng.random(out=arena.uniforms[: 2 * k])
+        t_new, u2 = u[:k], u[k:]
+        # the holding time log1p(-u) / -rate, then the exit time t + dt
+        np.negative(t_new, out=t_new)
+        np.log1p(t_new, out=t_new)
+        t_new /= chain.neg_rate.take(state, out=arena.floats[:k], mode="wrap")
+        t_new += t
+        nxt = _draw_targets(chain.table, state, u2, next_buf[:k], arena)
         if collect_trace:
-            # every array here is rebound, never written, by later iterations
-            trace_parts.append((alive, t_new, state, nxt))
-        iteration += 1
-        exited = nxt >= two_p
-        out = np.flatnonzero(exited)
-        if out.size:
-            done = alive.take(out)
-            tau[done] = t_new.take(out)
-            pre_exit[done] = state.take(out)
-            landing[done] = nxt.take(out) - two_p
+            # the arena's buffers are overwritten by the next iteration
+            trace_parts.append((alive.copy(), t_new.copy(), state.copy(), nxt.copy()))
+        gone = np.flatnonzero(np.greater_equal(nxt, two_p, out=arena.mask[:k]))
+        if gone.size:
+            m = gone.size
+            done = alive.take(gone, out=arena.ints[:m], mode="wrap")
+            tau[done] = t_new.take(gone, out=arena.floats[:m], mode="wrap")
+            codes = spare_buf[:m]
+            pre_exit[done] = state.take(gone, out=codes, mode="wrap")
+            landing[done] = np.subtract(nxt.take(gone, out=codes, mode="wrap"), two_p, out=codes)
             n_jumps[done] = iteration
-            keep = np.flatnonzero(~exited)
-            alive = alive.take(keep)
-            state = nxt.take(keep)
-            t = t_new.take(keep)
+            del gone  # so the two index lists are never held at once
+            keep = np.flatnonzero(np.less(nxt, two_p, out=arena.mask[:k]))
+            k = keep.size
+            alive = alive.take(keep, out=spare_buf[:k], mode="wrap")
+            path_buf, spare_buf = spare_buf, path_buf
+            state = nxt.take(keep, out=state_buf[:k], mode="wrap")
+            t = t_new.take(keep, out=arena.times[:k], mode="wrap")
         else:
             state = nxt
-            t = t_new
+            state_buf, next_buf = next_buf, state_buf
+            np.copyto(t, t_new)
     return trace_parts
 
 
@@ -320,7 +375,9 @@ def simulate_batch(
     ``(alphahat^+, alphahat^-)`` and every jump's target.  The output columns
     are allocated once and each chunk writes only its own slice of them, so
     results are bit-identical for fixed ``(seed, n_paths, chunk)`` whatever
-    the worker count.
+    the worker count.  Each of the ``min(workers, n_chunks)`` workers takes
+    the next chunk until none is left, and runs every chunk it takes in its
+    own ``_Arena`` of ``min(chunk, n_paths)`` paths.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -335,23 +392,39 @@ def simulate_batch(
         np.empty(n_paths, dtype=np.int8),
         np.empty(n_paths, dtype=np.int32),
     )
+    n_chunks = -(-n_paths // chunk)
+    chunks = iter(range(n_chunks))
+    lock = threading.Lock()
 
-    def run(lo):
-        rng = RngStream(seed, lo // chunk).generator()
-        paths = np.arange(lo, min(lo + chunk, n_paths), dtype=np.int64)
-        return _simulate_chunk(chain, first, paths, rng, columns, collect_trace)
+    def work():
+        arena = _Arena(min(chunk, n_paths))
+        parts = []
+        while True:
+            with lock:
+                index = next(chunks, None)
+            if index is None:
+                return parts
+            rng = RngStream(seed, index).generator()
+            lo = index * chunk
+            hi = min(lo + chunk, n_paths)
+            parts += _simulate_chunk(chain, first, lo, hi, rng, columns, arena, collect_trace)
 
-    starts = range(0, n_paths, chunk)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, starts))
+    n_workers = min(workers, n_chunks)
+    if n_workers > 1:
+        # deferred: concurrent.futures loads logging, which one worker never needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            futures = [pool.submit(work) for _ in range(n_workers)]
+            parts = [part for future in futures for part in future.result()]
     else:
-        parts = [run(lo) for lo in starts]
+        parts = work()
 
     trace = None
     if collect_trace:
-        rows = [part for chunk_parts in parts for part in chunk_parts]
-        path, times, frm, to = (np.concatenate(col) for col in zip(*rows))
+        # a path's rows all come from one chunk, in time order, so the
+        # order in which the workers ran the chunks cannot show here
+        path, times, frm, to = (np.concatenate(col) for col in zip(*parts))
         order = np.lexsort((times, path))
         trace = (path[order], times[order], frm[order], to[order])
 

@@ -1,8 +1,9 @@
 """Each ``mejump`` command imports only what it runs.
 
 No command loads scipy: the ``linalg`` kernel and criterion 4's quadrature are
-numpy.  The test modules load scipy themselves, so the commands run in a
-fresh interpreter.
+numpy.  A command that simulates on one worker loads no thread pool
+(``concurrent.futures`` brings in ``logging``).  The test modules load scipy
+themselves, so the commands run in a fresh interpreter.
 """
 
 import json
@@ -15,8 +16,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parents[1]
 
-#: Modules a command must not load; ``reproduce-example`` may load the acceptance checks.
-UNWANTED = ("scipy", "mejump.acceptance")
+#: Modules a command must not load.  ``reproduce-example`` loads the acceptance
+#: checks, and the thread pool for criterion 13's run of 2 chunks on 4 workers.
+UNWANTED = ("concurrent.futures", "scipy", "mejump.acceptance")
 
 #: Run in order in one interpreter; ``debug`` reads the trace ``estimate`` writes,
 #: and ``reproduce-example`` comes last, since it loads ``mejump.acceptance``.
@@ -71,4 +73,7 @@ def loaded(tmp_path_factory):
 def test_command_loads_no_quadrature_stack(loaded, command):
     code, found = loaded[command]
     assert code == 0
-    assert found == (["mejump.acceptance"] if command == "reproduce-example" else [])
+    if command == "reproduce-example":
+        assert found == ["concurrent.futures", "mejump.acceptance"]
+    else:
+        assert found == []

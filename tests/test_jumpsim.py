@@ -19,6 +19,30 @@ def exp_split(exp1):
     return splitting.sign_split(exp1.T, exp1.s)
 
 
+def arena_buffers(arena):
+    return (
+        arena.uniforms, arena.floats, arena.ints, arena.mask, arena.times,
+        *arena.states, *arena.paths,
+    )
+
+
+def fill_garbage(*bufs):
+    for buf in bufs:
+        buf.fill(True if buf.dtype == bool else np.nan if buf.dtype.kind == "f" else -1)
+
+
+def draw(table, state, u, fill=False):
+    """``_draw_targets`` into buffers built by the simulator's arena helper,
+    every one pre-filled with NaN, -1 or True when ``fill`` is set."""
+    arena = jumpsim._Arena(state.size)
+    out = np.empty(state.size, dtype=np.int64)
+    if fill:
+        fill_garbage(out, *arena_buffers(arena))
+    got = jumpsim._draw_targets(table, state, u, out, arena)
+    assert got is out
+    return got
+
+
 def first_rows(path):
     """Index of each path's first row in a trace's path column (rows are
     sorted by path, then time)."""
@@ -169,9 +193,15 @@ class TestDrawTargets:
         above ``b / G``, complemented exactly when two or more lie in
         ``(b / G, (b + 1) / G]`` (above 1 for ``b = G``)."""
         rows, width = cum.shape
-        slots = 1 << table.shift
-        assert slots > width >= slots // 2
+        assert (1 << table.shift) > width >= (1 << table.shift) // 2
         n_buckets = 2 << table.shift
+        # each row's slots: its most distinct values plus one window, and no
+        # bucket holds more values than a window reaches
+        n_values = [np.unique(cum[r, : last[r]]).size for r in range(rows)]
+        slots = max(n_values) + (1 << table.window_bits)
+        keys = [np.ceil(np.unique(cum[r, : last[r]]) * n_buckets) for r in range(rows)]
+        widest = max((np.unique(k, return_counts=True)[1].max() for k in keys if k.size), default=0)
+        assert table.window_bits == int(widest).bit_length()
         assert table.values.size == table.answer.size == rows * slots
         assert table.guide.size == rows * (n_buckets + 2)
         values = table.values.reshape(rows, slots)
@@ -210,8 +240,9 @@ class TestDrawTargets:
         state[-short.size :] = short
         u[-short.size :] = np.nextafter(1.0, 0.0)
 
-        got = jumpsim._draw_targets(table, state, u)
+        got = draw(table, state, u)
         assert np.array_equal(got, self.clamped_count(cum, last, state, u))
+        assert np.array_equal(draw(table, state, u, fill=True), got)
         # and every drawn target has positive weight: a rise in its row
         before = np.where(got > 0, cum[state, got - 1], 0.0)
         assert np.all(cum[state, got] > before)
@@ -227,7 +258,7 @@ class TestDrawTargets:
         self.assert_guide(table, cum, last)
         state = np.zeros(u.size, dtype=np.int64)
         u = self.uniforms(rng, cum, state, table.shift)
-        got = jumpsim._draw_targets(table, state, u)
+        got = draw(table, state, u)
         want = np.minimum(np.searchsorted(cum[0], u, side="right"), last[0])
         assert np.array_equal(got, want)
 
@@ -240,7 +271,10 @@ class TestDrawTargets:
         cum = np.vstack([cum0, [0.25, 1.0, 1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 3 * ulp, 1.0 + 3 * ulp]])
         last = np.array([last0[0], 4])
         table = jumpsim._guide_table(cum, last)
-        assert table.shift == 3  # 8 slots, 16 buckets
+        assert table.shift == 3  # 16 buckets
+        # two distinct values at most in a bucket: 4 values and a window of 4
+        assert table.window_bits == 2
+        assert table.values.size == 2 * 8
         self.assert_guide(table, cum, last)
         guide = table.guide.reshape(2, 18)
         assert guide[0, 7] < 0 and guide[0, 8] < 0 and guide[1, 16] < 0
@@ -256,9 +290,11 @@ class TestDrawTargets:
         u1 = np.array([np.nextafter(1.0, 0.0), 1.0, 1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 3 * ulp])
         state = np.repeat([0, 1], [u0.size, u1.size])
         u = np.concatenate([u0, u1])
-        got = jumpsim._draw_targets(table, state, u)
+        got = draw(table, state, u)
         assert np.array_equal(got, self.clamped_count(cum, last, state, u))
         assert np.array_equal(got[-5:], [1, 2, 3, 4, 4])
+        # the arena's scratch and the output carry nothing over from before
+        assert np.array_equal(draw(table, state, u, fill=True), got)
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(
@@ -283,7 +319,7 @@ class TestDrawTargets:
         self.assert_guide(table, cum, last)
         state = np.repeat(np.arange(2 * p), 250)
         u = self.uniforms(rng, cum, state, table.shift)
-        got = jumpsim._draw_targets(table, state, u)
+        got = draw(table, state, u)
         assert np.array_equal(got, self.clamped_count(cum, last, state, u))
 
         init = splitting.initial_split(m.alpha)
@@ -293,23 +329,26 @@ class TestDrawTargets:
         self.assert_guide(table, cum, last)
         state = np.zeros(500, dtype=np.int64)
         u = self.uniforms(rng, cum, state, table.shift)
-        got = jumpsim._draw_targets(table, state, u)
+        got = draw(table, state, u)
         assert np.array_equal(got, self.clamped_count(cum, last, state, u))
 
     def test_chain_table(self, ref_split):
         table = JumpChain(ref_split, 2.0).table
-        assert table.shift == 4  # width 9 in 16 slots, 32 buckets
+        assert table.shift == 4  # width 9, 32 buckets
         assert table.guide.size == 6 * 34
+        # no bucket holds two values, and no row more than 4: 4 + 2 slots
+        assert table.window_bits == 1
+        assert table.values.size == 6 * 6
         # at rate 2, o0 and a0 have no termination defect, so their last
         # positive targets are the absorbing columns 6 and 7; every other
         # row's is column 8, termination.  The answer after a row's last
         # distinct value is that target, and so is every draw at u >= 1
         ends = np.array([6, 8, 8, 7, 8, 8])
-        values = table.values.reshape(6, 16)
+        values = table.values.reshape(6, 6)
         n_distinct = np.isfinite(values).sum(axis=1)
-        assert np.array_equal(table.answer.reshape(6, 16)[np.arange(6), n_distinct], ends)
+        assert np.array_equal(table.answer.reshape(6, 6)[np.arange(6), n_distinct], ends)
         for u in (1.0, np.nextafter(1.0, 2.0)):
-            got = jumpsim._draw_targets(table, np.arange(6), np.full(6, u))
+            got = draw(table, np.arange(6), np.full(6, u))
             assert np.array_equal(got, ends)
         # no bucket of the reference chain holds two distinct values
         assert np.all(table.guide >= 0)
@@ -413,6 +452,63 @@ class TestSimulateBatch:
             for field in ("tau", "pre_exit", "landing", "sign", "n_jumps")
         )
         assert peak <= 1.5 * columns
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_allocation_within_the_arenas(self, ref_split, ref_init, workers):
+        # past the columns, a run holds one arena per worker and the index
+        # lists of one iteration per worker, which are a fraction of it
+        chunk = 65536
+        arena_bytes = sum(buf.nbytes for buf in arena_buffers(jumpsim._Arena(chunk)))
+        assert arena_bytes == 73 * chunk
+        # a first call loads numpy's lazy imports, which tracemalloc would count
+        simulate_batch(ref_split, 2.0, ref_init, n_paths=100, seed=5, chunk=10, workers=2)
+        tracemalloc.start()
+        try:
+            batch = simulate_batch(
+                ref_split, 2.0, ref_init, n_paths=400_000, seed=5, chunk=chunk, workers=workers
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(
+            getattr(batch, field).nbytes
+            for field in ("tau", "pre_exit", "landing", "sign", "n_jumps")
+        )
+        assert peak - columns <= 1.1 * workers * arena_bytes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reused_arena_matches_fresh_arrays(self, workers):
+        # 6000 does not divide 20_000, so the last chunk is shorter than the
+        # arena its worker reuses; the reference runs each chunk in a fresh
+        # arena of its own size, with every buffer pre-filled with garbage
+        m = random_me_model(30, np.random.default_rng(30))
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto")
+        init = splitting.initial_split(m.alpha)
+        n, chunk = 20_000, 6000
+        batch = simulate_batch(
+            split, lam, init, n_paths=n, seed=8, chunk=chunk, workers=workers, collect_trace=True
+        )
+        chain = JumpChain(split, lam)
+        init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
+        first = jumpsim._guide_table(*jumpsim._cum_and_last(init_weights[None, :]))
+        columns = (
+            np.full(n, np.nan), np.full(n, -1, np.int32), np.full(n, -1, np.int8),
+            np.full(n, -1, np.int32),
+        )
+        rows = []
+        for index, lo in enumerate(range(0, n, chunk)):
+            hi = min(lo + chunk, n)
+            arena = jumpsim._Arena(hi - lo)
+            fill_garbage(*arena_buffers(arena))
+            rng = RngStream(8, index).generator()
+            rows += jumpsim._simulate_chunk(chain, first, lo, hi, rng, columns, arena, True)
+        for field, col in zip(("tau", "pre_exit", "landing", "n_jumps"), columns, strict=True):
+            assert np.array_equal(getattr(batch, field), col)
+        path, times, frm, to = (np.concatenate(col) for col in zip(*rows))
+        order = np.lexsort((times, path))
+        for got, want in zip(batch.trace, (path, times, frm, to), strict=True):
+            assert np.array_equal(got, want[order])
 
     def test_invalid_args(self, ref_split, ref_init):
         with pytest.raises(ValueError):
