@@ -2,9 +2,9 @@
 
 Subcommands: validate, split, tilt, estimate, expect, reproduce-example,
 plus debug (summarizes a trace written by estimate --trace).
-Exit codes: 0 success, 1 parse/usage error, 2 validation failure,
-3 precondition failure (tilting rate / transience), 4 failed acceptance
-checks in reproduce-example.
+Exit codes: 0 success, 1 parse/usage error or unwritable output,
+2 validation failure, 3 precondition failure (tilting rate / transience),
+4 failed acceptance checks in reproduce-example.
 """
 
 from __future__ import annotations
@@ -278,6 +278,8 @@ def cmd_reproduce_example(args) -> int:
 
     n_paths = args.paths if args.paths is not None else 1_000_000
     seed = args.seed if args.seed is not None else 42
+    if seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {seed}")
     lam = _parse_lambda(args.lam) if args.lam is not None else "auto"
     print(f"acceptance run: n_paths={n_paths} seed={seed} lambda={lam}")
     results = acceptance.run_all(n_paths=n_paths, seed=seed, lam=lam)
@@ -363,16 +365,14 @@ def main(argv=None) -> int:
                 # an empty path would silently drop the output
                 raise ParseError(f"--{flag} needs a file path, got an empty string")
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ParseError, ValueError, OSError) as exc:
+        # an unreadable input is a ParseError, so an OSError is an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

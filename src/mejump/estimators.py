@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .jumpsim import PathBatch
+from .jumpsim import SIGN_OF_LANDING, PathBatch
 from .medist import MEParams, laplace_transform
 from .splitting import ExitProfile, InitialSplit, SignSplit, doubled_expm_action
 
@@ -164,19 +164,19 @@ def finalize_density(partial: DensityPartial, grid: Grid, scale: float) -> Densi
 def _signed_chunks(batch: PathBatch, profile: ExitProfile | None = None):
     """Yield ``(tau, weight)`` for each generation chunk, in chunk order.
 
-    The weight is the landing sign, or with a ``profile`` the conditional
-    expected sign ``qbar`` of the pre-exit state (``-qbar`` on the anti side).
+    The weight is one per-code map taken at a column: the landing sign at
+    ``landing``, or with a ``profile`` the conditional expected sign ``qbar``
+    at ``pre_exit`` (``-qbar`` on the anti side).
     """
     if len(batch) == 0:
         raise ValueError("empty outcome set")
-    if profile is not None:
+    if profile is None:
+        weight_of_code, codes = SIGN_OF_LANDING, batch.landing
+    else:
         q = profile.qbar_original
-        qbar_of_code = np.concatenate([q, -q])
+        weight_of_code, codes = np.concatenate([q, -q]), batch.pre_exit
     for sl in batch.chunk_slices():
-        if profile is None:
-            yield batch.tau[sl], batch.sign[sl]
-        else:
-            yield batch.tau[sl], qbar_of_code.take(batch.pre_exit[sl])
+        yield batch.tau[sl], weight_of_code.take(codes[sl])
 
 
 def _folded_density(batch: PathBatch, profile: ExitProfile | None, grid: Grid, scale: float):

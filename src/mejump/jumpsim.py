@@ -7,7 +7,8 @@ absorbing states (rates ``s^+ / s^-``, swapped on the anti side), and an
 explicit *terminated* pseudo-state carrying the row defect.  Every path
 therefore has a well-defined exit time ``tau``, pre-exit state and landing,
 and a sign of +1 / -1 / 0 according to whether it landed in the positive
-absorbing state, the negative one, or was terminated.
+absorbing state, the negative one, or was terminated; a batch reads the sign
+off the landing.  ``JumpChain`` refuses no rate itself: ``admit_rate`` does.
 
 Randomness is pinned for reproducibility: streams are numpy ``Philox``
 (counter-based) bit generators keyed by ``SeedSequence(seed, spawn_key=
@@ -48,7 +49,8 @@ Each iteration of the chunk loop draws all its uniforms in one call, holding
 times first, then targets.  It finds the exiting paths once, as an index
 list, and both writes their outcomes and compacts the survivors by gathering
 through index lists, which costs far less than boolean-mask indexing with
-scattered ``True``s.
+scattered ``True``s.  It does both even when no path exits, as mostly
+happens among a chunk's last few live paths.
 
 Each worker runs its chunks in one ``_Arena``: chunk-sized arrays allocated
 once per ``simulate_batch`` call, which every iteration of every chunk writes
@@ -66,13 +68,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotTransientError
 from .splitting import InitialSplit, SignSplit, admit_rate, build_generator
 
 #: Paths per random stream in simulate_batch.
 DEFAULT_CHUNK = 65536
 
-_SIGN_OF_LANDING = np.array([1, -1, 0], dtype=np.int8)
+#: Sign of landing codes 0/1/2: positive, negative absorption, termination.
+SIGN_OF_LANDING = np.array([1, -1, 0], dtype=np.int8)
 
 
 def code_label(code: int, p: int) -> str:
@@ -218,10 +220,10 @@ def _draw_targets(table: GuideTable, state, u, out, arena):
 class JumpChain:
     """Compiled jump tables for one (split, lam) pair.
 
-    Admits ``lam`` through ``splitting.admit_rate``, then holds the
-    per-state exit rates, negated (the diagonal of the doubled block), and
-    the guide table over the cumulative target rows (see ``_guide_table``)
-    that ``simulate_batch`` samples from.
+    Admits ``lam`` through ``splitting.admit_rate``, the one rate gate, then
+    holds the per-state exit rates, negated (the diagonal of the doubled
+    block), and the guide table over the cumulative target rows (see
+    ``_guide_table``) that ``simulate_batch`` samples from.
     """
 
     def __init__(self, split: SignSplit, lam: float):
@@ -229,12 +231,7 @@ class JumpChain:
         gen = build_generator(split, lam)
         p = split.p
         self.p = p
-        self.lam = lam
         self.neg_rate = np.diag(gen.D).copy()
-        # transience rules out a transient state that is never left
-        if not np.all(self.neg_rate < 0.0):
-            stuck = code_label(int(np.argmax(self.neg_rate)), p)
-            raise NotTransientError(f"state {stuck} has zero total exit rate at rate {lam:g}")
         weights = np.zeros((2 * p, 2 * p + 3))
         weights[:, : 2 * p] = np.maximum(gen.D, 0.0)  # off-diagonal jump rates
         weights[:, 2 * p] = gen.abs_o
@@ -248,10 +245,11 @@ class PathBatch:
     """Column-oriented collection of path outcomes.
 
     ``pre_exit`` holds transient codes (0..2p-1), ``landing`` codes 0/1/2 for
-    positive absorption / negative absorption / termination.  ``trace``
-    (present when tracing) is a tuple of arrays (path_index, time, from_code,
-    to_code) sorted by path then time; the state held at time ``x`` is the
-    ``from_code`` of a path's first row with time ``> x``.
+    positive absorption / negative absorption / termination; ``sign`` is
+    derived from ``landing``.  ``trace`` (present when tracing) is a tuple of
+    arrays (path_index, time, from_code, to_code) sorted by path then time;
+    the state held at time ``x`` is the ``from_code`` of a path's first row
+    with time ``> x``.
     """
 
     p: int
@@ -259,12 +257,16 @@ class PathBatch:
     tau: np.ndarray
     pre_exit: np.ndarray
     landing: np.ndarray
-    sign: np.ndarray
     n_jumps: np.ndarray
     trace: tuple | None = None
 
     def __len__(self) -> int:
         return self.tau.shape[0]
+
+    @property
+    def sign(self) -> np.ndarray:
+        """Each path's landing sign, +1 / -1 / 0."""
+        return SIGN_OF_LANDING.take(self.landing)
 
     def chunk_slices(self):
         """Slices of the generation chunks, in order; estimator folds follow
@@ -278,7 +280,7 @@ class _Arena:
     the uniforms (``2 n``), which double as the holding and exit times; one
     float, one int64 and one bool scratch array; the running times; two
     int64 state buffers (the state, and the next) and two int64 path-index
-    buffers (the alive paths, and their compaction)."""
+    buffers (the alive paths, and their compaction, swapped per iteration)."""
 
     def __init__(self, n: int):
         self.uniforms = np.empty(2 * n)
@@ -336,25 +338,20 @@ def _simulate_chunk(chain, first, lo, hi, rng, columns, arena, collect_trace):
             # the arena's buffers are overwritten by the next iteration
             trace_parts.append((alive.copy(), t_new.copy(), state.copy(), nxt.copy()))
         gone = np.flatnonzero(np.greater_equal(nxt, two_p, out=arena.mask[:k]))
-        if gone.size:
-            m = gone.size
-            done = alive.take(gone, out=arena.ints[:m], mode="wrap")
-            tau[done] = t_new.take(gone, out=arena.floats[:m], mode="wrap")
-            codes = spare_buf[:m]
-            pre_exit[done] = state.take(gone, out=codes, mode="wrap")
-            landing[done] = np.subtract(nxt.take(gone, out=codes, mode="wrap"), two_p, out=codes)
-            n_jumps[done] = iteration
-            del gone  # so the two index lists are never held at once
-            keep = np.flatnonzero(np.less(nxt, two_p, out=arena.mask[:k]))
-            k = keep.size
-            alive = alive.take(keep, out=spare_buf[:k], mode="wrap")
-            path_buf, spare_buf = spare_buf, path_buf
-            state = nxt.take(keep, out=state_buf[:k], mode="wrap")
-            t = t_new.take(keep, out=arena.times[:k], mode="wrap")
-        else:
-            state = nxt
-            state_buf, next_buf = next_buf, state_buf
-            np.copyto(t, t_new)
+        m = gone.size
+        done = alive.take(gone, out=arena.ints[:m], mode="wrap")
+        tau[done] = t_new.take(gone, out=arena.floats[:m], mode="wrap")
+        codes = spare_buf[:m]
+        pre_exit[done] = state.take(gone, out=codes, mode="wrap")
+        landing[done] = np.subtract(nxt.take(gone, out=codes, mode="wrap"), two_p, out=codes)
+        n_jumps[done] = iteration
+        del gone  # so the two index lists are never held at once
+        keep = np.flatnonzero(np.less(nxt, two_p, out=arena.mask[:k]))
+        k = keep.size
+        alive = alive.take(keep, out=spare_buf[:k], mode="wrap")
+        path_buf, spare_buf = spare_buf, path_buf
+        state = nxt.take(keep, out=state_buf[:k], mode="wrap")
+        t = t_new.take(keep, out=arena.times[:k], mode="wrap")
     return trace_parts
 
 
@@ -386,7 +383,7 @@ def simulate_batch(
     chain = JumpChain(split, lam)
     init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
     first = _guide_table(*_cum_and_last(init_weights[None, :]))
-    columns = (
+    columns = (  # tau, pre_exit, landing, n_jumps: PathBatch's columns in field order
         np.empty(n_paths),
         np.empty(n_paths, dtype=np.int32),
         np.empty(n_paths, dtype=np.int8),
@@ -428,14 +425,4 @@ def simulate_batch(
         order = np.lexsort((times, path))
         trace = (path[order], times[order], frm[order], to[order])
 
-    tau, pre_exit, landing, n_jumps = columns
-    return PathBatch(
-        p=chain.p,
-        chunk=chunk,
-        tau=tau,
-        pre_exit=pre_exit,
-        landing=landing,
-        sign=_SIGN_OF_LANDING[landing],
-        n_jumps=n_jumps,
-        trace=trace,
-    )
+    return PathBatch(chain.p, chunk, *columns, trace=trace)

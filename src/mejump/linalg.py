@@ -135,8 +135,8 @@ def mat_exp(A) -> np.ndarray:
     return E
 
 
-def solve_linear(A, b, rtol: float = SOLVE_RESIDUAL_RTOL) -> np.ndarray:
-    """Solve A x = b, enforcing ``|Ax - b| <= rtol * (|A| |x| + |b|)``.
+def solve_linear(A, b) -> np.ndarray:
+    """Solve A x = b, enforcing ``|Ax - b| <= SOLVE_RESIDUAL_RTOL (|A| |x| + |b|)``.
 
     Raises
     ------
@@ -158,7 +158,7 @@ def solve_linear(A, b, rtol: float = SOLVE_RESIDUAL_RTOL) -> np.ndarray:
     xs, bs = np.ldexp(x, -e), np.ldexp(b, -e)
     norm_a = np.linalg.norm(A, 1)
     residual = np.linalg.norm(A @ xs - bs)
-    bound = rtol * (norm_a * np.linalg.norm(xs) + np.linalg.norm(bs))
+    bound = SOLVE_RESIDUAL_RTOL * (norm_a * np.linalg.norm(xs) + np.linalg.norm(bs))
     if not np.isfinite(residual) or residual > bound:
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds bound {bound:.3e}; "

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import LambdaTooSmallError, NotADensityError, UnstableTError
 
-#: Default tolerance on |alpha (-T)^{-1} s - 1|.
+#: Tolerance on |alpha (-T)^{-1} s - 1|.
 NORMALIZATION_TOL = 1e-8
 
 #: Density values in (-DENSITY_CLAMP, 0) are rounding noise and clamp to zero;
@@ -76,7 +76,7 @@ class ValidationReport:
     messages: list = field(default_factory=list)
 
 
-def validate(params: MEParams, tol: float = NORMALIZATION_TOL) -> ValidationReport:
+def validate(params: MEParams) -> ValidationReport:
     """Check the standing assumptions and return a report.
 
     Raises
@@ -84,16 +84,16 @@ def validate(params: MEParams, tol: float = NORMALIZATION_TOL) -> ValidationRepo
     UnstableTError
         If the dominant eigenvalue of T is not strictly negative.
     NotADensityError
-        If ``alpha (-T)^{-1} s`` differs from 1 by more than ``tol``.
+        If ``alpha (-T)^{-1} s`` differs from 1 by more than NORMALIZATION_TOL.
     """
     if params.sigma0 >= 0.0:
         raise UnstableTError(
             f"dominant eigenvalue of T is {params.sigma0:.6g}; must be strictly negative"
         )
     normalization = float(params.alpha @ linalg.solve_linear(-params.T, params.s))
-    if abs(normalization - 1.0) > tol:
+    if abs(normalization - 1.0) > NORMALIZATION_TOL:
         raise NotADensityError(
-            f"alpha (-T)^-1 s = {normalization:.12g}, not 1 within {tol:g}"
+            f"alpha (-T)^-1 s = {normalization:.12g}, not 1 within {NORMALIZATION_TOL:g}"
         )
     diag_ok = bool(np.all(np.diag(params.T) <= 0.0))
     messages = []

@@ -185,6 +185,8 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
         raise ParseError(f"{where}: {exc}") from exc
     if n_paths <= 0:
         raise ParseError(f"{where}: n_paths must be positive")
+    if seed < 0:
+        raise ParseError(f"{where}: seed must be non-negative, got {seed}")
     if chunk <= 0:
         raise ParseError(f"{where}: chunk must be positive")
     if workers <= 0:
@@ -221,8 +223,8 @@ def plan(params: MEParams, lam_request) -> RunPlan:
 
     A rate below ``lambda_0`` is refused (by :func:`exit_profile`); a
     non-transient one is only reported, for ``split`` to show, and refused by
-    the simulator.  Errors are raised unchanged; the CLI maps them to exit
-    codes.
+    ``admit_rate`` when the simulator compiles its chain.  Errors are raised
+    unchanged; the CLI maps them to exit codes.
     """
     medist.validate(params)
     split = sign_split(params.T, params.s)

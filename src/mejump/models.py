@@ -6,6 +6,9 @@ import numpy as np
 
 from .medist import MEParams
 
+#: Draws ``random_me_model`` makes before it gives up.
+RANDOM_MODEL_TRIES = 200
+
 
 def reference_model() -> MEParams:
     """The 3-dimensional oscillating reference model.
@@ -65,7 +68,7 @@ def random_phase_type(p: int, rng: np.random.Generator) -> MEParams:
     return MEParams(alpha=alpha, T=T, s=exit_rates)
 
 
-def random_me_model(p: int, rng: np.random.Generator, max_tries: int = 200) -> MEParams:
+def random_me_model(p: int, rng: np.random.Generator) -> MEParams:
     """Random valid matrix-exponential triple with negative entries.
 
     Applies a random similarity transform to a random phase-type model, which
@@ -81,7 +84,7 @@ def random_me_model(p: int, rng: np.random.Generator, max_tries: int = 200) -> M
             f"random_me_model needs p >= 2, got p = {p}: a 1-state similarity "
             "transform leaves every sign as it is (use exponential_model)"
         )
-    for _ in range(max_tries):
+    for _ in range(RANDOM_MODEL_TRIES):
         base = random_phase_type(p, rng)
         K = rng.normal(0.0, 0.25 / p, size=(p, p))
         M = np.eye(p) + K
@@ -103,4 +106,4 @@ def random_me_model(p: int, rng: np.random.Generator, max_tries: int = 200) -> M
         if params.sigma0 >= 0.0:
             continue
         return params
-    raise RuntimeError(f"no valid random model found in {max_tries} tries")
+    raise RuntimeError(f"no valid random model found in {RANDOM_MODEL_TRIES} tries")

@@ -250,7 +250,8 @@ def check_transience(split: SignSplit, lam: float):
 
 def admit_rate(split: SignSplit, lam: float):
     """The one gate on a simulation rate: ``lam`` must be finite, at least
-    ``lambda_0``, and make the doubled chain transient."""
+    ``lambda_0``, make the doubled chain transient and leave every state at a
+    positive rate ``lam - T_ii`` (transience implies it, but ``eta`` is rounded)."""
     _require_at_least_lambda0(split, lam)
     transient, abscissa = check_transience(split, lam)
     if not transient:
@@ -258,6 +259,10 @@ def admit_rate(split: SignSplit, lam: float):
             f"doubled states are not transient at rate {lam:g} "
             f"(spectral abscissa {abscissa:.6g} >= 0)"
         )
+    exit_rate = lam - np.diag(split.Tplus)
+    if not np.all(exit_rate > 0.0):
+        stuck = int(np.argmin(exit_rate))
+        raise NotTransientError(f"state o{stuck} has zero total exit rate at rate {lam:g}")
 
 
 def resolve_lambda(split: SignSplit, request) -> float:

@@ -110,12 +110,46 @@ class TestConfig:
             'config: grid must be an object with "x_min", "x_max" and "n_bins" fields'
         )
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_named(self, model_file, tmp_path, where, capsys):
+        # numpy's SeedSequence refuses it too, but only after validation and
+        # without naming the field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -1}' if where == "config" else "{}")
+        args = ["estimate", model_file, "--config", cfg, "--paths", "100"]
+        if where == "flag":
+            args += ["--seed", "-1"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: config: seed must be non-negative, got -1\n"
+
     def test_integral_floats_accepted(self):
         cfg = config_from_dict(
             {"n_paths": 1e6, "seed": 7.0, "grid": {"x_min": 0, "x_max": 2, "n_bins": 4.0}}
         )
         assert (cfg.n_paths, cfg.seed, cfg.grid.n_bins) == (1_000_000, 7, 4)
         assert isinstance(cfg.n_paths, int) and isinstance(cfg.grid.n_bins, int)
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "{model}", "--paths", "100", "--out", "{bad}"],
+            ["estimate", "{model}", "--paths", "100", "--out", "{ok}", "--trace", "{bad}"],
+            ["split", "{model}", "--out", "{bad}"],
+            ["tilt", "{model}", "--out", "{bad}"],
+        ],
+        ids=["estimate-out", "estimate-trace", "split-out", "tilt-out"],
+    )
+    def test_one_error_line(self, model_file, tmp_path, args, capsys):
+        bad = tmp_path / "missing" / "x"
+        paths = {"model": model_file, "bad": bad, "ok": tmp_path / "ok.csv"}
+        code, _, err = run_cli([a.format(**paths) for a in args], capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err and "Traceback" not in err
 
 
 class TestValidateCommand:
@@ -548,8 +582,7 @@ if taus is not None:
     n = len(taus)
     modelio.simulate_batch = lambda *args, **kwargs: PathBatch(
         p=3, chunk=n, tau=np.array(taus), pre_exit=np.zeros(n, dtype=np.int32),
-        landing=np.zeros(n, dtype=np.int8), sign=np.ones(n, dtype=np.int8),
-        n_jumps=np.ones(n, dtype=np.int32),
+        landing=np.zeros(n, dtype=np.int8), n_jumps=np.ones(n, dtype=np.int32),
     )
 sys.exit(cli.main(sys.argv[2:]))
 """
@@ -677,6 +710,14 @@ class TestReproduceExample:
         assert code == 0
         assert out.count("[PASS]") == 13
         assert "erratum" in out
+
+    def test_negative_seed_named(self, capsys):
+        code, out, err = run_cli(
+            ["reproduce-example", "--paths", "1000", "--seed", "-1"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
 
     def test_rate_below_threshold_refused(self, capsys):
         code, _, err = run_cli(

@@ -29,15 +29,15 @@ from mejump.models import (
 )
 
 
-def one_chunk_batch(p, tau, pre_exit, landing, sign):
-    """A hand-made single-chunk batch of ``len(tau)`` paths."""
+def one_chunk_batch(p, tau, pre_exit, landing):
+    """A hand-made single-chunk batch of ``len(tau)`` paths; each path's
+    sign is the one its landing implies."""
     return PathBatch(
         p=p,
         chunk=max(1, len(tau)),
         tau=np.asarray(tau, dtype=float),
         pre_exit=np.asarray(pre_exit, dtype=np.int32),
         landing=np.asarray(landing, dtype=np.int8),
-        sign=np.asarray(sign, dtype=np.int8),
         n_jumps=np.ones(len(tau), dtype=np.int32),
     )
 
@@ -155,7 +155,7 @@ class TestDensityBeta:
         assert abs(total - 1.0) <= 4 * se_total
 
     def test_empty_outcomes_rejected(self, ref_split):
-        empty = one_chunk_batch(3, [], [], [], [])
+        empty = one_chunk_batch(3, [], [], [])
         prof = splitting.exit_profile(ref_split, 2.0)
         with pytest.raises(ValueError, match="empty outcome set"):
             mc_density_beta(empty, Grid(0.0, 1.0, 2), 1.0)
@@ -167,7 +167,7 @@ class TestDensityBeta:
     def test_qbar_on_raw_outcomes_uses_profile_dimension(self, ref_split):
         # a lone path leaving anti state 0 (code p) must take -qbar_original[0]
         prof = splitting.exit_profile(ref_split, 2.0)
-        batch = one_chunk_batch(3, [0.5], [3], [2], [0])
+        batch = one_chunk_batch(3, [0.5], [3], [2])
         grid = Grid(0.0, 1.0, 1)
         est = mc_density_qbar(batch, prof, grid, scale=1.0)
         assert est.estimate[0] == pytest.approx(-prof.qbar_original[0], rel=1e-15)
@@ -239,7 +239,7 @@ class TestExpectation:
     def test_overflowing_square_sum_rejected(self, ref_split, form):
         # tau^200 is finite at tau = 10, its square is not; numpy stays
         # silent and no OverflowError escapes from the variance
-        batch = one_chunk_batch(3, [10.0, 10.0, 0.5], [0, 3, 1], [0, 1, 0], [1, -1, 1])
+        batch = one_chunk_batch(3, [10.0, 10.0, 0.5], [0, 3, 1], [0, 1, 0])
         prof = splitting.exit_profile(ref_split, 2.0)
         with pytest.raises(ValueError, match="sum of its squares overflows"):
             mc_expectation_untilted(

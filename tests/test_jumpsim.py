@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import sys
@@ -533,15 +534,19 @@ class TestSimulateBatch:
         batch = simulate_batch(split, 1.0, init, n_paths=1000, seed=1)
         assert len(batch) == 1000
 
-    def test_zero_rate_state_refused(self, monkeypatch):
-        # a state that is never left: only the transience gate rules it out,
-        # so with the gate passed JumpChain must still refuse it
+    def test_zero_rate_state_refused(self):
+        # a state that is never left: transience rules it out, and with a
+        # wrong abscissa that claims transience the gate's exit-rate rule
+        # still refuses it before JumpChain builds a table
         split = splitting.sign_split([[0.0]], [0.0])
         with pytest.raises(NotTransientError, match="not transient"):
             JumpChain(split, 0.0)
-        monkeypatch.setattr(jumpsim, "admit_rate", lambda split, lam: None)
+        faked = dataclasses.replace(split, eta=-1.0)
+        assert splitting.check_transience(faked, 0.0)[0]
         with pytest.raises(NotTransientError, match="state o0 has zero total exit rate"):
-            JumpChain(split, 0.0)
+            splitting.admit_rate(faked, 0.0)
+        with pytest.raises(NotTransientError, match="state o0 has zero total exit rate"):
+            JumpChain(faked, 0.0)
 
     def test_occupancy_matches_matrix_exponential(self, ref_split, ref_init):
         x = 0.5

@@ -58,3 +58,21 @@ def test_probe_layers_resolve():
         (estimators.HSpec, "analytic_expectation"),
     ):
         assert callable(getattr(owner, attr, None)), attr
+
+
+def test_rate_refusals_have_one_home():
+    # splitting.admit_rate is the one gate on a simulation rate; medist's
+    # laplace_transform guards the domain of the transform itself
+    package = pathlib.Path(mejump.__file__).parent
+    raised = {"NotTransientError": set(), "LambdaTooSmallError": set()}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(call, "id", getattr(call, "attr", None))
+                if name in raised:
+                    raised[name].add(path.name)
+    assert raised == {
+        "NotTransientError": {"splitting.py"},
+        "LambdaTooSmallError": {"medist.py", "splitting.py"},
+    }
