@@ -5,11 +5,23 @@ plus debug (summarizes a trace written by estimate --trace).
 Exit codes: 0 success, 1 parse/usage error or unwritable output,
 2 validation failure, 3 precondition failure (tilting rate / transience),
 4 failed acceptance checks in reproduce-example.
+
+The heap this module's imports leave behind (about 10^5 objects of numpy,
+the stdlib and the package) lives until the process exits, so it is frozen
+once, right after the imports: no cyclic collection walks it again, the
+interpreter's final one at exit included, which would otherwise cost about
+20 ms of every run.  The freeze is here, not in ``mejump/__init__.py``, so
+that importing the library leaves the caller's collector alone, and not in
+``main``, which tests call many times in one process: a freeze per call
+would pin each call's cyclic garbage for good.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
+import os
 import sys
 
 import numpy as np
@@ -50,6 +62,8 @@ _VALIDATION_ERRORS = (
     EigenConvergenceError,
 )
 _PRECONDITION_ERRORS = (LambdaTooSmallError, NotTransientError)
+
+gc.freeze()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,6 +138,9 @@ def cmd_split(args) -> int:
     run_plan = plan(params, _parse_lambda(args.lam))
     split, profile = run_plan.split, run_plan.profile
     gen = build_generator(split, run_plan.lam)
+    # an unwritable prefix fails before any matrix is printed
+    if args.out:
+        write_split_outputs(args.out, run_plan, gen.D)
     print(f"model: {name or args.model} (p={params.p})")
     print(f"lambda0: {split.lambda0!r}")
     print(f"lambda: {run_plan.lam!r}")
@@ -146,7 +163,6 @@ def cmd_split(args) -> int:
         f"(doubled abscissa {run_plan.abscissa!r})"
     )
     if args.out:
-        write_split_outputs(args.out, run_plan, gen.D)
         print(f"wrote CSV files with prefix {args.out}_")
     return 0
 
@@ -176,30 +192,54 @@ def cmd_tilt(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _claimed_outputs(*paths):
+    """Open every given output path before the work starts, so an unwritable
+    one is refused before any path is simulated; if the work then fails,
+    remove the files this call created.  An existing file keeps its bytes
+    until it is written."""
+    created = []
+    try:
+        for path in paths:
+            if path is None:
+                continue
+            existed = os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def cmd_estimate(args) -> int:
     params, name = read_model(args.model)
     cfg = _load_run_config(args)
-    run = run_estimate(params, cfg, collect_trace=args.trace is not None)
-    print(f"model: {name or args.model} (p={params.p})")
-    print(
-        f"lambda: {run.plan.lam!r} (lambda0 {run.plan.split.lambda0!r}, "
-        f"doubled abscissa {run.plan.abscissa!r})"
-    )
-    print(
-        f"seed: {cfg.seed}  chunk: {cfg.chunk}  n_paths: {cfg.n_paths}  "
-        f"workers: {cfg.workers}  estimator: {cfg.estimator}"
-    )
-    print(f"scale (w_total / normalizer): {run.scale!r}")
-    csv_text = render_estimate_csv(run)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(csv_text)
-    if args.trace is not None:
-        write_trace(args.trace, run.batch)
-        print(f"wrote trace to {args.trace}")
+    with _claimed_outputs(args.out, args.trace):
+        run = run_estimate(params, cfg, collect_trace=args.trace is not None)
+        print(f"model: {name or args.model} (p={params.p})")
+        print(
+            f"lambda: {run.plan.lam!r} (lambda0 {run.plan.split.lambda0!r}, "
+            f"doubled abscissa {run.plan.abscissa!r})"
+        )
+        print(
+            f"seed: {cfg.seed}  chunk: {cfg.chunk}  n_paths: {cfg.n_paths}  "
+            f"workers: {cfg.workers}  estimator: {cfg.estimator}"
+        )
+        print(f"scale (w_total / normalizer): {run.scale!r}")
+        csv_text = render_estimate_csv(run)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(csv_text)
+            print(f"wrote {args.out}")
+        else:
+            sys.stdout.write(csv_text)
+        if args.trace is not None:
+            write_trace(args.trace, run.batch)
+            print(f"wrote trace to {args.trace}")
     return 0
 
 

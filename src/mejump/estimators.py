@@ -8,10 +8,16 @@ never increases the per-bin variance.  The two weights give the two histogram
 estimators of the tilted density and the two forms of the untilted
 expectation, which reweights by ``e^{lam tau}``.
 
-``_signed_chunks`` yields the ``(tau, weight)`` pairs one generation chunk at
-a time, in chunk order, so no estimator holds a full-length temporary, and an
-estimate built by merging partials from the generation chunks is
-bit-identical to the one-call result.
+Every fold walks the batch one generation chunk at a time, in chunk order,
+so no estimator holds a full-length temporary.  The two density folds send
+each exit time to its bin through ``_bin_index``, a time outside the grid to
+one overflow bin, and ``bincount`` the chunk without gathering the inside
+times.  The landing-sign fold counts (bin, landing) pairs in integers, so its
+sums are exact; the ``qbar`` fold sums its weights per bin in path order, and
+the chunks' sums in chunk order.  Either estimate is bit-identical to merging
+per-chunk partial sums in chunk order.  ``_signed_chunks`` yields the
+``(tau, weight)`` pairs of a chunk for the ``qbar`` fold and both forms of
+the expectation.
 """
 
 from __future__ import annotations
@@ -99,38 +105,19 @@ class DensityPartial:
     n_paths: int
 
 
-def density_partial(taus: np.ndarray, weights: np.ndarray, grid: Grid) -> DensityPartial:
-    """Bin one block of paths.  Accumulation is in path order."""
-    inside = (taus >= grid.x_min) & (taus < grid.x_max)
-    idx = ((taus[inside] - grid.x_min) / grid.delta).astype(np.int64)
-    np.clip(idx, 0, grid.n_bins - 1, out=idx)
-    w = weights[inside].astype(float)
-    return DensityPartial(
-        sum_w=np.bincount(idx, weights=w, minlength=grid.n_bins),
-        sum_w2=np.bincount(idx, weights=w * w, minlength=grid.n_bins),
-        n_hits=np.bincount(idx, minlength=grid.n_bins).astype(np.int64),
-        n_paths=int(taus.shape[0]),
-    )
+def _bin_index(tau: np.ndarray, grid: Grid) -> np.ndarray:
+    """Each exit time's bin on ``grid``, and ``n_bins`` for a time outside it.
 
-
-def merge_density_partials(parts) -> DensityPartial:
-    """Fold partials in the given order (left to right); merging generation
-    chunks in chunk order reproduces the one-call estimate bit for bit."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("no partials to merge")
-    total = DensityPartial(
-        sum_w=parts[0].sum_w.copy(),
-        sum_w2=parts[0].sum_w2.copy(),
-        n_hits=parts[0].n_hits.copy(),
-        n_paths=parts[0].n_paths,
-    )
-    for part in parts[1:]:
-        total.sum_w += part.sum_w
-        total.sum_w2 += part.sum_w2
-        total.n_hits += part.n_hits
-        total.n_paths += part.n_paths
-    return total
+    The quotient is clipped to ``[0, n_bins - 1]`` before the int cast: an
+    outside time's quotient may not fit an int64, and for an inside time
+    clipping then truncating is truncating then clipping.
+    """
+    inside = (tau >= grid.x_min) & (tau < grid.x_max)
+    with np.errstate(over="ignore"):
+        q = (tau - grid.x_min) / grid.delta
+    np.clip(q, 0, grid.n_bins - 1, out=q)
+    np.copyto(q, grid.n_bins, where=~inside)
+    return q.astype(np.int64)
 
 
 def finalize_density(partial: DensityPartial, grid: Grid, scale: float) -> DensityEstimate:
@@ -179,27 +166,52 @@ def _signed_chunks(batch: PathBatch, profile: ExitProfile | None = None):
         yield batch.tau[sl], weight_of_code.take(codes[sl])
 
 
-def _folded_density(batch: PathBatch, profile: ExitProfile | None, grid: Grid, scale: float):
-    parts = [density_partial(tau, w, grid) for tau, w in _signed_chunks(batch, profile)]
-    return finalize_density(merge_density_partials(parts), grid, scale)
-
-
 def mc_density_beta(batch: PathBatch, grid: Grid, scale: float) -> DensityEstimate:
     """Histogram estimate of the tilted density from landing signs.
 
     With ``scale = (w^+ + w^-) / L(lam)`` the per-bin estimate is unbiased for
     the bin average of the tilted density; ``scale = 1`` estimates the raw
     signed exit density ``(alphahat) expm(D x) (s; -s)``.
+
+    A weight is a landing sign, so the sums are exact integer counts of
+    (bin, landing), made by one ``bincount`` per chunk.
     """
-    return _folded_density(batch, None, grid, scale)
+    n_codes = SIGN_OF_LANDING.shape[0]
+    counts = np.zeros((grid.n_bins + 1) * n_codes, dtype=np.int64)
+    for sl in batch.chunk_slices():
+        key = _bin_index(batch.tau[sl], grid)
+        key *= n_codes
+        key += batch.landing[sl]
+        counts += np.bincount(key, minlength=counts.shape[0])
+    counts = counts.reshape(-1, n_codes)[:-1]
+    partial = DensityPartial(
+        sum_w=(counts @ SIGN_OF_LANDING).astype(float),
+        sum_w2=(counts @ SIGN_OF_LANDING**2).astype(float),
+        n_hits=counts.sum(axis=1),
+        n_paths=len(batch),
+    )
+    return finalize_density(partial, grid, scale)
 
 
 def mc_density_qbar(
     batch: PathBatch, profile: ExitProfile, grid: Grid, scale: float
 ) -> DensityEstimate:
     """Histogram estimate weighting every exiting path (terminated ones
-    included) by the conditional expected sign of its pre-exit state."""
-    return _folded_density(batch, profile, grid, scale)
+    included) by the conditional expected sign of its pre-exit state.
+
+    Each bin sums its weights in path order within a chunk, and the chunks'
+    sums in chunk order.
+    """
+    size = grid.n_bins + 1
+    sum_w, sum_w2 = np.zeros(size), np.zeros(size)
+    n_hits = np.zeros(size, dtype=np.int64)
+    for tau, w in _signed_chunks(batch, profile):
+        idx = _bin_index(tau, grid)
+        sum_w += np.bincount(idx, weights=w, minlength=size)
+        sum_w2 += np.bincount(idx, weights=w * w, minlength=size)
+        n_hits += np.bincount(idx, minlength=size)
+    partial = DensityPartial(sum_w[:-1], sum_w2[:-1], n_hits[:-1], len(batch))
+    return finalize_density(partial, grid, scale)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,44 @@ class TestUnwritableOutputs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(bad) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_refused_before_simulating(self, model_file, tmp_path, flag, capsys, monkeypatch):
+        from mejump import modelio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the outputs were checked")
+
+        monkeypatch.setattr(modelio, "simulate_batch", refuse)
+        bad = tmp_path / "missing" / "x"
+        ok = tmp_path / "ok.csv"
+        args = ["estimate", model_file, "--paths", "10000000", flag, bad]
+        if flag == "--trace":
+            args += ["--out", ok]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+        assert not ok.exists()
+
+    def test_failed_run_leaves_no_file_behind(self, model_file, tmp_path, capsys):
+        # the outputs are claimed before simulating; a run that then fails
+        # removes the files it created and leaves an existing one as it was
+        out, trace, kept = tmp_path / "x.csv", tmp_path / "t.tsv", tmp_path / "kept.csv"
+        kept.write_text("earlier output\n")
+        for args in (["--out", out, "--trace", trace], ["--out", kept]):
+            code, _, err = run_cli(
+                ["estimate", model_file, "--paths", "1000", "--grid", "0:1e-160:1", *args],
+                capsys,
+            )
+            assert code == 1 and "widen the bins" in err
+        assert not out.exists() and not trace.exists()
+        assert kept.read_text() == "earlier output\n"
+
+    def test_split_refused_before_printing(self, model_file, tmp_path, capsys):
+        bad = tmp_path / "missing" / "x"
+        code, out, err = run_cli(["split", model_file, "--out", bad], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+
 
 class TestValidateCommand:
     def test_ok(self, model_file, capsys):

@@ -1,26 +1,28 @@
+import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
-from mejump import linalg, medist, splitting
+from mejump import linalg, medist, modelio, splitting
 from mejump.estimators import (
+    DensityPartial,
     Grid,
     HSpec,
     analytic_untilted_doubled,
     decay_cancellation_check,
-    density_partial,
     finalize_density,
     h_spec_from_dict,
     mc_density_beta,
     mc_density_qbar,
     mc_expectation_untilted,
-    merge_density_partials,
     tilted_bin_averages,
 )
-from mejump.jumpsim import PathBatch, simulate_batch
+from mejump.jumpsim import SIGN_OF_LANDING, PathBatch, simulate_batch
 from mejump.models import (
     exponential_model,
     random_me_model,
@@ -40,6 +42,43 @@ def one_chunk_batch(p, tau, pre_exit, landing):
         landing=np.asarray(landing, dtype=np.int8),
         n_jumps=np.ones(len(tau), dtype=np.int32),
     )
+
+
+def reference_density(batch, grid, scale, profile=None):
+    """The mask-gather fold the package's folds must equal bit for bit.
+
+    Per generation chunk: keep the times inside ``[x_min, x_max)``, truncate
+    their quotients to int64 and clip to the bins, then ``bincount`` the
+    weights, squared weights and hits in path order; the chunks' partial sums
+    are merged left to right, in chunk order.  The weight is the landing sign,
+    or with a ``profile`` the ``qbar`` of the pre-exit state.
+    """
+    if profile is None:
+        weight_of_code, codes = SIGN_OF_LANDING, batch.landing
+    else:
+        q = profile.qbar_original
+        weight_of_code, codes = np.concatenate([q, -q]), batch.pre_exit
+    total = None
+    for sl in batch.chunk_slices():
+        tau = batch.tau[sl]
+        inside = (tau >= grid.x_min) & (tau < grid.x_max)
+        idx = ((tau[inside] - grid.x_min) / grid.delta).astype(np.int64)
+        np.clip(idx, 0, grid.n_bins - 1, out=idx)
+        w = weight_of_code[codes[sl]][inside].astype(float)
+        part = (
+            np.bincount(idx, weights=w, minlength=grid.n_bins),
+            np.bincount(idx, weights=w * w, minlength=grid.n_bins),
+            np.bincount(idx, minlength=grid.n_bins).astype(np.int64),
+        )
+        total = part if total is None else tuple(a + b for a, b in zip(total, part))
+    return finalize_density(DensityPartial(*total, n_paths=len(batch)), grid, scale)
+
+
+def assert_same_bits(got, want):
+    for field in ("estimate", "stderr", "n_hits"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert (got.n_paths, got.scale) == (want.n_paths, want.scale)
 
 
 def make_batch(params, lam, n, seed, chunk=20_000):
@@ -179,24 +218,89 @@ class TestMergeAssociativity:
         split, init, batch, scale = make_batch(ref, 2.0, 90_000, seed=14, chunk=20_000)
         grid = Grid(0.0, 4.0, 40)
         prof = splitting.exit_profile(split, 2.0)
-        parts_b = [
-            density_partial(batch.tau[sl], batch.sign[sl].astype(float), grid)
-            for sl in batch.chunk_slices()
+        assert_same_bits(mc_density_beta(batch, grid, scale), reference_density(batch, grid, scale))
+        assert_same_bits(
+            mc_density_qbar(batch, prof, grid, scale),
+            reference_density(batch, grid, scale, prof),
+        )
+
+
+class TestFoldsMatchTheReference:
+    """Both density folds bin every exit time (outside ones to an overflow
+    bin) where the reference gathers the inside ones; the estimates must
+    not differ in a single bit."""
+
+    @staticmethod
+    def planted_times(grid, rng):
+        """Exit times on and around the grid's edges, at ``x_max`` and below
+        ``x_min``."""
+        edges = grid.edges
+        times = [
+            *edges, grid.x_min, grid.x_max, np.nextafter(grid.x_max, 0.0),
+            np.nextafter(grid.x_min, np.inf), grid.x_min / 2, 0.0, 2.0 * grid.x_max,
+            *np.nextafter(edges, 0.0), *np.nextafter(edges, np.inf),
         ]
-        merged_b = finalize_density(merge_density_partials(parts_b), grid, scale)
-        one_b = mc_density_beta(batch, grid, scale)
-        assert np.array_equal(merged_b.estimate, one_b.estimate)
-        assert np.array_equal(merged_b.stderr, one_b.stderr)
-        assert np.array_equal(merged_b.n_hits, one_b.n_hits)
-        q = prof.qbar_original
-        qw = np.concatenate([q, -q])[batch.pre_exit]
-        parts_q = [
-            density_partial(batch.tau[sl], qw[sl], grid) for sl in batch.chunk_slices()
-        ]
-        merged_q = finalize_density(merge_density_partials(parts_q), grid, scale)
-        one_q = mc_density_qbar(batch, prof, grid, scale)
-        assert np.array_equal(merged_q.estimate, one_q.estimate)
-        assert np.array_equal(merged_q.stderr, one_q.stderr)
+        return rng.permutation(np.array(times))
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        p=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from(["one", "odd", "over"]),
+        grid_kind=st.sampled_from(["from-zero", "offset", "tiny", "subnormal"]),
+        n_bins=st.sampled_from([1, 3, 40]),
+        estimator=st.sampled_from(["beta", "qbar", "both"]),
+    )
+    def test_random_models(self, p, seed, chunk, grid_kind, n_bins, estimator):
+        rng = np.random.default_rng(seed)
+        if p == 1:
+            m = exponential_model(float(rng.uniform(0.05, 3.0)))
+        else:
+            m = random_me_model(p, rng)
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto")
+        n = int(rng.integers(2 * n_bins + 20, 4 * n_bins + 60))
+        size = {"one": 1, "odd": int(rng.integers(1, n // 4)) * 2 + 1, "over": n + 3}[chunk]
+        batch = simulate_batch(
+            split, lam, splitting.initial_split(m.alpha), n_paths=n, seed=seed, chunk=size
+        )
+        # grids that hold the simulated times, or sit far below them; a
+        # time exactly at x_min, the planted ones exactly on the edges
+        lo, hi = np.quantile(batch.tau, [0.2, 0.9])
+        x_min = float(batch.tau[np.argmin(np.abs(batch.tau - lo))])
+        grid = {
+            "from-zero": Grid(0.0, float(hi), n_bins),
+            "offset": Grid(x_min, max(float(hi), 2.0 * x_min), n_bins),
+            "tiny": Grid(0.0, 1e-160, n_bins),
+            "subnormal": Grid(0.0, 1e-310, n_bins),
+        }[grid_kind]
+        planted = self.planted_times(grid, rng)
+        tau = batch.tau.copy()
+        tau[rng.choice(n, size=min(n, planted.size), replace=False)] = planted[:n]
+        batch = dataclasses.replace(batch, tau=tau)
+        prof = splitting.exit_profile(split, lam)
+
+        # at a per-path bin weight of 1 every grid's estimate is finite
+        assert_same_bits(
+            mc_density_beta(batch, grid, grid.delta), reference_density(batch, grid, grid.delta)
+        )
+        assert_same_bits(
+            mc_density_qbar(batch, prof, grid, grid.delta),
+            reference_density(batch, grid, grid.delta, prof),
+        )
+        if grid_kind in ("tiny", "subnormal"):
+            return
+        cfg = modelio.RunConfig(
+            lam=lam, n_paths=n, seed=seed, chunk=size, grid=grid, estimator=estimator
+        )
+        with mock.patch.object(modelio, "simulate_batch", lambda *a, **k: batch):
+            run = modelio.run_estimate(m, cfg)
+        for name, profile in (("beta", None), ("qbar", prof)):
+            got = getattr(run, f"est_{name}")
+            if estimator in (name, "both"):
+                assert_same_bits(got, reference_density(batch, grid, run.scale, profile))
+            else:
+                assert got is None
 
 
 class TestExpectation:

@@ -1,4 +1,5 @@
-"""Each ``mejump`` command imports only what it runs.
+"""Each ``mejump`` command imports only what it runs, and only the CLI
+freezes the heap its imports leave.
 
 No command loads scipy: the ``linalg`` kernel and criterion 4's quadrature are
 numpy.  A command that simulates on one worker loads no thread pool
@@ -77,3 +78,16 @@ def test_command_loads_no_quadrature_stack(loaded, command):
         assert found == ["concurrent.futures", "mejump.acceptance"]
     else:
         assert found == []
+
+
+@pytest.mark.parametrize("module, frozen", [("mejump", False), ("mejump.cli", True)])
+def test_only_the_cli_freezes_the_import_heap(module, frozen):
+    # a library import leaves the caller's collector alone; the CLI keeps
+    # the heap of its imports out of every later collection, the one at exit
+    # included
+    code = f"import gc, {module}; print(gc.get_freeze_count())"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert (int(proc.stdout) > 0) is frozen
