@@ -2,9 +2,11 @@
 
 Subcommands: validate, split, tilt, estimate, expect, reproduce-example,
 plus debug (summarizes a trace written by estimate --trace).
-Exit codes: 0 success, 1 parse/usage error or unwritable output,
-2 validation failure, 3 precondition failure (tilting rate / transience),
-4 failed acceptance checks in reproduce-example.
+Exit codes: 0 success; 1 parse/usage error, unwritable output, or a value
+refused as a ValueError (a non-finite or too-large rate, an overflowing bin
+weight, a non-convergent h, non-finite weights); 2 validation failure;
+3 precondition failure (tilting rate / transience); 4 failed acceptance
+checks in reproduce-example.
 
 The heap this module's imports leave behind (about 10^5 objects of numpy,
 the stdlib and the package) lives until the process exits, so it is frozen
@@ -27,16 +29,7 @@ import sys
 import numpy as np
 
 from . import medist
-from .errors import (
-    EigenConvergenceError,
-    LambdaTooSmallError,
-    NotADensityError,
-    NotTransientError,
-    PositiveDiagonalError,
-    SingularMatrixError,
-    UnstableTError,
-    ZeroAlphaError,
-)
+from .errors import LambdaTooSmallError, MEJumpError, NotTransientError
 from .estimators import mc_expectation_untilted
 from .modelio import (
     ParseError,
@@ -52,16 +45,6 @@ from .modelio import (
     write_trace,
 )
 from .splitting import build_generator, resolve_lambda, sign_split
-
-_VALIDATION_ERRORS = (
-    NotADensityError,
-    UnstableTError,
-    PositiveDiagonalError,
-    ZeroAlphaError,
-    SingularMatrixError,
-    EigenConvergenceError,
-)
-_PRECONDITION_ERRORS = (LambdaTooSmallError, NotTransientError)
 
 gc.freeze()
 
@@ -176,6 +159,9 @@ def cmd_tilt(args) -> int:
     else:
         lam = lam_spec
     tilted, norm = medist.tilt(params, lam)
+    # an unwritable output fails before anything is printed
+    if args.out:
+        write_model(tilted, args.out, name=f"{name or 'model'}-tilted-{lam:g}")
     print(f"model: {name or args.model} (p={params.p})")
     print(f"lambda: {lam!r}")
     print(f"normalizer alpha (lambda I - T)^-1 s: {norm!r}")
@@ -187,7 +173,6 @@ def cmd_tilt(args) -> int:
         for line in block:
             print(line)
     if args.out:
-        write_model(tilted, args.out, name=f"{name or 'model'}-tilted-{lam:g}")
         print(f"wrote tilted model to {args.out}")
     return 0
 
@@ -219,7 +204,7 @@ def cmd_estimate(args) -> int:
     params, name = read_model(args.model)
     cfg = _load_run_config(args)
     with _claimed_outputs(args.out, args.trace):
-        run = run_estimate(params, cfg, collect_trace=args.trace is not None)
+        run = run_estimate(plan(params, cfg.lam), cfg, collect_trace=args.trace is not None)
         print(f"model: {name or args.model} (p={params.p})")
         print(
             f"lambda: {run.plan.lam!r} (lambda0 {run.plan.split.lambda0!r}, "
@@ -405,16 +390,15 @@ def main(argv=None) -> int:
                 # an empty path would silently drop the output
                 raise ParseError(f"--{flag} needs a file path, got an empty string")
         return args.func(args)
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (LambdaTooSmallError, NotTransientError) as exc:
+        error, code = exc, 3
+    except MEJumpError as exc:
+        error, code = exc, 2
     except (ParseError, ValueError, OSError) as exc:
         # an unreadable input is a ParseError, so an OSError is an unwritable output
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error, code = exc, 1
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

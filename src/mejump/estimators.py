@@ -79,10 +79,6 @@ class DensityEstimate:
     n_paths: int
     scale: float
 
-    @property
-    def x_mid(self) -> np.ndarray:
-        return self.grid.mids
-
 
 @dataclass
 class ExpectationEstimate:
@@ -93,16 +89,6 @@ class ExpectationEstimate:
     stderr: float
     n_paths: int
     max_abs_weight: float
-
-
-@dataclass
-class DensityPartial:
-    """Per-bin running sums (weights, squared weights, hit counts)."""
-
-    sum_w: np.ndarray
-    sum_w2: np.ndarray
-    n_hits: np.ndarray
-    n_paths: int
 
 
 def _bin_index(tau: np.ndarray, grid: Grid) -> np.ndarray:
@@ -120,13 +106,16 @@ def _bin_index(tau: np.ndarray, grid: Grid) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def finalize_density(partial: DensityPartial, grid: Grid, scale: float) -> DensityEstimate:
-    n = partial.n_paths
-    if n == 0:
+def finalize_density(
+    sum_w, sum_w2, n_hits, n_paths: int, grid: Grid, scale: float
+) -> DensityEstimate:
+    """Per-bin estimates and standard errors from the bins' sums of weights
+    and of squared weights over ``n_paths`` paths."""
+    if n_paths == 0:
         raise ValueError("empty outcome set")
     per_path = scale / grid.delta
-    estimate = per_path * partial.sum_w / n
-    if n > 1:
+    estimate = per_path * sum_w / n_paths
+    if n_paths > 1:
         try:
             per_path_sq = per_path**2
         except OverflowError:
@@ -134,16 +123,16 @@ def finalize_density(partial: DensityPartial, grid: Grid, scale: float) -> Densi
                 f"per-path bin weight scale / bin width = {per_path:g} overflows "
                 "when squared; widen the bins"
             ) from None
-        var = (per_path_sq * partial.sum_w2 - n * estimate**2) / (n - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / n)
+        var = (per_path_sq * sum_w2 - n_paths * estimate**2) / (n_paths - 1)
+        stderr = np.sqrt(np.maximum(var, 0.0) / n_paths)
     else:
         stderr = np.zeros_like(estimate)
     return DensityEstimate(
         grid=grid,
         estimate=estimate,
         stderr=stderr,
-        n_hits=partial.n_hits,
-        n_paths=n,
+        n_hits=n_hits,
+        n_paths=n_paths,
         scale=scale,
     )
 
@@ -184,13 +173,10 @@ def mc_density_beta(batch: PathBatch, grid: Grid, scale: float) -> DensityEstima
         key += batch.landing[sl]
         counts += np.bincount(key, minlength=counts.shape[0])
     counts = counts.reshape(-1, n_codes)[:-1]
-    partial = DensityPartial(
-        sum_w=(counts @ SIGN_OF_LANDING).astype(float),
-        sum_w2=(counts @ SIGN_OF_LANDING**2).astype(float),
-        n_hits=counts.sum(axis=1),
-        n_paths=len(batch),
+    return finalize_density(
+        (counts @ SIGN_OF_LANDING).astype(float), (counts @ SIGN_OF_LANDING**2).astype(float),
+        counts.sum(axis=1), len(batch), grid, scale,
     )
-    return finalize_density(partial, grid, scale)
 
 
 def mc_density_qbar(
@@ -210,8 +196,7 @@ def mc_density_qbar(
         sum_w += np.bincount(idx, weights=w, minlength=size)
         sum_w2 += np.bincount(idx, weights=w * w, minlength=size)
         n_hits += np.bincount(idx, minlength=size)
-    partial = DensityPartial(sum_w[:-1], sum_w2[:-1], n_hits[:-1], len(batch))
-    return finalize_density(partial, grid, scale)
+    return finalize_density(sum_w[:-1], sum_w2[:-1], n_hits[:-1], len(batch), grid, scale)
 
 
 @dataclass(frozen=True)

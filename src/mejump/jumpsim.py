@@ -8,7 +8,8 @@ explicit *terminated* pseudo-state carrying the row defect.  Every path
 therefore has a well-defined exit time ``tau``, pre-exit state and landing,
 and a sign of +1 / -1 / 0 according to whether it landed in the positive
 absorbing state, the negative one, or was terminated; a batch reads the sign
-off the landing.  ``JumpChain`` refuses no rate itself: ``admit_rate`` does.
+off the landing.  ``JumpChain`` refuses no rate itself: ``admit_rate`` does,
+and returns the generator the chain compiles.
 
 Randomness is pinned for reproducibility: streams are numpy ``Philox``
 (counter-based) bit generators keyed by ``SeedSequence(seed, spawn_key=
@@ -26,11 +27,13 @@ landing codes ``0/1/2`` (positive absorption / negative absorption /
 termination).  ``code_label`` names a code for traces.  Indices are 0-based
 throughout.
 
-One sampler, ``_draw_targets``, makes every categorical draw: a path's first
-state from a one-row table of the initial law, and each jump's target from
-the row of the state it leaves.  It is an indexed search over a guide table
-(Chen & Asau 1974), so a jump costs three vectorized gathers whatever the
-width ``W = 2p + 3`` of the target rows.  ``_guide_table`` keeps, per row,
+One guide table per chain holds every categorical row: the ``2p`` rows of
+the transient states, and a start row ``2p`` holding the initial law, whose
+landing columns are zero.  One sampler, ``_draw_targets``, makes every draw
+from it: a path's first state as a jump from the start row, and each jump's
+target from the row of the state it leaves.  It is an indexed search over
+the guide table (Chen & Asau 1974), so a jump costs three vectorized gathers
+whatever the width ``W = 2p + 3`` of the target rows.  ``_guide_table`` keeps, per row,
 the distinct cumulative values before the row's last positive target, so the
 ties that zero weights make collapse into one value.  With ``P2 = 2**shift``
 the smallest power of two above ``W``, each of ``G = 2 P2`` equal buckets of
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splitting import InitialSplit, SignSplit, admit_rate, build_generator
+from .splitting import InitialSplit, SignSplit, admit_rate
 
 #: Paths per random stream in simulate_batch.
 DEFAULT_CHUNK = 65536
@@ -218,26 +221,33 @@ def _draw_targets(table: GuideTable, state, u, out, arena):
 
 
 class JumpChain:
-    """Compiled jump tables for one (split, lam) pair.
+    """Compiled jump tables for one (split, lam, init) triple.
 
-    Admits ``lam`` through ``splitting.admit_rate``, the one rate gate, then
-    holds the per-state exit rates, negated (the diagonal of the doubled
-    block), and the guide table over the cumulative target rows (see
-    ``_guide_table``) that ``simulate_batch`` samples from.
+    Admits ``lam`` through ``splitting.admit_rate``, the one rate gate, and
+    compiles the generator it returns: the per-state exit rates, negated (the
+    diagonal of the doubled block), and one guide table (see
+    ``_guide_table``) over the ``2p`` target rows of the transient states and
+    the start row ``2p``, the initial law ``(alphahat^+, alphahat^-)``, which
+    ``simulate_batch`` samples from.
     """
 
-    def __init__(self, split: SignSplit, lam: float):
-        admit_rate(split, lam)
-        gen = build_generator(split, lam)
+    def __init__(self, split: SignSplit, lam: float, init: InitialSplit):
+        gen = admit_rate(split, lam)
         p = split.p
         self.p = p
         self.neg_rate = np.diag(gen.D).copy()
-        weights = np.zeros((2 * p, 2 * p + 3))
-        weights[:, : 2 * p] = np.maximum(gen.D, 0.0)  # off-diagonal jump rates
-        weights[:, 2 * p] = gen.abs_o
-        weights[:, 2 * p + 1] = gen.abs_a
-        weights[:, 2 * p + 2] = gen.term
-        self.table = _guide_table(*_cum_and_last(weights))
+        start = np.concatenate([init.alphahat_plus, init.alphahat_minus])
+        weights = np.zeros((2 * p + 1, 2 * p + 3))
+        weights[:-1, : 2 * p] = np.maximum(gen.D, 0.0)  # off-diagonal jump rates
+        weights[:-1, 2 * p] = gen.abs_o
+        weights[:-1, 2 * p + 1] = gen.abs_a
+        weights[:-1, 2 * p + 2] = gen.term
+        weights[-1, : 2 * p] = start
+        cum, last = _cum_and_last(weights)
+        # numpy's pairwise sum may round the start row's total differently
+        # over the 2p + 3 columns than over the 2p of the initial law itself
+        cum[-1, : 2 * p] = np.cumsum(start / start.sum())
+        self.table = _guide_table(cum, last)
 
 
 @dataclass
@@ -292,17 +302,17 @@ class _Arena:
         self.paths = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
 
 
-def _simulate_chunk(chain, first, lo, hi, rng, columns, arena, collect_trace):
+def _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace):
     """Vectorized embedded-chain simulation, on one stream, of the paths
     ``lo..hi-1``; each path's outcome is written at its index in
     ``columns`` = ``(tau, pre_exit, landing, n_jumps)``.  Every intermediate
     of at most ``hi - lo`` items lives in ``arena``.
 
-    The first state is drawn from ``first``, the one-row table of the initial
-    law, and every jump's target from the chain's rows, both by
-    ``_draw_targets``.  Per iteration, every active path consumes exactly two
-    uniforms (holding time, categorical target) in path order, so the draw
-    sequence depends only on the chunk itself.  Returns the chunk's trace
+    The first state is drawn as a jump from the start row ``2p`` of the
+    chain's table, and every jump's target from the row of the state it
+    leaves, both by ``_draw_targets``.  Per iteration, every active path
+    consumes exactly two uniforms (holding time, categorical target) in path
+    order, so the draw sequence depends only on the chunk itself.  Returns the chunk's trace
     parts ``(path, time, from, to)``, one per iteration, or ``[]``.
     """
     tau, pre_exit, landing, n_jumps = columns
@@ -315,8 +325,9 @@ def _simulate_chunk(chain, first, lo, hi, rng, columns, arena, collect_trace):
     alive[0] = lo
     np.cumsum(alive, out=alive)  # lo, lo + 1, ..., hi - 1
     origin = next_buf[:k]
-    origin.fill(0)
-    state = _draw_targets(first, origin, rng.random(out=arena.uniforms[:k]), state_buf[:k], arena)
+    origin.fill(two_p)
+    u = rng.random(out=arena.uniforms[:k])
+    state = _draw_targets(chain.table, origin, u, state_buf[:k], arena)
     t = arena.times[:k]
     t.fill(0.0)
     trace_parts = []
@@ -369,20 +380,19 @@ def simulate_batch(
 
     Path k is generated from ``RngStream(seed, k // chunk)``.  One sampler,
     ``_draw_targets``, draws each path's first state from the initial law
-    ``(alphahat^+, alphahat^-)`` and every jump's target.  The output columns
-    are allocated once and each chunk writes only its own slice of them, so
-    results are bit-identical for fixed ``(seed, n_paths, chunk)`` whatever
-    the worker count.  Each of the ``min(workers, n_chunks)`` workers takes
-    the next chunk until none is left, and runs every chunk it takes in its
-    own ``_Arena`` of ``min(chunk, n_paths)`` paths.
+    ``(alphahat^+, alphahat^-)`` and every jump's target, all from the
+    chain's one guide table.  The output columns are allocated once and each
+    chunk writes only its own slice of them, so results are bit-identical
+    for fixed ``(seed, n_paths, chunk)`` whatever the worker count.  Each of
+    the ``min(workers, n_chunks)`` workers takes the next chunk until none is
+    left, and runs every chunk it takes in its own ``_Arena`` of
+    ``min(chunk, n_paths)`` paths.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
     if chunk <= 0:
         raise ValueError("chunk must be positive")
-    chain = JumpChain(split, lam)
-    init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
-    first = _guide_table(*_cum_and_last(init_weights[None, :]))
+    chain = JumpChain(split, lam, init)
     columns = (  # tau, pre_exit, landing, n_jumps: PathBatch's columns in field order
         np.empty(n_paths),
         np.empty(n_paths, dtype=np.int32),
@@ -404,7 +414,7 @@ def simulate_batch(
             rng = RngStream(seed, index).generator()
             lo = index * chunk
             hi = min(lo + chunk, n_paths)
-            parts += _simulate_chunk(chain, first, lo, hi, rng, columns, arena, collect_trace)
+            parts += _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace)
 
     n_workers = min(workers, n_chunks)
     if n_workers > 1:

@@ -267,12 +267,15 @@ def simulate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> 
     )
 
 
-def run_estimate(params: MEParams, cfg: RunConfig, collect_trace: bool = False) -> EstimateRun:
-    """Plan at ``cfg.lam``, simulate, then estimate."""
-    run_plan = plan(params, cfg.lam)
+def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> EstimateRun:
+    """Simulate the chain its caller planned, then estimate.
+
+    The rate is ``run_plan.lam``, resolved when the caller planned the model;
+    ``cfg.lam`` is not read here.
+    """
     lam = run_plan.lam
     batch = simulate(run_plan, cfg, collect_trace)
-    analytic, norm = tilted_bin_averages(params, lam, cfg.grid)
+    analytic, norm = tilted_bin_averages(run_plan.params, lam, cfg.grid)
     scale = run_plan.init.w_total / norm
     if not (np.isfinite(scale) and np.all(np.isfinite(analytic))):
         raise ValueError(

@@ -98,10 +98,9 @@ class ExitProfile:
 
 @dataclass(frozen=True)
 class DoubledGenerator:
-    """Doubled transient block at rate ``lam`` with its absorption columns and
+    """Doubled transient block at a rate with its absorption columns and
     termination defect; rows of ``[D | abs_o | abs_a | term]`` sum to zero."""
 
-    lam: float
     D: np.ndarray
     abs_o: np.ndarray
     abs_a: np.ndarray
@@ -177,27 +176,23 @@ def doubled_matrix(split: SignSplit, lam: float) -> np.ndarray:
     return np.block([[A, split.Tminus], [split.Tminus, A]])
 
 
-def _require_at_least_lambda0(split: SignSplit, lam: float):
+def _rows(split: SignSplit, lam: float):
+    """Refuse a ``lam`` that is not finite or lies below ``lambda_0``, and
+    return the per-state exit rates ``d = lam 1 - (T^+ + T^-) 1`` and
+    termination defects ``d - s^+ - s^-``.
+
+    The row's total rate ``lam - T_ii`` bounds every weight in it, so a
+    defect no larger than ``1e-12`` times that rate is rounding noise and
+    reads zero.  So does every negative defect: ``lam`` is at most the slack
+    below ``lambda_0``, so it is slack or rounding.  ``d`` is floored at
+    ``s^+ + s^-`` to match, so the landing probabilities never sum above one.
+    """
     require_finite_rate(lam)
     if lam < split.lambda0 - LAMBDA_SLACK * max(1.0, abs(split.lambda0)):
         raise LambdaTooSmallError(
             f"tilting rate {lam:g} is below lambda_0 = {split.lambda0:g}; "
             "some doubled row would have a positive row sum"
         )
-
-
-def _rows(split: SignSplit, lam: float):
-    """Gate ``lam`` and return the per-state exit rates
-    ``d = lam 1 - (T^+ + T^-) 1`` and termination defects ``d - s^+ - s^-``.
-
-    The row's total rate ``lam - T_ii`` bounds every weight in it, so a
-    defect no larger than ``1e-12`` times that rate is rounding noise and
-    reads zero.  So does every negative defect: the gate keeps ``lam`` within
-    the slack below ``lambda_0``, so it is slack or rounding.  ``d`` is
-    floored at ``s^+ + s^-`` to match, so the landing probabilities never sum
-    above one.
-    """
-    _require_at_least_lambda0(split, lam)
     d = lam - (split.Tplus + split.Tminus).sum(axis=1)
     defect = d - split.splus - split.sminus
     defect[defect <= 1e-12 * (lam - np.diag(split.Tplus))] = 0.0
@@ -210,14 +205,16 @@ def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
     The termination defect of row i is
     ``lam - sum_j (T^+ + T^-)_{ij} - s^+_i - s^-_i`` (identical for the
     original and anti copies), with rounding noise read as zero by
-    :func:`_rows`.
+    :func:`_rows`, which also refuses a rate below ``lambda_0``.  A
+    non-transient rate is built: ``split`` shows it, and :func:`admit_rate`
+    refuses it for simulation.
     """
     _, defect = _rows(split, lam)
     D = doubled_matrix(split, lam)
     abs_o = np.concatenate([split.splus, split.sminus])
     abs_a = np.concatenate([split.sminus, split.splus])
     term = np.concatenate([defect, defect])
-    return DoubledGenerator(lam=lam, D=D, abs_o=abs_o, abs_a=abs_a, term=term)
+    return DoubledGenerator(D=D, abs_o=abs_o, abs_a=abs_a, term=term)
 
 
 def exit_profile(split: SignSplit, lam: float) -> ExitProfile:
@@ -248,11 +245,13 @@ def check_transience(split: SignSplit, lam: float):
     return abscissa < 0.0, abscissa
 
 
-def admit_rate(split: SignSplit, lam: float):
-    """The one gate on a simulation rate: ``lam`` must be finite, at least
-    ``lambda_0``, make the doubled chain transient and leave every state at a
-    positive rate ``lam - T_ii`` (transience implies it, but ``eta`` is rounded)."""
-    _require_at_least_lambda0(split, lam)
+def admit_rate(split: SignSplit, lam: float) -> DoubledGenerator:
+    """The one gate on a simulation rate, returning the doubled generator it
+    admits.  ``lam`` must be finite and at least ``lambda_0`` (refused while
+    :func:`build_generator` builds the generator), make the doubled chain
+    transient and leave every state at a positive rate ``lam - T_ii``
+    (transience implies it, but ``eta`` is rounded)."""
+    gen = build_generator(split, lam)
     transient, abscissa = check_transience(split, lam)
     if not transient:
         raise NotTransientError(
@@ -263,6 +262,7 @@ def admit_rate(split: SignSplit, lam: float):
     if not np.all(exit_rate > 0.0):
         stuck = int(np.argmin(exit_rate))
         raise NotTransientError(f"state o{stuck} has zero total exit rate at rate {lam:g}")
+    return gen
 
 
 def resolve_lambda(split: SignSplit, request) -> float:

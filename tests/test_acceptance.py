@@ -5,6 +5,8 @@ fixture runs the whole suite once; each test asserts one criterion and prints
 its pass/fail line.
 """
 
+from unittest import mock
+
 import pytest
 
 from mejump import acceptance
@@ -25,3 +27,11 @@ def test_criterion(results, cid):
     status = "PASS" if r.passed else "FAIL"
     print(f"[{status}] criterion {cid}: {r.title} -- {r.detail}")
     assert r.passed, f"criterion {cid} ({r.title}): {r.detail}"
+
+
+def test_reference_model_is_planned_once():
+    # criteria 1-12 read one plan of the reference model; criterion 10 plans
+    # the one-state model, and criterion 13 runs the CLI, which plans its own
+    with mock.patch.object(acceptance, "plan", wraps=acceptance.plan) as planned:
+        acceptance.run_all(n_paths=2000, seed=SEED)
+    assert [call.args[0].p for call in planned.call_args_list] == [3, 1]

@@ -183,9 +183,10 @@ class TestUnwritableOutputs:
         assert not out.exists() and not trace.exists()
         assert kept.read_text() == "earlier output\n"
 
-    def test_split_refused_before_printing(self, model_file, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["split", "tilt"])
+    def test_split_refused_before_printing(self, model_file, tmp_path, command, capsys):
         bad = tmp_path / "missing" / "x"
-        code, out, err = run_cli(["split", model_file, "--out", bad], capsys)
+        code, out, err = run_cli([command, model_file, "--out", bad], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from mejump import linalg, medist, modelio, splitting
 from mejump.estimators import (
-    DensityPartial,
     Grid,
     HSpec,
     analytic_untilted_doubled,
@@ -71,7 +70,7 @@ def reference_density(batch, grid, scale, profile=None):
             np.bincount(idx, minlength=grid.n_bins).astype(np.int64),
         )
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
-    return finalize_density(DensityPartial(*total, n_paths=len(batch)), grid, scale)
+    return finalize_density(*total, len(batch), grid, scale)
 
 
 def assert_same_bits(got, want):
@@ -294,7 +293,7 @@ class TestFoldsMatchTheReference:
             lam=lam, n_paths=n, seed=seed, chunk=size, grid=grid, estimator=estimator
         )
         with mock.patch.object(modelio, "simulate_batch", lambda *a, **k: batch):
-            run = modelio.run_estimate(m, cfg)
+            run = modelio.run_estimate(modelio.plan(m, lam), cfg)
         for name, profile in (("beta", None), ("qbar", prof)):
             got = getattr(run, f"est_{name}")
             if estimator in (name, "both"):

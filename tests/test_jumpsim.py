@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mejump import jumpsim, linalg, splitting
 from mejump.errors import NotTransientError
@@ -304,8 +304,9 @@ class TestDrawTargets:
         step=st.sampled_from([0.0, 1.0]),
     )
     def test_random_models(self, p, seed, step):
-        # the compiled chain's rows and the initial law's row, at lambda_0 (or
-        # the "auto" step above it) and one above
+        # the compiled chain's rows, at lambda_0 (or the "auto" step above
+        # it) and one above, and its start row 2p: the initial law's own
+        # one-row table, whose zero landing columns lie past its last target
         rng = np.random.default_rng(seed)
         if p == 1:
             m = exponential_model(float(rng.uniform(0.05, 3.0)))
@@ -313,43 +314,39 @@ class TestDrawTargets:
             m = random_me_model(p, rng)
         split = splitting.sign_split(m.T, m.s)
         lam = splitting.resolve_lambda(split, "auto") + step
+        init = splitting.initial_split(m.alpha)
         gen = splitting.build_generator(split, lam)
         weights = np.column_stack([np.maximum(gen.D, 0.0), gen.abs_o, gen.abs_a, gen.term])
         cum, last = jumpsim._cum_and_last(weights)
-        table = JumpChain(split, lam).table
-        self.assert_guide(table, cum, last)
-        state = np.repeat(np.arange(2 * p), 250)
-        u = self.uniforms(rng, cum, state, table.shift)
-        got = draw(table, state, u)
-        assert np.array_equal(got, self.clamped_count(cum, last, state, u))
-
-        init = splitting.initial_split(m.alpha)
         init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
-        cum, last = jumpsim._cum_and_last(init_weights[None, :])
-        table = jumpsim._guide_table(cum, last)
+        cum0, last0 = jumpsim._cum_and_last(init_weights[None, :])
+        cum = np.vstack([cum, np.pad(cum0, [(0, 0), (0, 3)], mode="edge")])
+        last = np.append(last, last0)
+        table = JumpChain(split, lam, init).table
         self.assert_guide(table, cum, last)
-        state = np.zeros(500, dtype=np.int64)
+        state = np.repeat(np.arange(2 * p + 1), [250] * (2 * p) + [500])
         u = self.uniforms(rng, cum, state, table.shift)
         got = draw(table, state, u)
         assert np.array_equal(got, self.clamped_count(cum, last, state, u))
 
-    def test_chain_table(self, ref_split):
-        table = JumpChain(ref_split, 2.0).table
+    def test_chain_table(self, ref_split, ref_init):
+        table = JumpChain(ref_split, 2.0, ref_init).table
         assert table.shift == 4  # width 9, 32 buckets
-        assert table.guide.size == 6 * 34
+        assert table.guide.size == 7 * 34
         # no bucket holds two values, and no row more than 4: 4 + 2 slots
         assert table.window_bits == 1
-        assert table.values.size == 6 * 6
+        assert table.values.size == 7 * 6
         # at rate 2, o0 and a0 have no termination defect, so their last
         # positive targets are the absorbing columns 6 and 7; every other
-        # row's is column 8, termination.  The answer after a row's last
+        # state's is column 8, termination.  The start row 6 holds the
+        # initial law, all of it on o0.  The answer after a row's last
         # distinct value is that target, and so is every draw at u >= 1
-        ends = np.array([6, 8, 8, 7, 8, 8])
-        values = table.values.reshape(6, 6)
+        ends = np.array([6, 8, 8, 7, 8, 8, 0])
+        values = table.values.reshape(7, 6)
         n_distinct = np.isfinite(values).sum(axis=1)
-        assert np.array_equal(table.answer.reshape(6, 6)[np.arange(6), n_distinct], ends)
+        assert np.array_equal(table.answer.reshape(7, 6)[np.arange(7), n_distinct], ends)
         for u in (1.0, np.nextafter(1.0, 2.0)):
-            got = draw(table, np.arange(6), np.full(6, u))
+            got = draw(table, np.arange(7), np.full(7, u))
             assert np.array_equal(got, ends)
         # no bucket of the reference chain holds two distinct values
         assert np.all(table.guide >= 0)
@@ -378,6 +375,53 @@ class TestSimulateBatch:
         for col_a, col_b in zip(a.trace, b.trace, strict=True):
             assert col_a.dtype == col_b.dtype
             assert np.array_equal(col_a, col_b)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+    @example(p=1, seed=0, zeros=False)
+    @example(p=6, seed=1, zeros=True)
+    def test_random_models_across_workers(self, p, seed, zeros):
+        # 1000 does not divide 2500, so the last chunk is short; with zeros,
+        # alpha puts no mass on some states, which the start row skips
+        rng = np.random.default_rng(seed)
+        if p == 1:
+            m = exponential_model(float(rng.uniform(0.05, 3.0)))
+        else:
+            m = random_me_model(p, rng)
+        alpha = m.alpha.copy()
+        if zeros:
+            alpha[rng.random(p) < 0.5] = 0.0
+            alpha[-1] = 1.0
+        split = splitting.sign_split(m.T, m.s)
+        init = splitting.initial_split(alpha)
+        lam = splitting.resolve_lambda(split, "auto")
+        kw = dict(n_paths=2500, seed=seed, chunk=1000, collect_trace=True)
+        a = simulate_batch(split, lam, init, workers=1, **kw)
+        b = simulate_batch(split, lam, init, workers=3, **kw)
+        for field in ("tau", "pre_exit", "landing", "n_jumps"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for col_a, col_b in zip(a.trace, b.trace, strict=True):
+            assert np.array_equal(col_a, col_b)
+
+    def test_one_table_and_one_rate_rule_per_run(self, ref_split, ref_init, monkeypatch):
+        # the chain applies the lambda_0 rule once, through the generator the
+        # gate returns, and compiles one guide table, the start row included
+        tables, rates = [], []
+        guide_table, rows = jumpsim._guide_table, splitting._rows
+
+        def counted_table(cum, last):
+            tables.append(cum.shape)
+            return guide_table(cum, last)
+
+        def counted_rows(split, lam):
+            rates.append(lam)
+            return rows(split, lam)
+
+        monkeypatch.setattr(jumpsim, "_guide_table", counted_table)
+        monkeypatch.setattr(splitting, "_rows", counted_rows)
+        simulate_batch(ref_split, 2.0, ref_init, n_paths=1000, seed=1, chunk=300, workers=2)
+        assert tables == [(7, 9)]
+        assert rates == [2.0]
 
     def test_wide_table_digest(self):
         # pins the stream-to-path mapping on a width-63 target table, where the
@@ -490,9 +534,7 @@ class TestSimulateBatch:
         batch = simulate_batch(
             split, lam, init, n_paths=n, seed=8, chunk=chunk, workers=workers, collect_trace=True
         )
-        chain = JumpChain(split, lam)
-        init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
-        first = jumpsim._guide_table(*jumpsim._cum_and_last(init_weights[None, :]))
+        chain = JumpChain(split, lam, init)
         columns = (
             np.full(n, np.nan), np.full(n, -1, np.int32), np.full(n, -1, np.int8),
             np.full(n, -1, np.int32),
@@ -503,7 +545,7 @@ class TestSimulateBatch:
             arena = jumpsim._Arena(hi - lo)
             fill_garbage(*arena_buffers(arena))
             rng = RngStream(8, index).generator()
-            rows += jumpsim._simulate_chunk(chain, first, lo, hi, rng, columns, arena, True)
+            rows += jumpsim._simulate_chunk(chain, lo, hi, rng, columns, arena, True)
         for field, col in zip(("tau", "pre_exit", "landing", "n_jumps"), columns, strict=True):
             assert np.array_equal(getattr(batch, field), col)
         path, times, frm, to = (np.concatenate(col) for col in zip(*rows))
@@ -539,14 +581,15 @@ class TestSimulateBatch:
         # wrong abscissa that claims transience the gate's exit-rate rule
         # still refuses it before JumpChain builds a table
         split = splitting.sign_split([[0.0]], [0.0])
+        init = splitting.initial_split([1.0])
         with pytest.raises(NotTransientError, match="not transient"):
-            JumpChain(split, 0.0)
+            JumpChain(split, 0.0, init)
         faked = dataclasses.replace(split, eta=-1.0)
         assert splitting.check_transience(faked, 0.0)[0]
         with pytest.raises(NotTransientError, match="state o0 has zero total exit rate"):
             splitting.admit_rate(faked, 0.0)
         with pytest.raises(NotTransientError, match="state o0 has zero total exit rate"):
-            JumpChain(faked, 0.0)
+            JumpChain(faked, 0.0, init)
 
     def test_occupancy_matches_matrix_exponential(self, ref_split, ref_init):
         x = 0.5

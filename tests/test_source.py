@@ -76,3 +76,36 @@ def test_rate_refusals_have_one_home():
         "NotTransientError": {"splitting.py"},
         "LambdaTooSmallError": {"medist.py", "splitting.py"},
     }
+
+
+def callers(name):
+    """``module.function`` (``module.Class.method``) of every package
+    function whose body calls ``name``, as a plain or attribute call."""
+    package = pathlib.Path(mejump.__file__).parent
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                if getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return found
+
+
+def test_each_run_derives_its_chain_once():
+    # one guide table per chain, compiled from the generator the rate gate
+    # returns, and a run estimates the plan its caller made
+    assert callers("_guide_table") == {"jumpsim.JumpChain.__init__"}
+    assert callers("admit_rate") == {
+        "jumpsim.JumpChain.__init__",
+        "splitting.doubled_signed_density",
+    }
+    assert "modelio.run_estimate" not in callers("plan")
+    assert "modelio.run_estimate" in callers("simulate")
