@@ -43,7 +43,6 @@ from .splitting import (
     build_generator,
     check_transience,
     doubled_matrix,
-    doubled_signed_density,
     exit_profile,
     initial_split,
     resolve_lambda,
@@ -60,7 +59,6 @@ __all__ = [
     "SignSplit", "InitialSplit", "ExitProfile", "DoubledGenerator",
     "sign_split", "initial_split", "build_generator",
     "doubled_matrix", "exit_profile", "check_transience", "resolve_lambda",
-    "doubled_signed_density",
     "PathBatch", "RngStream", "simulate_batch",
     "Grid", "DensityEstimate", "ExpectationEstimate", "HSpec",
     "mc_density_beta", "mc_density_qbar", "mc_expectation_untilted",

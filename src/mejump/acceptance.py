@@ -308,8 +308,8 @@ def criterion_9(run) -> CriterionResult:
     )
 
 
-def criterion_10(n_paths, seed) -> CriterionResult:
-    batch = simulate(plan(exponential_model(1.0), 1.0), RunConfig(n_paths=n_paths, seed=seed))
+def criterion_10(cfg) -> CriterionResult:
+    batch = simulate(plan(exponential_model(1.0), 1.0), cfg)
     mean_tau = float(batch.tau.mean())
     se_tau = float(batch.tau.std(ddof=1)) / math.sqrt(len(batch))
     mean_ok = abs(mean_tau - 0.5) <= 4 * se_tau
@@ -403,10 +403,12 @@ def criterion_13(n_paths, seed) -> CriterionResult:
 
 def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
     """Run every acceptance criterion on one plan of the reference model;
-    raises if ``lam`` is below its threshold (when planning) or is refused by
-    the rate gate (when criteria 7-9 simulate)."""
+    raises before any criterion runs if the run config refuses a value or
+    ``lam`` is below its threshold, and when criteria 7-9 simulate if the
+    rate gate refuses ``lam``."""
+    cfg = RunConfig(lam=lam, n_paths=n_paths, seed=seed)
     params = reference_model()
-    ref_plan = plan(params, lam)
+    ref_plan = plan(params, cfg.lam)
     split = ref_plan.split
 
     results = [
@@ -419,11 +421,11 @@ def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
     ]
     # criteria 7-9 check the run `mejump estimate` makes, on its default grid
     t0 = time.perf_counter()
-    run = run_estimate(ref_plan, RunConfig(lam=ref_plan.lam, n_paths=n_paths, seed=seed))
+    run = run_estimate(ref_plan, cfg)
     results.append(criterion_7(run, time.perf_counter() - t0))
     results.append(criterion_8(run))
     results.append(criterion_9(run))
-    results.append(criterion_10(n_paths, seed))
+    results.append(criterion_10(cfg))
     results.append(criterion_11(split))
     results.append(criterion_12(ref_plan))
     results.append(criterion_13(n_paths, seed))

@@ -81,26 +81,28 @@ def _matrix_lines(name, M):
     return [f"{name} ="] + ["  " + line for line in body.splitlines()]
 
 
+#: (argparse dest, run-config field, parser) of every flag that overrides a
+#: field of the run config
+_CONFIG_FLAGS = (
+    ("lam", "lambda", _parse_lambda),
+    ("paths", "n_paths", int),
+    ("seed", "seed", int),
+    ("chunk", "chunk", int),
+    ("workers", "workers", int),
+    ("grid", "grid", _parse_grid),
+    ("estimator", "estimator", str),
+)
+
+
 def _load_run_config(args):
     raw = {}
     if getattr(args, "config", None):
         raw = read_json(args.config)
         if not isinstance(raw, dict):
             raise ParseError(f"{args.config}: top level must be a JSON object")
-    if getattr(args, "lam", None) is not None:
-        raw["lambda"] = _parse_lambda(args.lam)
-    if getattr(args, "paths", None) is not None:
-        raw["n_paths"] = args.paths
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "chunk", None) is not None:
-        raw["chunk"] = args.chunk
-    if getattr(args, "workers", None) is not None:
-        raw["workers"] = args.workers
-    if getattr(args, "grid", None) is not None:
-        raw["grid"] = _parse_grid(args.grid)
-    if getattr(args, "estimator", None) is not None:
-        raw["estimator"] = args.estimator
+    for dest, field, parse in _CONFIG_FLAGS:
+        if getattr(args, dest, None) is not None:
+            raw[field] = parse(getattr(args, dest))
     return config_from_dict(raw)
 
 
@@ -301,13 +303,9 @@ def cmd_debug(args) -> int:
 def cmd_reproduce_example(args) -> int:
     from . import acceptance
 
-    n_paths = args.paths if args.paths is not None else 1_000_000
-    seed = args.seed if args.seed is not None else 42
-    if seed < 0:
-        raise ParseError(f"--seed must be non-negative, got {seed}")
-    lam = _parse_lambda(args.lam) if args.lam is not None else "auto"
-    print(f"acceptance run: n_paths={n_paths} seed={seed} lambda={lam}")
-    results = acceptance.run_all(n_paths=n_paths, seed=seed, lam=lam)
+    cfg = _load_run_config(args)
+    print(f"acceptance run: n_paths={cfg.n_paths} seed={cfg.seed} lambda={cfg.lam}")
+    results = acceptance.run_all(n_paths=cfg.n_paths, seed=cfg.seed, lam=cfg.lam)
     print(acceptance.format_table(results))
     for r in results:
         if r.extra:
@@ -369,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("reproduce-example", help="run the acceptance checks")
-    p.add_argument("--paths", type=int, default=None)
+    p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--lambda", dest="lam", default=None)
     p.set_defaults(func=cmd_reproduce_example)

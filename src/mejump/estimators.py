@@ -114,16 +114,15 @@ def finalize_density(
     if n_paths == 0:
         raise ValueError("empty outcome set")
     per_path = scale / grid.delta
+    # a float product overflows to inf where ** raises; inf squared raises nothing
+    if not math.isfinite(per_path * per_path):
+        raise ValueError(
+            f"per-path bin weight scale / bin width = {per_path:g} overflows "
+            "when squared; widen the bins"
+        )
     estimate = per_path * sum_w / n_paths
     if n_paths > 1:
-        try:
-            per_path_sq = per_path**2
-        except OverflowError:
-            raise ValueError(
-                f"per-path bin weight scale / bin width = {per_path:g} overflows "
-                "when squared; widen the bins"
-            ) from None
-        var = (per_path_sq * sum_w2 - n_paths * estimate**2) / (n_paths - 1)
+        var = (per_path**2 * sum_w2 - n_paths * estimate**2) / (n_paths - 1)
         stderr = np.sqrt(np.maximum(var, 0.0) / n_paths)
     else:
         stderr = np.zeros_like(estimate)
@@ -369,6 +368,11 @@ def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> tuple[np.nd
     histogram estimators are unbiased for.
     """
     norm = laplace_transform(params, lam)
+    if norm * grid.delta == 0.0:
+        raise ValueError(
+            f"bin width {grid.delta:g} times the normalizer {norm:g} underflows "
+            "to zero; widen the bins"
+        )
     p = params.p
     M = params.T - lam * np.eye(p)
     block = np.zeros((p + 1, p + 1))

@@ -113,9 +113,14 @@ def write_model(params: MEParams, path, name: str | None = None):
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Parameters of an estimation run (defaults match the JSON schema)."""
+    """Parameters of an estimation run (defaults match the JSON schema).
+
+    Every way of making one (a config file, CLI flags, a library caller)
+    goes through the range checks here; the rate is checked when the run is
+    planned.
+    """
 
     lam: object = "auto"  # float or the literal "auto"
     n_paths: int = 100_000
@@ -125,6 +130,18 @@ class RunConfig:
     estimator: str = "both"
     h: HSpec | None = None
     workers: int = 1
+
+    def __post_init__(self):
+        if self.n_paths <= 0:
+            raise ValueError("n_paths must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.chunk <= 0:
+            raise ValueError("chunk must be positive")
+        if self.workers <= 0:
+            raise ValueError("workers must be positive")
+        if self.estimator not in ("beta", "qbar", "both"):
+            raise ValueError("estimator must be beta, qbar or both")
 
 
 #: Run-config fields holding integers, at any nesting depth.
@@ -158,45 +175,32 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
         if isinstance(raw.get(field), dict):
             _refuse_unknown_fields(raw[field], known, f"{where}: field {field!r}")
     _refuse_loose_numbers(raw, where)
-    cfg = RunConfig()
+    fields = {}
     try:
-        lam = raw.get("lambda", cfg.lam)
-        if lam != "auto":
-            lam = float(lam)
-        n_paths = int(raw.get("n_paths", cfg.n_paths))
-        seed = int(raw.get("seed", cfg.seed))
-        chunk = int(raw.get("chunk", cfg.chunk))
-        workers = int(raw.get("workers", cfg.workers))
-        estimator = str(raw.get("estimator", cfg.estimator))
-        grid = cfg.grid
+        if "lambda" in raw:
+            lam = raw["lambda"]
+            fields["lam"] = lam if lam == "auto" else float(lam)
+        for field in ("n_paths", "seed", "chunk", "workers"):
+            if field in raw:
+                fields[field] = int(raw[field])
+        if "estimator" in raw:
+            fields["estimator"] = str(raw["estimator"])
         if "grid" in raw:
             g = raw["grid"]
             if not isinstance(g, dict) or not {"x_min", "x_max", "n_bins"} <= set(g):
                 raise ValueError(
                     'grid must be an object with "x_min", "x_max" and "n_bins" fields'
                 )
-            grid = Grid(
+            fields["grid"] = Grid(
                 x_min=float(g["x_min"]),
                 x_max=float(g["x_max"]),
                 n_bins=int(g["n_bins"]),
             )
-        h = h_spec_from_dict(raw["h"]) if raw.get("h") is not None else None
+        if raw.get("h") is not None:
+            fields["h"] = h_spec_from_dict(raw["h"])
+        return RunConfig(**fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    if n_paths <= 0:
-        raise ParseError(f"{where}: n_paths must be positive")
-    if seed < 0:
-        raise ParseError(f"{where}: seed must be non-negative, got {seed}")
-    if chunk <= 0:
-        raise ParseError(f"{where}: chunk must be positive")
-    if workers <= 0:
-        raise ParseError(f"{where}: workers must be positive")
-    if estimator not in ("beta", "qbar", "both"):
-        raise ParseError(f"{where}: estimator must be beta, qbar or both")
-    return RunConfig(
-        lam=lam, n_paths=n_paths, seed=seed, chunk=chunk, grid=grid,
-        estimator=estimator, h=h, workers=workers,
-    )
 
 
 @dataclass(frozen=True)

@@ -290,16 +290,3 @@ def doubled_expm_action(split: SignSplit, lam: float, xs) -> np.ndarray:
     for k, x in enumerate(xs):
         out[k] = linalg.mat_exp(D * x) @ svec
     return out
-
-
-def doubled_signed_density(split: SignSplit, lam: float, x: float) -> np.ndarray:
-    """Signed exit-time density vector ``expm(D(lam) x) @ (s; -s)``.
-
-    Entry i is the signed density of the exit time started from original
-    state i; entry p+i, started from anti state i, is its exact negative.
-    Requires ``lam >= lambda_0`` and transience.
-    """
-    admit_rate(split, lam)
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    return doubled_expm_action(split, lam, [x])[0]

@@ -35,3 +35,10 @@ def test_reference_model_is_planned_once():
     with mock.patch.object(acceptance, "plan", wraps=acceptance.plan) as planned:
         acceptance.run_all(n_paths=2000, seed=SEED)
     assert [call.args[0].p for call in planned.call_args_list] == [3, 1]
+
+
+def test_bad_config_refused_before_any_criterion():
+    with mock.patch.object(acceptance, "criterion_1") as first:
+        with pytest.raises(ValueError, match="n_paths must be positive"):
+            acceptance.run_all(n_paths=0)
+    first.assert_not_called()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ from mejump.medist import MEParams
 from mejump.modelio import (
     ESTIMATE_CSV_HEADER,
     ParseError,
+    RunConfig,
     config_from_dict,
     read_model,
     write_model,
@@ -123,6 +125,19 @@ class TestConfig:
         assert code == 1
         assert out == ""
         assert err == "error: config: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_paths", 0), ("seed", -1), ("chunk", 0), ("workers", 0), ("estimator", "kernel")],
+    )
+    def test_run_config_checks_its_own_values(self, field, value):
+        # a library caller's config is refused as a config file's is
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
+    def test_run_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig().n_paths = 10
 
     def test_integral_floats_accepted(self):
         cfg = config_from_dict(
@@ -401,16 +416,19 @@ class TestEstimateCommand:
         assert code == 0
         assert out.exists()
 
-    def test_overflowing_bin_weight_exits_1(self, model_file, tmp_path, capsys):
+    @pytest.mark.parametrize("grid", ["0:1e-160:1", "0:1e-310:2", "0:1e-320:1", "0:5e-324:1"])
+    def test_overflowing_bin_weight_exits_1(self, model_file, tmp_path, grid, capsys):
+        # a weight that overflows when squared, one that is already inf, and
+        # a bin width whose product with the normalizer underflows
+        out = tmp_path / "x.csv"
         code, _, err = run_cli(
-            [
-                "estimate", model_file, "--paths", "1000", "--grid", "0:1e-160:1",
-                "--out", tmp_path / "x.csv",
-            ],
+            ["estimate", model_file, "--paths", "1000", "--grid", grid, "--out", out],
             capsys,
         )
         assert code == 1
-        assert "widen the bins" in err and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "widen the bins" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_empty_output_path_exits_1(self, model_file, tmp_path, flag, capsys):
@@ -756,7 +774,14 @@ class TestReproduceExample:
         )
         assert code == 1
         assert out == ""
-        assert err == "error: --seed must be non-negative, got -1\n"
+        assert err == "error: config: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("paths", ["0", "-5"])
+    def test_nonpositive_paths_refused_before_any_criterion(self, paths, capsys):
+        code, out, err = run_cli(["reproduce-example", "--paths", paths], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: config: n_paths must be positive\n"
 
     def test_rate_below_threshold_refused(self, capsys):
         code, _, err = run_cli(

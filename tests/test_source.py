@@ -103,9 +103,6 @@ def test_each_run_derives_its_chain_once():
     # one guide table per chain, compiled from the generator the rate gate
     # returns, and a run estimates the plan its caller made
     assert callers("_guide_table") == {"jumpsim.JumpChain.__init__"}
-    assert callers("admit_rate") == {
-        "jumpsim.JumpChain.__init__",
-        "splitting.doubled_signed_density",
-    }
+    assert callers("admit_rate") == {"jumpsim.JumpChain.__init__"}
     assert "modelio.run_estimate" not in callers("plan")
     assert "modelio.run_estimate" in callers("simulate")

@@ -243,29 +243,23 @@ class TestResolveLambda:
         assert splitting.resolve_lambda(ref_split, 3.5) == 3.5
 
 
-class TestDoubledSignedDensity:
+class TestDoubledExpmAction:
     def test_matches_tilted_matrix_exponential(self, ref, ref_split):
         for lam in (2.0, 3.0):
             M = ref.T - lam * np.eye(3)
-            for x in (0.0, 0.5, 2.0):
-                vec = splitting.doubled_signed_density(ref_split, lam, x)
+            xs = (0.0, 0.5, 2.0)
+            rows = splitting.doubled_expm_action(ref_split, lam, xs)
+            for x, vec in zip(xs, rows):
                 want = linalg.mat_exp(M * x) @ ref.s
                 assert np.abs(vec[:3] - want).max() < 1e-10
                 assert np.abs(vec[3:] + vec[:3]).max() < 1e-12
 
     def test_reference_entry_closed_form(self, ref_split):
-        for x in (0.3, 1.0, 4.0):
-            vec = splitting.doubled_signed_density(ref_split, 2.0, x)
+        xs = (0.3, 1.0, 4.0)
+        rows = splitting.doubled_expm_action(ref_split, 2.0, xs)
+        for x, vec in zip(xs, rows):
             want = (2.0 / 3.0) * np.exp(-3.0 * x) * (1.0 + np.cos(x))
             assert vec[0] == pytest.approx(want, abs=1e-10)
-
-    def test_preconditions(self, ref_split):
-        with pytest.raises(LambdaTooSmallError):
-            splitting.doubled_signed_density(ref_split, 1.0, 0.5)
-        m = decoupled_rotator()
-        split = splitting.sign_split(m.T, m.s)
-        with pytest.raises(NotTransientError):
-            splitting.doubled_signed_density(split, 0.0, 0.5)
 
 
 def _match_multisets(a, b, tol):
