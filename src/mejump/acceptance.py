@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .models import (
     reference_density,
     reference_model,
 )
+from .records import Record
 from .splitting import doubled_matrix, initial_split, sign_split
 
 #: Exact normalizer of the rate-2 tilt of the reference model; both the
@@ -64,8 +64,7 @@ _EXPECTED_DOUBLED_AT_2 = np.array(
 )
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(Record):
     cid: int
     title: str
     passed: bool
@@ -273,9 +272,9 @@ def criterion_8(run) -> CriterionResult:
     frac = reduced.mean() if reduced.size else 0.0
     passed = bool(ok4.all()) and frac >= 0.9
     table = ["bin_x_mid  var_qbar/var_beta"]
-    for b in range(grid.n_bins):
-        val = f"{ratio[b]:.4f}" if np.isfinite(ratio[b]) else "n/a"
-        table.append(f"{grid.mids[b]:9.2f}  {val}")
+    for mid, r in zip(grid.mids, ratio):
+        val = f"{r:.4f}" if np.isfinite(r) else "n/a"
+        table.append(f"{mid:9.2f}  {val}")
     return CriterionResult(
         8,
         "pre-exit-weighted density passes the same bands with variance never "

@@ -4,7 +4,8 @@ Subcommands: validate, split, tilt, estimate, expect, reproduce-example,
 plus debug (summarizes a trace written by estimate --trace).
 Exit codes: 0 success; 1 parse/usage error, unwritable output, or a value
 refused as a ValueError (a non-finite or too-large rate, an overflowing bin
-weight, a non-convergent h, non-finite weights); 2 validation failure;
+weight, a bin width or x_min too large to exponentiate (T - lam I) at, a
+non-convergent h, non-finite weights); 2 validation failure;
 3 precondition failure (tilting rate / transience); 4 failed acceptance
 checks in reproduce-example.
 

@@ -23,18 +23,17 @@ the expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .jumpsim import SIGN_OF_LANDING, PathBatch
 from .medist import MEParams, laplace_transform
+from .records import Record
 from .splitting import ExitProfile, InitialSplit, SignSplit, doubled_expm_action
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record, frozen=True):
     """Histogram grid on [x_min, x_max) with n_bins equal bins."""
 
     x_min: float
@@ -64,8 +63,7 @@ class Grid:
         return self.x_min + self.delta * (np.arange(self.n_bins) + 0.5)
 
 
-@dataclass
-class DensityEstimate:
+class DensityEstimate(Record):
     """Per-bin density estimates with standard errors.
 
     Bins with ``n_hits == 0`` report estimate 0 and stderr 0; the count
@@ -80,8 +78,7 @@ class DensityEstimate:
     scale: float
 
 
-@dataclass
-class ExpectationEstimate:
+class ExpectationEstimate(Record):
     """Untilted expectation estimate; ``max_abs_weight`` is the largest
     ``|h(tau) e^{lam tau}|`` seen, a heavy-tail diagnostic."""
 
@@ -198,8 +195,7 @@ def mc_density_qbar(
     return finalize_density(sum_w[:-1], sum_w2[:-1], n_hits[:-1], len(batch), grid, scale)
 
 
-@dataclass(frozen=True)
-class HSpec:
+class HSpec(Record, frozen=True):
     """Structured integrand ``h(x) = x^degree * exp(-c x)``.
 
     Declaring ``h`` this way enables the exact resolvent value
@@ -356,6 +352,20 @@ def decay_cancellation_check(split: SignSplit, sigma0: float, xs) -> np.ndarray:
     return np.abs(doubled_expm_action(split, 0.0, xs)).max(axis=1) * np.exp(-sigma0 * xs)
 
 
+def _exp_at(A: np.ndarray, name: str, x: float, grid: Grid) -> np.ndarray:
+    """``e^{A x}`` for the grid value ``x`` called ``name``, refused when
+    ``A x`` has an entry or a 1-norm that overflows."""
+    with np.errstate(over="ignore"):
+        Ax = A * x
+        norm = np.abs(Ax).sum(axis=0).max()
+    if not math.isfinite(norm):
+        raise ValueError(
+            f"{name} {x:g} of grid {grid.x_min:g}:{grid.x_max:g}:{grid.n_bins} is too "
+            "large: (T - lam I) times it overflows, so its exponential cannot be computed"
+        )
+    return linalg.mat_exp(Ax)
+
+
 def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> tuple[np.ndarray, float]:
     """Exact bin averages of the tilted density over the grid, and the
     normalizer ``L(lam) = alpha (lam I - T)^{-1} s`` they were divided by.
@@ -366,6 +376,9 @@ def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> tuple[np.nd
     starts at ``x_min`` and steps from edge to edge, so the grid costs two
     exponentials and no subtraction of nearly equal terms.  This is what the
     histogram estimators are unbiased for.
+
+    A bin width or ``x_min`` so large that ``(T - lam I)`` times it overflows
+    is refused, by name, with the grid: its exponential cannot be computed.
     """
     norm = laplace_transform(params, lam)
     if norm * grid.delta == 0.0:
@@ -378,9 +391,9 @@ def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> tuple[np.nd
     block = np.zeros((p + 1, p + 1))
     block[:p, :p] = M
     block[:p, p] = params.s
-    F = linalg.mat_exp(block * grid.delta)
+    F = _exp_at(block, "bin width", grid.delta, grid)
     step, integral = F[:p, :p], F[:p, p]
-    row = params.alpha @ linalg.mat_exp(M * grid.x_min)
+    row = params.alpha @ _exp_at(M, "x_min", grid.x_min, grid)
     out = np.empty(grid.n_bins)
     for b in range(grid.n_bins):
         out[b] = row @ integral

@@ -18,7 +18,8 @@ inverse transform (no ziggurat), so identical ``(seed, stream_index)`` always
 reproduce identical paths.  ``simulate_batch`` assigns paths to streams in
 fixed chunks and allocates the output columns once; each chunk writes only
 its own slice of them, which makes the output independent of how many worker
-threads execute the chunks.
+threads execute the chunks.  The workers are plain ``threading.Thread``s, the
+calling thread one of them, so a run loads no thread pool.
 
 There is one simulator, ``simulate_batch``, and it works on integer codes
 only: transient states are ``0..p-1`` (original) and ``p..2p-1`` (anti), the
@@ -67,10 +68,10 @@ does not fault a chunk's temporaries back in on every iteration.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
+from .records import Record
 from .splitting import InitialSplit, SignSplit, admit_rate
 
 #: Paths per random stream in simulate_batch.
@@ -89,8 +90,7 @@ def code_label(code: int, p: int) -> str:
     return ("DeltaO", "DeltaA", "term")[code - 2 * p]
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(Record, frozen=True):
     """Pinned random stream: Philox keyed by (seed, stream_index).
 
     Distinct stream indices yield statistically independent streams; identical
@@ -117,8 +117,7 @@ def _cum_and_last(weights: np.ndarray):
     return cum, last.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class GuideTable:
+class GuideTable(Record, frozen=True):
     """Indexed-search tables for categorical draws over the rows of ``cum``,
     each clamped to its last positive target (see ``_guide_table``).
 
@@ -250,8 +249,7 @@ class JumpChain:
         self.table = _guide_table(cum, last)
 
 
-@dataclass
-class PathBatch:
+class PathBatch(Record):
     """Column-oriented collection of path outcomes.
 
     ``pre_exit`` holds transient codes (0..2p-1), ``landing`` codes 0/1/2 for
@@ -386,7 +384,9 @@ def simulate_batch(
     for fixed ``(seed, n_paths, chunk)`` whatever the worker count.  Each of
     the ``min(workers, n_chunks)`` workers takes the next chunk until none is
     left, and runs every chunk it takes in its own ``_Arena`` of
-    ``min(chunk, n_paths)`` paths.
+    ``min(chunk, n_paths)`` paths.  The calling thread is the first worker and
+    starts a ``threading.Thread`` for each other one; once all have stopped,
+    the first failing worker's exception, if any, is raised.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -416,16 +416,25 @@ def simulate_batch(
             hi = min(lo + chunk, n_paths)
             parts += _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace)
 
-    n_workers = min(workers, n_chunks)
-    if n_workers > 1:
-        # deferred: concurrent.futures loads logging, which one worker never needs
-        from concurrent.futures import ThreadPoolExecutor
+    # worker i's trace parts, or the exception it raised
+    results = [None] * min(workers, n_chunks)
 
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(work) for _ in range(n_workers)]
-            parts = [part for future in futures for part in future.result()]
-    else:
-        parts = work()
+    def run(i):
+        try:
+            results[i] = work()
+        except BaseException as exc:  # re-raised below, once every worker has stopped
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(results))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    parts = [part for result in results for part in result]
 
     trace = None
     if collect_trace:

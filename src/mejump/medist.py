@@ -17,13 +17,13 @@ a matrix-exponential distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import LambdaTooSmallError, NotADensityError, UnstableTError
+from .records import Factory, Record
 
 #: Tolerance on |alpha (-T)^{-1} s - 1|.
 NORMALIZATION_TOL = 1e-8
@@ -33,8 +33,7 @@ NORMALIZATION_TOL = 1e-8
 DENSITY_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class MEParams:
+class MEParams(Record, frozen=True):
     """Parameter triple (alpha, T, s) of a p-dimensional matrix-exponential
     distribution.  Arrays are copied and frozen at construction."""
 
@@ -66,14 +65,13 @@ class MEParams:
         return linalg.spectral_abscissa(self.T)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of :func:`validate`; reproducible from the parameters alone."""
 
     sigma0: float
     normalization: float
     diag_nonpositive: bool
-    messages: list = field(default_factory=list)
+    messages: list = Factory(list)
 
 
 def validate(params: MEParams) -> ValidationReport:

@@ -11,7 +11,6 @@ decimals, LF line endings and a fixed header, making golden-file diffs stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .estimators import (
 )
 from .jumpsim import DEFAULT_CHUNK, PathBatch, code_label, simulate_batch
 from .medist import MEParams
+from .records import Record
 from .splitting import (
     ExitProfile,
     InitialSplit,
@@ -113,8 +113,7 @@ def write_model(params: MEParams, path, name: str | None = None):
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record, frozen=True):
     """Parameters of an estimation run (defaults match the JSON schema).
 
     Every way of making one (a config file, CLI flags, a library caller)
@@ -203,8 +202,7 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RunPlan:
+class RunPlan(Record, frozen=True):
     """What a command derives once from a model and a tilting-rate request:
     the validated parameters, their sign split, the resolved rate ``lam``, the
     initial mixture, the exit profile at ``lam`` and the doubled abscissa
@@ -238,8 +236,7 @@ def plan(params: MEParams, lam_request) -> RunPlan:
     return RunPlan(params, split, lam, initial_split(params.alpha), profile, abscissa)
 
 
-@dataclass
-class EstimateRun:
+class EstimateRun(Record):
     """Everything produced by one estimation pipeline run."""
 
     plan: RunPlan
@@ -303,6 +300,7 @@ def render_estimate_csv(run: EstimateRun) -> str:
     shortest round-trip float formatting.  Columns of estimators that were not
     requested are left empty."""
     grid = run.config.grid
+    mids = grid.mids  # a property that builds the array on every read
     some = run.est_beta if run.est_beta is not None else run.est_qbar
     lines = [ESTIMATE_CSV_HEADER]
     for b in range(grid.n_bins):
@@ -318,7 +316,7 @@ def render_estimate_csv(run: EstimateRun) -> str:
         )
         lines.append(
             ",".join(
-                [_fmt(grid.mids[b]), _fmt(run.analytic[b])]
+                [_fmt(mids[b]), _fmt(run.analytic[b])]
                 + beta_cols
                 + qbar_cols
                 + [str(int(some.n_hits[b]))]

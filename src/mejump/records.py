@@ -1,0 +1,120 @@
+"""Record classes without generated code.
+
+A ``@dataclass`` builds its ``__init__``, ``__repr__``, ``__eq__`` and, when
+frozen, ``__setattr__``, ``__delattr__`` and ``__hash__`` by ``exec`` of
+generated source: about 1 ms for a frozen class, paid by every process that
+imports it.  A :class:`Record` subclass reads its annotated fields and their
+defaults once, in ``__init_subclass__``, and shares generic methods that
+behave as the dataclass ones do:
+
+* the constructor takes the fields in order, positionally or by keyword,
+  fills in defaults, raises ``TypeError`` for a missing, unknown or repeated
+  argument, and then calls ``__post_init__``;
+* ``repr`` is ``Name(field=value, ...)``, and ``==`` compares the tuples of
+  field values of two instances of the same class;
+* a ``frozen=True`` class refuses assignment and deletion of attributes with
+  ``dataclasses.FrozenInstanceError`` (imported only when raised) and hashes
+  its field values; any other record is unhashable, as an ``eq=True``
+  dataclass is.
+
+    class Grid(Record, frozen=True):
+        x_min: float
+        n_bins: int = 40
+
+A field whose default must be made fresh for each instance takes
+``Factory(make)``, as ``field(default_factory=make)`` does.
+"""
+
+from __future__ import annotations
+
+
+class Factory:
+    """A field default made by calling ``make()`` for each instance."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+class Record:
+    """Base of a record class; see the module docstring."""
+
+    #: Field names in constructor order, and the defaults of those that have one.
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(dict.fromkeys([*cls._fields, *own]))
+        cls._defaults = dict(cls._defaults)
+        for name in own:
+            if name in cls.__dict__:
+                cls._defaults[name] = cls.__dict__[name]
+        if frozen:
+            cls.__setattr__ = _refuse_assignment
+            cls.__delattr__ = _refuse_deletion
+        else:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(names)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name in values:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
+            if name not in names:
+                raise TypeError(
+                    f"{cls.__qualname__}() got an unexpected keyword argument {name!r}"
+                )
+            values[name] = value
+        defaults = cls._defaults
+        missing = [name for name in names if name not in values and name not in defaults]
+        if missing:
+            raise TypeError(
+                f"{cls.__qualname__}() missing required arguments: "
+                + ", ".join(map(repr, missing))
+            )
+        state = self.__dict__
+        for name in names:
+            if name in values:
+                state[name] = values[name]
+            else:
+                default = defaults[name]
+                state[name] = default.make() if type(default) is Factory else default
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+def _refuse_assignment(self, name, value):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -21,8 +21,6 @@ anti state i its negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -33,6 +31,7 @@ from .errors import (
     ZeroAlphaError,
 )
 from .medist import require_finite_rate
+from .records import Record
 
 #: Slack used when comparing a requested rate against lambda_0.
 LAMBDA_SLACK = 1e-12
@@ -44,8 +43,7 @@ LAMBDA_SLACK = 1e-12
 AUTO_LAMBDA_STEP = 1.0
 
 
-@dataclass(frozen=True)
-class SignSplit:
+class SignSplit(Record, frozen=True):
     """Elementwise sign decomposition of (T, s), the threshold rate and
     ``eta``, the spectral abscissa of ``T^+ + T^-`` (see check_transience)."""
 
@@ -61,8 +59,7 @@ class SignSplit:
         return self.splus.shape[0]
 
 
-@dataclass(frozen=True)
-class InitialSplit:
+class InitialSplit(Record, frozen=True):
     """Decomposition ``alpha = w^+ alpha^+ - w^- alpha^-`` with the mixture
     weights ``alphahat^{+/-} = w^{+/-}/(w^+ + w^-) * alpha^{+/-}`` used as the
     initial distribution over original/anti states."""
@@ -79,8 +76,7 @@ class InitialSplit:
         return self.wplus + self.wminus
 
 
-@dataclass(frozen=True)
-class ExitProfile:
+class ExitProfile(Record, frozen=True):
     """Per-state exit intensities and conditional landing probabilities.
 
     ``d_i`` is the total exit rate out of state i (same for original and
@@ -96,8 +92,7 @@ class ExitProfile:
     qbar_original: np.ndarray
 
 
-@dataclass(frozen=True)
-class DoubledGenerator:
+class DoubledGenerator(Record, frozen=True):
     """Doubled transient block at a rate with its absorption columns and
     termination defect; rows of ``[D | abs_o | abs_a | term]`` sum to zero."""
 

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from mejump import cli
+from mejump.estimators import DensityEstimate, Grid
 from mejump.medist import MEParams
 from mejump.modelio import (
     ESTIMATE_CSV_HEADER,
+    EstimateRun,
     ParseError,
     RunConfig,
     config_from_dict,
     read_model,
+    render_estimate_csv,
     write_model,
 )
 from mejump.models import random_me_model, reference_model
@@ -430,6 +433,38 @@ class TestEstimateCommand:
         assert "widen the bins" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid, name",
+        [
+            ("0:1e308:2", "bin width 5e+307"),
+            ("1e308:1.7e308:1", "bin width 7e+307"),
+            ("1.7e308:1.75e308:1000", "x_min 1.7e+308"),
+        ],
+    )
+    def test_unexponentiable_grid_exits_1(self, model_file, tmp_path, grid, name, capsys):
+        # (T - lam I) times the bin width or x_min overflows: the refusal
+        # names the value and the grid, not the matrix kernel
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["estimate", model_file, "--paths", "1000", "--grid", grid, "--out", out],
+            capsys,
+        )
+        lo, hi, bins = grid.split(":")
+        assert code == 1
+        assert err.startswith(f"error: {name} of grid {float(lo):g}:{float(hi):g}:{bins} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1e307:1.1e307:1", "0:1e306:1"])
+    def test_huge_exponentiable_grid_runs(self, model_file, tmp_path, grid, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["estimate", model_file, "--paths", "1000", "--grid", grid, "--out", out],
+            capsys,
+        )
+        assert code == 0, err
+        assert out.exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_empty_output_path_exits_1(self, model_file, tmp_path, flag, capsys):
         args = ["estimate", model_file, "--paths", "100", f"{flag}="]
@@ -467,6 +502,23 @@ class TestEstimateCommand:
         line = text.split("\n")[1].split("\t")
         assert len(line) == 3
         assert line[1] == "o0"  # reference model always starts in the first state
+
+
+class TestRenderEstimateCsv:
+    def test_reads_the_bin_midpoints_once(self, monkeypatch):
+        # Grid.mids builds an n_bins array on every read, so a read per row
+        # made rendering quadratic in the bin count
+        grid = Grid(0.0, 4.0, 100_000)
+        zeros = np.zeros(grid.n_bins)
+        est = DensityEstimate(grid, zeros, zeros, zeros.astype(np.int64), 100, 1.0)
+        run = EstimateRun(None, 1.0, RunConfig(grid=grid), None, zeros, est, est)
+        reads = []
+        mids = Grid.mids
+        monkeypatch.setattr(Grid, "mids", property(lambda g: reads.append(1) or mids.fget(g)))
+        lines = render_estimate_csv(run).split("\n")
+        assert len(reads) == 1
+        assert len(lines) == grid.n_bins + 2  # header, the bins, trailing newline
+        assert lines[1] == "2e-05,0.0,0.0,0.0,0.0,0.0,0"
 
 
 class TestGoldenEstimate:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -276,7 +275,9 @@ class TestFoldsMatchTheReference:
         planted = self.planted_times(grid, rng)
         tau = batch.tau.copy()
         tau[rng.choice(n, size=min(n, planted.size), replace=False)] = planted[:n]
-        batch = dataclasses.replace(batch, tau=tau)
+        batch = PathBatch(
+            batch.p, batch.chunk, tau, batch.pre_exit, batch.landing, batch.n_jumps, batch.trace
+        )
         prof = splitting.exit_profile(split, lam)
 
         # at a per-path bin weight of 1 every grid's estimate is finite

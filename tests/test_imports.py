@@ -1,10 +1,13 @@
-"""Each ``mejump`` command imports only what it runs, and only the CLI
-freezes the heap its imports leave.
+"""Each ``mejump`` command imports only what it runs, the CLI's import
+compiles no generated source, and only the CLI freezes the heap its imports
+leave.
 
 No command loads scipy: the ``linalg`` kernel and criterion 4's quadrature are
-numpy.  A command that simulates on one worker loads no thread pool
-(``concurrent.futures`` brings in ``logging``).  The test modules load scipy
-themselves, so the commands run in a fresh interpreter.
+numpy.  No command loads ``dataclasses``: the package's records build no code
+at import.  No command loads a thread pool (``concurrent.futures``, which
+brings in ``logging``): the workers of a simulation are plain threads.  The
+test modules load scipy themselves, so the commands run in a fresh
+interpreter.
 """
 
 import json
@@ -18,8 +21,8 @@ import pytest
 ROOT = pathlib.Path(__file__).parents[1]
 
 #: Modules a command must not load.  ``reproduce-example`` loads the acceptance
-#: checks, and the thread pool for criterion 13's run of 2 chunks on 4 workers.
-UNWANTED = ("concurrent.futures", "scipy", "mejump.acceptance")
+#: checks, and nothing more for criterion 13's run of 2 chunks on 4 workers.
+UNWANTED = ("concurrent.futures", "dataclasses", "logging", "scipy", "mejump.acceptance")
 
 #: Run in order in one interpreter; ``debug`` reads the trace ``estimate`` writes,
 #: and ``reproduce-example`` comes last, since it loads ``mejump.acceptance``.
@@ -75,9 +78,32 @@ def test_command_loads_no_quadrature_stack(loaded, command):
     code, found = loaded[command]
     assert code == 0
     if command == "reproduce-example":
-        assert found == ["concurrent.futures", "mejump.acceptance"]
+        assert found == ["mejump.acceptance"]
     else:
         assert found == []
+
+
+#: Imports ``mejump.cli`` after numpy under an audit hook, and prints the
+#: file name of every source compiled meanwhile.
+COMPILE_CHILD = """
+import sys
+import numpy
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and compiled.append(str(args[1])))
+import mejump.cli
+print("\\n".join(compiled))
+"""
+
+
+def test_cli_import_compiles_no_generated_source():
+    # a dataclass execs generated source for each method it adds; modules
+    # compiled from their .py files are all the import may compile
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", COMPILE_CHILD], env=env, capture_output=True, text=True, check=True
+    )
+    compiled = proc.stdout.split()
+    assert [name for name in compiled if not name.endswith(".py")] == []
 
 
 @pytest.mark.parametrize("module, frozen", [("mejump", False), ("mejump.cli", True)])

@@ -1,7 +1,7 @@
-import dataclasses
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -376,6 +376,25 @@ class TestSimulateBatch:
             assert col_a.dtype == col_b.dtype
             assert np.array_equal(col_a, col_b)
 
+    def test_failing_worker_raises_once_every_worker_stops(self, ref_split, ref_init, monkeypatch):
+        # whichever worker takes chunk 0 fails on it; the others run every
+        # other chunk, and the failure is raised after all have stopped
+        ran = []
+        simulate_chunk = jumpsim._simulate_chunk
+
+        def failing_chunk(chain, lo, hi, *args):
+            if lo == 0:
+                raise RuntimeError("chunk 0 failed")
+            ran.append(lo)
+            return simulate_chunk(chain, lo, hi, *args)
+
+        monkeypatch.setattr(jumpsim, "_simulate_chunk", failing_chunk)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 0 failed"):
+            simulate_batch(ref_split, 2.0, ref_init, n_paths=10_000, seed=1, chunk=1000, workers=3)
+        assert threading.active_count() == threads
+        assert sorted(ran) == list(range(1000, 10_000, 1000))
+
     @settings(derandomize=True, database=None, deadline=None)
     @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
     @example(p=1, seed=0, zeros=False)
@@ -584,7 +603,9 @@ class TestSimulateBatch:
         init = splitting.initial_split([1.0])
         with pytest.raises(NotTransientError, match="not transient"):
             JumpChain(split, 0.0, init)
-        faked = dataclasses.replace(split, eta=-1.0)
+        faked = splitting.SignSplit(
+            split.Tplus, split.Tminus, split.splus, split.sminus, split.lambda0, eta=-1.0
+        )
         assert splitting.check_transience(faked, 0.0)[0]
         with pytest.raises(NotTransientError, match="state o0 has zero total exit rate"):
             splitting.admit_rate(faked, 0.0)
