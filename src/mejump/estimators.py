@@ -33,7 +33,7 @@ from .records import Record
 from .splitting import ExitProfile, InitialSplit, SignSplit, doubled_expm_action
 
 
-class Grid(Record, frozen=True):
+class Grid(Record):
     """Histogram grid on [x_min, x_max) with n_bins equal bins."""
 
     x_min: float
@@ -195,7 +195,7 @@ def mc_density_qbar(
     return finalize_density(sum_w[:-1], sum_w2[:-1], n_hits[:-1], len(batch), grid, scale)
 
 
-class HSpec(Record, frozen=True):
+class HSpec(Record):
     """Structured integrand ``h(x) = x^degree * exp(-c x)``.
 
     Declaring ``h`` this way enables the exact resolvent value
@@ -262,17 +262,6 @@ class HSpec(Record, frozen=True):
             f"weight e^{{(lam - c) tau}} may have infinite variance: "
             f"need c > (lam + eta)/2 = {(lam + eta) / 2:g}, got c = {self.c:g}"
         )
-
-
-def h_spec_from_dict(spec: dict) -> HSpec:
-    """Build an :class:`HSpec` from its JSON form ``{"type": ..., "c": ...}``."""
-    if not isinstance(spec, dict) or "type" not in spec or "c" not in spec:
-        raise ValueError('h must be an object with "type" and "c" fields')
-    return HSpec(
-        kind=str(spec["type"]),
-        c=float(spec["c"]),
-        degree=int(spec.get("degree", 0)),
-    )
 
 
 def mc_expectation_untilted(

@@ -90,7 +90,7 @@ def code_label(code: int, p: int) -> str:
     return ("DeltaO", "DeltaA", "term")[code - 2 * p]
 
 
-class RngStream(Record, frozen=True):
+class RngStream(Record):
     """Pinned random stream: Philox keyed by (seed, stream_index).
 
     Distinct stream indices yield statistically independent streams; identical
@@ -117,7 +117,7 @@ def _cum_and_last(weights: np.ndarray):
     return cum, last.astype(np.int64)
 
 
-class GuideTable(Record, frozen=True):
+class GuideTable(Record):
     """Indexed-search tables for categorical draws over the rows of ``cum``,
     each clamped to its last positive target (see ``_guide_table``).
 
@@ -386,12 +386,16 @@ def simulate_batch(
     left, and runs every chunk it takes in its own ``_Arena`` of
     ``min(chunk, n_paths)`` paths.  The calling thread is the first worker and
     starts a ``threading.Thread`` for each other one; once all have stopped,
-    the first failing worker's exception, if any, is raised.
+    the first failing worker's exception, if any, is raised.  If a thread
+    fails to start, no more chunks are handed out, and its error is raised
+    once the workers already started have stopped.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
     if chunk <= 0:
         raise ValueError("chunk must be positive")
+    if workers <= 0:
+        raise ValueError("workers must be positive")
     chain = JumpChain(split, lam, init)
     columns = (  # tau, pre_exit, landing, n_jumps: PathBatch's columns in field order
         np.empty(n_paths),
@@ -425,12 +429,20 @@ def simulate_batch(
         except BaseException as exc:  # re-raised below, once every worker has stopped
             results[i] = exc
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(results))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
+    threads = []
+    try:
+        for i in range(1, len(results)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    except BaseException:  # a thread failed to start: hand out no more chunks
+        with lock:
+            chunks = iter(())  # the name work() reads
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
     for result in results:
         if isinstance(result, BaseException):
             raise result

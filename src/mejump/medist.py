@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import LambdaTooSmallError, NotADensityError, UnstableTError
-from .records import Factory, Record
+from .records import Record
 
 #: Tolerance on |alpha (-T)^{-1} s - 1|.
 NORMALIZATION_TOL = 1e-8
@@ -33,7 +33,7 @@ NORMALIZATION_TOL = 1e-8
 DENSITY_CLAMP = 1e-12
 
 
-class MEParams(Record, frozen=True):
+class MEParams(Record):
     """Parameter triple (alpha, T, s) of a p-dimensional matrix-exponential
     distribution.  Arrays are copied and frozen at construction."""
 
@@ -71,7 +71,15 @@ class ValidationReport(Record):
     sigma0: float
     normalization: float
     diag_nonpositive: bool
-    messages: list = Factory(list)
+
+    @property
+    def messages(self) -> list:
+        if self.diag_nonpositive:
+            return []
+        return [
+            "T has a positive diagonal entry: analytic use is fine, but the "
+            "sign split / jump construction will be refused"
+        ]
 
 
 def validate(params: MEParams) -> ValidationReport:
@@ -93,18 +101,10 @@ def validate(params: MEParams) -> ValidationReport:
         raise NotADensityError(
             f"alpha (-T)^-1 s = {normalization:.12g}, not 1 within {NORMALIZATION_TOL:g}"
         )
-    diag_ok = bool(np.all(np.diag(params.T) <= 0.0))
-    messages = []
-    if not diag_ok:
-        messages.append(
-            "T has a positive diagonal entry: analytic use is fine, but the "
-            "sign split / jump construction will be refused"
-        )
     return ValidationReport(
         sigma0=params.sigma0,
         normalization=normalization,
-        diag_nonpositive=diag_ok,
-        messages=messages,
+        diag_nonpositive=bool(np.all(np.diag(params.T) <= 0.0)),
     )
 
 

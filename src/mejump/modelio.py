@@ -20,7 +20,6 @@ from .estimators import (
     DensityEstimate,
     Grid,
     HSpec,
-    h_spec_from_dict,
     mc_density_beta,
     mc_density_qbar,
     tilted_bin_averages,
@@ -32,7 +31,6 @@ from .splitting import (
     ExitProfile,
     InitialSplit,
     SignSplit,
-    check_transience,
     exit_profile,
     initial_split,
     resolve_lambda,
@@ -113,7 +111,7 @@ def write_model(params: MEParams, path, name: str | None = None):
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-class RunConfig(Record, frozen=True):
+class RunConfig(Record):
     """Parameters of an estimation run (defaults match the JSON schema).
 
     Every way of making one (a config file, CLI flags, a library caller)
@@ -147,15 +145,15 @@ class RunConfig(Record, frozen=True):
 _INTEGER_FIELDS = frozenset({"n_paths", "seed", "chunk", "workers", "n_bins", "degree"})
 
 
-def _refuse_loose_numbers(raw: dict, where: str):
+def _refuse_loose_numbers(raw: dict):
     """Refuse booleans, which ``float()`` reads as 1, and fractions in integer fields."""
     for key, value in raw.items():
         if isinstance(value, dict):
-            _refuse_loose_numbers(value, where)
+            _refuse_loose_numbers(value)
         elif isinstance(value, bool):
-            raise ParseError(f"{where}: field {key!r} must not be a boolean")
+            raise ParseError(f"config: field {key!r} must not be a boolean")
         elif key in _INTEGER_FIELDS and isinstance(value, float) and not value.is_integer():
-            raise ParseError(f"{where}: field {key!r} must be an integer, got {value!r}")
+            raise ParseError(f"config: field {key!r} must be an integer, got {value!r}")
 
 
 def _refuse_unknown_fields(raw: dict, known: set, where: str):
@@ -164,16 +162,18 @@ def _refuse_unknown_fields(raw: dict, known: set, where: str):
         raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-def config_from_dict(raw, where: str = "config") -> RunConfig:
+def config_from_dict(raw) -> RunConfig:
+    """Parse a run configuration: the JSON schema lives here, the range
+    checks in :class:`RunConfig` and :class:`HSpec`."""
     if not isinstance(raw, dict):
-        raise ParseError(f"{where}: top level must be a JSON object")
+        raise ParseError("config: top level must be a JSON object")
     _refuse_unknown_fields(
-        raw, {"lambda", "n_paths", "seed", "chunk", "grid", "estimator", "h", "workers"}, where
+        raw, {"lambda", "n_paths", "seed", "chunk", "grid", "estimator", "h", "workers"}, "config"
     )
     for field, known in (("grid", {"x_min", "x_max", "n_bins"}), ("h", {"type", "c", "degree"})):
         if isinstance(raw.get(field), dict):
-            _refuse_unknown_fields(raw[field], known, f"{where}: field {field!r}")
-    _refuse_loose_numbers(raw, where)
+            _refuse_unknown_fields(raw[field], known, f"config: field {field!r}")
+    _refuse_loose_numbers(raw)
     fields = {}
     try:
         if "lambda" in raw:
@@ -195,25 +195,33 @@ def config_from_dict(raw, where: str = "config") -> RunConfig:
                 x_max=float(g["x_max"]),
                 n_bins=int(g["n_bins"]),
             )
-        if raw.get("h") is not None:
-            fields["h"] = h_spec_from_dict(raw["h"])
+        h = raw.get("h")
+        if h is not None:
+            if not isinstance(h, dict) or not {"type", "c"} <= set(h):
+                raise ValueError('h must be an object with "type" and "c" fields')
+            fields["h"] = HSpec(
+                kind=str(h["type"]), c=float(h["c"]), degree=int(h.get("degree", 0))
+            )
         return RunConfig(**fields)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+        raise ParseError(f"config: {exc}") from exc
 
 
-class RunPlan(Record, frozen=True):
+class RunPlan(Record):
     """What a command derives once from a model and a tilting-rate request:
     the validated parameters, their sign split, the resolved rate ``lam``, the
-    initial mixture, the exit profile at ``lam`` and the doubled abscissa
-    ``eta - lam`` (the chain is transient where it is negative)."""
+    initial mixture and the exit profile at ``lam``.  The doubled abscissa
+    ``eta - lam`` follows (the chain is transient where it is negative)."""
 
     params: MEParams
     split: SignSplit
     lam: float
     init: InitialSplit
     profile: ExitProfile
-    abscissa: float
+
+    @property
+    def abscissa(self) -> float:
+        return self.split.eta - self.lam
 
     @property
     def transient(self) -> bool:
@@ -232,8 +240,7 @@ def plan(params: MEParams, lam_request) -> RunPlan:
     split = sign_split(params.T, params.s)
     lam = resolve_lambda(split, lam_request)
     profile = exit_profile(split, lam)
-    _, abscissa = check_transience(split, lam)
-    return RunPlan(params, split, lam, initial_split(params.alpha), profile, abscissa)
+    return RunPlan(params, split, lam, initial_split(params.alpha), profile)
 
 
 class EstimateRun(Record):

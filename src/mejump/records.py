@@ -1,38 +1,31 @@
 """Record classes without generated code.
 
-A ``@dataclass`` builds its ``__init__``, ``__repr__``, ``__eq__`` and, when
-frozen, ``__setattr__``, ``__delattr__`` and ``__hash__`` by ``exec`` of
-generated source: about 1 ms for a frozen class, paid by every process that
-imports it.  A :class:`Record` subclass reads its annotated fields and their
-defaults once, in ``__init_subclass__``, and shares generic methods that
-behave as the dataclass ones do:
+A frozen ``@dataclass`` builds its ``__init__``, ``__repr__``, ``__eq__``,
+``__setattr__``, ``__delattr__`` and ``__hash__`` by ``exec`` of generated
+source: about 1 ms a class, paid by every process that imports it.  A
+:class:`Record` subclass reads its annotated fields and their defaults once,
+in ``__init_subclass__``, and shares generic methods that behave as those of
+a frozen dataclass do:
 
 * the constructor takes the fields in order, positionally or by keyword,
   fills in defaults, raises ``TypeError`` for a missing, unknown or repeated
   argument, and then calls ``__post_init__``;
 * ``repr`` is ``Name(field=value, ...)``, and ``==`` compares the tuples of
   field values of two instances of the same class;
-* a ``frozen=True`` class refuses assignment and deletion of attributes with
+* every record refuses assignment and deletion of attributes with
   ``dataclasses.FrozenInstanceError`` (imported only when raised) and hashes
-  its field values; any other record is unhashable, as an ``eq=True``
-  dataclass is.
+  its field values.
 
-    class Grid(Record, frozen=True):
+    class Grid(Record):
         x_min: float
         n_bins: int = 40
 
-A field whose default must be made fresh for each instance takes
-``Factory(make)``, as ``field(default_factory=make)`` does.
+A record stores no value its other fields fix: a derived value is a
+property, or a ``functools.cached_property``, which writes the instance's
+``__dict__`` directly and so works on a record.
 """
 
 from __future__ import annotations
-
-
-class Factory:
-    """A field default made by calling ``make()`` for each instance."""
-
-    def __init__(self, make):
-        self.make = make
 
 
 class Record:
@@ -42,7 +35,7 @@ class Record:
     _fields: tuple = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = tuple(dict.fromkeys([*cls._fields, *own]))
@@ -50,11 +43,6 @@ class Record:
         for name in own:
             if name in cls.__dict__:
                 cls._defaults[name] = cls.__dict__[name]
-        if frozen:
-            cls.__setattr__ = _refuse_assignment
-            cls.__delattr__ = _refuse_deletion
-        else:
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -82,11 +70,7 @@ class Record:
             )
         state = self.__dict__
         for name in names:
-            if name in values:
-                state[name] = values[name]
-            else:
-                default = defaults[name]
-                state[name] = default.make() if type(default) is Factory else default
+            state[name] = values[name] if name in values else defaults[name]
         self.__post_init__()
 
     def __post_init__(self):
@@ -107,14 +91,12 @@ class Record:
     def __hash__(self):
         return hash(self._values())
 
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
 
-def _refuse_assignment(self, name, value):
-    from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
 
-
-def _refuse_deletion(self, name):
-    from dataclasses import FrozenInstanceError
-
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -21,6 +21,8 @@ anti state i its negative.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import linalg
@@ -43,7 +45,7 @@ LAMBDA_SLACK = 1e-12
 AUTO_LAMBDA_STEP = 1.0
 
 
-class SignSplit(Record, frozen=True):
+class SignSplit(Record):
     """Elementwise sign decomposition of (T, s), the threshold rate and
     ``eta``, the spectral abscissa of ``T^+ + T^-`` (see check_transience)."""
 
@@ -59,7 +61,7 @@ class SignSplit(Record, frozen=True):
         return self.splus.shape[0]
 
 
-class InitialSplit(Record, frozen=True):
+class InitialSplit(Record):
     """Decomposition ``alpha = w^+ alpha^+ - w^- alpha^-`` with the mixture
     weights ``alphahat^{+/-} = w^{+/-}/(w^+ + w^-) * alpha^{+/-}`` used as the
     initial distribution over original/anti states."""
@@ -68,15 +70,21 @@ class InitialSplit(Record, frozen=True):
     wminus: float
     alpha_plus: np.ndarray
     alpha_minus: np.ndarray
-    alphahat_plus: np.ndarray
-    alphahat_minus: np.ndarray
 
     @property
     def w_total(self) -> float:
         return self.wplus + self.wminus
 
+    @cached_property
+    def alphahat_plus(self) -> np.ndarray:
+        return self.wplus / self.w_total * self.alpha_plus
 
-class ExitProfile(Record, frozen=True):
+    @cached_property
+    def alphahat_minus(self) -> np.ndarray:
+        return self.wminus / self.w_total * self.alpha_minus
+
+
+class ExitProfile(Record):
     """Per-state exit intensities and conditional landing probabilities.
 
     ``d_i`` is the total exit rate out of state i (same for original and
@@ -89,10 +97,13 @@ class ExitProfile(Record, frozen=True):
     d: np.ndarray
     qplus: np.ndarray
     qminus: np.ndarray
-    qbar_original: np.ndarray
+
+    @cached_property
+    def qbar_original(self) -> np.ndarray:
+        return self.qplus - self.qminus
 
 
-class DoubledGenerator(Record, frozen=True):
+class DoubledGenerator(Record):
     """Doubled transient block at a rate with its absorption columns and
     termination defect; rows of ``[D | abs_o | abs_a | term]`` sum to zero."""
 
@@ -149,15 +160,7 @@ def initial_split(alpha) -> InitialSplit:
     wminus = float(minus.sum())
     alpha_plus = plus / wplus if wplus > 0.0 else np.zeros_like(alpha)
     alpha_minus = minus / wminus if wminus > 0.0 else np.zeros_like(alpha)
-    w_total = wplus + wminus
-    return InitialSplit(
-        wplus=wplus,
-        wminus=wminus,
-        alpha_plus=alpha_plus,
-        alpha_minus=alpha_minus,
-        alphahat_plus=wplus / w_total * alpha_plus,
-        alphahat_minus=wminus / w_total * alpha_minus,
-    )
+    return InitialSplit(wplus, wminus, alpha_plus, alpha_minus)
 
 
 def doubled_matrix(split: SignSplit, lam: float) -> np.ndarray:
@@ -221,7 +224,7 @@ def exit_profile(split: SignSplit, lam: float) -> ExitProfile:
     positive = d > 0.0
     qplus[positive] = split.splus[positive] / d[positive]
     qminus[positive] = split.sminus[positive] / d[positive]
-    return ExitProfile(d=d, qplus=qplus, qminus=qminus, qbar_original=qplus - qminus)
+    return ExitProfile(d=d, qplus=qplus, qminus=qminus)
 
 
 def check_transience(split: SignSplit, lam: float):

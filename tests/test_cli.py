@@ -142,6 +142,24 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunConfig().n_paths = 10
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lambda", "abc"], "--lambda must be a number or 'auto', got 'abc'"),
+            (["--grid", "0:4"], "--grid must be min:max:bins, got '0:4'"),
+            (["--grid", "0:x:4"], "--grid must be min:max:bins with numeric fields, got '0:x:4'"),
+        ],
+    )
+    def test_malformed_flag_is_named(self, model_file, flags, message, capsys):
+        code, out, err = run_cli(["estimate", model_file, *flags], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_non_object_config_file_is_named(self, model_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = run_cli(["estimate", model_file, "--config", cfg], capsys)
+        assert (code, out, err) == (1, "", f"error: {cfg}: top level must be a JSON object\n")
+
     def test_integral_floats_accepted(self):
         cfg = config_from_dict(
             {"n_paths": 1e6, "seed": 7.0, "grid": {"x_min": 0, "x_max": 2, "n_bins": 4.0}}
@@ -231,6 +249,44 @@ class TestValidateCommand:
     def test_missing_file_exits_1(self, capsys):
         code, _, _ = run_cli(["validate", "/nonexistent/model.json"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "top level must be a JSON object"),
+            ('{"alpha": [Infinity], "T": [[-1.0]], "s": [1.0]}', "alpha has non-finite entries"),
+            (
+                '{"alpha": [1.0, 0.0], "T": [[-1.0, 0.0]], "s": [1.0, 0.0]}',
+                "field 'T' must be an array of 2 rows",
+            ),
+            (
+                '{"alpha": [1.0, 0.0], "T": [[-1.0, 0.0], [0.0]], "s": [1.0, 0.0]}',
+                "row 1 of 'T' has length 1, expected 2",
+            ),
+            (
+                '{"alpha": [1.0], "T": [[-1.0]], "s": [1.0], "name": 3}',
+                "field 'name' must be a string",
+            ),
+        ],
+    )
+    def test_malformed_model_is_named(self, tmp_path, text, message, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        assert run_cli(["validate", path], capsys) == (1, "", f"error: {path}: {message}\n")
+
+    def test_positive_diagonal_is_noted(self, tmp_path, capsys):
+        # the model of test_medist's test_positive_diagonal_is_a_note_not_an_error
+        T, s = np.array([[0.2, -2.0], [2.0, -4.0]]), np.array([1.0, 1.0])
+        alpha = np.array([1.0, 0.0]) / np.linalg.solve(-T, s)[0]
+        path = tmp_path / "diag.json"
+        write_model(MEParams(alpha, T, s), path)
+        code, out, _ = run_cli(["validate", path], capsys)
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "diag_nonpositive: false",
+            "note: T has a positive diagonal entry: analytic use is fine, but the "
+            "sign split / jump construction will be refused",
+        ]
 
 
 class TestSplitCommand:
@@ -345,16 +401,24 @@ class TestEstimateCommand:
         assert code == 0, err
         assert out.count("\n0.05,") == 1
 
-    def test_beta_only_leaves_qbar_columns_empty(self, model_file, tmp_path, capsys):
-        out = tmp_path / "beta.csv"
-        cfg = self.cfg(tmp_path, estimator="beta")
+    @pytest.mark.parametrize(
+        "estimator, empty, kept", [("beta", 4, 2), ("qbar", 2, 4)], ids=["beta", "qbar"]
+    )
+    def test_beta_only_leaves_qbar_columns_empty(
+        self, model_file, tmp_path, estimator, empty, kept, capsys
+    ):
+        # and qbar only leaves the beta columns empty, in every row
+        out = tmp_path / "one.csv"
+        cfg = self.cfg(tmp_path, estimator=estimator)
         code, _, _ = run_cli(
             ["estimate", model_file, "--config", cfg, "--out", out], capsys
         )
         assert code == 0
-        row = out.read_text().split("\n")[1].split(",")
-        assert row[4] == "" and row[5] == ""
-        assert row[2] != ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 40
+        for row in rows:
+            assert row[empty] == row[empty + 1] == ""
+            assert row[kept] != "" and row[kept + 1] != ""
 
     def test_zero_paths_is_usage_error(self, model_file, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -14,7 +14,6 @@ from mejump.estimators import (
     analytic_untilted_doubled,
     decay_cancellation_check,
     finalize_density,
-    h_spec_from_dict,
     mc_density_beta,
     mc_density_qbar,
     mc_expectation_untilted,
@@ -332,6 +331,23 @@ class TestExpectation:
         assert HSpec("exp-decay", 1.0).variance_warning(2.0, eta) is not None
         assert HSpec("exp-decay", 2.0).variance_warning(2.0, eta) is None
 
+    def test_bad_form_refused(self, ref_split):
+        batch = one_chunk_batch(3, [0.5], [0], [0])
+        h = HSpec("exp-decay", 2.0)
+        with pytest.raises(ValueError, match="^unknown form 'gamma'$"):
+            mc_expectation_untilted(batch, h, 2.0, 1.0, form="gamma")
+        with pytest.raises(ValueError, match='^form="qbar" needs an ExitProfile$'):
+            mc_expectation_untilted(batch, h, 2.0, 1.0, form="qbar")
+
+    @pytest.mark.parametrize("form", ["beta", "qbar"])
+    def test_one_path_has_zero_stderr(self, ref_split, form):
+        batch = one_chunk_batch(3, [0.5], [0], [0])
+        prof = splitting.exit_profile(ref_split, 2.0)
+        est = mc_expectation_untilted(
+            batch, HSpec("exp-decay", 2.0), 2.0, 1.0, form=form, profile=prof
+        )
+        assert est.n_paths == 1 and est.value != 0.0 and est.stderr == 0.0
+
     def test_nonfinite_integrand_rejected(self, ref):
         # e^{1002 tau} overflows for tau above about 0.71; numpy stays silent
         # (the suite turns warnings into errors) and the estimator refuses
@@ -441,14 +457,21 @@ class TestHSpec:
             HSpec("exp-decay", -2.0).analytic_expectation(ref)
 
     def test_from_dict(self):
-        h = h_spec_from_dict({"type": "poly-exp-decay", "c": 2.0, "degree": 3})
-        assert h.kind == "poly-exp-decay" and h.degree == 3
-        with pytest.raises(ValueError):
-            h_spec_from_dict({"type": "exp-decay"})
-        with pytest.raises(ValueError):
-            h_spec_from_dict({"type": "mystery", "c": 1.0})
-        with pytest.raises(ValueError):
-            HSpec("exp-decay", 1.0, degree=2)
+        # a run config's "h" field is parsed with the rest of its schema
+        h = modelio.config_from_dict({"h": {"type": "poly-exp-decay", "c": 2.0, "degree": 3}}).h
+        assert h == HSpec("poly-exp-decay", 2.0, 3)
+        for raw, message in [
+            ({"type": "exp-decay"}, 'config: h must be an object with "type" and "c" fields'),
+            ([1, 2], 'config: h must be an object with "type" and "c" fields'),
+            ({"type": "mystery", "c": 1.0}, "config: unknown h type 'mystery'"),
+            (
+                {"type": "exp-decay", "c": 1.0, "degree": 2},
+                "config: exp-decay takes no degree; use poly-exp-decay",
+            ),
+        ]:
+            with pytest.raises(modelio.ParseError) as info:
+                modelio.config_from_dict({"h": raw})
+            assert str(info.value) == message
 
 
 class TestAnalyticUntilted:
@@ -469,6 +492,12 @@ class TestAnalyticUntilted:
             got = analytic_untilted_doubled(split, init, x)
             want = phase_type.alpha @ linalg.mat_exp(phase_type.T * x) @ phase_type.s
             assert abs(got - want) < 1e-10
+
+    def test_bad_points_refused(self, ref_split, ref_init):
+        with pytest.raises(ValueError, match="^x must be a scalar or 1-d array$"):
+            analytic_untilted_doubled(ref_split, ref_init, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="^x must be nonnegative$"):
+            analytic_untilted_doubled(ref_split, ref_init, [0.5, -0.1])
 
     def test_random_models(self):
         rng = np.random.default_rng(33)

@@ -395,6 +395,49 @@ class TestSimulateBatch:
         assert threading.active_count() == threads
         assert sorted(ran) == list(range(1000, 10_000, 1000))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_no_workers_refused_before_compiling(self, ref_split, ref_init, workers, monkeypatch):
+        def never(*args):
+            raise AssertionError("simulate_batch ran past its argument checks")
+
+        monkeypatch.setattr(jumpsim, "JumpChain", never)
+        monkeypatch.setattr(jumpsim, "_simulate_chunk", never)
+        with pytest.raises(ValueError, match="^workers must be positive$"):
+            simulate_batch(ref_split, 2.0, ref_init, n_paths=1000, seed=1, workers=workers)
+
+    def test_failed_thread_start_stops_the_started_worker(self, ref_split, ref_init, monkeypatch):
+        # the second thread fails to start while the first holds chunk 0;
+        # the first takes no other chunk and has stopped when the error
+        # arrives, and the calling thread runs no chunk
+        taken, joined = threading.Event(), threading.Event()
+        started, ran = [], []
+        start, join = threading.Thread.start, threading.Thread.join
+
+        def start_once(thread):
+            if started:
+                taken.wait(10)
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        def join_and_release(thread, *args):
+            joined.set()
+            join(thread, *args)
+
+        def held_chunk(chain, lo, *args):
+            ran.append(lo)
+            taken.set()
+            joined.wait(10)
+            return []
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        monkeypatch.setattr(threading.Thread, "join", join_and_release)
+        monkeypatch.setattr(jumpsim, "_simulate_chunk", held_chunk)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            simulate_batch(ref_split, 2.0, ref_init, n_paths=40_000, seed=1, chunk=1000, workers=3)
+        assert len(started) == 1 and not started[0].is_alive()
+        assert ran == [0]
+
     @settings(derandomize=True, database=None, deadline=None)
     @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
     @example(p=1, seed=0, zeros=False)

@@ -292,3 +292,43 @@ class TestEigenvalueUnion:
                 - lam
             )
             assert _match_multisets(got, want, 1e-8)
+
+
+class TestDoubledIdentitiesOnRandomModels:
+    """PAPER.md's two exact identities of the doubled block, over random
+    models at ``lambda_0`` and one above: ``E = e^{D(lam) x}`` has
+    ``E[:p, :p] - E[:p, p:] = e^{(T - lam I) x}``, and ``D(lam)``'s spectrum
+    is that of ``T^+ + T^-`` and of ``T``, shifted by ``-lam``."""
+
+    @staticmethod
+    def model(p, seed):
+        rng = np.random.default_rng(seed)
+        if p == 1:
+            return exponential_model(float(rng.uniform(0.05, 3.0)))
+        return random_me_model(p, rng)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), step=st.sampled_from([0.0, 1.0]))
+    def test_block_difference(self, p, seed, step):
+        m = self.model(p, seed)
+        split = splitting.sign_split(m.T, m.s)
+        lam = split.lambda0 + step
+        D = splitting.doubled_matrix(split, lam)
+        for x in (0.1, 1.0, 5.0):
+            E = linalg.mat_exp(D * x)
+            want = linalg.mat_exp((m.T - lam * np.eye(p)) * x)
+            err = np.abs(E[:p, :p] - E[:p, p:] - want).max()
+            assert err <= 1e-9 * max(1.0, np.abs(E).max())
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), step=st.sampled_from([0.0, 1.0]))
+    def test_eigenvalue_union(self, p, seed, step):
+        m = self.model(p, seed)
+        split = splitting.sign_split(m.T, m.s)
+        lam = split.lambda0 + step
+        D = splitting.doubled_matrix(split, lam)
+        want = np.concatenate(
+            [linalg.eigenvalues(split.Tplus + split.Tminus), linalg.eigenvalues(m.T)]
+        )
+        tol = 1e-9 * np.abs(D).sum(axis=0).max()
+        assert _match_multisets(linalg.eigenvalues(D), want - lam, tol)
