@@ -215,10 +215,6 @@ class HSpec(Record):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return x**self.degree * np.exp(-self.c * x)
-
     def tilted_weight(self, tau: np.ndarray, lam: float) -> np.ndarray:
         """``h(tau) e^{lam tau}`` evaluated without intermediate overflow; an
         overflowing weight is ``inf``, which the estimator rejects."""

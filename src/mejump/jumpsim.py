@@ -77,6 +77,9 @@ from .splitting import InitialSplit, SignSplit, admit_rate
 #: Paths per random stream in simulate_batch.
 DEFAULT_CHUNK = 65536
 
+#: Most worker threads a simulate_batch call may run, refused before any starts.
+MAX_WORKERS = 64
+
 #: Sign of landing codes 0/1/2: positive, negative absorption, termination.
 SIGN_OF_LANDING = np.array([1, -1, 0], dtype=np.int8)
 
@@ -396,6 +399,8 @@ def simulate_batch(
         raise ValueError("chunk must be positive")
     if workers <= 0:
         raise ValueError("workers must be positive")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}")
     chain = JumpChain(split, lam, init)
     columns = (  # tau, pre_exit, landing, n_jumps: PathBatch's columns in field order
         np.empty(n_paths),

@@ -35,7 +35,7 @@ DENSITY_CLAMP = 1e-12
 
 class MEParams(Record):
     """Parameter triple (alpha, T, s) of a p-dimensional matrix-exponential
-    distribution.  Arrays are copied and frozen at construction."""
+    distribution.  The record freezes copies of the caller's arrays."""
 
     alpha: np.ndarray
     T: np.ndarray
@@ -51,9 +51,7 @@ class MEParams(Record):
                 f"inconsistent shapes: alpha {alpha.shape}, T {T.shape}, s {s.shape}"
             )
         for arr, name in ((alpha, "alpha"), (T, "T"), (s, "s")):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, arr.copy())
 
     @property
     def p(self) -> int:

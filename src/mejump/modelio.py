@@ -24,7 +24,7 @@ from .estimators import (
     mc_density_qbar,
     tilted_bin_averages,
 )
-from .jumpsim import DEFAULT_CHUNK, PathBatch, code_label, simulate_batch
+from .jumpsim import DEFAULT_CHUNK, MAX_WORKERS, PathBatch, code_label, simulate_batch
 from .medist import MEParams
 from .records import Record
 from .splitting import (
@@ -137,6 +137,8 @@ class RunConfig(Record):
             raise ValueError("chunk must be positive")
         if self.workers <= 0:
             raise ValueError("workers must be positive")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}")
         if self.estimator not in ("beta", "qbar", "both"):
             raise ValueError("estimator must be beta, qbar or both")
 
@@ -361,6 +363,7 @@ def write_split_outputs(prefix, run_plan: RunPlan, D: np.ndarray):
     """Write the split pieces as CSV files sharing a path prefix."""
     prefix = str(prefix)
     split, profile = run_plan.split, run_plan.profile
+    qbar = profile.qbar_original  # a property that builds the array on every read
     write_matrix_csv(f"{prefix}_Tplus.csv", split.Tplus)
     write_matrix_csv(f"{prefix}_Tminus.csv", split.Tminus)
     write_matrix_csv(f"{prefix}_splus.csv", split.splus)
@@ -371,7 +374,7 @@ def write_split_outputs(prefix, run_plan: RunPlan, D: np.ndarray):
         for i in range(split.p):
             fh.write(
                 f"{i},{_fmt(profile.d[i])},{_fmt(profile.qplus[i])},"
-                f"{_fmt(profile.qminus[i])},{_fmt(profile.qbar_original[i])}\n"
+                f"{_fmt(profile.qminus[i])},{_fmt(qbar[i])}\n"
             )
     with open(f"{prefix}_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("key,value\n")

@@ -4,28 +4,32 @@ A frozen ``@dataclass`` builds its ``__init__``, ``__repr__``, ``__eq__``,
 ``__setattr__``, ``__delattr__`` and ``__hash__`` by ``exec`` of generated
 source: about 1 ms a class, paid by every process that imports it.  A
 :class:`Record` subclass reads its annotated fields and their defaults once,
-in ``__init_subclass__``, and shares generic methods that behave as those of
-a frozen dataclass do:
+in ``__init_subclass__``, and shares generic methods:
 
 * the constructor takes the fields in order, positionally or by keyword,
   fills in defaults, raises ``TypeError`` for a missing, unknown or repeated
   argument, and then calls ``__post_init__``;
-* ``repr`` is ``Name(field=value, ...)``, and ``==`` compares the tuples of
-  field values of two instances of the same class;
+* after ``__post_init__``, the record makes every ``numpy`` array it holds
+  read-only, in a field or in a tuple field, so its state cannot change;
+* ``repr`` is ``Name(field=value, ...)``, and records compare and hash by
+  identity, as plain objects do;
 * every record refuses assignment and deletion of attributes with
-  ``dataclasses.FrozenInstanceError`` (imported only when raised) and hashes
-  its field values.
+  ``dataclasses.FrozenInstanceError`` (imported only when raised).
 
     class Grid(Record):
         x_min: float
         n_bins: int = 40
 
 A record stores no value its other fields fix: a derived value is a
-property, or a ``functools.cached_property``, which writes the instance's
-``__dict__`` directly and so works on a record.
+property, or a ``functools.cached_property`` for a costly scalar, which
+writes the instance's ``__dict__`` directly and so works on a record.  A
+derived array is a plain property: a cached one would be stored after the
+freeze, writable and free to go stale.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class Record:
@@ -72,24 +76,17 @@ class Record:
         for name in names:
             state[name] = values[name] if name in values else defaults[name]
         self.__post_init__()
+        for value in state.values():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.flags.writeable = False
 
     def __post_init__(self):
         pass
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError

@@ -21,8 +21,6 @@ anti state i its negative.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from . import linalg
@@ -75,11 +73,11 @@ class InitialSplit(Record):
     def w_total(self) -> float:
         return self.wplus + self.wminus
 
-    @cached_property
+    @property
     def alphahat_plus(self) -> np.ndarray:
         return self.wplus / self.w_total * self.alpha_plus
 
-    @cached_property
+    @property
     def alphahat_minus(self) -> np.ndarray:
         return self.wminus / self.w_total * self.alpha_minus
 
@@ -98,7 +96,7 @@ class ExitProfile(Record):
     qplus: np.ndarray
     qminus: np.ndarray
 
-    @cached_property
+    @property
     def qbar_original(self) -> np.ndarray:
         return self.qplus - self.qminus
 
@@ -142,8 +140,6 @@ def sign_split(T, s) -> SignSplit:
     rows = (Tplus + Tminus).sum(axis=1) + splus + sminus
     lam0 = float(max(0.0, rows.max()))
     eta = linalg.spectral_abscissa(Tplus + Tminus)
-    for arr in (Tplus, Tminus, splus, sminus):
-        arr.flags.writeable = False
     return SignSplit(
         Tplus=Tplus, Tminus=Tminus, splus=splus, sminus=sminus, lambda0=lam0, eta=eta
     )

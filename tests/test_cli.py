@@ -131,7 +131,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n_paths", 0), ("seed", -1), ("chunk", 0), ("workers", 0), ("estimator", "kernel")],
+        [
+            ("n_paths", 0), ("seed", -1), ("chunk", 0), ("workers", 0), ("workers", 65),
+            ("estimator", "kernel"),
+        ],
     )
     def test_run_config_checks_its_own_values(self, field, value):
         # a library caller's config is refused as a config file's is

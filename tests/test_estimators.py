@@ -417,11 +417,6 @@ class TestExpectation:
 
 
 class TestHSpec:
-    def test_call(self):
-        h = HSpec("poly-exp-decay", 2.0, degree=1)
-        assert h(1.0) == pytest.approx(math.exp(-2.0))
-        assert h(np.array([0.0, 1.0]))[0] == 0.0
-
     def test_analytic_exponential(self):
         params = exponential_model(1.0)
         assert HSpec("exp-decay", 3.0).analytic_expectation(params) == pytest.approx(
@@ -435,7 +430,7 @@ class TestHSpec:
     def test_analytic_against_quadrature(self, ref):
         h = HSpec("poly-exp-decay", 1.5, degree=2)
         want, _ = scipy.integrate.quad(
-            lambda x: h(x) * medist.density(ref, x), 0.0, np.inf
+            lambda x: x**2 * math.exp(-1.5 * x) * medist.density(ref, x), 0.0, np.inf
         )
         assert h.analytic_expectation(ref) == pytest.approx(want, rel=1e-9)
 
@@ -459,7 +454,7 @@ class TestHSpec:
     def test_from_dict(self):
         # a run config's "h" field is parsed with the rest of its schema
         h = modelio.config_from_dict({"h": {"type": "poly-exp-decay", "c": 2.0, "degree": 3}}).h
-        assert h == HSpec("poly-exp-decay", 2.0, 3)
+        assert (h.kind, h.c, h.degree) == ("poly-exp-decay", 2.0, 3)
         for raw, message in [
             ({"type": "exp-decay"}, 'config: h must be an object with "type" and "c" fields'),
             ([1, 2], 'config: h must be an object with "type" and "c" fields'),

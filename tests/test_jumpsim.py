@@ -395,15 +395,24 @@ class TestSimulateBatch:
         assert threading.active_count() == threads
         assert sorted(ran) == list(range(1000, 10_000, 1000))
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_no_workers_refused_before_compiling(self, ref_split, ref_init, workers, monkeypatch):
+    @pytest.mark.parametrize(
+        "workers, bound",
+        [(0, "positive"), (-1, "positive"), (jumpsim.MAX_WORKERS + 1, "at most 64")],
+        ids=["0", "-1", "65"],
+    )
+    def test_no_workers_refused_before_compiling(
+        self, ref_split, ref_init, workers, bound, monkeypatch
+    ):
+        # with a chunk a path, 65 workers would start 64 threads
         def never(*args):
             raise AssertionError("simulate_batch ran past its argument checks")
 
         monkeypatch.setattr(jumpsim, "JumpChain", never)
         monkeypatch.setattr(jumpsim, "_simulate_chunk", never)
-        with pytest.raises(ValueError, match="^workers must be positive$"):
-            simulate_batch(ref_split, 2.0, ref_init, n_paths=1000, seed=1, workers=workers)
+        with pytest.raises(ValueError, match=f"^workers must be {bound}$"):
+            simulate_batch(
+                ref_split, 2.0, ref_init, n_paths=1000, seed=1, chunk=1, workers=workers
+            )
 
     def test_failed_thread_start_stops_the_started_worker(self, ref_split, ref_init, monkeypatch):
         # the second thread fails to start while the first holds chunk 0;

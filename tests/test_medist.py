@@ -25,6 +25,12 @@ class TestMEParams:
         with pytest.raises(ValueError):
             ref.T[0, 0] = 5.0
 
+    def test_callers_arrays_are_copied_not_frozen(self):
+        alpha = np.array([1.0])
+        params = MEParams(alpha=alpha, T=np.array([[-1.0]]), s=np.array([1.0]))
+        alpha[0] = 0.5
+        assert params.alpha[0] == 1.0
+
 
 class TestValidate:
     def test_reference(self, ref):

@@ -1,6 +1,7 @@
 """``records.Record`` gives a class what a frozen ``@dataclass`` gave it, from
-the class's annotations, without generating code; every record of the
-package is one, and none stores a value its other fields fix."""
+the class's annotations, without generating code, apart from field equality:
+records compare by identity.  Every record of the package is one, none stores
+a value its other fields fix, and none holds a writable array."""
 
 import dataclasses
 
@@ -26,7 +27,7 @@ class Point(Record):
 
 class Unit(Record):
     """A record whose ``__post_init__`` replaces a field, as ``MEParams``
-    freezes its arrays."""
+    copies its arrays."""
 
     name: str
 
@@ -36,8 +37,10 @@ class Unit(Record):
 
 class TestConstructor:
     def test_positional_keyword_and_default(self):
-        assert Point(1.0, 2.0)._values() == (1.0, 2.0, ())
-        assert Point(y=2.0, x=1.0) == Point(1.0, 2.0)
+        p = Point(1.0, 2.0)
+        assert (p.x, p.y, p.tags) == (1.0, 2.0, ())
+        p = Point(y=2.0, x=1.0)
+        assert (p.x, p.y, p.tags) == (1.0, 2.0, ())
         assert Point(1.0).y == 0.0
 
     @pytest.mark.parametrize(
@@ -54,7 +57,7 @@ class TestConstructor:
             Point(*args, **kwargs)
 
     def test_post_init_runs_after_the_fields_are_set(self):
-        assert Unit("a").name == "A" and Unit(name="b") == Unit("B")
+        assert Unit("a").name == "A" and Unit(name="b").name == "B"
 
     def test_a_frozen_keyword_fails_when_the_class_is_made(self):
         with pytest.raises(TypeError):
@@ -67,18 +70,13 @@ class TestMethods:
     def test_repr(self):
         assert repr(Point(1.0, tags=("t",))) == "Point(x=1.0, y=0.0, tags=('t',))"
 
-    def test_equality_needs_the_same_class(self):
-        class Other(Record):
-            x: float
-            y: float = 0.0
-            tags: tuple = ()
-
-        assert Point(1.0) == Point(1.0) and Point(1.0) != Point(2.0)
-        assert Point(1.0) != Other(1.0)
+    def test_records_compare_by_identity(self):
+        p = Point(1.0)
+        assert p == p and p != Point(1.0)
 
     def test_frozen_records_hash_and_refuse_changes(self):
         p = Point(1.0)
-        assert hash(p) == hash(Point(1.0))
+        assert hash(p) == hash(p) and len({p, Point(1.0)}) == 2
         with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'x'"):
             p.x = 2.0
         with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'x'"):
@@ -102,7 +100,7 @@ def _one_of_each() -> list:
     the pipeline makes it."""
     ref_plan = modelio.plan(reference_model(), "auto")
     cfg = modelio.RunConfig(n_paths=2000, chunk=1000, h=HSpec("exp-decay", 2.0))
-    run = modelio.run_estimate(ref_plan, cfg)
+    run = modelio.run_estimate(ref_plan, cfg, collect_trace=True)
     chain = JumpChain(ref_plan.split, ref_plan.lam, ref_plan.init)
     return [
         ref_plan, ref_plan.params, ref_plan.split, ref_plan.init, ref_plan.profile,
@@ -128,6 +126,28 @@ class TestPackageRecords:
                 delattr(record, first)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 record.extra_attribute = 1
+
+    def test_every_record_hashes_and_compares_by_identity(self):
+        # the records that hold arrays included, where field equality raised
+        for record in _one_of_each():
+            assert hash(record) == hash(record) and record == record
+        assert splitting.initial_split([1.0, 0.0]) != splitting.initial_split([1.0, 0.0])
+
+    def test_every_array_a_record_holds_is_read_only(self):
+        records = _one_of_each()
+        plan = records[0]
+        with pytest.raises(ValueError, match="read-only"):
+            plan.profile.qplus[0] = 0.0
+        held = set()
+        for record in records:
+            for name in record._fields:
+                value = getattr(record, name)
+                for item in value if isinstance(value, tuple) else (value,):
+                    if isinstance(item, np.ndarray):
+                        held.add(f"{type(record).__name__}.{name}")
+                        with pytest.raises(ValueError, match="read-only"):
+                            item[...] = 0
+        assert {"ExitProfile.qplus", "PathBatch.trace", "MEParams.T"} <= held
 
     @pytest.mark.parametrize(
         "make",
@@ -170,7 +190,6 @@ class TestPackageRecords:
         ).tobytes()
         prof = splitting.exit_profile(split, lam)
         assert prof.qbar_original.tobytes() == (prof.qplus - prof.qminus).tobytes()
-        assert prof.qbar_original is prof.qbar_original  # computed once
         shifted = modelio.RunPlan(run_plan.params, split, lam, init, prof)
         _, abscissa = splitting.check_transience(split, lam)
         assert shifted.abscissa == abscissa and shifted.transient == (abscissa < 0.0)

@@ -78,6 +78,23 @@ def test_rate_refusals_have_one_home():
     }
 
 
+def test_arrays_are_frozen_in_one_place():
+    # records.Record makes every array a record holds read-only once the
+    # record is built, so no other module freezes an array by hand
+    package = pathlib.Path(mejump.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for target in getattr(node, "targets", ()):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr == "writeable"
+                    and getattr(target.value, "attr", None) == "flags"
+                ):
+                    found.add(path.name)
+    assert found == {"records.py"}
+
+
 def callers(name):
     """``module.function`` (``module.Class.method``) of every package
     function whose body calls ``name``, as a plain or attribute call."""
