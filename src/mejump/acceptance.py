@@ -69,7 +69,7 @@ class CriterionResult(Record):
     title: str
     passed: bool
     detail: str
-    extra: list | None = None
+    extra: tuple | None = None
 
 
 def _exp_cos_antiderivative(a: float, x: float) -> float:
@@ -283,7 +283,7 @@ def criterion_8(run) -> CriterionResult:
         f"{int(ok4.sum())}/{grid.n_bins} bins within 4 stderr; variance reduced "
         f"in {frac:.1%} of comparable bins (median ratio "
         f"{np.nanmedian(ratio):.3f})",
-        extra=table,
+        extra=tuple(table),
     )
 
 

@@ -38,6 +38,7 @@ from .modelio import (
     plan,
     read_json,
     read_model,
+    read_trace,
     render_estimate_csv,
     run_estimate,
     simulate,
@@ -77,9 +78,9 @@ def _parse_grid(text: str) -> dict:
         raise ParseError(f"--grid must be min:max:bins with numeric fields, got {text!r}")
 
 
-def _matrix_lines(name, M):
+def _print_matrix(name, M):
     body = np.array2string(np.asarray(M), precision=10, suppress_small=False)
-    return [f"{name} ="] + ["  " + line for line in body.splitlines()]
+    print("\n".join([f"{name} ="] + ["  " + line for line in body.splitlines()]))
 
 
 #: (argparse dest, run-config field, parser) of every flag that overrides a
@@ -130,20 +131,16 @@ def cmd_split(args) -> int:
     print(f"model: {name or args.model} (p={params.p})")
     print(f"lambda0: {split.lambda0!r}")
     print(f"lambda: {run_plan.lam!r}")
-    for block in (
-        _matrix_lines("T_plus", split.Tplus),
-        _matrix_lines("T_minus", split.Tminus),
-        _matrix_lines("s_plus", split.splus),
-        _matrix_lines("s_minus", split.sminus),
-        _matrix_lines("D(lambda)", gen.D),
-        _matrix_lines("termination", gen.term),
-        _matrix_lines("d", profile.d),
-        _matrix_lines("q_plus", profile.qplus),
-        _matrix_lines("q_minus", profile.qminus),
-        _matrix_lines("q_bar(original)", profile.qbar_original),
-    ):
-        for line in block:
-            print(line)
+    _print_matrix("T_plus", split.Tplus)
+    _print_matrix("T_minus", split.Tminus)
+    _print_matrix("s_plus", split.splus)
+    _print_matrix("s_minus", split.sminus)
+    _print_matrix("D(lambda)", gen.D)
+    _print_matrix("termination", gen.term)
+    _print_matrix("d", profile.d)
+    _print_matrix("q_plus", profile.qplus)
+    _print_matrix("q_minus", profile.qminus)
+    _print_matrix("q_bar(original)", profile.qbar_original)
     print(
         f"transient: {str(run_plan.transient).lower()} "
         f"(doubled abscissa {run_plan.abscissa!r})"
@@ -168,13 +165,9 @@ def cmd_tilt(args) -> int:
     print(f"model: {name or args.model} (p={params.p})")
     print(f"lambda: {lam!r}")
     print(f"normalizer alpha (lambda I - T)^-1 s: {norm!r}")
-    for block in (
-        _matrix_lines("alpha'", tilted.alpha),
-        _matrix_lines("T'", tilted.T),
-        _matrix_lines("s'", tilted.s),
-    ):
-        for line in block:
-            print(line)
+    _print_matrix("alpha'", tilted.alpha)
+    _print_matrix("T'", tilted.T)
+    _print_matrix("s'", tilted.s)
     if args.out:
         print(f"wrote tilted model to {args.out}")
     return 0
@@ -265,39 +258,16 @@ def cmd_expect(args) -> int:
 
 def cmd_debug(args) -> int:
     """Summarize a trace file written by estimate --trace."""
-    try:
-        with open(args.trace_file, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.trace_file}: {exc}")
-    paths = {}
-    current = None
-    try:
-        for ln, line in enumerate(lines, 1):
-            if line.startswith("# path "):
-                current = int(line[len("# path "):])
-                paths[current] = []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or current is None:
-                raise ParseError(f"{args.trace_file}:{ln}: malformed trace line {line!r}")
-            paths[current].append((float(parts[0]), parts[1], parts[2]))
-    except ValueError as exc:  # a path number or time that does not parse
-        raise ParseError(f"{args.trace_file}:{ln}: {exc}") from exc
-    for k, rows in paths.items():
-        if not rows:
-            raise ParseError(f"{args.trace_file}: path {k} has no jump rows")
+    paths = read_trace(args.trace_file)
     print(f"paths: {len(paths)}")
     if paths:
         jumps = [len(v) for v in paths.values()]
         taus = [v[-1][0] for v in paths.values()]
-        landings = {}
-        for v in paths.values():
-            landings[v[-1][2]] = landings.get(v[-1][2], 0) + 1
+        landings = [v[-1][2] for v in paths.values()]
         print(f"total jumps: {sum(jumps)}  mean jumps/path: {sum(jumps)/len(jumps):.3f}")
         print(f"mean exit time: {sum(taus)/len(taus):.6f}  max: {max(taus):.6f}")
-        for label in sorted(landings):
-            print(f"landing {label}: {landings[label]}")
+        for label in sorted(set(landings)):
+            print(f"landing {label}: {landings.count(label)}")
     return 0
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .jumpsim import SIGN_OF_LANDING, PathBatch
-from .medist import MEParams, laplace_transform
+from .medist import MEParams, laplace_transform, resolvent_moment
 from .records import Record
 from .splitting import ExitProfile, InitialSplit, SignSplit, doubled_expm_action
 
@@ -74,7 +74,6 @@ class DensityEstimate(Record):
     estimate: np.ndarray
     stderr: np.ndarray
     n_hits: np.ndarray
-    n_paths: int
     scale: float
 
 
@@ -84,7 +83,6 @@ class ExpectationEstimate(Record):
 
     value: float
     stderr: float
-    n_paths: int
     max_abs_weight: float
 
 
@@ -123,14 +121,7 @@ def finalize_density(
         stderr = np.sqrt(np.maximum(var, 0.0) / n_paths)
     else:
         stderr = np.zeros_like(estimate)
-    return DensityEstimate(
-        grid=grid,
-        estimate=estimate,
-        stderr=stderr,
-        n_hits=n_hits,
-        n_paths=n_paths,
-        scale=scale,
-    )
+    return DensityEstimate(grid=grid, estimate=estimate, stderr=stderr, n_hits=n_hits, scale=scale)
 
 
 def _signed_chunks(batch: PathBatch, profile: ExitProfile | None = None):
@@ -145,8 +136,7 @@ def _signed_chunks(batch: PathBatch, profile: ExitProfile | None = None):
     if profile is None:
         weight_of_code, codes = SIGN_OF_LANDING, batch.landing
     else:
-        q = profile.qbar_original
-        weight_of_code, codes = np.concatenate([q, -q]), batch.pre_exit
+        weight_of_code, codes = profile.qbar, batch.pre_exit
     for sl in batch.chunk_slices():
         yield batch.tau[sl], weight_of_code.take(codes[sl])
 
@@ -231,16 +221,8 @@ class HSpec(Record):
                 f"h decay rate {self.c:g} must exceed the dominant eigenvalue "
                 f"{params.sigma0:.6g} for the integral to converge"
             )
-        A = self.c * np.eye(params.p) - params.T
-        # the factorial rides along as one float factor per solve, so a
-        # degree whose factorial alone overflows can still give a finite value
         with np.errstate(over="ignore", invalid="ignore"):
-            v = linalg.solve_linear(A, params.s)
-            for k in range(1, self.degree + 1):
-                if not np.all(np.isfinite(v)):
-                    break
-                v = k * linalg.solve_linear(A, v)
-            value = float(params.alpha @ v)
+            value = resolvent_moment(params, self.c, self.degree)
         if not math.isfinite(value):
             raise ValueError(
                 f"the exact value of integral h(x) f(x) dx overflows at degree {self.degree}"
@@ -306,7 +288,7 @@ def mc_expectation_untilted(
         stderr = w_total * math.sqrt(var / n)
     else:
         stderr = 0.0
-    return ExpectationEstimate(value=value, stderr=stderr, n_paths=n, max_abs_weight=max_abs)
+    return ExpectationEstimate(value=value, stderr=stderr, max_abs_weight=max_abs)
 
 
 def analytic_untilted_doubled(split: SignSplit, init: InitialSplit, x):
@@ -316,13 +298,12 @@ def analytic_untilted_doubled(split: SignSplit, init: InitialSplit, x):
     Equals ``alpha expm(T x) s`` for every x, even though ``D(0)`` itself may
     have a nonnegative dominant eigenvalue.
     """
-    ah = np.concatenate([init.alphahat_plus, init.alphahat_minus])
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1:
         raise ValueError("x must be a scalar or 1-d array")
     if np.any(xs < 0.0):
         raise ValueError("x must be nonnegative")
-    out = init.w_total * (doubled_expm_action(split, 0.0, xs) @ ah)
+    out = init.w_total * (doubled_expm_action(split, 0.0, xs) @ init.alphahat)
     return out if np.ndim(x) else float(out[0])
 
 

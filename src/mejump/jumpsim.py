@@ -84,6 +84,20 @@ MAX_WORKERS = 64
 SIGN_OF_LANDING = np.array([1, -1, 0], dtype=np.int8)
 
 
+def check_run_shape(n_paths: int, seed: int, chunk: int, workers: int):
+    """Refuse a run shape that cannot be simulated, for every caller."""
+    if n_paths <= 0:
+        raise ValueError("n_paths must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if chunk <= 0:
+        raise ValueError("chunk must be positive")
+    if workers <= 0:
+        raise ValueError("workers must be positive")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}")
+
+
 def code_label(code: int, p: int) -> str:
     """Human-readable label for a transient (0..2p-1) or landing (2p..2p+2) code."""
     if code < p:
@@ -238,7 +252,7 @@ class JumpChain:
         p = split.p
         self.p = p
         self.neg_rate = np.diag(gen.D).copy()
-        start = np.concatenate([init.alphahat_plus, init.alphahat_minus])
+        start = init.alphahat
         weights = np.zeros((2 * p + 1, 2 * p + 3))
         weights[:-1, : 2 * p] = np.maximum(gen.D, 0.0)  # off-diagonal jump rates
         weights[:-1, 2 * p] = gen.abs_o
@@ -393,14 +407,7 @@ def simulate_batch(
     fails to start, no more chunks are handed out, and its error is raised
     once the workers already started have stopped.
     """
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be at most {MAX_WORKERS}")
+    check_run_shape(n_paths, seed, chunk, workers)
     chain = JumpChain(split, lam, init)
     columns = (  # tau, pre_exit, landing, n_jumps: PathBatch's columns in field order
         np.empty(n_paths),

@@ -80,6 +80,18 @@ class ValidationReport(Record):
         ]
 
 
+def resolvent_moment(params: MEParams, z: float, k: int) -> float:
+    """``k! alpha (z I - T)^{-(k+1)} s``, the factorial riding along one factor
+    per solve.  Each caller refuses its own ``z`` and silences its warnings."""
+    A = z * np.eye(params.p) - params.T
+    v = linalg.solve_linear(A, params.s)
+    for j in range(1, k + 1):
+        if not np.all(np.isfinite(v)):
+            break
+        v = j * linalg.solve_linear(A, v)
+    return float(params.alpha @ v)
+
+
 def validate(params: MEParams) -> ValidationReport:
     """Check the standing assumptions and return a report.
 
@@ -94,7 +106,7 @@ def validate(params: MEParams) -> ValidationReport:
         raise UnstableTError(
             f"dominant eigenvalue of T is {params.sigma0:.6g}; must be strictly negative"
         )
-    normalization = float(params.alpha @ linalg.solve_linear(-params.T, params.s))
+    normalization = resolvent_moment(params, 0.0, 0)
     if abs(normalization - 1.0) > NORMALIZATION_TOL:
         raise NotADensityError(
             f"alpha (-T)^-1 s = {normalization:.12g}, not 1 within {NORMALIZATION_TOL:g}"
@@ -146,8 +158,7 @@ def laplace_transform(params: MEParams, lam: float) -> float:
         raise LambdaTooSmallError(
             f"tilting rate {lam:g} must exceed the dominant eigenvalue {params.sigma0:.6g}"
         )
-    resolvent = lam * np.eye(params.p) - params.T
-    return float(params.alpha @ linalg.solve_linear(resolvent, params.s))
+    return resolvent_moment(params, lam, 0)
 
 
 def tilt(params: MEParams, lam: float) -> tuple[MEParams, float]:

@@ -24,7 +24,7 @@ from .estimators import (
     mc_density_qbar,
     tilted_bin_averages,
 )
-from .jumpsim import DEFAULT_CHUNK, MAX_WORKERS, PathBatch, code_label, simulate_batch
+from .jumpsim import DEFAULT_CHUNK, PathBatch, check_run_shape, code_label, simulate_batch
 from .medist import MEParams
 from .records import Record
 from .splitting import (
@@ -129,16 +129,7 @@ class RunConfig(Record):
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_paths <= 0:
-            raise ValueError("n_paths must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.chunk <= 0:
-            raise ValueError("chunk must be positive")
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
-        if self.workers > MAX_WORKERS:
-            raise ValueError(f"workers must be at most {MAX_WORKERS}")
+        check_run_shape(self.n_paths, self.seed, self.chunk, self.workers)
         if self.estimator not in ("beta", "qbar", "both"):
             raise ValueError("estimator must be beta, qbar or both")
 
@@ -281,10 +272,9 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
     """Simulate the chain its caller planned, then estimate.
 
     The rate is ``run_plan.lam``, resolved when the caller planned the model;
-    ``cfg.lam`` is not read here.
+    ``cfg.lam`` is not read here.  The oracle is checked before any path is drawn.
     """
     lam = run_plan.lam
-    batch = simulate(run_plan, cfg, collect_trace)
     analytic, norm = tilted_bin_averages(run_plan.params, lam, cfg.grid)
     scale = run_plan.init.w_total / norm
     if not (np.isfinite(scale) and np.all(np.isfinite(analytic))):
@@ -292,6 +282,7 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
             f"tilting rate {lam!r} is too large: the scale or the analytic "
             "bin averages of the tilted density are not finite"
         )
+    batch = simulate(run_plan, cfg, collect_trace)
     est_beta = est_qbar = None
     if cfg.estimator in ("beta", "both"):
         est_beta = mc_density_beta(batch, cfg.grid, scale)
@@ -350,6 +341,32 @@ def write_trace(path, batch: PathBatch):
                 f"{_fmt(times[k])}\t{code_label(int(frm[k]), batch.p)}"
                 f"\t{code_label(int(to[k]), batch.p)}\n"
             )
+
+
+def read_trace(path) -> dict:
+    """Each path of a trace that :func:`write_trace` wrote, mapped to its
+    ``(time, from_label, to_label)`` rows; a bad file raises ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+    paths, rows = {}, None
+    try:
+        for ln, line in enumerate(lines, 1):
+            if line.startswith("# path "):
+                rows = paths[int(line[len("# path "):])] = []
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or rows is None:
+                raise ParseError(f"{path}:{ln}: malformed trace line {line!r}")
+            rows.append((float(parts[0]), parts[1], parts[2]))
+    except ValueError as exc:  # a path number or time that does not parse
+        raise ParseError(f"{path}:{ln}: {exc}") from exc
+    for k, jumps in paths.items():
+        if not jumps:
+            raise ParseError(f"{path}: path {k} has no jump rows")
+    return paths
 
 
 def write_matrix_csv(path, M):

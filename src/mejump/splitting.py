@@ -81,6 +81,11 @@ class InitialSplit(Record):
     def alphahat_minus(self) -> np.ndarray:
         return self.wminus / self.w_total * self.alpha_minus
 
+    @property
+    def alphahat(self) -> np.ndarray:
+        """The initial law over the ``2p`` original, then anti states."""
+        return np.concatenate([self.alphahat_plus, self.alphahat_minus])
+
 
 class ExitProfile(Record):
     """Per-state exit intensities and conditional landing probabilities.
@@ -99,6 +104,12 @@ class ExitProfile(Record):
     @property
     def qbar_original(self) -> np.ndarray:
         return self.qplus - self.qminus
+
+    @property
+    def qbar(self) -> np.ndarray:
+        """``qbar`` over the ``2p`` original, then anti states."""
+        q = self.qbar_original
+        return np.concatenate([q, -q])
 
 
 class DoubledGenerator(Record):

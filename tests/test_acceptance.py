@@ -29,6 +29,14 @@ def test_criterion(results, cid):
     assert r.passed, f"criterion {cid} ({r.title}): {r.detail}"
 
 
+def test_criterion_detail_cannot_change(results):
+    # criterion 8's variance table is a tuple, so every field of a built
+    # result is immutable
+    with pytest.raises(AttributeError):
+        results[8].extra.append("x")
+    assert results[8].extra[0] == "bin_x_mid  var_qbar/var_beta"
+
+
 def test_reference_model_is_planned_once():
     # criteria 1-12 read one plan of the reference model; criterion 10 plans
     # the one-state model, and criterion 13 runs the CLI, which plans its own

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mejump import cli
+from mejump import cli, splitting
 from mejump.estimators import DensityEstimate, Grid
 from mejump.medist import MEParams
 from mejump.modelio import (
@@ -18,9 +18,12 @@ from mejump.modelio import (
     RunConfig,
     config_from_dict,
     read_model,
+    read_trace,
     render_estimate_csv,
     write_model,
+    write_trace,
 )
+from mejump.jumpsim import code_label, simulate_batch
 from mejump.models import random_me_model, reference_model
 
 from conftest import decoupled_rotator
@@ -522,6 +525,19 @@ class TestEstimateCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_oracle_is_refused_before_any_path(self, monkeypatch):
+        # run_estimate checks the analytic bin averages before it simulates;
+        # modelio.simulate calls the name modelio bound
+        from mejump import modelio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the oracle was checked")
+
+        monkeypatch.setattr(modelio, "simulate_batch", refuse)
+        cfg = RunConfig(lam=2.0, grid=Grid(1.7e308, 1.75e308, 1000))
+        with pytest.raises(ValueError, match=r"^x_min 1\.7e\+308 of grid "):
+            modelio.run_estimate(modelio.plan(reference_model(), 2.0), cfg)
+
     @pytest.mark.parametrize("grid", ["1e307:1.1e307:1", "0:1e306:1"])
     def test_huge_exponentiable_grid_runs(self, model_file, tmp_path, grid, capsys):
         out = tmp_path / "x.csv"
@@ -577,7 +593,7 @@ class TestRenderEstimateCsv:
         # made rendering quadratic in the bin count
         grid = Grid(0.0, 4.0, 100_000)
         zeros = np.zeros(grid.n_bins)
-        est = DensityEstimate(grid, zeros, zeros, zeros.astype(np.int64), 100, 1.0)
+        est = DensityEstimate(grid, zeros, zeros, zeros.astype(np.int64), 1.0)
         run = EstimateRun(None, 1.0, RunConfig(grid=grid), None, zeros, est, est)
         reads = []
         mids = Grid.mids
@@ -657,6 +673,24 @@ class TestDebugCommand:
             assert code == 1
             line = text.count("\n")
             assert f"{bad}:{line}:" in err
+
+    def test_read_trace_inverts_write_trace(self, tmp_path):
+        m = reference_model()
+        split = splitting.sign_split(m.T, m.s)
+        batch = simulate_batch(
+            split, 2.0, splitting.initial_split(m.alpha), n_paths=300, seed=4, chunk=128,
+            collect_trace=True,
+        )
+        path = tmp_path / "trace.tsv"
+        write_trace(path, batch)
+        paths = read_trace(path)
+        index, times, frm, to = (col.tolist() for col in batch.trace)
+        assert list(paths) == list(range(300))
+        assert [len(rows) for rows in paths.values()] == batch.n_jumps.tolist()
+        rows = [row for k in paths for row in paths[k]]
+        assert rows == [
+            (t, code_label(a, 3), code_label(b, 3)) for t, a, b in zip(times, frm, to, strict=True)
+        ]
 
     def test_path_without_rows_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "empty_path.tsv"

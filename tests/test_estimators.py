@@ -75,7 +75,7 @@ def assert_same_bits(got, want):
     for field in ("estimate", "stderr", "n_hits"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
-    assert (got.n_paths, got.scale) == (want.n_paths, want.scale)
+    assert got.scale == want.scale
 
 
 def make_batch(params, lam, n, seed, chunk=20_000):
@@ -346,7 +346,7 @@ class TestExpectation:
         est = mc_expectation_untilted(
             batch, HSpec("exp-decay", 2.0), 2.0, 1.0, form=form, profile=prof
         )
-        assert est.n_paths == 1 and est.value != 0.0 and est.stderr == 0.0
+        assert est.value != 0.0 and est.stderr == 0.0
 
     def test_nonfinite_integrand_rejected(self, ref):
         # e^{1002 tau} overflows for tau above about 0.71; numpy stays silent

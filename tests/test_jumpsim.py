@@ -629,6 +629,8 @@ class TestSimulateBatch:
             simulate_batch(ref_split, 2.0, ref_init, n_paths=0, seed=1)
         with pytest.raises(ValueError):
             simulate_batch(ref_split, 2.0, ref_init, n_paths=10, seed=1, chunk=0)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            simulate_batch(ref_split, 2.0, ref_init, n_paths=10, seed=-1)
 
     def test_preconditions(self, ref_split, ref_init):
         from mejump.errors import LambdaTooSmallError, NotTransientError

@@ -123,3 +123,63 @@ def test_each_run_derives_its_chain_once():
     assert callers("admit_rate") == {"jumpsim.JumpChain.__init__"}
     assert "modelio.run_estimate" not in callers("plan")
     assert "modelio.run_estimate" in callers("simulate")
+
+
+def strings(node):
+    """Every string constant under ``node``, the literal parts of f-strings
+    included."""
+    return [
+        n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+
+
+#: The refusals of a run shape, each message's literal start.
+RUN_SHAPE_MESSAGES = (
+    "n_paths must be positive",
+    "seed must be non-negative",
+    "chunk must be positive",
+    "workers must be positive",
+    "workers must be at most",
+)
+
+
+def test_run_shape_refusals_have_one_home():
+    # jumpsim.check_run_shape refuses a run shape for simulate_batch and for
+    # every RunConfig, so the two cannot drift apart
+    package = pathlib.Path(mejump.__file__).parent
+    raised = {message: set() for message in RUN_SHAPE_MESSAGES}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                for text in strings(node.exc):
+                    for message in RUN_SHAPE_MESSAGES:
+                        if text.startswith(message):
+                            raised[message].add(path.name)
+    assert raised == {message: {"jumpsim.py"} for message in RUN_SHAPE_MESSAGES}
+
+
+def test_trace_format_has_one_home():
+    # modelio writes the trace and parses it; the debug command only
+    # summarizes what modelio.read_trace returns
+    package = pathlib.Path(mejump.__file__).parent
+    found = {
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if any("# path " in text for text in strings(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {"modelio.py"}
+
+
+def test_resolvent_and_doubled_laws_have_one_home():
+    # medist.resolvent_moment is the one resolvent solve; the doubled initial
+    # law and qbar are built by the records that hold their halves
+    assert callers("solve_linear") == {"medist.resolvent_moment"}
+    package = pathlib.Path(mejump.__file__).parent
+    halves = {"alphahat_plus", "alphahat_minus"}
+    found = {
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in halves
+    }
+    assert found == {"splitting.py"}

@@ -9,7 +9,7 @@ from mejump.errors import (
     PositiveDiagonalError,
     ZeroAlphaError,
 )
-from mejump.models import exponential_model, random_me_model, random_phase_type
+from mejump.models import exponential_model, random_me_model, random_phase_type, reference_model
 
 from conftest import decoupled_rotator
 
@@ -95,6 +95,24 @@ class TestInitialSplit:
             total = init.alphahat_plus.sum() + init.alphahat_minus.sum()
             assert total == pytest.approx(1.0, abs=1e-12)
             assert np.all(init.alphahat_plus >= 0) and np.all(init.alphahat_minus >= 0)
+
+
+    @pytest.mark.parametrize("which", ["reference", "random-5"])
+    def test_doubled_laws_are_the_concatenated_halves(self, which):
+        # the chain's start row, the untilted recovery and the qbar fold read
+        # these two properties, so each must be its halves, bit for bit
+        if which == "reference":
+            m = reference_model()
+        else:
+            m = random_me_model(5, np.random.default_rng(5))
+        split = splitting.sign_split(m.T, m.s)
+        init = splitting.initial_split(m.alpha)
+        w_total = init.wplus + init.wminus
+        halves = [init.wplus / w_total * init.alpha_plus, init.wminus / w_total * init.alpha_minus]
+        assert init.alphahat.tobytes() == np.concatenate(halves).tobytes()
+        prof = splitting.exit_profile(split, splitting.resolve_lambda(split, "auto"))
+        q = prof.qplus - prof.qminus
+        assert prof.qbar.tobytes() == np.concatenate([q, -q]).tobytes()
 
 
 class TestGenerator:
