@@ -197,6 +197,11 @@ def _claimed_outputs(*paths):
 
 
 def cmd_estimate(args) -> int:
+    if args.out is not None and args.trace is not None and (
+        os.path.realpath(args.out) == os.path.realpath(args.trace)
+    ):
+        # the trace would overwrite the CSV after both were reported written
+        raise ParseError(f"--out and --trace name the same file, {args.out!r}")
     params, name = read_model(args.model)
     cfg = _load_run_config(args)
     with _claimed_outputs(args.out, args.trace):

@@ -298,11 +298,7 @@ def analytic_untilted_doubled(split: SignSplit, init: InitialSplit, x):
     Equals ``alpha expm(T x) s`` for every x, even though ``D(0)`` itself may
     have a nonnegative dominant eigenvalue.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1:
-        raise ValueError("x must be a scalar or 1-d array")
-    if np.any(xs < 0.0):
-        raise ValueError("x must be nonnegative")
+    xs = linalg.as_points(x)
     out = init.w_total * (doubled_expm_action(split, 0.0, xs) @ init.alphahat)
     return out if np.ndim(x) else float(out[0])
 
@@ -319,17 +315,17 @@ def decay_cancellation_check(split: SignSplit, sigma0: float, xs) -> np.ndarray:
 
 
 def _exp_at(A: np.ndarray, name: str, x: float, grid: Grid) -> np.ndarray:
-    """``e^{A x}`` for the grid value ``x`` called ``name``, refused when
-    ``A x`` has an entry or a 1-norm that overflows."""
+    """``e^{A x}`` for the grid value ``x`` called ``name``; the refusal of
+    :func:`linalg.mat_exp` (``A x`` overflows) is restated with the grid."""
     with np.errstate(over="ignore"):
         Ax = A * x
-        norm = np.abs(Ax).sum(axis=0).max()
-    if not math.isfinite(norm):
+    try:
+        return linalg.mat_exp(Ax)
+    except ValueError as exc:
         raise ValueError(
             f"{name} {x:g} of grid {grid.x_min:g}:{grid.x_max:g}:{grid.n_bins} is too "
             "large: (T - lam I) times it overflows, so its exponential cannot be computed"
-        )
-    return linalg.mat_exp(Ax)
+        ) from exc
 
 
 def tilted_bin_averages(params: MEParams, lam: float, grid: Grid) -> tuple[np.ndarray, float]:

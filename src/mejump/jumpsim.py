@@ -83,6 +83,9 @@ MAX_WORKERS = 64
 #: Sign of landing codes 0/1/2: positive, negative absorption, termination.
 SIGN_OF_LANDING = np.array([1, -1, 0], dtype=np.int8)
 
+#: Labels of landing codes 0/1/2, as a trace prints them.
+LANDING_LABELS = ("DeltaO", "DeltaA", "term")
+
 
 def check_run_shape(n_paths: int, seed: int, chunk: int, workers: int):
     """Refuse a run shape that cannot be simulated, for every caller."""
@@ -104,7 +107,7 @@ def code_label(code: int, p: int) -> str:
         return f"o{code}"
     if code < 2 * p:
         return f"a{code - p}"
-    return ("DeltaO", "DeltaA", "term")[code - 2 * p]
+    return LANDING_LABELS[code - 2 * p]
 
 
 class RngStream(Record):

@@ -19,18 +19,13 @@ from .errors import EigenConvergenceError, SingularMatrixError
 SOLVE_RESIDUAL_RTOL = 1e-10
 
 
-def as_matrix(A, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-d float64 array with finite entries."""
+def as_square(A, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square 2-d float64 array with finite entries."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} has non-finite entries")
-    return A
-
-
-def as_square(A, name: str = "matrix") -> np.ndarray:
-    A = as_matrix(A, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     return A
@@ -44,6 +39,16 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has non-finite entries")
     return v
+
+
+def as_points(x) -> np.ndarray:
+    """Coerce evaluation points ``x >= 0`` (scalar or 1-d) to a 1-d float64 array."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1:
+        raise ValueError("x must be a scalar or 1-d array")
+    if np.any(xs < 0.0):
+        raise ValueError("x must be nonnegative")
+    return xs
 
 
 #: Largest 1-norm at which the degree-m diagonal Pade approximant of e^A has

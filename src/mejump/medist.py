@@ -125,11 +125,7 @@ def density(params: MEParams, x):
     values raise :class:`NotADensityError` since they indicate an invalid
     triple.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1:
-        raise ValueError("x must be a scalar or 1-d array")
-    if np.any(xs < 0.0):
-        raise ValueError("density is defined on x >= 0")
+    xs = linalg.as_points(x)
     out = np.array([params.alpha @ linalg.mat_exp(params.T * xi) @ params.s for xi in xs])
     if np.any(out < -DENSITY_CLAMP):
         raise NotADensityError(

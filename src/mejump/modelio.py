@@ -24,13 +24,21 @@ from .estimators import (
     mc_density_qbar,
     tilted_bin_averages,
 )
-from .jumpsim import DEFAULT_CHUNK, PathBatch, check_run_shape, code_label, simulate_batch
+from .jumpsim import (
+    DEFAULT_CHUNK,
+    LANDING_LABELS,
+    PathBatch,
+    check_run_shape,
+    code_label,
+    simulate_batch,
+)
 from .medist import MEParams
 from .records import Record
 from .splitting import (
     ExitProfile,
     InitialSplit,
     SignSplit,
+    check_transience,
     exit_profile,
     initial_split,
     resolve_lambda,
@@ -84,14 +92,20 @@ def model_from_dict(raw, where: str = "model"):
     return params, name
 
 
+def read_input(path) -> str:
+    """Text of an input file, the one place one is opened; a file that cannot
+    be read or is not UTF-8 raises :class:`ParseError` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def read_json(path):
-    """Parsed JSON of a file; unreadable files and invalid JSON raise
-    :class:`ParseError`."""
+    """Parsed JSON of a file; invalid JSON raises :class:`ParseError`."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        return json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -204,7 +218,7 @@ class RunPlan(Record):
     """What a command derives once from a model and a tilting-rate request:
     the validated parameters, their sign split, the resolved rate ``lam``, the
     initial mixture and the exit profile at ``lam``.  The doubled abscissa
-    ``eta - lam`` follows (the chain is transient where it is negative)."""
+    and transience follow, from :func:`check_transience`."""
 
     params: MEParams
     split: SignSplit
@@ -214,11 +228,11 @@ class RunPlan(Record):
 
     @property
     def abscissa(self) -> float:
-        return self.split.eta - self.lam
+        return check_transience(self.split, self.lam)[1]
 
     @property
     def transient(self) -> bool:
-        return bool(self.abscissa < 0.0)
+        return check_transience(self.split, self.lam)[0]
 
 
 def plan(params: MEParams, lam_request) -> RunPlan:
@@ -345,27 +359,33 @@ def write_trace(path, batch: PathBatch):
 
 def read_trace(path) -> dict:
     """Each path of a trace that :func:`write_trace` wrote, mapped to its
-    ``(time, from_label, to_label)`` rows; a bad file raises ParseError."""
+    ``(time, from_label, to_label)`` rows; a bad file raises ParseError.
+
+    Each path appears once and ends in a landing (``DeltaO``, ``DeltaA`` or
+    ``term``), as every path that :func:`write_trace` writes does."""
+    paths, rows, last_line = {}, None, {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    paths, rows = {}, None
-    try:
-        for ln, line in enumerate(lines, 1):
+        for ln, line in enumerate(read_input(path).splitlines(), 1):
             if line.startswith("# path "):
-                rows = paths[int(line[len("# path "):])] = []
+                k = int(line[len("# path "):])
+                if k in paths:
+                    raise ParseError(f"{path}:{ln}: path {k} appears twice")
+                rows = paths[k] = []
                 continue
             parts = line.split("\t")
             if len(parts) != 3 or rows is None:
                 raise ParseError(f"{path}:{ln}: malformed trace line {line!r}")
             rows.append((float(parts[0]), parts[1], parts[2]))
+            last_line[k] = ln
     except ValueError as exc:  # a path number or time that does not parse
         raise ParseError(f"{path}:{ln}: {exc}") from exc
     for k, jumps in paths.items():
         if not jumps:
             raise ParseError(f"{path}: path {k} has no jump rows")
+        if jumps[-1][2] not in LANDING_LABELS:
+            raise ParseError(
+                f"{path}:{last_line[k]}: path {k} ends in {jumps[-1][2]!r}, not a landing"
+            )
     return paths
 
 

@@ -247,7 +247,7 @@ def check_transience(split: SignSplit, lam: float):
     transience is ``eta < lam``; no eigenproblem is solved here.
     """
     abscissa = split.eta - lam
-    return abscissa < 0.0, abscissa
+    return bool(abscissa < 0.0), abscissa
 
 
 def admit_rate(split: SignSplit, lam: float) -> DoubledGenerator:

@@ -558,6 +558,30 @@ class TestEstimateCommand:
         assert f"{flag} needs a file path" in err
         assert out == "" and not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("trace_name", ["x.csv", "sub/../x.csv"])
+    def test_same_file_for_out_and_trace_exits_1(
+        self, model_file, tmp_path, trace_name, capsys, monkeypatch
+    ):
+        # the trace would overwrite the CSV after both were reported written;
+        # the two paths are compared before either is claimed or simulated
+        from mejump import modelio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated with --out and --trace naming one file")
+
+        monkeypatch.setattr(modelio, "simulate_batch", refuse)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            ["estimate", model_file, "--paths", "100", "--out", out,
+             "--trace", f"{tmp_path}/{trace_name}"],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: --out and --trace name the same file")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_flag_overrides_beat_config(self, model_file, tmp_path, capsys):
         out = tmp_path / "c.csv"
         code, stdout, _ = run_cli(
@@ -692,6 +716,32 @@ class TestDebugCommand:
             (t, code_label(a, 3), code_label(b, 3)) for t, a, b in zip(times, frm, to, strict=True)
         ]
 
+    def test_path_seen_twice_exits_1(self, tmp_path, capsys):
+        # a second header would silently replace the first one's rows
+        bad = tmp_path / "twice.tsv"
+        bad.write_text(
+            "# path 0\n0.5\to0\tDeltaO\n# path 1\n0.25\to0\tterm\n# path 0\n0.75\to0\tDeltaA\n"
+        )
+        code, out, err = run_cli(["debug", bad], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}:5: path 0 appears twice\n"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# path 0\n0.5\to0\ta1\n", 2),
+            ("# path 0\n0.5\to0\ta1\n0.75\ta1\tDeltaO\n# path 1\n0.25\to0\to2\n", 5),
+        ],
+        ids=["only-path", "last-path"],
+    )
+    def test_path_without_a_landing_exits_1(self, tmp_path, text, line, capsys):
+        # a truncated path would be summarized as landing in a transient state
+        bad = tmp_path / "truncated.tsv"
+        bad.write_text(text)
+        code, out, err = run_cli(["debug", bad], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}:{line}: path ") and "not a landing" in err
+
     def test_path_without_rows_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "empty_path.tsv"
         for text, k in (("# path 0\n", 0), ("# path 0\n0.5\to0\tDeltaO\n# path 1\n", 1)):
@@ -699,6 +749,32 @@ class TestDebugCommand:
             code, _, err = run_cli(["debug", bad], capsys)
             assert code == 1
             assert f"path {k} has no jump rows" in err
+
+
+class TestUndecodableInput:
+    """An input file that is not UTF-8 is refused by name, like an unreadable one."""
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("validate", b'{"alpha": [1.0], "T": [[-1.0]], "s": [1.0], "name": "\xff"}'),
+            ("estimate", b'{"n_paths": 100, "seed": 1}\xff'),
+            ("debug", b"# path 0\n0.5\to0\tDeltaO\xff\n"),
+        ],
+        ids=["validate-model", "estimate-config", "debug-trace"],
+    )
+    def test_exits_1_naming_the_file(self, model_file, tmp_path, command, data, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        if command == "estimate":
+            args = ["estimate", model_file, "--config", path, "--out", tmp_path / "x.csv"]
+        else:
+            args = [command, path]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestEigenSolves:

@@ -95,9 +95,9 @@ def test_arrays_are_frozen_in_one_place():
     assert found == {"records.py"}
 
 
-def callers(name):
+def functions_where(match):
     """``module.function`` (``module.Class.method``) of every package
-    function whose body calls ``name``, as a plain or attribute call."""
+    function whose own body holds a node that ``match`` accepts."""
     package = pathlib.Path(mejump.__file__).parent
     found = set()
 
@@ -106,14 +106,22 @@ def callers(name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                if getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
-                    found.add(".".join(scope))
+            if match(child):
+                found.add(".".join(scope))
             visit(child, scope)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
     return found
+
+
+def callers(name):
+    """Every package function whose body calls ``name``, as a plain or
+    attribute call."""
+    return functions_where(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    )
 
 
 def test_each_run_derives_its_chain_once():
@@ -143,19 +151,27 @@ RUN_SHAPE_MESSAGES = (
 )
 
 
-def test_run_shape_refusals_have_one_home():
-    # jumpsim.check_run_shape refuses a run shape for simulate_batch and for
-    # every RunConfig, so the two cannot drift apart
+def raising_modules(messages):
+    """Each message's literal start, mapped to the package modules that raise
+    an exception whose text starts with it."""
     package = pathlib.Path(mejump.__file__).parent
-    raised = {message: set() for message in RUN_SHAPE_MESSAGES}
+    raised = {message: set() for message in messages}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 for text in strings(node.exc):
-                    for message in RUN_SHAPE_MESSAGES:
+                    for message in messages:
                         if text.startswith(message):
                             raised[message].add(path.name)
-    assert raised == {message: {"jumpsim.py"} for message in RUN_SHAPE_MESSAGES}
+    return raised
+
+
+def test_run_shape_refusals_have_one_home():
+    # jumpsim.check_run_shape refuses a run shape for simulate_batch and for
+    # every RunConfig, so the two cannot drift apart
+    assert raising_modules(RUN_SHAPE_MESSAGES) == {
+        message: {"jumpsim.py"} for message in RUN_SHAPE_MESSAGES
+    }
 
 
 def test_trace_format_has_one_home():
@@ -183,3 +199,47 @@ def test_resolvent_and_doubled_laws_have_one_home():
         if isinstance(node, ast.Attribute) and node.attr in halves
     }
     assert found == {"splitting.py"}
+
+
+def opens_for_reading(node):
+    """Whether ``node`` is an ``open()`` call without a write or append mode."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else None
+    mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+    return not (isinstance(mode, ast.Constant) and mode.value in ("w", "a"))
+
+
+def test_input_files_are_read_in_one_place():
+    # modelio.read_input opens every input file and refuses, by name, one
+    # that cannot be read or is not UTF-8; every open() writes
+    assert callers("read_text") == {"modelio.read_input"}
+    assert functions_where(opens_for_reading) == set()
+    assert functions_where(
+        lambda node: isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(getattr(n, "id", None) == "UnicodeDecodeError" for n in ast.walk(node.type))
+    ) == {"modelio.read_input"}
+
+
+def test_evaluation_points_and_exponential_refusal_have_one_home():
+    # linalg.as_points refuses evaluation points for the density and the
+    # doubled recovery; linalg.mat_exp alone sums an absolute matrix into a
+    # 1-norm to refuse an exponential, which estimators._exp_at restates
+    messages = ("x must be a scalar or 1-d array", "x must be nonnegative")
+    assert raising_modules(messages) == {message: {"linalg.py"} for message in messages}
+    assert functions_where(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "sum"
+        and isinstance(node.func.value, ast.Call)
+        and getattr(node.func.value.func, "attr", None) == "abs"
+    ) == {"linalg.mat_exp"}
+
+
+def test_doubled_abscissa_has_one_home():
+    # splitting.check_transience computes eta - lam; RunPlan reads it there
+    assert functions_where(
+        lambda node: isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and getattr(node.left, "attr", None) == "eta"
+    ) == {"splitting.check_transience"}
