@@ -21,10 +21,12 @@ from .errors import (
 )
 from .estimators import (
     DensityEstimate,
+    ExitCounts,
     ExpectationEstimate,
     Grid,
     HSpec,
     analytic_untilted_doubled,
+    count_exits,
     decay_cancellation_check,
     mc_density_beta,
     mc_density_qbar,
@@ -60,8 +62,8 @@ __all__ = [
     "sign_split", "initial_split", "build_generator",
     "doubled_matrix", "exit_profile", "check_transience", "resolve_lambda",
     "PathBatch", "RngStream", "simulate_batch",
-    "Grid", "DensityEstimate", "ExpectationEstimate", "HSpec",
-    "mc_density_beta", "mc_density_qbar", "mc_expectation_untilted",
+    "Grid", "DensityEstimate", "ExitCounts", "ExpectationEstimate", "HSpec",
+    "count_exits", "mc_density_beta", "mc_density_qbar", "mc_expectation_untilted",
     "analytic_untilted_doubled", "decay_cancellation_check", "tilted_bin_averages",
     "mat_exp", "solve_linear", "spectral_abscissa",
     "reference_model", "exponential_model", "phase_type_example",

@@ -24,6 +24,7 @@ from .estimators import (
     Grid,
     HSpec,
     analytic_untilted_doubled,
+    count_exits,
     decay_cancellation_check,
     mc_density_beta,
     mc_expectation_untilted,
@@ -313,7 +314,7 @@ def criterion_10(cfg) -> CriterionResult:
     se_tau = float(batch.tau.std(ddof=1)) / math.sqrt(len(batch))
     mean_ok = abs(mean_tau - 0.5) <= 4 * se_tau
     grid = Grid(0.0, 3.0, 30)
-    est = mc_density_beta(batch, grid, scale=1.0)
+    est = mc_density_beta(count_exits(batch, grid), 1.0)
     edges = grid.edges
     analytic = (np.exp(-2.0 * edges[:-1]) - np.exp(-2.0 * edges[1:])) / (
         2.0 * grid.delta

@@ -8,16 +8,18 @@ never increases the per-bin variance.  The two weights give the two histogram
 estimators of the tilted density and the two forms of the untilted
 expectation, which reweights by ``e^{lam tau}``.
 
-Every fold walks the batch one generation chunk at a time, in chunk order,
-so no estimator holds a full-length temporary.  The two density folds send
-each exit time to its bin through ``_bin_index``, a time outside the grid to
-one overflow bin, and ``bincount`` the chunk without gathering the inside
-times.  The landing-sign fold counts (bin, landing) pairs in integers, so its
-sums are exact; the ``qbar`` fold sums its weights per bin in path order, and
-the chunks' sums in chunk order.  Either estimate is bit-identical to merging
-per-chunk partial sums in chunk order.  ``_signed_chunks`` yields the
-``(tau, weight)`` pairs of a chunk for the ``qbar`` fold and both forms of
-the expectation.
+Both histogram estimators are linear in the joint law of a path's exit-time
+bin and its exit code (pre-exit state and landing), so ``count_exits`` counts
+the ``(bin, exit)`` pairs of a batch once, in one exact int64 table, and each
+density estimator is a finalizer of that table: the landing-sign estimate
+sums its columns by landing, the ``qbar`` estimate dots them with ``qbar``
+and ``qbar**2``.  The count walks the batch one generation chunk at a time,
+sends each exit time to its bin through ``_bin_index``, a time outside the
+grid to one overflow bin, and adds the chunk's keys into the table with
+``np.add.at``, so no estimator holds a full-length temporary or a chunk-sized
+dense table.  Integer counts merge exactly, so the estimates do not depend
+on how the batch was chunked.  ``_signed_chunks`` yields the
+``(tau, weight)`` pairs of a chunk for both forms of the expectation.
 """
 
 from __future__ import annotations
@@ -77,6 +79,18 @@ class DensityEstimate(Record):
     scale: float
 
 
+class ExitCounts(Record):
+    """Exact counts of a batch's paths by exit-time bin and exit code:
+    ``counts[b, c]`` paths of ``n_paths`` exit in bin ``b`` of ``grid`` with
+    exit code ``c = 3 * pre_exit + landing``, an int64 table of shape
+    ``(n_bins, 6p)``.  Paths that exit outside the grid are counted only in
+    ``n_paths``."""
+
+    grid: Grid
+    counts: np.ndarray
+    n_paths: int
+
+
 class ExpectationEstimate(Record):
     """Untilted expectation estimate; ``max_abs_weight`` is the largest
     ``|h(tau) e^{lam tau}|`` seen, a heavy-tail diagnostic."""
@@ -124,24 +138,43 @@ def finalize_density(
     return DensityEstimate(grid=grid, estimate=estimate, stderr=stderr, n_hits=n_hits, scale=scale)
 
 
+def count_exits(batch: PathBatch, grid: Grid) -> ExitCounts:
+    """Count the batch's paths by exit-time bin and exit code, one
+    generation chunk at a time.
+
+    Each chunk adds its keys ``bin * 6p + exit_code`` into one accumulator of
+    ``(n_bins + 1) * 6p`` entries, whose last row is the overflow bin, with
+    ``np.add.at``; a per-chunk ``bincount`` would build a dense table per
+    chunk.
+    """
+    n_codes = 6 * batch.p
+    counts = np.zeros((grid.n_bins + 1) * n_codes, dtype=np.int64)
+    for sl in batch.chunk_slices():
+        key = _bin_index(batch.tau[sl], grid)
+        key *= n_codes
+        key += batch.exit_code[sl]
+        np.add.at(counts, key, 1)
+    return ExitCounts(grid, counts.reshape(-1, n_codes)[:-1], len(batch))
+
+
 def _signed_chunks(batch: PathBatch, profile: ExitProfile | None = None):
     """Yield ``(tau, weight)`` for each generation chunk, in chunk order.
 
-    The weight is one per-code map taken at a column: the landing sign at
-    ``landing``, or with a ``profile`` the conditional expected sign ``qbar``
-    at ``pre_exit`` (``-qbar`` on the anti side).
+    The weight is one per-exit-code map taken at ``exit_code``: the landing
+    sign, or with a ``profile`` the conditional expected sign ``qbar`` of the
+    pre-exit state (``-qbar`` on the anti side).
     """
     if len(batch) == 0:
         raise ValueError("empty outcome set")
     if profile is None:
-        weight_of_code, codes = SIGN_OF_LANDING, batch.landing
+        weight_of_code = np.tile(SIGN_OF_LANDING, 2 * batch.p)
     else:
-        weight_of_code, codes = profile.qbar, batch.pre_exit
+        weight_of_code = np.repeat(profile.qbar, 3)
     for sl in batch.chunk_slices():
-        yield batch.tau[sl], weight_of_code.take(codes[sl])
+        yield batch.tau[sl], weight_of_code.take(batch.exit_code[sl])
 
 
-def mc_density_beta(batch: PathBatch, grid: Grid, scale: float) -> DensityEstimate:
+def mc_density_beta(counts: ExitCounts, scale: float) -> DensityEstimate:
     """Histogram estimate of the tilted density from landing signs.
 
     With ``scale = (w^+ + w^-) / L(lam)`` the per-bin estimate is unbiased for
@@ -149,40 +182,29 @@ def mc_density_beta(batch: PathBatch, grid: Grid, scale: float) -> DensityEstima
     signed exit density ``(alphahat) expm(D x) (s; -s)``.
 
     A weight is a landing sign, so the sums are exact integer counts of
-    (bin, landing), made by one ``bincount`` per chunk.
+    (bin, landing), the exit counts summed over the pre-exit state.
     """
-    n_codes = SIGN_OF_LANDING.shape[0]
-    counts = np.zeros((grid.n_bins + 1) * n_codes, dtype=np.int64)
-    for sl in batch.chunk_slices():
-        key = _bin_index(batch.tau[sl], grid)
-        key *= n_codes
-        key += batch.landing[sl]
-        counts += np.bincount(key, minlength=counts.shape[0])
-    counts = counts.reshape(-1, n_codes)[:-1]
+    n_bins = counts.grid.n_bins
+    by_landing = counts.counts.reshape(n_bins, -1, SIGN_OF_LANDING.shape[0]).sum(axis=1)
     return finalize_density(
-        (counts @ SIGN_OF_LANDING).astype(float), (counts @ SIGN_OF_LANDING**2).astype(float),
-        counts.sum(axis=1), len(batch), grid, scale,
+        (by_landing @ SIGN_OF_LANDING).astype(float),
+        (by_landing @ SIGN_OF_LANDING**2).astype(float),
+        by_landing.sum(axis=1), counts.n_paths, counts.grid, scale,
     )
 
 
-def mc_density_qbar(
-    batch: PathBatch, profile: ExitProfile, grid: Grid, scale: float
-) -> DensityEstimate:
+def mc_density_qbar(counts: ExitCounts, profile: ExitProfile, scale: float) -> DensityEstimate:
     """Histogram estimate weighting every exiting path (terminated ones
     included) by the conditional expected sign of its pre-exit state.
 
-    Each bin sums its weights in path order within a chunk, and the chunks'
-    sums in chunk order.
+    Each bin's sums of weights and of squared weights are its exact exit
+    counts dotted with ``qbar`` and ``qbar**2``, one entry per exit code.
     """
-    size = grid.n_bins + 1
-    sum_w, sum_w2 = np.zeros(size), np.zeros(size)
-    n_hits = np.zeros(size, dtype=np.int64)
-    for tau, w in _signed_chunks(batch, profile):
-        idx = _bin_index(tau, grid)
-        sum_w += np.bincount(idx, weights=w, minlength=size)
-        sum_w2 += np.bincount(idx, weights=w * w, minlength=size)
-        n_hits += np.bincount(idx, minlength=size)
-    return finalize_density(sum_w[:-1], sum_w2[:-1], n_hits[:-1], len(batch), grid, scale)
+    q = np.repeat(profile.qbar, 3)
+    table = counts.counts
+    return finalize_density(
+        table @ q, table @ (q * q), table.sum(axis=1), counts.n_paths, counts.grid, scale
+    )
 
 
 class HSpec(Record):

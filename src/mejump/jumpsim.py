@@ -23,10 +23,11 @@ calling thread one of them, so a run loads no thread pool.
 
 There is one simulator, ``simulate_batch``, and it works on integer codes
 only: transient states are ``0..p-1`` (original) and ``p..2p-1`` (anti), the
-categorical targets ``2p..2p+2`` are the landings, stored in a batch as
-landing codes ``0/1/2`` (positive absorption / negative absorption /
-termination).  ``code_label`` names a code for traces.  Indices are 0-based
-throughout.
+categorical targets ``2p..2p+2`` are the landings, landing codes ``0/1/2``
+(positive absorption / negative absorption / termination).  A batch stores
+each path's pre-exit state and landing as one exit code ``3 * pre_exit +
+landing``, so the estimators count ``(bin, exit)`` pairs from one column.
+``code_label`` names a code for traces.  Indices are 0-based throughout.
 
 One guide table per chain holds every categorical row: the ``2p`` rows of
 the transient states, and a start row ``2p`` holding the initial law, whose
@@ -272,9 +273,11 @@ class JumpChain:
 class PathBatch(Record):
     """Column-oriented collection of path outcomes.
 
-    ``pre_exit`` holds transient codes (0..2p-1), ``landing`` codes 0/1/2 for
-    positive absorption / negative absorption / termination; ``sign`` is
-    derived from ``landing``.  ``trace`` (present when tracing) is a tuple of
+    ``exit_code`` holds each path's exit, ``3 * pre_exit + landing``, in one
+    of ``6p`` codes: ``pre_exit`` is the transient code (0..2p-1) it left,
+    ``landing`` the code 0/1/2 of positive absorption / negative absorption /
+    termination, and ``sign`` the sign of the landing; all three are read
+    off the exit code.  ``trace`` (present when tracing) is a tuple of
     arrays (path_index, time, from_code, to_code) sorted by path then time;
     the state held at time ``x`` is the ``from_code`` of a path's first row
     with time ``> x``.
@@ -283,13 +286,23 @@ class PathBatch(Record):
     p: int
     chunk: int
     tau: np.ndarray
-    pre_exit: np.ndarray
-    landing: np.ndarray
+    exit_code: np.ndarray
     n_jumps: np.ndarray
     trace: tuple | None = None
 
     def __len__(self) -> int:
         return self.tau.shape[0]
+
+    @property
+    def pre_exit(self) -> np.ndarray:
+        """Each path's pre-exit state, a transient code (int32)."""
+        return self.exit_code // 3
+
+    @property
+    def landing(self) -> np.ndarray:
+        """Each path's landing code 0/1/2 (int8)."""
+        # numpy's floor division by a constant is several times faster than %
+        return (self.exit_code - 3 * self.pre_exit).astype(np.int8)
 
     @property
     def sign(self) -> np.ndarray:
@@ -323,7 +336,7 @@ class _Arena:
 def _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace):
     """Vectorized embedded-chain simulation, on one stream, of the paths
     ``lo..hi-1``; each path's outcome is written at its index in
-    ``columns`` = ``(tau, pre_exit, landing, n_jumps)``.  Every intermediate
+    ``columns`` = ``(tau, exit_code, n_jumps)``.  Every intermediate
     of at most ``hi - lo`` items lives in ``arena``.
 
     The first state is drawn as a jump from the start row ``2p`` of the
@@ -333,7 +346,7 @@ def _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace):
     order, so the draw sequence depends only on the chunk itself.  Returns the chunk's trace
     parts ``(path, time, from, to)``, one per iteration, or ``[]``.
     """
-    tau, pre_exit, landing, n_jumps = columns
+    tau, exit_code, n_jumps = columns
     two_p = 2 * chain.p
     k = hi - lo
     state_buf, next_buf = arena.states
@@ -368,11 +381,14 @@ def _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace):
             trace_parts.append((alive.copy(), t_new.copy(), state.copy(), nxt.copy()))
         gone = np.flatnonzero(np.greater_equal(nxt, two_p, out=arena.mask[:k]))
         m = gone.size
+        # the exit code 3 * state + (target - 2p), before ints holds the paths
+        codes = state.take(gone, out=spare_buf[:m], mode="wrap")
+        codes *= 3
+        codes += nxt.take(gone, out=arena.ints[:m], mode="wrap")
+        codes -= two_p
         done = alive.take(gone, out=arena.ints[:m], mode="wrap")
+        exit_code[done] = codes
         tau[done] = t_new.take(gone, out=arena.floats[:m], mode="wrap")
-        codes = spare_buf[:m]
-        pre_exit[done] = state.take(gone, out=codes, mode="wrap")
-        landing[done] = np.subtract(nxt.take(gone, out=codes, mode="wrap"), two_p, out=codes)
         n_jumps[done] = iteration
         del gone  # so the two index lists are never held at once
         keep = np.flatnonzero(np.less(nxt, two_p, out=arena.mask[:k]))
@@ -412,10 +428,9 @@ def simulate_batch(
     """
     check_run_shape(n_paths, seed, chunk, workers)
     chain = JumpChain(split, lam, init)
-    columns = (  # tau, pre_exit, landing, n_jumps: PathBatch's columns in field order
+    columns = (  # tau, exit_code, n_jumps: PathBatch's columns in field order
         np.empty(n_paths),
         np.empty(n_paths, dtype=np.int32),
-        np.empty(n_paths, dtype=np.int8),
         np.empty(n_paths, dtype=np.int32),
     )
     n_chunks = -(-n_paths // chunk)

@@ -20,6 +20,7 @@ from .estimators import (
     DensityEstimate,
     Grid,
     HSpec,
+    count_exits,
     mc_density_beta,
     mc_density_qbar,
     tilted_bin_averages,
@@ -287,6 +288,8 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
 
     The rate is ``run_plan.lam``, resolved when the caller planned the model;
     ``cfg.lam`` is not read here.  The oracle is checked before any path is drawn.
+    The batch's exits are counted once, and each requested estimator reads
+    the counts.
     """
     lam = run_plan.lam
     analytic, norm = tilted_bin_averages(run_plan.params, lam, cfg.grid)
@@ -297,11 +300,12 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
             "bin averages of the tilted density are not finite"
         )
     batch = simulate(run_plan, cfg, collect_trace)
+    counts = count_exits(batch, cfg.grid)
     est_beta = est_qbar = None
     if cfg.estimator in ("beta", "both"):
-        est_beta = mc_density_beta(batch, cfg.grid, scale)
+        est_beta = mc_density_beta(counts, scale)
     if cfg.estimator in ("qbar", "both"):
-        est_qbar = mc_density_qbar(batch, run_plan.profile, cfg.grid, scale)
+        est_qbar = mc_density_qbar(counts, run_plan.profile, scale)
     return EstimateRun(run_plan, scale, cfg, batch, analytic, est_beta, est_qbar)
 
 
@@ -362,7 +366,9 @@ def read_trace(path) -> dict:
     ``(time, from_label, to_label)`` rows; a bad file raises ParseError.
 
     Each path appears once and ends in a landing (``DeltaO``, ``DeltaA`` or
-    ``term``), as every path that :func:`write_trace` writes does."""
+    ``term``), as every path that :func:`write_trace` writes does.  Within a
+    path, no row follows the landing, each row leaves the state the row
+    before it entered, and no time is below the time before it."""
     paths, rows, last_line = {}, None, {}
     try:
         for ln, line in enumerate(read_input(path).splitlines(), 1):
@@ -375,7 +381,22 @@ def read_trace(path) -> dict:
             parts = line.split("\t")
             if len(parts) != 3 or rows is None:
                 raise ParseError(f"{path}:{ln}: malformed trace line {line!r}")
-            rows.append((float(parts[0]), parts[1], parts[2]))
+            t, frm, to = float(parts[0]), parts[1], parts[2]
+            if rows:
+                t_before, _, to_before = rows[-1]
+                if to_before in LANDING_LABELS:
+                    raise ParseError(f"{path}:{ln}: path {k} has a row after its landing")
+                if frm != to_before:
+                    raise ParseError(
+                        f"{path}:{ln}: path {k} jumps from {frm!r}, "
+                        f"but its previous jump entered {to_before!r}"
+                    )
+                if t < t_before:
+                    raise ParseError(
+                        f"{path}:{ln}: path {k} jumps at {t!r}, "
+                        f"before its previous jump at {t_before!r}"
+                    )
+            rows.append((t, frm, to))
             last_line[k] = ln
     except ValueError as exc:  # a path number or time that does not parse
         raise ParseError(f"{path}:{ln}: {exc}") from exc

@@ -742,6 +742,32 @@ class TestDebugCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {bad}:{line}: path ") and "not a landing" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "# path 0\n0.5\to0\tDeltaO\n0.7\to1\tDeltaA\n",
+                "path 0 has a row after its landing",
+            ),
+            (
+                "# path 0\n0.5\to0\ta1\n0.7\to2\tDeltaO\n",
+                "path 0 jumps from 'o2', but its previous jump entered 'a1'",
+            ),
+            (
+                "# path 0\n0.5\to0\ta1\n0.25\ta1\tDeltaO\n",
+                "path 0 jumps at 0.25, before its previous jump at 0.5",
+            ),
+        ],
+        ids=["row-after-landing", "from-not-last-to", "time-goes-back"],
+    )
+    def test_path_that_write_trace_cannot_write_exits_1(self, tmp_path, text, message, capsys):
+        # write_trace writes no such row, and debug would count it as a jump
+        bad = tmp_path / "impossible.tsv"
+        bad.write_text(text)
+        code, out, err = run_cli(["debug", bad], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}:3: {message}\n"
+
     def test_path_without_rows_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "empty_path.tsv"
         for text, k in (("# path 0\n", 0), ("# path 0\n0.5\to0\tDeltaO\n# path 1\n", 1)):
@@ -867,8 +893,8 @@ taus = ast.literal_eval(sys.argv[1])
 if taus is not None:
     n = len(taus)
     modelio.simulate_batch = lambda *args, **kwargs: PathBatch(
-        p=3, chunk=n, tau=np.array(taus), pre_exit=np.zeros(n, dtype=np.int32),
-        landing=np.zeros(n, dtype=np.int8), n_jumps=np.ones(n, dtype=np.int32),
+        p=3, chunk=n, tau=np.array(taus), exit_code=np.zeros(n, dtype=np.int32),
+        n_jumps=np.ones(n, dtype=np.int32),
     )
 sys.exit(cli.main(sys.argv[2:]))
 """

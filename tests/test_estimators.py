@@ -7,12 +7,13 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from mejump import linalg, medist, modelio, splitting
+from mejump import estimators, linalg, medist, modelio, splitting
 from mejump.estimators import (
     Grid,
     HSpec,
     analytic_untilted_doubled,
     decay_cancellation_check,
+    count_exits,
     finalize_density,
     mc_density_beta,
     mc_density_qbar,
@@ -31,37 +32,58 @@ from mejump.models import (
 def one_chunk_batch(p, tau, pre_exit, landing):
     """A hand-made single-chunk batch of ``len(tau)`` paths; each path's
     sign is the one its landing implies."""
+    pre_exit = np.asarray(pre_exit, dtype=np.int32)
     return PathBatch(
         p=p,
         chunk=max(1, len(tau)),
         tau=np.asarray(tau, dtype=float),
-        pre_exit=np.asarray(pre_exit, dtype=np.int32),
-        landing=np.asarray(landing, dtype=np.int8),
+        exit_code=3 * pre_exit + np.asarray(landing, dtype=np.int32),
         n_jumps=np.ones(len(tau), dtype=np.int32),
     )
 
 
-def reference_density(batch, grid, scale, profile=None):
-    """The mask-gather fold the package's folds must equal bit for bit.
-
-    Per generation chunk: keep the times inside ``[x_min, x_max)``, truncate
-    their quotients to int64 and clip to the bins, then ``bincount`` the
-    weights, squared weights and hits in path order; the chunks' partial sums
-    are merged left to right, in chunk order.  The weight is the landing sign,
-    or with a ``profile`` the ``qbar`` of the pre-exit state.
-    """
-    if profile is None:
-        weight_of_code, codes = SIGN_OF_LANDING, batch.landing
-    else:
-        q = profile.qbar_original
-        weight_of_code, codes = np.concatenate([q, -q]), batch.pre_exit
-    total = None
+def reference_bins(batch, grid):
+    """Per generation chunk, the bins of the times inside ``[x_min, x_max)``
+    (quotients truncated to int64 and clipped to the bins) and the slice's
+    mask of those times."""
     for sl in batch.chunk_slices():
         tau = batch.tau[sl]
         inside = (tau >= grid.x_min) & (tau < grid.x_max)
         idx = ((tau[inside] - grid.x_min) / grid.delta).astype(np.int64)
         np.clip(idx, 0, grid.n_bins - 1, out=idx)
-        w = weight_of_code[codes[sl]][inside].astype(float)
+        yield sl, inside, idx
+
+
+def reference_counts(batch, grid):
+    """The (bin, exit code) counts of the inside times, by mask-gather and one
+    ``bincount`` per chunk, as an ``(n_bins, 6p)`` table."""
+    n_codes = 6 * batch.p
+    total = np.zeros(grid.n_bins * n_codes, dtype=np.int64)
+    for sl, inside, idx in reference_bins(batch, grid):
+        key = idx * n_codes + batch.exit_code[sl][inside]
+        total += np.bincount(key, minlength=total.size)
+    return total.reshape(grid.n_bins, n_codes)
+
+
+def reference_density(batch, grid, scale, profile=None):
+    """The mask-gather folds the package's estimators must equal bit for bit.
+
+    The landing sign's fold ``bincount``s the weights, squared weights and
+    hits of each chunk in path order and merges the chunks' partial sums left
+    to right, in chunk order.  With a ``profile``, the (bin, exit code)
+    counts are dotted with the ``qbar`` of each code's pre-exit state and
+    with its square.
+    """
+    if profile is not None:
+        q = profile.qbar_original
+        q = np.repeat(np.concatenate([q, -q]), 3)
+        counts = reference_counts(batch, grid)
+        return finalize_density(
+            counts @ q, counts @ (q * q), counts.sum(axis=1), len(batch), grid, scale
+        )
+    total = None
+    for sl, inside, idx in reference_bins(batch, grid):
+        w = SIGN_OF_LANDING[batch.landing[sl]][inside].astype(float)
         part = (
             np.bincount(idx, weights=w, minlength=grid.n_bins),
             np.bincount(idx, weights=w * w, minlength=grid.n_bins),
@@ -69,6 +91,14 @@ def reference_density(batch, grid, scale, profile=None):
         )
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     return finalize_density(*total, len(batch), grid, scale)
+
+
+def density_beta(batch, grid, scale):
+    return mc_density_beta(count_exits(batch, grid), scale)
+
+
+def density_qbar(batch, profile, grid, scale):
+    return mc_density_qbar(count_exits(batch, grid), profile, scale)
 
 
 def assert_same_bits(got, want):
@@ -107,7 +137,7 @@ class TestDensityBeta:
         params = exponential_model(1.0)
         split, init, batch, scale = make_batch(params, 1.0, 200_000, seed=8)
         # single wide bin: scale * E[beta] should be 1 (a density has mass one)
-        est = mc_density_beta(batch, Grid(0.0, 40.0, 1), scale)
+        est = density_beta(batch, Grid(0.0, 40.0, 1), scale)
         total = est.estimate[0] * 40.0
         se = est.stderr[0] * 40.0
         assert abs(total - 1.0) <= 4 * se
@@ -118,16 +148,16 @@ class TestDensityBeta:
         init = splitting.initial_split(np.array([1.0]))
         batch = simulate_batch(split, 0.0, init, n_paths=5000, seed=2)
         assert np.all(batch.sign == 0)
-        est = mc_density_beta(batch, Grid(0.0, 5.0, 10), 1.0)
+        est = density_beta(batch, Grid(0.0, 5.0, 10), 1.0)
         assert np.array_equal(est.estimate, np.zeros(10))
         prof = splitting.exit_profile(split, 0.0)
-        estq = mc_density_qbar(batch, prof, Grid(0.0, 5.0, 10), 1.0)
+        estq = density_qbar(batch, prof, Grid(0.0, 5.0, 10), 1.0)
         assert np.array_equal(estq.estimate, np.zeros(10))
 
     def test_empty_bin_reporting(self):
         params = exponential_model(1.0)
         _, _, batch, scale = make_batch(params, 1.0, 2000, seed=4)
-        est = mc_density_beta(batch, Grid(0.0, 30.0, 60), scale)
+        est = density_beta(batch, Grid(0.0, 30.0, 60), scale)
         empty = est.n_hits == 0
         assert empty.any()
         assert np.all(est.estimate[empty] == 0.0)
@@ -148,9 +178,9 @@ class TestDensityBeta:
             x_max = 5.0 / (lam - sigma0)
             grid = Grid(0.0, x_max, 20)
             analytic, _ = tilted_bin_averages(params, lam, grid)
-            est_b = mc_density_beta(batch, grid, scale)
+            est_b = density_beta(batch, grid, scale)
             prof = splitting.exit_profile(split, lam)
-            est_q = mc_density_qbar(batch, prof, grid, scale)
+            est_q = density_qbar(batch, prof, grid, scale)
             filled = est_b.n_hits > 0
             assert filled.mean() > 0.8
             for est in (est_b, est_q):
@@ -160,9 +190,9 @@ class TestDensityBeta:
     def test_beta_and_qbar_agree(self, ref):
         split, init, batch, scale = make_batch(ref, 2.0, 200_000, seed=21)
         grid = Grid(0.0, 4.0, 40)
-        est_b = mc_density_beta(batch, grid, scale)
+        est_b = density_beta(batch, grid, scale)
         prof = splitting.exit_profile(split, 2.0)
-        est_q = mc_density_qbar(batch, prof, grid, scale)
+        est_q = density_qbar(batch, prof, grid, scale)
         joint = np.sqrt(est_b.stderr**2 + est_q.stderr**2)
         filled = est_b.n_hits > 0
         assert np.all(
@@ -173,9 +203,9 @@ class TestDensityBeta:
     def test_variance_reduction(self, ref):
         split, init, batch, scale = make_batch(ref, 2.0, 200_000, seed=22)
         grid = Grid(0.0, 4.0, 40)
-        est_b = mc_density_beta(batch, grid, scale)
+        est_b = density_beta(batch, grid, scale)
         prof = splitting.exit_profile(split, 2.0)
-        est_q = mc_density_qbar(batch, prof, grid, scale)
+        est_q = density_qbar(batch, prof, grid, scale)
         both = (est_b.stderr > 0) & (est_q.stderr > 0)
         frac = np.mean(est_q.stderr[both] <= est_b.stderr[both])
         assert frac >= 0.9
@@ -183,7 +213,7 @@ class TestDensityBeta:
     def test_total_mass_near_one(self, ref):
         split, init, batch, scale = make_batch(ref, 2.0, 300_000, seed=23)
         grid = Grid(0.0, 6.0, 60)  # covers well beyond 99.9% of mass
-        est = mc_density_beta(batch, grid, scale)
+        est = density_beta(batch, grid, scale)
         total = float(est.estimate.sum() * grid.delta)
         inside = (batch.tau >= 0.0) & (batch.tau < 6.0)
         contrib = scale * batch.sign * inside
@@ -194,9 +224,9 @@ class TestDensityBeta:
         empty = one_chunk_batch(3, [], [], [])
         prof = splitting.exit_profile(ref_split, 2.0)
         with pytest.raises(ValueError, match="empty outcome set"):
-            mc_density_beta(empty, Grid(0.0, 1.0, 2), 1.0)
+            density_beta(empty, Grid(0.0, 1.0, 2), 1.0)
         with pytest.raises(ValueError, match="empty outcome set"):
-            mc_density_qbar(empty, prof, Grid(0.0, 1.0, 2), 1.0)
+            density_qbar(empty, prof, Grid(0.0, 1.0, 2), 1.0)
         with pytest.raises(ValueError, match="empty outcome set"):
             mc_expectation_untilted(empty, HSpec("exp-decay", 3.0), 2.0, 1.0)
 
@@ -205,7 +235,7 @@ class TestDensityBeta:
         prof = splitting.exit_profile(ref_split, 2.0)
         batch = one_chunk_batch(3, [0.5], [3], [2])
         grid = Grid(0.0, 1.0, 1)
-        est = mc_density_qbar(batch, prof, grid, scale=1.0)
+        est = density_qbar(batch, prof, grid, scale=1.0)
         assert est.estimate[0] == pytest.approx(-prof.qbar_original[0], rel=1e-15)
         assert est.estimate[0] == pytest.approx(-1.0, rel=1e-14)
 
@@ -215,17 +245,17 @@ class TestMergeAssociativity:
         split, init, batch, scale = make_batch(ref, 2.0, 90_000, seed=14, chunk=20_000)
         grid = Grid(0.0, 4.0, 40)
         prof = splitting.exit_profile(split, 2.0)
-        assert_same_bits(mc_density_beta(batch, grid, scale), reference_density(batch, grid, scale))
+        assert_same_bits(density_beta(batch, grid, scale), reference_density(batch, grid, scale))
         assert_same_bits(
-            mc_density_qbar(batch, prof, grid, scale),
+            density_qbar(batch, prof, grid, scale),
             reference_density(batch, grid, scale, prof),
         )
 
 
 class TestFoldsMatchTheReference:
-    """Both density folds bin every exit time (outside ones to an overflow
-    bin) where the reference gathers the inside ones; the estimates must
-    not differ in a single bit."""
+    """The exit count bins every exit time (outside ones to an overflow bin)
+    where the references gather the inside ones; the estimates must not
+    differ in a single bit."""
 
     @staticmethod
     def planted_times(grid, rng):
@@ -272,21 +302,53 @@ class TestFoldsMatchTheReference:
             "subnormal": Grid(0.0, 1e-310, n_bins),
         }[grid_kind]
         planted = self.planted_times(grid, rng)
-        tau = batch.tau.copy()
-        tau[rng.choice(n, size=min(n, planted.size), replace=False)] = planted[:n]
-        batch = PathBatch(
-            batch.p, batch.chunk, tau, batch.pre_exit, batch.landing, batch.n_jumps, batch.trace
-        )
+        at = rng.choice(n, size=min(n, planted.size), replace=False)
+
+        def with_planted_times(batch):
+            tau = batch.tau.copy()
+            tau[at] = planted[:n]
+            return PathBatch(batch.p, batch.chunk, tau, batch.exit_code, batch.n_jumps)
+
+        batch = with_planted_times(batch)
         prof = splitting.exit_profile(split, lam)
+
+        # the count is one whole-batch bincount of the inside keys, and the
+        # same whatever the number of workers that simulated the batch
+        counts = count_exits(batch, grid)
+        inside = (batch.tau >= grid.x_min) & (batch.tau < grid.x_max)
+        idx = ((batch.tau[inside] - grid.x_min) / grid.delta).astype(np.int64)
+        np.clip(idx, 0, grid.n_bins - 1, out=idx)
+        n_codes = 6 * p
+        want = np.bincount(
+            idx * n_codes + batch.exit_code[inside], minlength=grid.n_bins * n_codes
+        ).reshape(grid.n_bins, n_codes)
+        assert counts.counts.dtype == np.int64 and np.array_equal(counts.counts, want)
+        assert counts.n_paths == n
+        two = simulate_batch(
+            split, lam, splitting.initial_split(m.alpha), n_paths=n, seed=seed, chunk=size,
+            workers=2,
+        )
+        assert np.array_equal(count_exits(with_planted_times(two), grid).counts, counts.counts)
 
         # at a per-path bin weight of 1 every grid's estimate is finite
         assert_same_bits(
-            mc_density_beta(batch, grid, grid.delta), reference_density(batch, grid, grid.delta)
+            density_beta(batch, grid, grid.delta), reference_density(batch, grid, grid.delta)
         )
-        assert_same_bits(
-            mc_density_qbar(batch, prof, grid, grid.delta),
-            reference_density(batch, grid, grid.delta, prof),
-        )
+        with mock.patch.object(
+            estimators, "finalize_density", wraps=estimators.finalize_density
+        ) as finalize:
+            est_q = mc_density_qbar(counts, prof, grid.delta)
+        assert_same_bits(est_q, reference_density(batch, grid, grid.delta, prof))
+
+        # each bin's sums of qbar and qbar**2 are within 8 p eps of the sum of
+        # their magnitudes from the exact sums of the per-path weights
+        sum_w, sum_w2 = finalize.call_args.args[:2]
+        weight = np.repeat(prof.qbar, 3)[batch.exit_code[inside]]
+        bound = 8 * p * np.finfo(float).eps
+        for b in range(grid.n_bins):
+            w = weight[idx == b]
+            assert abs(sum_w[b] - math.fsum(w)) <= bound * math.fsum(np.abs(w))
+            assert abs(sum_w2[b] - math.fsum(w * w)) <= bound * math.fsum(w * w)
         if grid_kind in ("tiny", "subnormal"):
             return
         cfg = modelio.RunConfig(
@@ -300,6 +362,48 @@ class TestFoldsMatchTheReference:
                 assert_same_bits(got, reference_density(batch, grid, run.scale, profile))
             else:
                 assert got is None
+
+
+class TestExitCounts:
+    @pytest.mark.parametrize("n_paths", [5000, 4500])
+    def test_run_counts_each_chunk_once(self, ref, n_paths, monkeypatch):
+        # both estimators read one count, which bins each chunk once; 4500
+        # paths leave a short last chunk
+        bins, counts = [], []
+        bin_index, count = estimators._bin_index, modelio.count_exits
+        monkeypatch.setattr(
+            estimators, "_bin_index",
+            lambda tau, grid: bins.append(tau.size) or bin_index(tau, grid),
+        )
+        monkeypatch.setattr(
+            modelio, "count_exits", lambda batch, grid: counts.append(1) or count(batch, grid)
+        )
+        cfg = modelio.RunConfig(lam=2.0, n_paths=n_paths, chunk=1000, estimator="both")
+        run = modelio.run_estimate(modelio.plan(ref, 2.0), cfg)
+        assert run.est_beta is not None and run.est_qbar is not None
+        assert bins == [1000] * 4 + [n_paths - 4000]
+        assert counts == [1]
+
+    def test_peak_allocation_is_the_table(self):
+        # a 10^4-bin table of the 30-state model is 14 MB, far above the
+        # batch's columns: one dense table per chunk would show
+        m = random_me_model(30, np.random.default_rng(30))
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto")
+        init = splitting.initial_split(m.alpha)
+        batch = simulate_batch(split, lam, init, n_paths=100_000, seed=3, chunk=8192)
+        grid = Grid(0.0, float(np.quantile(batch.tau, 0.99)), 10_000)
+        table = (grid.n_bins + 1) * 6 * m.p * 8
+        columns = sum(getattr(batch, field).nbytes for field in ("tau", "exit_code", "n_jumps"))
+        count_exits(batch, Grid(0.0, 1.0, 2))  # numpy's first add.at, outside the trace
+        tracemalloc.start()
+        try:
+            counts = count_exits(batch, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.counts.sum() > 0.9 * len(batch)
+        assert peak <= table + 0.25 * columns
 
 
 class TestExpectation:
@@ -392,7 +496,8 @@ class TestExpectation:
 
     @pytest.mark.parametrize("form", ["beta", "qbar", "density_beta", "density_qbar"])
     def test_peak_allocation_per_chunk(self, ref, form):
-        # every fold holds one chunk's temporaries, not full-length arrays
+        # every fold holds one chunk's temporaries, not full-length arrays;
+        # both density forms are count_exits and a finalizer of its table
         split, init, batch, _ = make_batch(ref, 2.0, 400_000, seed=22, chunk=10_000)
         prof = splitting.exit_profile(split, 2.0)
         grid = Grid(0.0, 4.0, 40)
@@ -403,9 +508,9 @@ class TestExpectation:
         tracemalloc.start()
         try:
             if form == "density_beta":
-                mc_density_beta(batch, grid, 1.0)
+                density_beta(batch, grid, 1.0)
             elif form == "density_qbar":
-                mc_density_qbar(batch, prof, grid, 1.0)
+                density_qbar(batch, prof, grid, 1.0)
             else:
                 mc_expectation_untilted(
                     batch, HSpec("exp-decay", 2.0), 2.0, init.w_total, form=form, profile=prof

@@ -606,10 +606,7 @@ class TestSimulateBatch:
             split, lam, init, n_paths=n, seed=8, chunk=chunk, workers=workers, collect_trace=True
         )
         chain = JumpChain(split, lam, init)
-        columns = (
-            np.full(n, np.nan), np.full(n, -1, np.int32), np.full(n, -1, np.int8),
-            np.full(n, -1, np.int32),
-        )
+        columns = (np.full(n, np.nan), np.full(n, -1, np.int32), np.full(n, -1, np.int32))
         rows = []
         for index, lo in enumerate(range(0, n, chunk)):
             hi = min(lo + chunk, n)
@@ -617,7 +614,7 @@ class TestSimulateBatch:
             fill_garbage(*arena_buffers(arena))
             rng = RngStream(8, index).generator()
             rows += jumpsim._simulate_chunk(chain, lo, hi, rng, columns, arena, True)
-        for field, col in zip(("tau", "pre_exit", "landing", "n_jumps"), columns, strict=True):
+        for field, col in zip(("tau", "exit_code", "n_jumps"), columns, strict=True):
             assert np.array_equal(getattr(batch, field), col)
         path, times, frm, to = (np.concatenate(col) for col in zip(*rows))
         order = np.lexsort((times, path))

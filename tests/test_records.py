@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mejump.acceptance
 from mejump import medist, modelio, splitting
-from mejump.estimators import HSpec, mc_expectation_untilted
+from mejump.estimators import HSpec, count_exits, mc_expectation_untilted
 from mejump.jumpsim import JumpChain, RngStream
 from mejump.models import exponential_model, random_me_model, reference_model
 from mejump.records import Record
@@ -107,7 +107,7 @@ def _one_of_each() -> list:
         medist.validate(ref_plan.params),
         splitting.build_generator(ref_plan.split, ref_plan.lam),
         cfg, cfg.grid, cfg.h, RngStream(1, 2), chain.table,
-        run, run.batch, run.est_beta,
+        run, run.batch, count_exits(run.batch, cfg.grid), run.est_beta,
         mc_expectation_untilted(run.batch, cfg.h, ref_plan.lam, ref_plan.init.w_total),
         mejump.acceptance.criterion_2(ref_plan.split),
     ]
@@ -117,7 +117,7 @@ class TestPackageRecords:
     def test_every_record_refuses_changes(self):
         instances = _one_of_each()
         assert {type(r) for r in instances} == _package_records()
-        assert len(instances) == 17
+        assert len(instances) == 18
         for record in instances:
             first = record._fields[0]
             with pytest.raises(dataclasses.FrozenInstanceError):

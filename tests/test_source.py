@@ -243,3 +243,36 @@ def test_doubled_abscissa_has_one_home():
         and isinstance(node.op, ast.Sub)
         and getattr(node.left, "attr", None) == "eta"
     ) == {"splitting.check_transience"}
+
+
+def writes_to(node, name):
+    """Whether ``node`` assigns into an array named ``name`` (a plain name or
+    an attribute), by subscript assignment or as an ``out=`` argument."""
+    def named(target):
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        return getattr(target, "id", getattr(target, "attr", None)) == name
+
+    if isinstance(node, (ast.Assign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(t, ast.Subscript) and named(t) for t in targets)
+    if isinstance(node, ast.Call):
+        return any(k.arg == "out" and named(k.value) for k in node.keywords)
+    return False
+
+
+def test_exits_are_counted_in_one_place():
+    # estimators.count_exits bins every exit time, into one exact count that
+    # both density estimators read; only the simulator writes the exit codes
+    assert callers("_bin_index") == {"estimators.count_exits"}
+    path = pathlib.Path(mejump.__file__).parent / "estimators.py"
+    weighted = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "bincount"
+        and (len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords))
+    ]
+    assert weighted == []
+    writers = functions_where(lambda node: writes_to(node, "exit_code"))
+    assert {scope.split(".")[0] for scope in writers} == {"jumpsim"}
