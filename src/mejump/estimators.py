@@ -1,25 +1,24 @@
 """Signed Monte-Carlo estimators and their exact analytic counterparts.
 
 The tilted density is the signed landing law of the doubled jump process, so
-every Monte-Carlo estimator here folds the exit times against one signed
-weight per path: its landing sign (+1/-1/0), or the conditional expected sign
-``qbar`` of its pre-exit state, which keeps terminated paths contributing and
-never increases the per-bin variance.  The two weights give the two histogram
-estimators of the tilted density and the two forms of the untilted
+every Monte-Carlo estimator here weights each path by one signed weight of
+its exit code (see ``jumpsim.split_exit_code``): its landing sign (+1/-1/0),
+or the conditional expected sign ``qbar`` of its pre-exit state, which keeps
+terminated paths contributing and never increases the per-bin variance.
+``_code_weights`` builds either table of weights, which gives the two
+histogram estimators of the tilted density and the two forms of the untilted
 expectation, which reweights by ``e^{lam tau}``.
 
 Both histogram estimators are linear in the joint law of a path's exit-time
-bin and its exit code (pre-exit state and landing), so ``count_exits`` counts
-the ``(bin, exit)`` pairs of a batch once, in one exact int64 table, and each
-density estimator is a finalizer of that table: the landing-sign estimate
-sums its columns by landing, the ``qbar`` estimate dots them with ``qbar``
-and ``qbar**2``.  The count walks the batch one generation chunk at a time,
-sends each exit time to its bin through ``_bin_index``, a time outside the
-grid to one overflow bin, and adds the chunk's keys into the table with
-``np.add.at``, so no estimator holds a full-length temporary or a chunk-sized
-dense table.  Integer counts merge exactly, so the estimates do not depend
-on how the batch was chunked.  ``_signed_chunks`` yields the
-``(tau, weight)`` pairs of a chunk for both forms of the expectation.
+bin and its exit code, so ``count_exits`` counts the ``(bin, exit)`` pairs
+of a batch once, in one exact int64 table, and each density estimator dots
+that table with its weights and their squares.  The count walks the batch one
+generation chunk at a time, sends each exit time to its bin through
+``_bin_index``, a time outside the grid to one overflow bin, and adds the
+chunk's keys into the table with ``np.add.at``, so no estimator holds a
+full-length temporary or a chunk-sized dense table.  Integer counts merge
+exactly, so the estimates do not depend on how the batch was chunked, and the
+landing-sign sums stay exact integers.  ``check_count_table`` bounds the table.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .jumpsim import SIGN_OF_LANDING, PathBatch
+from .jumpsim import SIGN_OF_LANDING, PathBatch, n_exit_codes, split_exit_code
 from .medist import MEParams, laplace_transform, resolvent_moment
 from .records import Record
 from .splitting import ExitProfile, InitialSplit, SignSplit, doubled_expm_action
@@ -51,6 +50,9 @@ class Grid(Record):
             raise ValueError("grid needs x_min < x_max")
         if self.n_bins < 1:
             raise ValueError("grid needs at least one bin")
+
+    def __str__(self) -> str:
+        return f"{self.x_min:g}:{self.x_max:g}:{self.n_bins}"
 
     @property
     def delta(self) -> float:
@@ -82,7 +84,7 @@ class DensityEstimate(Record):
 class ExitCounts(Record):
     """Exact counts of a batch's paths by exit-time bin and exit code:
     ``counts[b, c]`` paths of ``n_paths`` exit in bin ``b`` of ``grid`` with
-    exit code ``c = 3 * pre_exit + landing``, an int64 table of shape
+    exit code ``c`` (see ``jumpsim.split_exit_code``), an int64 table of shape
     ``(n_bins, 6p)``.  Paths that exit outside the grid are counted only in
     ``n_paths``."""
 
@@ -138,6 +140,21 @@ def finalize_density(
     return DensityEstimate(grid=grid, estimate=estimate, stderr=stderr, n_hits=n_hits, scale=scale)
 
 
+#: Most entries of the count table of ``count_exits``: 128 MiB of int64.
+MAX_COUNT_ENTRIES = 1 << 24
+
+
+def check_count_table(grid: Grid, p: int):
+    """Refuse a grid whose count table for a model on ``p`` states, ``(n_bins +
+    1) * 6p`` entries, would exceed ``MAX_COUNT_ENTRIES``."""
+    entries = (grid.n_bins + 1) * n_exit_codes(p)
+    if entries > MAX_COUNT_ENTRIES:
+        raise ValueError(
+            f"grid {grid} has too many bins for a model on {p} states: its count "
+            f"table of {entries} entries exceeds {MAX_COUNT_ENTRIES}; use fewer bins"
+        )
+
+
 def count_exits(batch: PathBatch, grid: Grid) -> ExitCounts:
     """Count the batch's paths by exit-time bin and exit code, one
     generation chunk at a time.
@@ -145,9 +162,10 @@ def count_exits(batch: PathBatch, grid: Grid) -> ExitCounts:
     Each chunk adds its keys ``bin * 6p + exit_code`` into one accumulator of
     ``(n_bins + 1) * 6p`` entries, whose last row is the overflow bin, with
     ``np.add.at``; a per-chunk ``bincount`` would build a dense table per
-    chunk.
+    chunk.  ``check_count_table`` refuses a grid first.
     """
-    n_codes = 6 * batch.p
+    check_count_table(grid, batch.p)
+    n_codes = n_exit_codes(batch.p)
     counts = np.zeros((grid.n_bins + 1) * n_codes, dtype=np.int64)
     for sl in batch.chunk_slices():
         key = _bin_index(batch.tau[sl], grid)
@@ -157,21 +175,22 @@ def count_exits(batch: PathBatch, grid: Grid) -> ExitCounts:
     return ExitCounts(grid, counts.reshape(-1, n_codes)[:-1], len(batch))
 
 
-def _signed_chunks(batch: PathBatch, profile: ExitProfile | None = None):
-    """Yield ``(tau, weight)`` for each generation chunk, in chunk order.
+def _code_weights(n_codes: int, profile: ExitProfile | None = None) -> np.ndarray:
+    """One weight per exit code: the landing sign (int8), or with a
+    ``profile`` the conditional expected sign ``qbar`` of the pre-exit state
+    (``-qbar`` on the anti side)."""
+    pre_exit, landing = split_exit_code(np.arange(n_codes))
+    return SIGN_OF_LANDING.take(landing) if profile is None else profile.qbar.take(pre_exit)
 
-    The weight is one per-exit-code map taken at ``exit_code``: the landing
-    sign, or with a ``profile`` the conditional expected sign ``qbar`` of the
-    pre-exit state (``-qbar`` on the anti side).
-    """
-    if len(batch) == 0:
-        raise ValueError("empty outcome set")
-    if profile is None:
-        weight_of_code = np.tile(SIGN_OF_LANDING, 2 * batch.p)
-    else:
-        weight_of_code = np.repeat(profile.qbar, 3)
-    for sl in batch.chunk_slices():
-        yield batch.tau[sl], weight_of_code.take(batch.exit_code[sl])
+
+def _density_of_counts(counts: ExitCounts, weight: np.ndarray, scale: float) -> DensityEstimate:
+    """Finalize the exit counts dotted with one weight per exit code and with
+    its square; integer weights keep the sums exact integers."""
+    table = counts.counts
+    return finalize_density(
+        table @ weight, table @ (weight * weight), table.sum(axis=1),
+        counts.n_paths, counts.grid, scale,
+    )
 
 
 def mc_density_beta(counts: ExitCounts, scale: float) -> DensityEstimate:
@@ -180,31 +199,14 @@ def mc_density_beta(counts: ExitCounts, scale: float) -> DensityEstimate:
     With ``scale = (w^+ + w^-) / L(lam)`` the per-bin estimate is unbiased for
     the bin average of the tilted density; ``scale = 1`` estimates the raw
     signed exit density ``(alphahat) expm(D x) (s; -s)``.
-
-    A weight is a landing sign, so the sums are exact integer counts of
-    (bin, landing), the exit counts summed over the pre-exit state.
     """
-    n_bins = counts.grid.n_bins
-    by_landing = counts.counts.reshape(n_bins, -1, SIGN_OF_LANDING.shape[0]).sum(axis=1)
-    return finalize_density(
-        (by_landing @ SIGN_OF_LANDING).astype(float),
-        (by_landing @ SIGN_OF_LANDING**2).astype(float),
-        by_landing.sum(axis=1), counts.n_paths, counts.grid, scale,
-    )
+    return _density_of_counts(counts, _code_weights(counts.counts.shape[1]), scale)
 
 
 def mc_density_qbar(counts: ExitCounts, profile: ExitProfile, scale: float) -> DensityEstimate:
     """Histogram estimate weighting every exiting path (terminated ones
-    included) by the conditional expected sign of its pre-exit state.
-
-    Each bin's sums of weights and of squared weights are its exact exit
-    counts dotted with ``qbar`` and ``qbar**2``, one entry per exit code.
-    """
-    q = np.repeat(profile.qbar, 3)
-    table = counts.counts
-    return finalize_density(
-        table @ q, table @ (q * q), table.sum(axis=1), counts.n_paths, counts.grid, scale
-    )
+    included) by the conditional expected sign of its pre-exit state."""
+    return _density_of_counts(counts, _code_weights(counts.counts.shape[1], profile), scale)
 
 
 class HSpec(Record):
@@ -276,7 +278,7 @@ def mc_expectation_untilted(
     ``w_total * mean(h(tau) e^{lam tau} * weight)``.
 
     ``form="beta"`` weights by the landing sign; ``form="qbar"`` (requires
-    ``profile``) by the pre-exit conditional expected sign.
+    ``profile``) by the pre-exit conditional expected sign, summed chunk by chunk.
     """
     if form == "beta":
         profile = None
@@ -284,12 +286,16 @@ def mc_expectation_untilted(
         raise ValueError(f"unknown form {form!r}")
     elif profile is None:
         raise ValueError('form="qbar" needs an ExitProfile')
+    if len(batch) == 0:
+        raise ValueError("empty outcome set")
 
+    weight_of_code = _code_weights(n_exit_codes(batch.p), profile)
     sum_v = 0.0
     sum_v2 = 0.0
     max_abs = 0.0
-    for tau, sign in _signed_chunks(batch, profile):
-        weight = h.tilted_weight(tau, lam)
+    for sl in batch.chunk_slices():
+        sign = weight_of_code.take(batch.exit_code[sl])
+        weight = h.tilted_weight(batch.tau[sl], lam)
         # weights are >= 0 or NaN, and the maximum carries either NaN or inf
         top = float(np.max(weight))
         if not math.isfinite(top):
@@ -345,7 +351,7 @@ def _exp_at(A: np.ndarray, name: str, x: float, grid: Grid) -> np.ndarray:
         return linalg.mat_exp(Ax)
     except ValueError as exc:
         raise ValueError(
-            f"{name} {x:g} of grid {grid.x_min:g}:{grid.x_max:g}:{grid.n_bins} is too "
+            f"{name} {x:g} of grid {grid} is too "
             "large: (T - lam I) times it overflows, so its exponential cannot be computed"
         ) from exc
 

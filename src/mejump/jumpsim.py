@@ -27,7 +27,9 @@ categorical targets ``2p..2p+2`` are the landings, landing codes ``0/1/2``
 (positive absorption / negative absorption / termination).  A batch stores
 each path's pre-exit state and landing as one exit code ``3 * pre_exit +
 landing``, so the estimators count ``(bin, exit)`` pairs from one column.
-``code_label`` names a code for traces.  Indices are 0-based throughout.
+``split_exit_code`` is the one decode of that layout and ``n_exit_codes``
+the number of codes.  ``code_label`` names a code for traces.  Indices are
+0-based throughout.
 
 One guide table per chain holds every categorical row: the ``2p`` rows of
 the transient states, and a start row ``2p`` holding the initial law, whose
@@ -100,6 +102,20 @@ def check_run_shape(n_paths: int, seed: int, chunk: int, workers: int):
         raise ValueError("workers must be positive")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be at most {MAX_WORKERS}")
+
+
+def n_exit_codes(p: int) -> int:
+    """The number of exit codes of a chain on ``p`` states: ``2p`` pre-exit
+    states times three landings."""
+    return 6 * p
+
+
+def split_exit_code(code):
+    """The pre-exit state and the landing (int8) of an exit code ``3 *
+    pre_exit + landing``, the inverse of the encode in ``_simulate_chunk``."""
+    pre_exit = code // 3
+    # numpy's floor division by a constant is several times faster than %
+    return pre_exit, (code - 3 * pre_exit).astype(np.int8)
 
 
 def code_label(code: int, p: int) -> str:
@@ -296,13 +312,12 @@ class PathBatch(Record):
     @property
     def pre_exit(self) -> np.ndarray:
         """Each path's pre-exit state, a transient code (int32)."""
-        return self.exit_code // 3
+        return split_exit_code(self.exit_code)[0]
 
     @property
     def landing(self) -> np.ndarray:
         """Each path's landing code 0/1/2 (int8)."""
-        # numpy's floor division by a constant is several times faster than %
-        return (self.exit_code - 3 * self.pre_exit).astype(np.int8)
+        return split_exit_code(self.exit_code)[1]
 
     @property
     def sign(self) -> np.ndarray:

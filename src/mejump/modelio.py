@@ -20,6 +20,7 @@ from .estimators import (
     DensityEstimate,
     Grid,
     HSpec,
+    check_count_table,
     count_exits,
     mc_density_beta,
     mc_density_qbar,
@@ -287,10 +288,12 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
     """Simulate the chain its caller planned, then estimate.
 
     The rate is ``run_plan.lam``, resolved when the caller planned the model;
-    ``cfg.lam`` is not read here.  The oracle is checked before any path is drawn.
+    ``cfg.lam`` is not read here.  A grid whose count table is too large is
+    refused first, and the oracle is checked before any path is drawn.
     The batch's exits are counted once, and each requested estimator reads
     the counts.
     """
+    check_count_table(cfg.grid, run_plan.params.p)
     lam = run_plan.lam
     analytic, norm = tilted_bin_averages(run_plan.params, lam, cfg.grid)
     scale = run_plan.init.w_total / norm

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +107,7 @@ class TestConfig:
             {"h": {"type": "poly-exp-decay", "c": 2.0, "degre": 3}},
             {"grid": dict(grid, xmax=2.0)},
             {"n_paths": float("inf")},
+            {"h": dict(h, degree=-1)},
         ):
             with pytest.raises(ParseError):
                 config_from_dict(raw)
@@ -159,6 +161,16 @@ class TestConfig:
     def test_malformed_flag_is_named(self, model_file, flags, message, capsys):
         code, out, err = run_cli(["estimate", model_file, *flags], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "args", [["estimate", "MODEL", "--paths", "abc"], []], ids=["bad-int", "no-command"]
+    )
+    def test_usage_error_exits_1(self, model_file, args, capsys):
+        # argparse exits 2 on a usage error, and 2 is a validation failure here
+        with pytest.raises(SystemExit) as info:
+            cli.main([str(model_file) if a == "MODEL" else a for a in args])
+        assert info.value.code == 1
+        assert "usage: mejump" in capsys.readouterr().err
 
     def test_non_object_config_file_is_named(self, model_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -523,6 +535,51 @@ class TestEstimateCommand:
         assert code == 1
         assert err.startswith(f"error: {name} of grid {float(lo):g}:{float(hi):g}:{bins} ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_huge_grid_is_refused_before_the_oracle(
+        self, model_file, tmp_path, capsys, monkeypatch
+    ):
+        # 10^7 bins would take a 1.44 GB count table and minutes of the
+        # oracle's per-bin loop: the grid is refused by name first
+        from mejump import modelio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the grid was refused")
+
+        monkeypatch.setattr(modelio, "simulate_batch", refuse)
+        monkeypatch.setattr(modelio, "tilted_bin_averages", refuse)
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            ["estimate", model_file, "--paths", "1000", "--grid", "0:4:10000000", "--out", out],
+            capsys,
+        )
+        assert time.perf_counter() - start < 10.0
+        assert code == 1
+        assert err.startswith("error: grid 0:4:10000000 has too many bins ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_scale_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the normalizer 1e-300 / 1e10 is subnormal, so the scale overflows
+        from mejump import modelio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated with a non-finite scale")
+
+        monkeypatch.setattr(modelio, "simulate_batch", refuse)
+        path = tmp_path / "tiny.json"
+        path.write_text('{"alpha": [1.0], "T": [[-1e-300]], "s": [1e-300]}')
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["estimate", path, "--lambda", "1e10", "--paths", "1000", "--out", out], capsys
+        )
+        assert code == 1
+        assert err == (
+            "error: tilting rate 10000000000.0 is too large: the scale or the analytic "
+            "bin averages of the tilted density are not finite\n"
+        )
         assert not out.exists()
 
     def test_oracle_is_refused_before_any_path(self, monkeypatch):
@@ -1037,6 +1094,16 @@ class TestReproduceExample:
         assert code == 1
         assert out == ""
         assert err == "error: config: n_paths must be positive\n"
+
+    def test_failed_criterion_exits_4(self, capsys, monkeypatch):
+        from mejump import acceptance
+
+        failed = acceptance.CriterionResult(1, "a criterion", False, "detail")
+        monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: [failed])
+        code, out, err = run_cli(["reproduce-example", "--paths", "1000"], capsys)
+        assert code == 4
+        assert err == "FAILED criteria: [1]\n"
+        assert "[FAIL]  1  a criterion" in out and "all acceptance criteria passed" not in out
 
     def test_rate_below_threshold_refused(self, capsys):
         code, _, err = run_cli(

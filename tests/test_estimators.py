@@ -405,6 +405,21 @@ class TestExitCounts:
         assert counts.counts.sum() > 0.9 * len(batch)
         assert peak <= table + 0.25 * columns
 
+    def test_table_size_is_bounded(self):
+        # (n_bins + 1) * 6p entries: at p = 3, 932066 bins fill the table to
+        # within 10 entries of the limit, and one more bin is refused by
+        # name, before count_exits allocates it
+        assert estimators.MAX_COUNT_ENTRIES == 1 << 24
+        estimators.check_count_table(Grid(0.0, 4.0, 932_066), 3)
+        message = r"^grid 0:4:932067 has too many bins for a model on 3 states"
+        with pytest.raises(ValueError, match=message):
+            estimators.check_count_table(Grid(0.0, 4.0, 932_067), 3)
+        batch = one_chunk_batch(3, [0.5], [0], [0])
+        with pytest.raises(ValueError, match=message):
+            count_exits(batch, Grid(0.0, 4.0, 932_067))
+        with pytest.raises(ValueError, match="27962 has too many bins for a model on 100"):
+            estimators.check_count_table(Grid(0.0, 4.0, 27_962), 100)
+
 
 class TestExpectation:
     def test_reference_laplace_recovery(self, ref):

@@ -71,6 +71,15 @@ class TestStateIds:
             "o0", "o1", "o2", "a0", "a1", "a2", "DeltaO", "DeltaA", "term",
         ]
 
+    @pytest.mark.parametrize("p", [1, 3, 100])
+    def test_exit_codes_split_into_every_pre_exit_and_landing(self, p):
+        # 3 * pre_exit + landing, inverted: each of the 6p codes is one
+        # (pre-exit state, landing) pair, in that order
+        pre_exit, landing = jumpsim.split_exit_code(np.arange(jumpsim.n_exit_codes(p)))
+        assert landing.dtype == np.int8
+        pairs = np.stack([pre_exit, landing], axis=1).tolist()
+        assert pairs == [[i, j] for i in range(2 * p) for j in range(3)]
+
 
 class TestSampleInitial:
     """Initial states, read from each path's first trace ``from`` code."""

@@ -46,8 +46,8 @@ class TestConstructor:
     @pytest.mark.parametrize(
         "args, kwargs, message",
         [
-            ((), {}, "missing required arguments: 'x'"),
-            ((1.0, 2.0, (), 4), {}, "takes 3 positional arguments but 4 were given"),
+            ((), {}, "missing a required argument: 'x'"),
+            ((1.0, 2.0, (), 4), {}, "too many positional arguments"),
             ((1.0,), {"z": 1}, "unexpected keyword argument 'z'"),
             ((1.0,), {"x": 1.0}, "multiple values for argument 'x'"),
         ],

@@ -276,3 +276,38 @@ def test_exits_are_counted_in_one_place():
     assert weighted == []
     writers = functions_where(lambda node: writes_to(node, "exit_code"))
     assert {scope.split(".")[0] for scope in writers} == {"jumpsim"}
+
+
+def layout_arithmetic(node):
+    """Whether ``node`` works out the exit-code layout itself: a ``tile`` or
+    ``repeat``, a ``//`` or ``%``, or arithmetic with the literal 3 or 6."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("tile", "repeat")
+    if not isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return False
+    if isinstance(node.op, (ast.FloorDiv, ast.Mod)):
+        return True
+    sides = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.value,)
+    return any(
+        isinstance(side, ast.Constant) and type(side.value) is int and side.value in (3, 6)
+        for side in sides
+    )
+
+
+def test_exit_code_layout_has_one_home():
+    # jumpsim encodes an exit code, decodes it (split_exit_code) and counts
+    # the codes; the estimators build one weight per code through that decode
+    path = pathlib.Path(mejump.__file__).parent / "estimators.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if layout_arithmetic(node)] == []
+    assert callers("split_exit_code") == {
+        "jumpsim.PathBatch.pre_exit", "jumpsim.PathBatch.landing", "estimators._code_weights",
+    }
+    package = pathlib.Path(mejump.__file__).parent
+    defined = {
+        node.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_signed_chunks" not in defined
