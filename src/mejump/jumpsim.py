@@ -27,6 +27,9 @@ categorical targets ``2p..2p+2`` are the landings, landing codes ``0/1/2``
 (positive absorption / negative absorption / termination).  A batch stores
 each path's pre-exit state and landing as one exit code ``3 * pre_exit +
 landing``, so the estimators count ``(bin, exit)`` pairs from one column.
+``JumpChain`` encodes it, in the answers of its table: a draw answers with
+the next transient state, or with the complemented exit code when the path
+lands, so a draw is an exit exactly when it is negative.
 ``split_exit_code`` is the one decode of that layout and ``n_exit_codes``
 the number of codes.  ``code_label`` names a code for traces.  Indices are
 0-based throughout.
@@ -50,22 +53,30 @@ non-decreasing even after rounding.  So every stream yields the paths a linear
 scan would, and a row sum rounded below 1 can never yield a zero-weight
 target.  A bucket holding two or more distinct values is flagged in the
 guide; the few draws that land in one count the values of that bucket alone,
-by a bisection over a window as wide as the widest bucket.
+by a bisection over a window as wide as the widest bucket.  A table with no
+such bucket, as most are, skips the search for them.
 
-Each iteration of the chunk loop draws all its uniforms in one call, holding
-times first, then targets.  It finds the exiting paths once, as an index
-list, and both writes their outcomes and compacts the survivors by gathering
-through index lists, which costs far less than boolean-mask indexing with
-scattered ``True``s.  It does both even when no path exits, as mostly
-happens among a chunk's last few live paths.
+Each worker runs the chunks it takes as one pipeline (``_simulate_chunks``):
+it takes its next chunk once at most ``chunk // 8`` of its paths are live,
+and one loop iteration advances every chunk in flight.  Run one at a time,
+a chunk's last few live paths would each cost a whole iteration, whose fixed
+numpy and Python overhead outweighs the work of thousands of live paths; on
+the benchmark's wide model (200 000 paths in chunks of 65536) the pipeline
+runs 234 iterations where one chunk at a time ran 616.  The live arrays hold
+one segment per chunk, and each chunk draws its uniforms from its own
+stream, holding times first, then targets, exactly as it would alone.  Each
+iteration finds the exiting paths once, as an index list, and both writes
+their outcomes and compacts the survivors by gathering through index lists,
+which costs far less than boolean-mask indexing with scattered ``True``s.
 
-Each worker runs its chunks in one ``_Arena``: chunk-sized arrays allocated
-once per ``simulate_batch`` call, which every iteration of every chunk writes
-its intermediates into (``out=`` arguments, and ``take(..., mode="wrap")``,
-since ``take`` copies through a hidden buffer under the default
-``mode="raise"``).  Only the index lists of exiting and surviving paths and
-the arrays of crowded draws are allocated per iteration, so a fresh process
-does not fault a chunk's temporaries back in on every iteration.
+Each worker runs its chunks in one ``_Arena`` of ``chunk + chunk // 8``
+slots of 73 B, allocated once per ``simulate_batch`` call, which every
+iteration writes its intermediates into (``out=`` arguments, and
+``take(..., mode="wrap")``, since ``take`` copies through a hidden buffer
+under the default ``mode="raise"``).  Only the index lists of exiting and
+surviving paths and the arrays of crowded draws are allocated per iteration,
+so a fresh process does not fault a chunk's temporaries back in on every
+iteration.
 """
 
 from __future__ import annotations
@@ -112,7 +123,8 @@ def n_exit_codes(p: int) -> int:
 
 def split_exit_code(code):
     """The pre-exit state and the landing (int8) of an exit code ``3 *
-    pre_exit + landing``, the inverse of the encode in ``_simulate_chunk``."""
+    pre_exit + landing``, the inverse of the encode in ``JumpChain``'s
+    answer rows."""
     pre_exit = code // 3
     # numpy's floor division by a constant is several times faster than %
     return pre_exit, (code - 3 * pre_exit).astype(np.int8)
@@ -167,8 +179,9 @@ class GuideTable(Record):
     the first distinct value above ``b / G``, or its bitwise complement when
     the bucket ``(b / G, (b + 1) / G]`` holds two or more distinct values
     (entry ``G``: two or more above 1); entry ``G + 1`` is never read.  No
-    bucket holds more than ``2**window_bits - 1`` values, and ``S`` is the
-    most distinct values of a row plus ``2**window_bits``, so a window of
+    bucket holds more than ``2**window_bits - 1`` values, so some bucket is
+    crowded exactly when ``window_bits > 1``, and ``S`` is the most distinct
+    values of a row plus ``2**window_bits``, so a window of
     ``2**window_bits - 1`` slots from any value ends inside its row.
     """
 
@@ -219,10 +232,10 @@ def _guide_table(cum: np.ndarray, last: np.ndarray) -> GuideTable:
 
 
 def _draw_targets(table: GuideTable, state, u, out, arena):
-    """Target index of each jump from ``state`` with uniform ``u`` in
-    ``[0, 1 + 1/G)``: the count of entries ``<= u`` in the row of ``cum``,
-    clamped to the row's last positive target.  Writes the targets into
-    ``out``, an int64 array of ``state``'s size apart from ``state`` and
+    """The ``answer`` of each jump from ``state`` with uniform ``u`` in
+    ``[0, 1 + 1/G)``, at the count of entries ``<= u`` in the row of
+    ``cum``, clamped to the row's last positive target.  Writes the answers
+    into ``out``, an int64 array of ``state``'s size apart from ``state`` and
     from ``arena``'s scratch arrays (``floats``, ``ints``, ``mask``), which
     it overwrites, and returns ``out``.
 
@@ -234,7 +247,8 @@ def _draw_targets(table: GuideTable, state, u, out, arena):
     bucket counts the bucket's values from the first, by branchless
     bisection over ``window_bits`` more gathers, each step adding ``step``
     to the offset exactly when the value just before ``offset + step`` is
-    ``<= u``; the window's values past the bucket's are above ``u``.
+    ``<= u``; the window's values past the bucket's are above ``u``.  A
+    table without a crowded bucket skips the search for them.
     """
     k = state.size
     ints, floats, mask = arena.ints[:k], arena.floats[:k], arena.mask[:k]
@@ -242,16 +256,19 @@ def _draw_targets(table: GuideTable, state, u, out, arena):
     np.multiply(u, buckets, out=out, casting="unsafe")
     out += np.multiply(state, buckets + 2, out=ints)
     pos = table.guide.take(out, out=ints, mode="wrap")
-    crowd = np.flatnonzero(np.less(pos, 0, out=mask))
-    fix = ~pos.take(crowd)
-    # a complemented entry is a valid negative index; its draw is redone below
+    fix = None
+    if table.window_bits > 1:  # some bucket holds two or more distinct values
+        crowd = np.flatnonzero(np.less(pos, 0, out=mask))
+        if crowd.size:
+            fix = ~pos.take(crowd)
+            v = u.take(crowd)
+            step = 1 << (table.window_bits - 1)
+            while step:
+                fix += step * (table.values.take(fix + (step - 1)) <= v)
+                step >>= 1
+    # a complemented entry is a valid negative index; its draw is fixed below
     pos += np.less_equal(table.values.take(pos, out=floats, mode="wrap"), u, out=mask)
-    if crowd.size:
-        v = u.take(crowd)
-        step = 1 << (table.window_bits - 1)
-        while step:
-            fix += step * (table.values.take(fix + (step - 1)) <= v)
-            step >>= 1
+    if fix is not None:
         pos[crowd] = fix
     return table.answer.take(pos, out=out, mode="wrap")
 
@@ -264,7 +281,11 @@ class JumpChain:
     diagonal of the doubled block), and one guide table (see
     ``_guide_table``) over the ``2p`` target rows of the transient states and
     the start row ``2p``, the initial law ``(alphahat^+, alphahat^-)``, which
-    ``simulate_batch`` samples from.
+    ``simulate_batch`` samples from.  The table's ``answer`` maps a draw from
+    state ``i`` to its target when that is a transient state, and to the
+    complemented exit code ``~(3 * i + landing)`` when it is landing
+    ``0/1/2``: this is where exit codes are encoded, so a draw is an exit
+    exactly when it is negative.
     """
 
     def __init__(self, split: SignSplit, lam: float, init: InitialSplit):
@@ -283,7 +304,13 @@ class JumpChain:
         # numpy's pairwise sum may round the start row's total differently
         # over the 2p + 3 columns than over the 2p of the initial law itself
         cum[-1, : 2 * p] = np.cumsum(start / start.sum())
-        self.table = _guide_table(cum, last)
+        table = _guide_table(cum, last)
+        # the start row's landing columns are zero, so none of its answers exits
+        row = np.arange(table.answer.size) // (table.answer.size // (2 * p + 1))
+        answer = np.where(
+            table.answer < 2 * p, table.answer, ~(3 * row + table.answer - 2 * p)
+        )
+        self.table = GuideTable(table.guide, table.values, answer, table.shift, table.window_bits)
 
 
 class PathBatch(Record):
@@ -332,13 +359,18 @@ class PathBatch(Record):
 
 
 class _Arena:
-    """One worker's chunk-sized buffers, reused by every chunk it runs:
-    the uniforms (``2 n``), which double as the holding and exit times; one
-    float, one int64 and one bool scratch array; the running times; two
-    int64 state buffers (the state, and the next) and two int64 path-index
-    buffers (the alive paths, and their compaction, swapped per iteration)."""
+    """One worker's buffers, reused by every chunk it runs.  The worker
+    admits its next chunk once at most ``admit_at = chunk // 8`` paths are
+    live, so ``chunk + chunk // 8`` slots hold every path in flight.  Per
+    slot (73 B): the uniforms (two), which double as the holding and exit
+    times; one float, one int64 and one bool scratch array; the running
+    times; two int64 state buffers (the state, and the next) and two int64
+    path-index buffers (the live paths, and their compaction, swapped per
+    iteration)."""
 
-    def __init__(self, n: int):
+    def __init__(self, chunk: int):
+        self.admit_at = chunk // 8
+        n = chunk + self.admit_at
         self.uniforms = np.empty(2 * n)
         self.floats = np.empty(n)
         self.ints = np.empty(n, dtype=np.int64)
@@ -348,43 +380,69 @@ class _Arena:
         self.paths = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
 
 
-def _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace):
-    """Vectorized embedded-chain simulation, on one stream, of the paths
-    ``lo..hi-1``; each path's outcome is written at its index in
-    ``columns`` = ``(tau, exit_code, n_jumps)``.  Every intermediate
-    of at most ``hi - lo`` items lives in ``arena``.
+def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
+    """Vectorized embedded-chain simulation of the chunks ``(lo, hi, rng)``
+    that ``chunks`` yields, run as a pipeline in ``arena``: the paths
+    ``lo..hi-1`` of a chunk all draw from its stream ``rng``, and each
+    path's outcome is written at its index in ``columns`` = ``(tau,
+    exit_code, n_jumps)``.
 
-    The first state is drawn as a jump from the start row ``2p`` of the
+    The next chunk is taken, and its paths join the live ones, whenever at
+    most ``arena.admit_at`` paths are live, so a chunk's tail of few live
+    paths drains while the next chunk runs beside it.  The live arrays hold
+    one contiguous segment per chunk in flight, in the order they were
+    taken; compaction keeps that order, and one ``searchsorted`` of the
+    surviving indices moves the segment bounds.  A path's first state is
+    drawn when its chunk joins, as a jump from the start row ``2p`` of the
     chain's table, and every jump's target from the row of the state it
-    leaves, both by ``_draw_targets``.  Per iteration, every active path
-    consumes exactly two uniforms (holding time, categorical target) in path
-    order, so the draw sequence depends only on the chunk itself.  Returns the chunk's trace
-    parts ``(path, time, from, to)``, one per iteration, or ``[]``.
+    leaves, both by ``_draw_targets``.  Per iteration, each chunk draws from
+    its own stream the holding-time uniforms of its live paths, then their
+    target uniforms, in path order: the draws of one call of ``2k``, so the
+    draw sequence depends only on the chunk itself.  Paths of different
+    chunks never interact and every step is elementwise, so a path's
+    outcome is the one its chunk would give run alone.  ``n_jumps`` is
+    written as the pipeline's iteration, and each chunk's slice less the
+    iterations before it joined once the chunk has drained.
+
+    A draw that is negative is an exit, and its complement the exit code
+    (see ``JumpChain``).  Returns the trace parts ``(path, time, from, to)``,
+    one per iteration, or ``[]``.
     """
     tau, exit_code, n_jumps = columns
     two_p = 2 * chain.p
-    k = hi - lo
     state_buf, next_buf = arena.states
     path_buf, spare_buf = arena.paths
-    alive = path_buf[:k]
-    alive.fill(1)
-    alive[0] = lo
-    np.cumsum(alive, out=alive)  # lo, lo + 1, ..., hi - 1
-    origin = next_buf[:k]
-    origin.fill(two_p)
-    u = rng.random(out=arena.uniforms[:k])
-    state = _draw_targets(chain.table, origin, u, state_buf[:k], arena)
-    t = arena.times[:k]
-    t.fill(0.0)
-    trace_parts = []
-
+    flight = []  # (lo, hi, rng, iterations before it joined) per segment
+    edges = [0]  # segment i of the live arrays is edges[i]:edges[i + 1]
+    k = 0
     iteration = 0
-    while k:
+    trace_parts = []
+    while True:
+        while k <= arena.admit_at:
+            taken = next(chunks, None)
+            if taken is None:
+                break
+            lo, hi, rng = taken
+            new = path_buf[k : k + hi - lo]
+            new.fill(1)
+            new[0] = lo
+            np.cumsum(new, out=new)  # lo, lo + 1, ..., hi - 1
+            origin = next_buf[: new.size]
+            origin.fill(two_p)
+            u = rng.random(out=arena.uniforms[: new.size])
+            _draw_targets(chain.table, origin, u, state_buf[k : k + new.size], arena)
+            arena.times[k : k + new.size] = 0.0
+            flight.append((lo, hi, rng, iteration))
+            k += new.size
+            edges.append(k)
+        if not k:
+            return trace_parts
         iteration += 1
-        # one call yields the holding-time uniforms, then the target uniforms,
-        # in the order two calls of k would, so every stream is unchanged
-        u = rng.random(out=arena.uniforms[: 2 * k])
-        t_new, u2 = u[:k], u[k:]
+        alive, state, t = path_buf[:k], state_buf[:k], arena.times[:k]
+        t_new, u2 = arena.uniforms[:k], arena.uniforms[k : 2 * k]
+        for (_, _, rng, _), a, b in zip(flight, edges, edges[1:]):
+            rng.random(out=t_new[a:b])
+            rng.random(out=u2[a:b])
         # the holding time log1p(-u) / -rate, then the exit time t + dt
         np.negative(t_new, out=t_new)
         np.log1p(t_new, out=t_new)
@@ -392,27 +450,35 @@ def _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace):
         t_new += t
         nxt = _draw_targets(chain.table, state, u2, next_buf[:k], arena)
         if collect_trace:
-            # the arena's buffers are overwritten by the next iteration
-            trace_parts.append((alive.copy(), t_new.copy(), state.copy(), nxt.copy()))
-        gone = np.flatnonzero(np.greater_equal(nxt, two_p, out=arena.mask[:k]))
+            # the arena's buffers are overwritten by the next iteration; an
+            # exit's target is its landing's code 2p + ~nxt - 3 * state
+            to = np.where(nxt < 0, ~nxt - 3 * state + two_p, nxt)
+            trace_parts.append((alive.copy(), t_new.copy(), state.copy(), to))
+        gone = np.flatnonzero(np.less(nxt, 0, out=arena.mask[:k]))
         m = gone.size
-        # the exit code 3 * state + (target - 2p), before ints holds the paths
-        codes = state.take(gone, out=spare_buf[:m], mode="wrap")
-        codes *= 3
-        codes += nxt.take(gone, out=arena.ints[:m], mode="wrap")
-        codes -= two_p
+        # the exit codes as int32, in floats until tau takes it
+        codes = np.invert(
+            nxt.take(gone, out=arena.ints[:m], mode="wrap"),
+            out=arena.floats.view(np.int32)[:m],
+        )
         done = alive.take(gone, out=arena.ints[:m], mode="wrap")
         exit_code[done] = codes
         tau[done] = t_new.take(gone, out=arena.floats[:m], mode="wrap")
         n_jumps[done] = iteration
         del gone  # so the two index lists are never held at once
-        keep = np.flatnonzero(np.less(nxt, two_p, out=arena.mask[:k]))
+        keep = np.flatnonzero(np.greater_equal(nxt, 0, out=arena.mask[:k]))
         k = keep.size
-        alive = alive.take(keep, out=spare_buf[:k], mode="wrap")
+        alive.take(keep, out=spare_buf[:k], mode="wrap")
         path_buf, spare_buf = spare_buf, path_buf
-        state = nxt.take(keep, out=state_buf[:k], mode="wrap")
-        t = t_new.take(keep, out=arena.times[:k], mode="wrap")
-    return trace_parts
+        nxt.take(keep, out=state_buf[:k], mode="wrap")
+        t_new.take(keep, out=arena.times[:k], mode="wrap")
+        edges = keep.searchsorted(edges).tolist()
+        for i in range(len(flight) - 1, -1, -1):
+            if edges[i] == edges[i + 1]:  # the chunk has drained
+                lo, hi, _, before = flight.pop(i)
+                del edges[i + 1]
+                if before:
+                    n_jumps[lo:hi] -= before
 
 
 def simulate_batch(
@@ -434,10 +500,11 @@ def simulate_batch(
     chunk writes only its own slice of them, so results are bit-identical
     for fixed ``(seed, n_paths, chunk)`` whatever the worker count.  Each of
     the ``min(workers, n_chunks)`` workers takes the next chunk until none is
-    left, and runs every chunk it takes in its own ``_Arena`` of
-    ``min(chunk, n_paths)`` paths.  The calling thread is the first worker and
-    starts a ``threading.Thread`` for each other one; once all have stopped,
-    the first failing worker's exception, if any, is raised.  If a thread
+    left, and runs the chunks it takes as one pipeline (``_simulate_chunks``)
+    in its own ``_Arena`` for chunks of ``min(chunk, n_paths)`` paths, taking
+    the next chunk while the last one drains.  The calling thread is the
+    first worker and starts a ``threading.Thread`` for each other one; once
+    all have stopped, the first failing worker's exception, if any, is raised.  If a thread
     fails to start, no more chunks are handed out, and its error is raised
     once the workers already started have stopped.
     """
@@ -449,28 +516,26 @@ def simulate_batch(
         np.empty(n_paths, dtype=np.int32),
     )
     n_chunks = -(-n_paths // chunk)
-    chunks = iter(range(n_chunks))
+    indices = iter(range(n_chunks))
     lock = threading.Lock()
 
-    def work():
-        arena = _Arena(min(chunk, n_paths))
-        parts = []
+    def taken():
+        """The chunks a worker takes, each with its stream, until none is left."""
         while True:
             with lock:
-                index = next(chunks, None)
+                index = next(indices, None)
             if index is None:
-                return parts
-            rng = RngStream(seed, index).generator()
+                return
             lo = index * chunk
-            hi = min(lo + chunk, n_paths)
-            parts += _simulate_chunk(chain, lo, hi, rng, columns, arena, collect_trace)
+            yield lo, min(lo + chunk, n_paths), RngStream(seed, index).generator()
 
     # worker i's trace parts, or the exception it raised
     results = [None] * min(workers, n_chunks)
 
     def run(i):
         try:
-            results[i] = work()
+            arena = _Arena(min(chunk, n_paths))
+            results[i] = _simulate_chunks(chain, taken(), columns, arena, collect_trace)
         except BaseException as exc:  # re-raised below, once every worker has stopped
             results[i] = exc
 
@@ -483,7 +548,7 @@ def simulate_batch(
         run(0)
     except BaseException:  # a thread failed to start: hand out no more chunks
         with lock:
-            chunks = iter(())  # the name work() reads
+            indices = iter(())  # the name taken() reads
         raise
     finally:
         for thread in threads:

@@ -316,34 +316,25 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_column(col):
+    """``_fmt`` of every entry of ``col``, converted once per column."""
+    return map(repr, np.asarray(col, dtype=float).tolist())
+
+
 def render_estimate_csv(run: EstimateRun) -> str:
     """CSV text of an estimation run: fixed header, '.' decimals, LF endings,
     shortest round-trip float formatting.  Columns of estimators that were not
     requested are left empty."""
     grid = run.config.grid
-    mids = grid.mids  # a property that builds the array on every read
     some = run.est_beta if run.est_beta is not None else run.est_qbar
-    lines = [ESTIMATE_CSV_HEADER]
-    for b in range(grid.n_bins):
-        beta_cols = (
-            [_fmt(run.est_beta.estimate[b]), _fmt(run.est_beta.stderr[b])]
-            if run.est_beta is not None
-            else ["", ""]
-        )
-        qbar_cols = (
-            [_fmt(run.est_qbar.estimate[b]), _fmt(run.est_qbar.stderr[b])]
-            if run.est_qbar is not None
-            else ["", ""]
-        )
-        lines.append(
-            ",".join(
-                [_fmt(mids[b]), _fmt(run.analytic[b])]
-                + beta_cols
-                + qbar_cols
-                + [str(int(some.n_hits[b]))]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    columns = [_fmt_column(grid.mids), _fmt_column(run.analytic)]
+    for est in (run.est_beta, run.est_qbar):
+        if est is None:
+            columns += [[""] * grid.n_bins] * 2
+        else:
+            columns += [_fmt_column(est.estimate), _fmt_column(est.stderr)]
+    columns.append(map(str, np.asarray(some.n_hits, dtype=np.int64).tolist()))
+    return "\n".join([ESTIMATE_CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def write_trace(path, batch: PathBatch):

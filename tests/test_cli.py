@@ -684,6 +684,35 @@ class TestRenderEstimateCsv:
         assert len(lines) == grid.n_bins + 2  # header, the bins, trailing newline
         assert lines[1] == "2e-05,0.0,0.0,0.0,0.0,0.0,0"
 
+    @pytest.mark.parametrize("estimators", ["both", "beta", "qbar"])
+    def test_bytes_equal_per_cell_formatting(self, estimators):
+        # one repr per cell, row by row, is the reference; values of every
+        # magnitude and sign, zeros of both signs and the shortest round trip
+        grid = Grid(0.0, 3.0, 701)
+        rng = np.random.default_rng(701)
+
+        def column():
+            col = rng.normal(size=grid.n_bins) * 10.0 ** rng.integers(-300, 300, grid.n_bins)
+            col[:4] = (0.0, -0.0, 0.1, 1e-310)
+            return col
+
+        n_hits = rng.integers(0, 10**12, grid.n_bins)
+        beta = DensityEstimate(grid, column(), column(), n_hits, 1.0)
+        qbar = DensityEstimate(grid, column(), column(), n_hits, 1.0)
+        beta = beta if estimators != "qbar" else None
+        qbar = qbar if estimators != "beta" else None
+        analytic = column()
+        run = EstimateRun(None, 1.0, RunConfig(grid=grid), None, analytic, beta, qbar)
+        mids, rows = grid.mids, [ESTIMATE_CSV_HEADER]
+        for b in range(grid.n_bins):
+            cells = [repr(float(mids[b])), repr(float(analytic[b]))]
+            for est in (beta, qbar):
+                cells += ["", ""] if est is None else [
+                    repr(float(est.estimate[b])), repr(float(est.stderr[b]))
+                ]
+            rows.append(",".join(cells + [str(int(n_hits[b]))]))
+        assert render_estimate_csv(run) == "\n".join(rows) + "\n"
+
 
 class TestGoldenEstimate:
     """The pinned-RNG production run: n=10^6, seed 42, rate 2, grid 0:4:40."""

@@ -44,6 +44,13 @@ def draw(table, state, u, fill=False):
     return got
 
 
+def exit_answers(targets, state, p):
+    """A chain table's answers for ``targets`` drawn from ``state``: a
+    transient target itself, a landing ``2p + l`` the complemented exit code
+    ``~(3 * state + l)``."""
+    return np.where(targets < 2 * p, targets, ~(3 * state + targets - 2 * p))
+
+
 def first_rows(path):
     """Index of each path's first row in a trace's path column (rows are
     sorted by path, then time)."""
@@ -195,13 +202,15 @@ class TestDrawTargets:
         return np.minimum((cum[state] <= u[:, None]).sum(axis=1), last[state])
 
     @staticmethod
-    def assert_guide(table, cum, last, every=1):
+    def assert_guide(table, cum, last, every=1, p=None):
         """On every ``every``-th row ``r``: row ``r`` of ``values`` is the
         distinct entries of ``cum[r, :last[r]]``, then ``+inf``, and
         ``answer`` maps ``k`` of them to the column where the next starts, or
-        ``last[r]``.  Guide entry ``b`` is the flat index of the first value
-        above ``b / G``, complemented exactly when two or more lie in
-        ``(b / G, (b + 1) / G]`` (above 1 for ``b = G``)."""
+        ``last[r]`` (as ``exit_answers`` of the chain on ``p`` states, when
+        ``p`` is given).  Guide entry ``b`` is the flat index of the first
+        value above ``b / G``, complemented exactly when two or more lie in
+        ``(b / G, (b + 1) / G]`` (above 1 for ``b = G``), which some entry
+        is exactly when ``window_bits > 1``."""
         rows, width = cum.shape
         assert (1 << table.shift) > width >= (1 << table.shift) // 2
         n_buckets = 2 << table.shift
@@ -212,6 +221,7 @@ class TestDrawTargets:
         keys = [np.ceil(np.unique(cum[r, : last[r]]) * n_buckets) for r in range(rows)]
         widest = max((np.unique(k, return_counts=True)[1].max() for k in keys if k.size), default=0)
         assert table.window_bits == int(widest).bit_length()
+        assert (table.window_bits > 1) == bool((table.guide < 0).any())
         assert table.values.size == table.answer.size == rows * slots
         assert table.guide.size == rows * (n_buckets + 2)
         values = table.values.reshape(rows, slots)
@@ -224,8 +234,10 @@ class TestDrawTargets:
             m = distinct.size
             assert np.array_equal(values[r, :m], distinct)
             assert np.all(np.isinf(values[r, m:]))
-            starts = np.searchsorted(live, distinct, side="left")
-            assert np.array_equal(answer[r, : m + 1], np.append(starts, last[r]))
+            want = np.append(np.searchsorted(live, distinct, side="left"), last[r])
+            if p is not None:
+                want = exit_answers(want, r, p)
+            assert np.array_equal(answer[r, : m + 1], want)
             lo = np.searchsorted(distinct, edges, side="right")
             crowded = np.diff(np.append(lo, m)) >= 2
             want = np.where(crowded, ~(r * slots + lo), r * slots + lo)
@@ -315,7 +327,8 @@ class TestDrawTargets:
     def test_random_models(self, p, seed, step):
         # the compiled chain's rows, at lambda_0 (or the "auto" step above
         # it) and one above, and its start row 2p: the initial law's own
-        # one-row table, whose zero landing columns lie past its last target
+        # one-row table, whose zero landing columns lie past its last target.
+        # A draw that lands answers with its exit code, complemented
         rng = np.random.default_rng(seed)
         if p == 1:
             m = exponential_model(float(rng.uniform(0.05, 3.0)))
@@ -332,11 +345,12 @@ class TestDrawTargets:
         cum = np.vstack([cum, np.pad(cum0, [(0, 0), (0, 3)], mode="edge")])
         last = np.append(last, last0)
         table = JumpChain(split, lam, init).table
-        self.assert_guide(table, cum, last)
+        self.assert_guide(table, cum, last, p=p)
         state = np.repeat(np.arange(2 * p + 1), [250] * (2 * p) + [500])
         u = self.uniforms(rng, cum, state, table.shift)
         got = draw(table, state, u)
-        assert np.array_equal(got, self.clamped_count(cum, last, state, u))
+        want = exit_answers(self.clamped_count(cum, last, state, u), state, p)
+        assert np.array_equal(got, want)
 
     def test_chain_table(self, ref_split, ref_init):
         table = JumpChain(ref_split, 2.0, ref_init).table
@@ -349,15 +363,18 @@ class TestDrawTargets:
         # positive targets are the absorbing columns 6 and 7; every other
         # state's is column 8, termination.  The start row 6 holds the
         # initial law, all of it on o0.  The answer after a row's last
-        # distinct value is that target, and so is every draw at u >= 1
-        ends = np.array([6, 8, 8, 7, 8, 8, 0])
+        # distinct value is that target, and so is every draw at u >= 1: a
+        # landing as the complemented exit code, 3 * state + landing
+        ends = exit_answers(np.array([6, 8, 8, 7, 8, 8, 0]), np.arange(7), 3)
+        assert np.array_equal(ends, [~0, ~5, ~8, ~10, ~14, ~17, 0])
         values = table.values.reshape(7, 6)
         n_distinct = np.isfinite(values).sum(axis=1)
         assert np.array_equal(table.answer.reshape(7, 6)[np.arange(7), n_distinct], ends)
         for u in (1.0, np.nextafter(1.0, 2.0)):
             got = draw(table, np.arange(7), np.full(7, u))
             assert np.array_equal(got, ends)
-        # no bucket of the reference chain holds two distinct values
+        # no bucket of the reference chain holds two distinct values, so a
+        # draw skips the search for crowded ones
         assert np.all(table.guide >= 0)
 
 
@@ -389,15 +406,19 @@ class TestSimulateBatch:
         # whichever worker takes chunk 0 fails on it; the others run every
         # other chunk, and the failure is raised after all have stopped
         ran = []
-        simulate_chunk = jumpsim._simulate_chunk
+        simulate_chunks = jumpsim._simulate_chunks
 
-        def failing_chunk(chain, lo, hi, *args):
-            if lo == 0:
-                raise RuntimeError("chunk 0 failed")
-            ran.append(lo)
-            return simulate_chunk(chain, lo, hi, *args)
+        def failing_chunks(chain, chunks, *args):
+            def admitted():
+                for lo, hi, rng in chunks:
+                    if lo == 0:
+                        raise RuntimeError("chunk 0 failed")
+                    ran.append(lo)
+                    yield lo, hi, rng
 
-        monkeypatch.setattr(jumpsim, "_simulate_chunk", failing_chunk)
+            return simulate_chunks(chain, admitted(), *args)
+
+        monkeypatch.setattr(jumpsim, "_simulate_chunks", failing_chunks)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 0 failed"):
             simulate_batch(ref_split, 2.0, ref_init, n_paths=10_000, seed=1, chunk=1000, workers=3)
@@ -417,7 +438,7 @@ class TestSimulateBatch:
             raise AssertionError("simulate_batch ran past its argument checks")
 
         monkeypatch.setattr(jumpsim, "JumpChain", never)
-        monkeypatch.setattr(jumpsim, "_simulate_chunk", never)
+        monkeypatch.setattr(jumpsim, "_simulate_chunks", never)
         with pytest.raises(ValueError, match=f"^workers must be {bound}$"):
             simulate_batch(
                 ref_split, 2.0, ref_init, n_paths=1000, seed=1, chunk=1, workers=workers
@@ -442,15 +463,16 @@ class TestSimulateBatch:
             joined.set()
             join(thread, *args)
 
-        def held_chunk(chain, lo, *args):
-            ran.append(lo)
-            taken.set()
-            joined.wait(10)
+        def held_chunks(chain, chunks, *args):
+            for lo, _, _ in chunks:
+                ran.append(lo)
+                taken.set()
+                joined.wait(10)
             return []
 
         monkeypatch.setattr(threading.Thread, "start", start_once)
         monkeypatch.setattr(threading.Thread, "join", join_and_release)
-        monkeypatch.setattr(jumpsim, "_simulate_chunk", held_chunk)
+        monkeypatch.setattr(jumpsim, "_simulate_chunks", held_chunks)
         with pytest.raises(RuntimeError, match="can't start new thread"):
             simulate_batch(ref_split, 2.0, ref_init, n_paths=40_000, seed=1, chunk=1000, workers=3)
         assert len(started) == 1 and not started[0].is_alive()
@@ -581,10 +603,11 @@ class TestSimulateBatch:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_allocation_within_the_arenas(self, ref_split, ref_init, workers):
         # past the columns, a run holds one arena per worker and the index
-        # lists of one iteration per worker, which are a fraction of it
+        # lists of one iteration per worker, which are a fraction of it; an
+        # arena has a slot for each path of a chunk and of the tail before it
         chunk = 65536
         arena_bytes = sum(buf.nbytes for buf in arena_buffers(jumpsim._Arena(chunk)))
-        assert arena_bytes == 73 * chunk
+        assert arena_bytes == 73 * (chunk + chunk // 8)
         # a first call loads numpy's lazy imports, which tracemalloc would count
         simulate_batch(ref_split, 2.0, ref_init, n_paths=100, seed=5, chunk=10, workers=2)
         tracemalloc.start()
@@ -601,19 +624,33 @@ class TestSimulateBatch:
         )
         assert peak - columns <= 1.1 * workers * arena_bytes
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_reused_arena_matches_fresh_arrays(self, workers):
-        # 6000 does not divide 20_000, so the last chunk is shorter than the
-        # arena its worker reuses; the reference runs each chunk in a fresh
-        # arena of its own size, with every buffer pre-filled with garbage
+    @pytest.mark.parametrize(
+        "workers, n, chunk",
+        [(1, 20_000, 6000), (2, 20_000, 6000), (1, 7500, 1000), (2, 7500, 1000)],
+        ids=["1", "2", "1-chunk1000", "2-chunk1000"],
+    )
+    def test_reused_arena_matches_fresh_arrays(self, workers, n, chunk, monkeypatch):
+        # the chunk does not divide n, so the last chunk is shorter than the
+        # arena its worker reuses, and each chunk joins the pipeline while the
+        # tail of the one before still runs.  The reference runs each chunk
+        # alone in a fresh arena of its own size, every buffer pre-filled
+        # with garbage
         m = random_me_model(30, np.random.default_rng(30))
         split = splitting.sign_split(m.T, m.s)
         lam = splitting.resolve_lambda(split, "auto")
         init = splitting.initial_split(m.alpha)
-        n, chunk = 20_000, 6000
+        draws = []
+        draw_targets = jumpsim._draw_targets
+
+        def counted(table, state, *args):
+            draws.append(state.size)
+            return draw_targets(table, state, *args)
+
+        monkeypatch.setattr(jumpsim, "_draw_targets", counted)
         batch = simulate_batch(
             split, lam, init, n_paths=n, seed=8, chunk=chunk, workers=workers, collect_trace=True
         )
+        pipelined = len(draws)
         chain = JumpChain(split, lam, init)
         columns = (np.full(n, np.nan), np.full(n, -1, np.int32), np.full(n, -1, np.int32))
         rows = []
@@ -622,7 +659,10 @@ class TestSimulateBatch:
             arena = jumpsim._Arena(hi - lo)
             fill_garbage(*arena_buffers(arena))
             rng = RngStream(8, index).generator()
-            rows += jumpsim._simulate_chunk(chain, lo, hi, rng, columns, arena, True)
+            rows += jumpsim._simulate_chunks(chain, iter([(lo, hi, rng)]), columns, arena, True)
+        # one draw per chunk for the first states and one per iteration: the
+        # tails overlapped, so the pipeline ran fewer iterations
+        assert pipelined < len(draws) - pipelined
         for field, col in zip(("tau", "exit_code", "n_jumps"), columns, strict=True):
             assert np.array_equal(getattr(batch, field), col)
         path, times, frm, to = (np.concatenate(col) for col in zip(*rows))
