@@ -53,8 +53,7 @@ non-decreasing even after rounding.  So every stream yields the paths a linear
 scan would, and a row sum rounded below 1 can never yield a zero-weight
 target.  A bucket holding two or more distinct values is flagged in the
 guide; the few draws that land in one count the values of that bucket alone,
-by a bisection over a window as wide as the widest bucket.  A table with no
-such bucket, as most are, skips the search for them.
+by a bisection over a window as wide as the widest bucket.
 
 Each worker runs the chunks it takes as one pipeline (``_simulate_chunks``):
 it takes its next chunk once at most ``chunk // 8`` of its paths are live,
@@ -179,9 +178,8 @@ class GuideTable(Record):
     the first distinct value above ``b / G``, or its bitwise complement when
     the bucket ``(b / G, (b + 1) / G]`` holds two or more distinct values
     (entry ``G``: two or more above 1); entry ``G + 1`` is never read.  No
-    bucket holds more than ``2**window_bits - 1`` values, so some bucket is
-    crowded exactly when ``window_bits > 1``, and ``S`` is the most distinct
-    values of a row plus ``2**window_bits``, so a window of
+    bucket holds more than ``2**window_bits - 1`` values, and ``S`` is the
+    most distinct values of a row plus ``2**window_bits``, so a window of
     ``2**window_bits - 1`` slots from any value ends inside its row.
     """
 
@@ -247,8 +245,7 @@ def _draw_targets(table: GuideTable, state, u, out, arena):
     bucket counts the bucket's values from the first, by branchless
     bisection over ``window_bits`` more gathers, each step adding ``step``
     to the offset exactly when the value just before ``offset + step`` is
-    ``<= u``; the window's values past the bucket's are above ``u``.  A
-    table without a crowded bucket skips the search for them.
+    ``<= u``; the window's values past the bucket's are above ``u``.
     """
     k = state.size
     ints, floats, mask = arena.ints[:k], arena.floats[:k], arena.mask[:k]
@@ -256,19 +253,16 @@ def _draw_targets(table: GuideTable, state, u, out, arena):
     np.multiply(u, buckets, out=out, casting="unsafe")
     out += np.multiply(state, buckets + 2, out=ints)
     pos = table.guide.take(out, out=ints, mode="wrap")
-    fix = None
-    if table.window_bits > 1:  # some bucket holds two or more distinct values
-        crowd = np.flatnonzero(np.less(pos, 0, out=mask))
-        if crowd.size:
-            fix = ~pos.take(crowd)
-            v = u.take(crowd)
-            step = 1 << (table.window_bits - 1)
-            while step:
-                fix += step * (table.values.take(fix + (step - 1)) <= v)
-                step >>= 1
-    # a complemented entry is a valid negative index; its draw is fixed below
+    crowd = np.flatnonzero(np.less(pos, 0, out=mask))
+    fix = ~pos.take(crowd)
+    # a complemented entry is a valid negative index; its draw is redone below
     pos += np.less_equal(table.values.take(pos, out=floats, mode="wrap"), u, out=mask)
-    if fix is not None:
+    if crowd.size:
+        v = u.take(crowd)
+        step = 1 << (table.window_bits - 1)
+        while step:
+            fix += step * (table.values.take(fix + (step - 1)) <= v)
+            step >>= 1
         pos[crowd] = fix
     return table.answer.take(pos, out=out, mode="wrap")
 
@@ -405,8 +399,8 @@ def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
     iterations before it joined once the chunk has drained.
 
     A draw that is negative is an exit, and its complement the exit code
-    (see ``JumpChain``).  Returns the trace parts ``(path, time, from, to)``,
-    one per iteration, or ``[]``.
+    (see ``JumpChain``).  Returns the trace parts ``(path, time, from,
+    answer)``, one per iteration, or ``[]``.
     """
     tau, exit_code, n_jumps = columns
     two_p = 2 * chain.p
@@ -450,10 +444,8 @@ def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
         t_new += t
         nxt = _draw_targets(chain.table, state, u2, next_buf[:k], arena)
         if collect_trace:
-            # the arena's buffers are overwritten by the next iteration; an
-            # exit's target is its landing's code 2p + ~nxt - 3 * state
-            to = np.where(nxt < 0, ~nxt - 3 * state + two_p, nxt)
-            trace_parts.append((alive.copy(), t_new.copy(), state.copy(), to))
+            # the arena's buffers are overwritten by the next iteration
+            trace_parts.append((alive.copy(), t_new.copy(), state.copy(), nxt.copy()))
         gone = np.flatnonzero(np.less(nxt, 0, out=arena.mask[:k]))
         m = gone.size
         # the exit codes as int32, in floats until tau takes it
@@ -556,14 +548,18 @@ def simulate_batch(
     for result in results:
         if isinstance(result, BaseException):
             raise result
+    batch = PathBatch(chain.p, chunk, *columns)
+    if not collect_trace:
+        return batch
     parts = [part for result in results for part in result]
-
-    trace = None
-    if collect_trace:
-        # a path's rows all come from one chunk, in time order, so the
-        # order in which the workers ran the chunks cannot show here
-        path, times, frm, to = (np.concatenate(col) for col in zip(*parts))
-        order = np.lexsort((times, path))
-        trace = (path[order], times[order], frm[order], to[order])
-
-    return PathBatch(chain.p, chunk, *columns, trace=trace)
+    # a path's rows all come from one chunk, in time order, so the
+    # order in which the workers ran the chunks cannot show here
+    path, times, frm, to = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((times, path))
+    path, times, frm, to = path[order], times[order], frm[order], to[order]
+    # a path's last row answers with its exit code; its target is the
+    # landing's code 2p + landing
+    exits = to < 0
+    to[exits] = batch.landing[path[exits]]
+    to[exits] += 2 * chain.p
+    return PathBatch(chain.p, chunk, *columns, trace=(path, times, frm, to))

@@ -19,10 +19,12 @@ repetitions:
   estimators read off it;
 * ``render``: the CSV text (``modelio.render_estimate_csv``).
 
-``loop_iterations`` is the number of iterations of the simulator's chunk
-loops in one ``simulate_batch`` call, counted in one more, untimed call: each
-chunk's first states are one call of ``jumpsim._draw_targets`` and each
-iteration one more.  ``p = 3`` is the reference model; other sizes are
+Every batch runs at stream seed ``SEED`` in the default chunks
+(``jumpsim.DEFAULT_CHUNK``) on one worker.  ``loop_iterations`` is the
+number of iterations of the simulator's chunk loops in one
+``simulate_batch`` call, counted in one more, untimed call: each chunk's
+first states are one call of ``jumpsim._draw_targets`` and each iteration
+one more.  ``p = 3`` is the reference model; other sizes are
 ``random_me_model(p, default_rng(p))``, as the benchmark's wide model is at
 ``p = 100``.  The output records the Python, numpy and BLAS versions and the
 processor count, since timings compare only on one machine.
@@ -37,6 +39,9 @@ import platform
 import statistics
 import sys
 import time
+
+#: The stream seed of every simulated batch; the benchmark's wide model runs at 5.
+SEED = 5
 
 
 def _timed(fn, reps):
@@ -103,10 +108,8 @@ def bench_size(p, above, args):
     split, init = run_plan.split, run_plan.init
     row["compile_s"], _ = _timed(lambda: jumpsim.JumpChain(split, lam, init), reps)
 
-    def simulate():
-        return jumpsim.simulate_batch(
-            split, lam, init, args.paths, args.seed, chunk=args.chunk, workers=args.workers
-        )
+    def simulate():  # the default chunk, on one worker
+        return jumpsim.simulate_batch(split, lam, init, args.paths, SEED)
 
     row["simulate_s"], batch = _timed(simulate, reps)
     jumps = int(batch.n_jumps.sum(dtype=np.int64))
@@ -123,9 +126,7 @@ def bench_size(p, above, args):
         )
 
     row["finalize_s"], (beta, qbar) = _timed(finalize, reps)
-    cfg = modelio.RunConfig(
-        lam=lam, n_paths=args.paths, seed=args.seed, chunk=args.chunk, grid=grid
-    )
+    cfg = modelio.RunConfig(lam=lam, n_paths=args.paths, seed=SEED, grid=grid)
     run = modelio.EstimateRun(run_plan, scale, cfg, batch, analytic, beta, qbar)
     row["render_s"], _ = _timed(lambda: modelio.render_estimate_csv(run), reps)
     return row
@@ -137,9 +138,6 @@ def main(argv=None):
     parser.add_argument("--sizes", default="3,10,30,100", help="model sizes p, comma-separated")
     parser.add_argument("--paths", type=int, default=200_000)
     parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--chunk", type=int, default=65536)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
     sizes = [int(p) for p in args.sizes.split(",")]
 
@@ -153,11 +151,13 @@ def main(argv=None):
     import numpy.random  # noqa: F401
 
     t3 = time.perf_counter()
+    from mejump.jumpsim import DEFAULT_CHUNK
+
     result = {
         "environment": _environment(numpy),
         "settings": {
-            "paths": args.paths, "reps": args.reps, "seed": args.seed,
-            "chunk": args.chunk, "workers": args.workers,
+            "paths": args.paths, "reps": args.reps, "seed": SEED,
+            "chunk": DEFAULT_CHUNK, "workers": 1,
         },
         "import": {"numpy_s": t1 - t0, "mejump_s": t2 - t1, "numpy_random_s": t3 - t2},
         "rows": [bench_size(p, above, args) for p in sizes for above in (0.0, 1.0)],
