@@ -664,9 +664,10 @@ class TestSimulateBatch:
         for field, col in zip(("tau", "exit_code", "n_jumps"), columns, strict=True):
             assert np.array_equal(getattr(batch, field), col)
         path, times, frm, to = (np.concatenate(col) for col in zip(*rows))
-        # a row that exits answers with its complemented exit code, whose
-        # landing is the code modulo 3
-        to = np.where(to < 0, 2 * m.p + ~to % 3, to)
+        # a row that exits answers with its complemented exit code; its
+        # target is the landing's code 2p + landing
+        exits = to < 0
+        to[exits] = 2 * m.p + jumpsim.split_exit_code(~to[exits])[1]
         order = np.lexsort((times, path))
         for got, want in zip(batch.trace, (path, times, frm, to), strict=True):
             assert np.array_equal(got, want[order])
