@@ -378,18 +378,14 @@ def criterion_13(n_paths, seed) -> CriterionResult:
         outputs = []
         codes = []
         for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
-            cfg = tmp / f"cfg_{tag}.json"
-            cfg.write_text(
-                '{"lambda": 2.0, "n_paths": %d, "seed": %d, "chunk": 25000, '
-                '"workers": %d}' % (n, seed, workers)
-            )
             out = tmp / f"out_{tag}.csv"
+            args = [
+                "estimate", str(model_path), "--lambda", "2.0", "--paths", str(n),
+                "--seed", str(seed), "--chunk", "25000", "--workers", str(workers),
+                "--out", str(out),
+            ]
             with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(
-                    cli.main(
-                        ["estimate", str(model_path), "--config", str(cfg), "--out", str(out)]
-                    )
-                )
+                codes.append(cli.main(args))
             outputs.append(out.read_bytes())
     ok = all(c == 0 for c in codes) and outputs[0] == outputs[1] == outputs[2]
     return CriterionResult(

@@ -35,6 +35,7 @@ from .estimators import mc_expectation_untilted
 from .modelio import (
     ParseError,
     config_from_dict,
+    open_output,
     plan,
     read_json,
     read_model,
@@ -218,7 +219,7 @@ def cmd_estimate(args) -> int:
         print(f"scale (w_total / normalizer): {run.scale!r}")
         csv_text = render_estimate_csv(run)
         if args.out is not None:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            with open_output(args.out) as fh:
                 fh.write(csv_text)
             print(f"wrote {args.out}")
         else:
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=None, help="worker threads")
         if grid:
             p.add_argument("--grid", default=None, help="histogram grid min:max:bins")
-            p.add_argument("--estimator", choices=("beta", "qbar", "both"), default=None)
+            p.add_argument("--estimator", default=None, help="beta, qbar or both")
         if out:
             p.add_argument("--out", default=None, help="output path")
         if trace:

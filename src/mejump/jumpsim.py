@@ -129,6 +129,11 @@ def split_exit_code(code):
     return pre_exit, (code - 3 * pre_exit).astype(np.int8)
 
 
+def stream_slices(n_paths: int, chunk: int) -> list:
+    """Each random stream's slice of the paths, in order: path k is in stream k // chunk."""
+    return [slice(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+
+
 def code_label(code: int, p: int) -> str:
     """Human-readable label for a transient (0..2p-1) or landing (2p..2p+2) code."""
     if code < p:
@@ -171,7 +176,7 @@ class GuideTable(Record):
 
     Row ``r`` of ``values`` holds the distinct entries of ``cum[r, :last[r]]``
     in increasing order, then ``+inf``, in ``S`` slots; ``answer`` has the
-    same layout and maps ``k`` distinct values ``<= u`` to the target
+    same layout and maps ``k`` distinct values ``<= u`` to the answer of column
     ``min(count of cum[r] <= u, last[r])``.  ``guide`` has ``G + 2`` entries
     per row, ``G = 2**(shift + 1)`` with ``2**shift`` the smallest power of
     two above the row width: entry ``b <= G`` is the flat ``values`` index of
@@ -190,19 +195,20 @@ class GuideTable(Record):
     window_bits: int
 
 
-def _guide_table(cum: np.ndarray, last: np.ndarray) -> GuideTable:
+def _guide_table(cum: np.ndarray, last: np.ndarray, answers: np.ndarray) -> GuideTable:
     """Guide table over the distinct values of each row of ``cum`` before its
-    column ``last``.  A cumsum of non-negative weights is non-decreasing even
-    after rounding, so a value is new exactly when it differs from its left
-    neighbour, and ``min(count of cum <= u, last)`` is the column where the
-    first distinct value ``> u`` starts, or ``last`` when there is none."""
+    column ``last``, answering a draw of column ``c`` in row ``r`` with
+    ``answers[r, c]``.  A cumsum of non-negative weights is non-decreasing
+    even after rounding, so a value is new exactly when it differs from its
+    left neighbour, and ``min(count of cum <= u, last)`` is the column where
+    the first distinct value ``> u`` starts, or ``last`` if there is none."""
     rows, width = cum.shape
     shift = width.bit_length()
     n_buckets = 2 << shift
     new = np.arange(width) < last[:, None]
     new[:, 1:] &= cum[:, 1:] != cum[:, :-1]
     at = np.flatnonzero(new)
-    row, col = np.divmod(at, width)
+    row = at // width
     value = cum.ravel().take(at)
     # distinct values before each row, so row r holds count[r]
     start = np.searchsorted(row, np.arange(rows + 1))
@@ -219,8 +225,8 @@ def _guide_table(cum: np.ndarray, last: np.ndarray) -> GuideTable:
     flat = np.arange(at.size) + (row * slots - start.take(row))
     values = np.full(rows * slots, np.inf)
     values[flat] = value
-    answer = np.repeat(last, slots)
-    answer[flat] = col
+    answer = np.repeat(answers[np.arange(rows), last], slots)
+    answer[flat] = answers.ravel().take(at)
     # one running sum over all rows: lifting each row's column 0 by what it
     # takes to reach r * slots starts row r's counts at its values row
     guide[stride::stride] += slots - count[:-1]
@@ -275,11 +281,10 @@ class JumpChain:
     diagonal of the doubled block), and one guide table (see
     ``_guide_table``) over the ``2p`` target rows of the transient states and
     the start row ``2p``, the initial law ``(alphahat^+, alphahat^-)``, which
-    ``simulate_batch`` samples from.  The table's ``answer`` maps a draw from
-    state ``i`` to its target when that is a transient state, and to the
-    complemented exit code ``~(3 * i + landing)`` when it is landing
-    ``0/1/2``: this is where exit codes are encoded, so a draw is an exit
-    exactly when it is negative.
+    ``simulate_batch`` samples from.  It gives the table each cell's answer:
+    a transient target itself, and landing ``0/1/2`` from state ``i`` the
+    complemented exit code ``~(3 * i + landing)``.  This is where exit codes
+    are encoded, so a draw is an exit exactly when it is negative.
     """
 
     def __init__(self, split: SignSplit, lam: float, init: InitialSplit):
@@ -298,13 +303,10 @@ class JumpChain:
         # numpy's pairwise sum may round the start row's total differently
         # over the 2p + 3 columns than over the 2p of the initial law itself
         cum[-1, : 2 * p] = np.cumsum(start / start.sum())
-        table = _guide_table(cum, last)
         # the start row's landing columns are zero, so none of its answers exits
-        row = np.arange(table.answer.size) // (table.answer.size // (2 * p + 1))
-        answer = np.where(
-            table.answer < 2 * p, table.answer, ~(3 * row + table.answer - 2 * p)
-        )
-        self.table = GuideTable(table.guide, table.values, answer, table.shift, table.window_bits)
+        answers = np.tile(np.arange(2 * p + 3), (2 * p + 1, 1))
+        answers[:, 2 * p :] = ~(3 * np.arange(2 * p + 1)[:, None] + np.arange(3))
+        self.table = _guide_table(cum, last, answers)
 
 
 class PathBatch(Record):
@@ -348,8 +350,7 @@ class PathBatch(Record):
     def chunk_slices(self):
         """Slices of the generation chunks, in order; estimator folds follow
         this blocking so chunked and whole-batch reductions agree exactly."""
-        n = len(self)
-        return [slice(lo, min(lo + self.chunk, n)) for lo in range(0, n, self.chunk)]
+        return stream_slices(len(self), self.chunk)
 
 
 class _Arena:
@@ -485,7 +486,7 @@ def simulate_batch(
 ) -> PathBatch:
     """Simulate ``n_paths`` outcomes with reproducible chunked streams.
 
-    Path k is generated from ``RngStream(seed, k // chunk)``.  One sampler,
+    Path k comes from stream ``k // chunk`` (``stream_slices``).  One sampler,
     ``_draw_targets``, draws each path's first state from the initial law
     ``(alphahat^+, alphahat^-)`` and every jump's target, all from the
     chain's one guide table.  The output columns are allocated once and each
@@ -507,22 +508,21 @@ def simulate_batch(
         np.empty(n_paths, dtype=np.int32),
         np.empty(n_paths, dtype=np.int32),
     )
-    n_chunks = -(-n_paths // chunk)
-    indices = iter(range(n_chunks))
+    slices = stream_slices(n_paths, chunk)
+    indices = iter(enumerate(slices))
     lock = threading.Lock()
 
     def taken():
         """The chunks a worker takes, each with its stream, until none is left."""
         while True:
             with lock:
-                index = next(indices, None)
+                index, paths = next(indices, (None, None))
             if index is None:
                 return
-            lo = index * chunk
-            yield lo, min(lo + chunk, n_paths), RngStream(seed, index).generator()
+            yield paths.start, paths.stop, RngStream(seed, index).generator()
 
     # worker i's trace parts, or the exception it raised
-    results = [None] * min(workers, n_chunks)
+    results = [None] * min(workers, len(slices))
 
     def run(i):
         try:
@@ -552,10 +552,10 @@ def simulate_batch(
     if not collect_trace:
         return batch
     parts = [part for result in results for part in result]
-    # a path's rows all come from one chunk, in time order, so the
-    # order in which the workers ran the chunks cannot show here
+    # a path's rows all come from one chunk in time order, so a stable sort by
+    # path keeps that order, whatever order the workers ran the chunks in
     path, times, frm, to = (np.concatenate(col) for col in zip(*parts))
-    order = np.lexsort((times, path))
+    order = np.argsort(path, kind="stable")
     path, times, frm, to = path[order], times[order], frm[order], to[order]
     # a path's last row answers with its exit code; its target is the
     # landing's code 2p + landing

@@ -103,6 +103,11 @@ def read_input(path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def open_output(path):
+    """An output file opened for writing, UTF-8 with LF endings, the one place one is opened."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def read_json(path):
     """Parsed JSON of a file; invalid JSON raises :class:`ParseError`."""
     path = Path(path)
@@ -124,7 +129,8 @@ def write_model(params: MEParams, path, name: str | None = None):
     }
     if name is not None:
         doc["name"] = name
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 class RunConfig(Record):
@@ -253,15 +259,15 @@ def plan(params: MEParams, lam_request) -> RunPlan:
 
 
 class EstimateRun(Record):
-    """Everything produced by one estimation pipeline run."""
+    """Everything produced by one estimation pipeline run, both estimates included."""
 
     plan: RunPlan
     scale: float
     config: RunConfig
     batch: PathBatch
     analytic: np.ndarray
-    est_beta: DensityEstimate | None
-    est_qbar: DensityEstimate | None
+    est_beta: DensityEstimate
+    est_qbar: DensityEstimate
 
 
 def simulate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> PathBatch:
@@ -290,8 +296,8 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
     The rate is ``run_plan.lam``, resolved when the caller planned the model;
     ``cfg.lam`` is not read here.  A grid whose count table is too large is
     refused first, and the oracle is checked before any path is drawn.
-    The batch's exits are counted once, and each requested estimator reads
-    the counts.
+    The batch's exits are counted once, and both estimators, whichever
+    ``cfg.estimator`` names, read the counts: a finalizer takes under 1 ms.
     """
     check_count_table(cfg.grid, run_plan.params.p)
     lam = run_plan.lam
@@ -304,11 +310,8 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
         )
     batch = simulate(run_plan, cfg, collect_trace)
     counts = count_exits(batch, cfg.grid)
-    est_beta = est_qbar = None
-    if cfg.estimator in ("beta", "both"):
-        est_beta = mc_density_beta(counts, scale)
-    if cfg.estimator in ("qbar", "both"):
-        est_qbar = mc_density_qbar(counts, run_plan.profile, scale)
+    est_beta = mc_density_beta(counts, scale)
+    est_qbar = mc_density_qbar(counts, run_plan.profile, scale)
     return EstimateRun(run_plan, scale, cfg, batch, analytic, est_beta, est_qbar)
 
 
@@ -323,17 +326,17 @@ def _fmt_column(col):
 
 def render_estimate_csv(run: EstimateRun) -> str:
     """CSV text of an estimation run: fixed header, '.' decimals, LF endings,
-    shortest round-trip float formatting.  Columns of estimators that were not
-    requested are left empty."""
-    grid = run.config.grid
-    some = run.est_beta if run.est_beta is not None else run.est_qbar
+    shortest round-trip float formatting.  The columns of an estimator that
+    ``run.config.estimator`` does not ask for are left empty; this is the one
+    place the choice is acted on."""
+    grid, estimator = run.config.grid, run.config.estimator
     columns = [_fmt_column(grid.mids), _fmt_column(run.analytic)]
-    for est in (run.est_beta, run.est_qbar):
-        if est is None:
-            columns += [[""] * grid.n_bins] * 2
-        else:
+    for name, est in (("beta", run.est_beta), ("qbar", run.est_qbar)):
+        if estimator in (name, "both"):
             columns += [_fmt_column(est.estimate), _fmt_column(est.stderr)]
-    columns.append(map(str, np.asarray(some.n_hits, dtype=np.int64).tolist()))
+        else:
+            columns += [[""] * grid.n_bins] * 2
+    columns.append(map(str, np.asarray(run.est_beta.n_hits, dtype=np.int64).tolist()))
     return "\n".join([ESTIMATE_CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
@@ -343,7 +346,7 @@ def write_trace(path, batch: PathBatch):
     if batch.trace is None:
         raise ValueError("batch carries no trace; simulate with collect_trace=True")
     path_idx, times, frm, to = batch.trace
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         current = None
         for k in range(path_idx.shape[0]):
             if path_idx[k] != current:
@@ -406,7 +409,7 @@ def read_trace(path) -> dict:
 
 def write_matrix_csv(path, M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for row in M:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -421,14 +424,14 @@ def write_split_outputs(prefix, run_plan: RunPlan, D: np.ndarray):
     write_matrix_csv(f"{prefix}_splus.csv", split.splus)
     write_matrix_csv(f"{prefix}_sminus.csv", split.sminus)
     write_matrix_csv(f"{prefix}_D.csv", D)
-    with open(f"{prefix}_exit_profile.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(f"{prefix}_exit_profile.csv") as fh:
         fh.write("state,d,q_plus,q_minus,q_bar_original\n")
         for i in range(split.p):
             fh.write(
                 f"{i},{_fmt(profile.d[i])},{_fmt(profile.qplus[i])},"
                 f"{_fmt(profile.qminus[i])},{_fmt(qbar[i])}\n"
             )
-    with open(f"{prefix}_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(f"{prefix}_summary.csv") as fh:
         fh.write("key,value\n")
         fh.write(f"lambda0,{_fmt(split.lambda0)}\n")
         fh.write(f"lambda,{_fmt(run_plan.lam)}\n")

@@ -134,6 +134,19 @@ class TestConfig:
         assert out == ""
         assert err == "error: config: seed must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_unknown_estimator_named(self, model_file, tmp_path, where, capsys):
+        # the flag reaches the run config's own check, as a config file does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"estimator": "bogus"}' if where == "config" else "{}")
+        args = ["estimate", model_file, "--config", cfg, "--paths", "100"]
+        if where == "flag":
+            args += ["--estimator", "bogus"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: config: estimator must be beta, qbar or both\n"
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -699,17 +712,17 @@ class TestRenderEstimateCsv:
         n_hits = rng.integers(0, 10**12, grid.n_bins)
         beta = DensityEstimate(grid, column(), column(), n_hits, 1.0)
         qbar = DensityEstimate(grid, column(), column(), n_hits, 1.0)
-        beta = beta if estimators != "qbar" else None
-        qbar = qbar if estimators != "beta" else None
         analytic = column()
-        run = EstimateRun(None, 1.0, RunConfig(grid=grid), None, analytic, beta, qbar)
+        cfg = RunConfig(grid=grid, estimator=estimators)
+        run = EstimateRun(None, 1.0, cfg, None, analytic, beta, qbar)
         mids, rows = grid.mids, [ESTIMATE_CSV_HEADER]
         for b in range(grid.n_bins):
             cells = [repr(float(mids[b])), repr(float(analytic[b]))]
-            for est in (beta, qbar):
-                cells += ["", ""] if est is None else [
-                    repr(float(est.estimate[b])), repr(float(est.stderr[b]))
-                ]
+            for name, est in (("beta", beta), ("qbar", qbar)):
+                if estimators in (name, "both"):
+                    cells += [repr(float(est.estimate[b])), repr(float(est.stderr[b]))]
+                else:
+                    cells += ["", ""]
             rows.append(",".join(cells + [str(int(n_hits[b]))]))
         assert render_estimate_csv(run) == "\n".join(rows) + "\n"
 

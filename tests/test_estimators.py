@@ -356,12 +356,10 @@ class TestFoldsMatchTheReference:
         )
         with mock.patch.object(modelio, "simulate_batch", lambda *a, **k: batch):
             run = modelio.run_estimate(modelio.plan(m, lam), cfg)
+        # both estimates are finalized, whichever the config asks to print
         for name, profile in (("beta", None), ("qbar", prof)):
             got = getattr(run, f"est_{name}")
-            if estimator in (name, "both"):
-                assert_same_bits(got, reference_density(batch, grid, run.scale, profile))
-            else:
-                assert got is None
+            assert_same_bits(got, reference_density(batch, grid, run.scale, profile))
 
 
 class TestExitCounts:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from mejump import jumpsim, linalg, splitting
 from mejump.errors import NotTransientError
 from mejump.jumpsim import JumpChain, RngStream, code_label, simulate_batch
-from mejump.models import exponential_model, random_me_model
+from mejump.models import exponential_model, random_me_model, reference_model
 from conftest import decoupled_rotator
 
 
@@ -42,6 +42,12 @@ def draw(table, state, u, fill=False):
     got = jumpsim._draw_targets(table, state, u, out, arena)
     assert got is out
     return got
+
+
+def column_answers(cum):
+    """Answers for a guide table over ``cum`` that answer each draw with its
+    column."""
+    return np.tile(np.arange(cum.shape[1]), (cum.shape[0], 1))
 
 
 def exit_answers(targets, state, p):
@@ -246,7 +252,7 @@ class TestDrawTargets:
         width = 2 * p + 3
         rng = np.random.default_rng(width)
         cum, last = jumpsim._cum_and_last(self.weight_rows(rng, 4000, width))
-        table = jumpsim._guide_table(cum, last)
+        table = jumpsim._guide_table(cum, last, column_answers(cum))
         self.assert_guide(table, cum, last, every=16)
         # the row ends under test: rounded just above 1, just below, exactly 1
         assert (cum[:, -1] > 1.0).any() and (cum[:, -1] < 1.0).any()
@@ -274,7 +280,7 @@ class TestDrawTargets:
         init = splitting.initial_split(alpha)
         init_weights = np.concatenate([init.alphahat_plus, init.alphahat_minus])
         cum, last = jumpsim._cum_and_last(init_weights[None, :])
-        table = jumpsim._guide_table(cum, last)
+        table = jumpsim._guide_table(cum, last, column_answers(cum))
         self.assert_guide(table, cum, last)
         state = np.zeros(u.size, dtype=np.int64)
         u = self.uniforms(rng, cum, state, table.shift)
@@ -290,7 +296,7 @@ class TestDrawTargets:
         cum0, last0 = jumpsim._cum_and_last(np.array([[1.0, 1e-9, 1e-9, 1e-9, 1.0, 0.0]]))
         cum = np.vstack([cum0, [0.25, 1.0, 1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 3 * ulp, 1.0 + 3 * ulp]])
         last = np.array([last0[0], 4])
-        table = jumpsim._guide_table(cum, last)
+        table = jumpsim._guide_table(cum, last, column_answers(cum))
         assert table.shift == 3  # 16 buckets
         # two distinct values at most in a bucket: 4 values and a window of 4
         assert table.window_bits == 2
@@ -509,9 +515,9 @@ class TestSimulateBatch:
         tables, rates = [], []
         guide_table, rows = jumpsim._guide_table, splitting._rows
 
-        def counted_table(cum, last):
+        def counted_table(cum, last, answers):
             tables.append(cum.shape)
-            return guide_table(cum, last)
+            return guide_table(cum, last, answers)
 
         def counted_rows(split, lam):
             rates.append(lam)
@@ -671,6 +677,30 @@ class TestSimulateBatch:
         order = np.lexsort((times, path))
         for got, want in zip(batch.trace, (path, times, frm, to), strict=True):
             assert np.array_equal(got, want[order])
+
+    @pytest.mark.parametrize(
+        "wide, n_paths, seed, most", [(False, 1_000_000, 42, 70), (True, 200_000, 5, 250)],
+        ids=["reference", "wide"],
+    )
+    def test_pipeline_iterations_at_benchmark_scale(self, wide, n_paths, seed, most, monkeypatch):
+        # the simulations of the benchmark's estimate workloads, in the
+        # default chunks on one worker: the pipeline runs 56 (reference) and
+        # 234 (wide) iterations, where one chunk at a time ran 179 and 616.
+        # Each chunk's first states are one draw and each iteration one more
+        m = random_me_model(100, np.random.default_rng(100)) if wide else reference_model()
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto")
+        draws = []
+        draw_targets = jumpsim._draw_targets
+
+        def counted(*args):
+            draws.append(1)
+            return draw_targets(*args)
+
+        monkeypatch.setattr(jumpsim, "_draw_targets", counted)
+        batch = simulate_batch(split, lam, splitting.initial_split(m.alpha), n_paths, seed)
+        iterations = len(draws) - len(batch.chunk_slices())
+        assert iterations <= most
 
     def test_invalid_args(self, ref_split, ref_init):
         with pytest.raises(ValueError):

@@ -128,6 +128,8 @@ def test_each_run_derives_its_chain_once():
     # one guide table per chain, compiled from the generator the rate gate
     # returns, and a run estimates the plan its caller made
     assert callers("_guide_table") == {"jumpsim.JumpChain.__init__"}
+    # the chain hands the table each cell's answer, so one table is built
+    assert callers("GuideTable") == {"jumpsim._guide_table"}
     assert callers("admit_rate") == {"jumpsim.JumpChain.__init__"}
     assert "modelio.run_estimate" not in callers("plan")
     assert "modelio.run_estimate" in callers("simulate")
@@ -220,6 +222,35 @@ def test_input_files_are_read_in_one_place():
         and node.type is not None
         and any(getattr(n, "id", None) == "UnicodeDecodeError" for n in ast.walk(node.type))
     ) == {"modelio.read_input"}
+
+
+def opens_for_writing(node):
+    """Whether ``node`` is an ``open()`` call with a write or append mode."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "open"
+        and not opens_for_reading(node)
+    )
+
+
+def test_output_files_are_opened_in_one_place():
+    # modelio.open_output opens every output file, UTF-8 with LF endings;
+    # the CLI claims its outputs by opening them to append, and writes nothing
+    assert functions_where(opens_for_writing) == {"modelio.open_output", "cli._claimed_outputs"}
+    assert callers("write_text") == set()
+    assert callers("write_bytes") == set()
+
+
+def test_estimator_choice_has_one_home():
+    # RunConfig refuses an estimator, render_estimate_csv alone acts on it
+    # and the estimate command echoes it; argparse checks no choice
+    assert functions_where(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "estimator"
+    ) == {"modelio.RunConfig.__post_init__", "modelio.render_estimate_csv", "cli.cmd_estimate"}
+    assert raising_modules(("estimator must be",)) == {"estimator must be": {"modelio.py"}}
+    assert functions_where(
+        lambda node: isinstance(node, ast.keyword) and node.arg == "choices"
+    ) == set()
 
 
 def test_evaluation_points_and_exponential_refusal_have_one_home():

@@ -26,6 +26,7 @@ def test_bench_writes_every_layer(tmp_path):
     layers = {
         "plan_s", "oracle_s", "compile_s", "simulate_s", "paths_per_s", "jumps_per_s",
         "jumps_per_path", "loop_iterations", "count_s", "finalize_s", "render_s",
+        "estimate_s", "estimate_peak_rss_mb",
     }
     for row in result["rows"]:
         assert set(row) == {"p", "above_lambda0", "lam"} | layers

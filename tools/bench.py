@@ -17,7 +17,13 @@ repetitions:
 * ``simulate``: ``jumpsim.simulate_batch``, with paths/s and jumps/s;
 * ``count`` and ``finalize``: the exit count table and the two density
   estimators read off it;
-* ``render``: the CSV text (``modelio.render_estimate_csv``).
+* ``render``: the CSV text (``modelio.render_estimate_csv``);
+* ``estimate``: the whole ``mejump estimate`` command on the row's model,
+  rate, grid and path count, run ``--reps`` times, each in a fresh
+  interpreter, with its wall time and its peak resident set in MB, which the
+  command's own process reads as ``VmHWM`` from ``/proc/self/status`` just
+  before it exits.  ``ru_maxrss`` would not do: a child's starts at the
+  high-water mark of the process that spawned it.
 
 Every batch runs at stream seed ``SEED`` in the default chunks
 (``jumpsim.DEFAULT_CHUNK``) on one worker.  ``loop_iterations`` is the
@@ -37,11 +43,24 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 #: The stream seed of every simulated batch; the benchmark's wide model runs at 5.
 SEED = 5
+
+#: Runs ``mejump estimate`` on its arguments, then writes the process's
+#: ``VmHWM`` line (its peak resident set, in kB) to stderr.
+ESTIMATE_CHILD = """\
+import sys
+from mejump.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="utf-8") as fh:
+    sys.stderr.write(next(line for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
 
 
 def _timed(fn, reps):
@@ -69,6 +88,30 @@ def _loop_iterations(jumpsim, simulate, n_chunks):
     finally:
         jumpsim._draw_targets = draw_targets
     return len(calls) - n_chunks
+
+
+def _estimate_command(params, lam, grid, args):
+    """The median wall time and median peak resident set (MB) of ``--reps``
+    runs of ``mejump estimate``, each in a fresh interpreter."""
+    from mejump import modelio
+
+    walls, peaks = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.json")
+        modelio.write_model(params, model)
+        argv = [
+            sys.executable, "-c", ESTIMATE_CHILD, "estimate", model, "--lambda", repr(lam),
+            "--grid", f"{grid.x_min!r}:{grid.x_max!r}:{grid.n_bins}",
+            "--paths", str(args.paths), "--seed", str(SEED),
+            "--out", os.path.join(tmp, "estimate.csv"),
+        ]
+        for _ in range(args.reps):
+            t0 = time.perf_counter()
+            done = subprocess.run(argv, capture_output=True, text=True, check=True)
+            walls.append(time.perf_counter() - t0)
+            # the last line reads "VmHWM:    46080 kB"
+            peaks.append(int(done.stderr.splitlines()[-1].split()[1]) / 1024)
+    return statistics.median(walls), statistics.median(peaks)
 
 
 def _environment(numpy):
@@ -129,6 +172,7 @@ def bench_size(p, above, args):
     cfg = modelio.RunConfig(lam=lam, n_paths=args.paths, seed=SEED, grid=grid)
     run = modelio.EstimateRun(run_plan, scale, cfg, batch, analytic, beta, qbar)
     row["render_s"], _ = _timed(lambda: modelio.render_estimate_csv(run), reps)
+    row["estimate_s"], row["estimate_peak_rss_mb"] = _estimate_command(params, lam, grid, args)
     return row
 
 
@@ -169,7 +213,8 @@ def main(argv=None):
         print(
             f"p={row['p']:<4} lambda_0+{row['above_lambda0']:g}  simulate "
             f"{row['simulate_s']:.4f} s  {row['jumps_per_s'] / 1e6:6.2f} Mjumps/s  "
-            f"{row['loop_iterations']:>5} iterations",
+            f"{row['loop_iterations']:>5} iterations  estimate {row['estimate_s']:.3f} s "
+            f"{row['estimate_peak_rss_mb']:.0f} MB",
             file=sys.stderr,
         )
 
