@@ -38,8 +38,11 @@ One guide table per chain holds every categorical row: the ``2p`` rows of
 the transient states, and a start row ``2p`` holding the initial law, whose
 landing columns are zero.  One sampler, ``_draw_targets``, makes every draw
 from it: a path's first state as a jump from the start row, and each jump's
-target from the row of the state it leaves.  It is an indexed search over
-the guide table (Chen & Asau 1974), so a jump costs three vectorized gathers
+target from the row of the state it leaves.  A point-mass initial law, as
+the paper's ``alpha = (1, 0, 0)``, draws no first state: each chunk's fresh
+stream skips the uniforms that draw would use (``_skip_uniforms``), so its
+paths stay the same to the bit.  It is an indexed search over the guide
+table (Chen & Asau 1974), so a jump costs three vectorized gathers
 whatever the width ``W = 2p + 3`` of the target rows.  ``_guide_table`` keeps, per row,
 the distinct cumulative values before the row's last positive target, so the
 ties that zero weights make collapse into one value.  With ``P2 = 2**shift``
@@ -147,7 +150,8 @@ class RngStream(Record):
     """Pinned random stream: Philox keyed by (seed, stream_index).
 
     Distinct stream indices yield statistically independent streams; identical
-    (seed, index) pairs reproduce identical draws.
+    (seed, index) pairs reproduce identical draws.  Being counter-based, a
+    fresh stream skips uniforms exactly (``_skip_uniforms``).
     """
 
     seed: int
@@ -156,6 +160,12 @@ class RngStream(Record):
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
         return np.random.Generator(np.random.Philox(ss))
+
+
+def _skip_uniforms(rng: np.random.Generator, n: int):
+    """Skip a fresh stream's next ``n`` uniforms: Philox's counter moves once per four."""
+    rng.bit_generator.advance(n // 4)
+    rng.random(n % 4)
 
 
 def _cum_and_last(weights: np.ndarray):
@@ -284,7 +294,8 @@ class JumpChain:
     ``simulate_batch`` samples from.  It gives the table each cell's answer:
     a transient target itself, and landing ``0/1/2`` from state ``i`` the
     complemented exit code ``~(3 * i + landing)``.  This is where exit codes
-    are encoded, so a draw is an exit exactly when it is negative.
+    are encoded, so a draw is an exit exactly when it is negative.  ``start``
+    is the state of an initial law with one positive weight, else None.
     """
 
     def __init__(self, split: SignSplit, lam: float, init: InitialSplit):
@@ -299,6 +310,7 @@ class JumpChain:
         weights[:-1, 2 * p + 1] = gen.abs_a
         weights[:-1, 2 * p + 2] = gen.term
         weights[-1, : 2 * p] = start
+        self.start = int(start.argmax()) if np.count_nonzero(start > 0.0) == 1 else None
         cum, last = _cum_and_last(weights)
         # numpy's pairwise sum may round the start row's total differently
         # over the 2p + 3 columns than over the 2p of the initial law itself
@@ -390,7 +402,8 @@ def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
     surviving indices moves the segment bounds.  A path's first state is
     drawn when its chunk joins, as a jump from the start row ``2p`` of the
     chain's table, and every jump's target from the row of the state it
-    leaves, both by ``_draw_targets``.  Per iteration, each chunk draws from
+    leaves, both by ``_draw_targets``; the chain's point-mass ``start``, if
+    it has one, is taken without a draw.  Per iteration, each chunk draws from
     its own stream the holding-time uniforms of its live paths, then their
     target uniforms, in path order: the draws of one call of ``2k``, so the
     draw sequence depends only on the chunk itself.  Paths of different
@@ -404,7 +417,6 @@ def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
     answer)``, one per iteration, or ``[]``.
     """
     tau, exit_code, n_jumps = columns
-    two_p = 2 * chain.p
     state_buf, next_buf = arena.states
     path_buf, spare_buf = arena.paths
     flight = []  # (lo, hi, rng, iterations before it joined) per segment
@@ -422,10 +434,14 @@ def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
             new.fill(1)
             new[0] = lo
             np.cumsum(new, out=new)  # lo, lo + 1, ..., hi - 1
-            origin = next_buf[: new.size]
-            origin.fill(two_p)
-            u = rng.random(out=arena.uniforms[: new.size])
-            _draw_targets(chain.table, origin, u, state_buf[k : k + new.size], arena)
+            if chain.start is None:
+                origin = next_buf[: new.size]
+                origin.fill(2 * chain.p)
+                u = rng.random(out=arena.uniforms[: new.size])
+                _draw_targets(chain.table, origin, u, state_buf[k : k + new.size], arena)
+            else:
+                state_buf[k : k + new.size] = chain.start
+                _skip_uniforms(rng, new.size)
             arena.times[k : k + new.size] = 0.0
             flight.append((lo, hi, rng, iteration))
             k += new.size
@@ -488,18 +504,19 @@ def simulate_batch(
 
     Path k comes from stream ``k // chunk`` (``stream_slices``).  One sampler,
     ``_draw_targets``, draws each path's first state from the initial law
-    ``(alphahat^+, alphahat^-)`` and every jump's target, all from the
-    chain's one guide table.  The output columns are allocated once and each
-    chunk writes only its own slice of them, so results are bit-identical
-    for fixed ``(seed, n_paths, chunk)`` whatever the worker count.  Each of
-    the ``min(workers, n_chunks)`` workers takes the next chunk until none is
-    left, and runs the chunks it takes as one pipeline (``_simulate_chunks``)
-    in its own ``_Arena`` for chunks of ``min(chunk, n_paths)`` paths, taking
-    the next chunk while the last one drains.  The calling thread is the
-    first worker and starts a ``threading.Thread`` for each other one; once
-    all have stopped, the first failing worker's exception, if any, is raised.  If a thread
-    fails to start, no more chunks are handed out, and its error is raised
-    once the workers already started have stopped.
+    ``(alphahat^+, alphahat^-)``, unless it is a point mass, and every jump's
+    target, all from the chain's one guide table.  The output columns are
+    allocated once and each chunk writes only its own slice of them, so results
+    are bit-identical for fixed ``(seed, n_paths, chunk)`` whatever the worker
+    count.  Each of the ``min(workers, n_chunks)`` workers takes the next chunk
+    until none is left, and runs the chunks it takes as one pipeline
+    (``_simulate_chunks``) in its own ``_Arena`` for chunks of ``min(chunk,
+    n_paths)`` paths, taking the next chunk while the last one drains.  The
+    calling thread is the first worker and starts a ``threading.Thread`` for
+    each other one; once all have stopped, the first failing worker's
+    exception, if any, is raised.  If a thread fails to start, no more chunks
+    are handed out, and its error is raised once the workers already started
+    have stopped.
     """
     check_run_shape(n_paths, seed, chunk, workers)
     chain = JumpChain(split, lam, init)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mejump import jumpsim, linalg, splitting
+from mejump import jumpsim, linalg, medist, splitting
 from mejump.errors import NotTransientError
 from mejump.jumpsim import JumpChain, RngStream, code_label, simulate_batch
 from mejump.models import exponential_model, random_me_model, reference_model
@@ -73,6 +73,19 @@ class TestRngStream:
         a = RngStream(123, 0).generator().random(10)
         b = RngStream(123, 1).generator().random(10)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 16960, 65536])
+    def test_skipping_uniforms_equals_drawing_them(self, n):
+        # a point-mass start skips its first-state uniforms by advancing
+        # Philox's counter, which moves once per four 64-bit outputs
+        skipped = RngStream(123, 4).generator()
+        jumpsim._skip_uniforms(skipped, n)
+        drawn = RngStream(123, 4).generator().random(n + 9)[n:]
+        assert np.array_equal(skipped.random(9), drawn), (
+            f"skipping {n} uniforms of a fresh stream no longer equals drawing "
+            "them: numpy changed how Philox buffers its outputs, so a point-mass "
+            "start must draw its uniforms and discard them"
+        )
 
 
 class TestStateIds:
@@ -389,6 +402,56 @@ class TestSimulateBatch:
         for field in ("tau", "pre_exit", "landing", "sign", "n_jumps"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
+    @pytest.mark.parametrize(
+        "alpha, start", [((1.0, 0.0, 0.0), 0), ((0.0, 0.0, 1.0), 2)], ids=["o0", "o2"]
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n, chunk", [(13, 1), (13, 5), (1000, 7), (65537, 65536)],
+        ids=["chunk1", "chunk5", "chunk7", "chunk65536"],
+    )
+    def test_point_mass_start_skips_what_its_draw_uses(
+        self, ref, ref_split, alpha, start, workers, n, chunk, monkeypatch
+    ):
+        # a chain whose initial law is one state records it, and each chunk
+        # skips the uniforms its draw from the start row would use.  With the
+        # recorded start cleared the chunks draw, and no path may change
+        medist.validate(medist.MEParams(np.array(alpha), ref.T, ref.s))
+        init = splitting.initial_split(np.array(alpha))
+        assert JumpChain(ref_split, 2.0, init).start == start
+        starts = []
+        draw_targets = jumpsim._draw_targets
+
+        def counted(table, state, *args):
+            starts.append(int(state[0]) == 6)
+            return draw_targets(table, state, *args)
+
+        class Drawing(JumpChain):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.start = None
+
+        monkeypatch.setattr(jumpsim, "_draw_targets", counted)
+        kw = dict(n_paths=n, seed=11, chunk=chunk, workers=workers, collect_trace=True)
+        built = simulate_batch(ref_split, 2.0, init, **kw)
+        assert not any(starts)
+        monkeypatch.setattr(jumpsim, "JumpChain", Drawing)
+        drawn = simulate_batch(ref_split, 2.0, init, **kw)
+        assert sum(starts) == len(drawn.chunk_slices())
+        for field in ("tau", "exit_code", "n_jumps"):
+            assert np.array_equal(getattr(built, field), getattr(drawn, field))
+        for got, want in zip(built.trace, drawn.trace, strict=True):
+            assert np.array_equal(got, want)
+        assert np.all(built.trace[2][first_rows(built.trace[0])] == start)
+
+    def test_start_recorded_only_for_a_point_mass(self, exp_split):
+        anti = splitting.initial_split(np.array([-1.0]))
+        assert JumpChain(exp_split, 1.0, anti).start == 1
+        m = random_me_model(100, np.random.default_rng(100))
+        split = splitting.sign_split(m.T, m.s)
+        lam = splitting.resolve_lambda(split, "auto")
+        assert JumpChain(split, lam, splitting.initial_split(m.alpha)).start is None
+
     def test_deterministic_across_workers(self, ref_split, ref_init):
         # 8192 does not divide 50_000: the last chunk is short.  The threads
         # write into shared columns, so switch between them often
@@ -686,21 +749,21 @@ class TestSimulateBatch:
         # the simulations of the benchmark's estimate workloads, in the
         # default chunks on one worker: the pipeline runs 56 (reference) and
         # 234 (wide) iterations, where one chunk at a time ran 179 and 616.
-        # Each chunk's first states are one draw and each iteration one more
+        # Each iteration is one draw from transient states; a chunk whose
+        # first states are drawn draws them from the start row 2p
         m = random_me_model(100, np.random.default_rng(100)) if wide else reference_model()
         split = splitting.sign_split(m.T, m.s)
         lam = splitting.resolve_lambda(split, "auto")
         draws = []
         draw_targets = jumpsim._draw_targets
 
-        def counted(*args):
-            draws.append(1)
-            return draw_targets(*args)
+        def counted(table, state, *args):
+            draws.append(int(state[0]) < 2 * m.p)
+            return draw_targets(table, state, *args)
 
         monkeypatch.setattr(jumpsim, "_draw_targets", counted)
-        batch = simulate_batch(split, lam, splitting.initial_split(m.alpha), n_paths, seed)
-        iterations = len(draws) - len(batch.chunk_slices())
-        assert iterations <= most
+        simulate_batch(split, lam, splitting.initial_split(m.alpha), n_paths, seed)
+        assert sum(draws) <= most
 
     def test_invalid_args(self, ref_split, ref_init):
         with pytest.raises(ValueError):

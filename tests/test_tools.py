@@ -19,7 +19,9 @@ def test_bench_writes_every_layer(tmp_path):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     result = json.loads(out.read_text(encoding="utf-8"))
-    assert set(result) == {"environment", "settings", "import", "rows"}
+    assert set(result) == {"environment", "settings", "import", "calibration", "rows"}
+    assert set(result["calibration"]) == {"before_s", "after_s"}
+    assert all(wall > 0 for wall in result["calibration"].values())
     assert set(result["environment"]) == {"python", "numpy", "blas", "nproc", "machine"}
     assert set(result["import"]) == {"numpy_s", "mejump_s", "numpy_random_s"}
     assert [(row["p"], row["above_lambda0"]) for row in result["rows"]] == [(3, 0.0), (3, 1.0)]

@@ -28,12 +28,18 @@ repetitions:
 Every batch runs at stream seed ``SEED`` in the default chunks
 (``jumpsim.DEFAULT_CHUNK``) on one worker.  ``loop_iterations`` is the
 number of iterations of the simulator's chunk loops in one
-``simulate_batch`` call, counted in one more, untimed call: each chunk's
-first states are one call of ``jumpsim._draw_targets`` and each iteration
-one more.  ``p = 3`` is the reference model; other sizes are
-``random_me_model(p, default_rng(p))``, as the benchmark's wide model is at
-``p = 100``.  The output records the Python, numpy and BLAS versions and the
-processor count, since timings compare only on one machine.
+``simulate_batch`` call, counted in one more, untimed call: each iteration
+is one call of ``jumpsim._draw_targets`` from transient states, and a chunk
+whose first states are drawn draws them from the start row ``2p``.
+``p = 3`` is the reference model; other sizes are ``random_me_model(p,
+default_rng(p))``, as the benchmark's wide model is at ``p = 100``.
+
+The output records the Python, numpy and BLAS versions and the processor
+count, since timings compare only on one machine.  Under ``calibration`` it
+records the wall time of the benchmark's calibration job
+(``benchmarks/calibrate.py``, in a fresh interpreter), run once before the
+rows and once after them, so that two files tell how fast the host ran while
+each was written.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ import time
 
 #: The stream seed of every simulated batch; the benchmark's wide model runs at 5.
 SEED = 5
+
+#: The benchmark's fixed reference job, which imports nothing from mejump.
+CALIBRATE = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "calibrate.py")
 
 #: Runs ``mejump estimate`` on its arguments, then writes the process's
 #: ``VmHWM`` line (its peak resident set, in kB) to stderr.
@@ -73,21 +82,29 @@ def _timed(fn, reps):
     return statistics.median(times), result
 
 
-def _loop_iterations(jumpsim, simulate, n_chunks):
-    """Iterations of the chunk loops in one call of ``simulate``."""
+def _loop_iterations(jumpsim, simulate, p):
+    """Iterations of the chunk loops in one call of ``simulate`` on a model
+    of size ``p``."""
     draw_targets = jumpsim._draw_targets
     calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return draw_targets(*args)
+    def counted(table, state, *args):
+        calls.append(int(state[0]) < 2 * p)
+        return draw_targets(table, state, *args)
 
     jumpsim._draw_targets = counted
     try:
         simulate()
     finally:
         jumpsim._draw_targets = draw_targets
-    return len(calls) - n_chunks
+    return sum(calls)
+
+
+def _calibration_s():
+    """The wall time of one run of the calibration job in a fresh interpreter."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, CALIBRATE], capture_output=True, check=True)
+    return time.perf_counter() - t0
 
 
 def _estimate_command(params, lam, grid, args):
@@ -159,7 +176,7 @@ def bench_size(p, above, args):
     row["paths_per_s"] = args.paths / row["simulate_s"]
     row["jumps_per_s"] = jumps / row["simulate_s"]
     row["jumps_per_path"] = jumps / args.paths
-    row["loop_iterations"] = _loop_iterations(jumpsim, simulate, len(batch.chunk_slices()))
+    row["loop_iterations"] = _loop_iterations(jumpsim, simulate, p)
     row["count_s"], counts = _timed(lambda: estimators.count_exits(batch, grid), reps)
 
     def finalize():
@@ -197,6 +214,8 @@ def main(argv=None):
     t3 = time.perf_counter()
     from mejump.jumpsim import DEFAULT_CHUNK
 
+    before = _calibration_s()
+    rows = [bench_size(p, above, args) for p in sizes for above in (0.0, 1.0)]
     result = {
         "environment": _environment(numpy),
         "settings": {
@@ -204,7 +223,8 @@ def main(argv=None):
             "chunk": DEFAULT_CHUNK, "workers": 1,
         },
         "import": {"numpy_s": t1 - t0, "mejump_s": t2 - t1, "numpy_random_s": t3 - t2},
-        "rows": [bench_size(p, above, args) for p in sizes for above in (0.0, 1.0)],
+        "calibration": {"before_s": before, "after_s": _calibration_s()},
+        "rows": rows,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
