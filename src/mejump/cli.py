@@ -84,17 +84,21 @@ def _print_matrix(name, M):
     print("\n".join([f"{name} ="] + ["  " + line for line in body.splitlines()]))
 
 
-#: (argparse dest, run-config field, parser) of every flag that overrides a
-#: field of the run config
-_CONFIG_FLAGS = (
-    ("lam", "lambda", _parse_lambda),
-    ("paths", "n_paths", int),
-    ("seed", "seed", int),
-    ("chunk", "chunk", int),
-    ("workers", "workers", int),
-    ("grid", "grid", _parse_grid),
-    ("estimator", "estimator", str),
-)
+#: Each option's argparse dest: its flag, the run-config field it sets (None
+#: for none), the parser of its text and its help.  argparse reads an
+#: ``int`` flag itself, so a malformed one is a usage error.
+_FLAGS = {
+    "lam": ("--lambda", "lambda", _parse_lambda, "tilting rate (number or 'auto')"),
+    "config": ("--config", None, str, "run-config JSON file"),
+    "paths": ("--paths", "n_paths", int, "number of paths"),
+    "seed": ("--seed", "seed", int, "random seed"),
+    "chunk": ("--chunk", "chunk", int, "paths per random stream"),
+    "workers": ("--workers", "workers", int, "worker threads"),
+    "grid": ("--grid", "grid", _parse_grid, "histogram grid min:max:bins"),
+    "estimator": ("--estimator", "estimator", str, "beta, qbar or both"),
+    "out": ("--out", None, str, "output path"),
+    "trace": ("--trace", None, str, "write per-jump trace (TSV)"),
+}
 
 
 def _load_run_config(args):
@@ -103,8 +107,8 @@ def _load_run_config(args):
         raw = read_json(args.config)
         if not isinstance(raw, dict):
             raise ParseError(f"{args.config}: top level must be a JSON object")
-    for dest, field, parse in _CONFIG_FLAGS:
-        if getattr(args, dest, None) is not None:
+    for dest, (_, field, parse, _) in _FLAGS.items():
+        if field is not None and getattr(args, dest, None) is not None:
             raw[field] = parse(getattr(args, dest))
     return config_from_dict(raw)
 
@@ -302,22 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mejump", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=False, grid=False, out=False, trace=False, lam_default=None):
-        p.add_argument("--lambda", dest="lam", default=lam_default,
-                       help="tilting rate (number or 'auto')")
-        if config:
-            p.add_argument("--config", default=None, help="run-config JSON file")
-            p.add_argument("--paths", type=int, default=None, help="number of paths")
-            p.add_argument("--seed", type=int, default=None, help="random seed")
-            p.add_argument("--chunk", type=int, default=None, help="paths per random stream")
-            p.add_argument("--workers", type=int, default=None, help="worker threads")
-        if grid:
-            p.add_argument("--grid", default=None, help="histogram grid min:max:bins")
-            p.add_argument("--estimator", default=None, help="beta, qbar or both")
-        if out:
-            p.add_argument("--out", default=None, help="output path")
-        if trace:
-            p.add_argument("--trace", default=None, help="write per-jump trace (TSV)")
+    def add_options(p, dests, **defaults):
+        for dest in dests.split():
+            flag, _, parse, text = _FLAGS[dest]
+            p.add_argument(flag, dest=dest, type=int if parse is int else None,
+                           default=defaults.get(dest), help=text)
 
     p = sub.add_parser("validate", help="check a model file")
     p.add_argument("model")
@@ -325,28 +318,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="sign split and doubled generator")
     p.add_argument("model")
-    add_common(p, out=True, lam_default="auto")
+    add_options(p, "lam out", lam="auto")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("tilt", help="exponentially tilted parameters")
     p.add_argument("model")
-    add_common(p, out=True, lam_default="auto")
+    add_options(p, "lam out", lam="auto")
     p.set_defaults(func=cmd_tilt)
 
     p = sub.add_parser("estimate", help="simulate and estimate the tilted density")
     p.add_argument("model")
-    add_common(p, config=True, grid=True, out=True, trace=True)
+    add_options(p, "lam config paths seed chunk workers grid estimator out trace")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("expect", help="untilted expectation of a declared integrand")
     p.add_argument("model")
-    add_common(p, config=True)
+    add_options(p, "lam config paths seed chunk workers")
     p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("reproduce-example", help="run the acceptance checks")
-    p.add_argument("--paths", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
+    add_options(p, "paths seed lam", paths=1_000_000)
     p.set_defaults(func=cmd_reproduce_example)
 
     p = sub.add_parser("debug", help="summarize a per-jump trace file")

@@ -117,13 +117,9 @@ def _bin_index(tau: np.ndarray, grid: Grid) -> np.ndarray:
     return q.astype(np.int64)
 
 
-def finalize_density(
-    sum_w, sum_w2, n_hits, n_paths: int, grid: Grid, scale: float
-) -> DensityEstimate:
-    """Per-bin estimates and standard errors from the bins' sums of weights
-    and of squared weights over ``n_paths`` paths."""
-    if n_paths == 0:
-        raise ValueError("empty outcome set")
+def check_bin_weight(scale: float, grid: Grid) -> float:
+    """The per-path bin weight ``scale / grid.delta``, refused when its
+    square overflows."""
     per_path = scale / grid.delta
     # a float product overflows to inf where ** raises; inf squared raises nothing
     if not math.isfinite(per_path * per_path):
@@ -131,6 +127,18 @@ def finalize_density(
             f"per-path bin weight scale / bin width = {per_path:g} overflows "
             "when squared; widen the bins"
         )
+    return per_path
+
+
+def finalize_density(
+    sum_w, sum_w2, n_hits, n_paths: int, grid: Grid, scale: float
+) -> DensityEstimate:
+    """Per-bin estimates and standard errors from the bins' sums of weights
+    and of squared weights over ``n_paths`` paths, each path weighted by
+    :func:`check_bin_weight`."""
+    if n_paths == 0:
+        raise ValueError("empty outcome set")
+    per_path = check_bin_weight(scale, grid)
     estimate = per_path * sum_w / n_paths
     if n_paths > 1:
         var = (per_path**2 * sum_w2 - n_paths * estimate**2) / (n_paths - 1)

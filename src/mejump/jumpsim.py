@@ -31,8 +31,7 @@ landing``, so the estimators count ``(bin, exit)`` pairs from one column.
 the next transient state, or with the complemented exit code when the path
 lands, so a draw is an exit exactly when it is negative.
 ``split_exit_code`` is the one decode of that layout and ``n_exit_codes``
-the number of codes.  ``code_label`` names a code for traces.  Indices are
-0-based throughout.
+the number of codes.  Indices are 0-based throughout.
 
 One guide table per chain holds every categorical row: the ``2p`` rows of
 the transient states, and a start row ``2p`` holding the initial law, whose
@@ -99,9 +98,6 @@ MAX_WORKERS = 64
 #: Sign of landing codes 0/1/2: positive, negative absorption, termination.
 SIGN_OF_LANDING = np.array([1, -1, 0], dtype=np.int8)
 
-#: Labels of landing codes 0/1/2, as a trace prints them.
-LANDING_LABELS = ("DeltaO", "DeltaA", "term")
-
 
 def check_run_shape(n_paths: int, seed: int, chunk: int, workers: int):
     """Refuse a run shape that cannot be simulated, for every caller."""
@@ -135,15 +131,6 @@ def split_exit_code(code):
 def stream_slices(n_paths: int, chunk: int) -> list:
     """Each random stream's slice of the paths, in order: path k is in stream k // chunk."""
     return [slice(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-
-
-def code_label(code: int, p: int) -> str:
-    """Human-readable label for a transient (0..2p-1) or landing (2p..2p+2) code."""
-    if code < p:
-        return f"o{code}"
-    if code < 2 * p:
-        return f"a{code - p}"
-    return LANDING_LABELS[code - 2 * p]
 
 
 class RngStream(Record):

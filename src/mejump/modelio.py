@@ -11,6 +11,8 @@ decimals, LF line endings and a fixed header, making golden-file diffs stable.
 from __future__ import annotations
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,20 +22,14 @@ from .estimators import (
     DensityEstimate,
     Grid,
     HSpec,
+    check_bin_weight,
     check_count_table,
     count_exits,
     mc_density_beta,
     mc_density_qbar,
     tilted_bin_averages,
 )
-from .jumpsim import (
-    DEFAULT_CHUNK,
-    LANDING_LABELS,
-    PathBatch,
-    check_run_shape,
-    code_label,
-    simulate_batch,
-)
+from .jumpsim import DEFAULT_CHUNK, PathBatch, check_run_shape, simulate_batch
 from .medist import MEParams
 from .records import Record
 from .splitting import (
@@ -50,6 +46,20 @@ from .splitting import (
 ESTIMATE_CSV_HEADER = (
     "x_mid,f_tilted_analytic,est_beta,stderr_beta,est_qbar,stderr_qbar,n_hits"
 )
+
+#: Labels of landing codes 0/1/2, as a trace prints them.
+LANDING_LABELS = ("DeltaO", "DeltaA", "term")
+
+
+def state_labels(p: int) -> list:
+    """Each state code's trace label on a chain on ``p`` states, by code:
+    ``o0..`` original, ``a0..`` anti, then the landings ``2p + landing``."""
+    return [f"o{i}" for i in range(p)] + [f"a{i}" for i in range(p)] + list(LANDING_LABELS)
+
+
+#: Every label that :func:`state_labels` gives for some ``p``, a pattern
+#: that ``re`` compiles on the first trace read.
+_STATE_LABEL = "[oa](?:0|[1-9][0-9]*)|" + "|".join(LANDING_LABELS)
 
 
 class ParseError(Exception):
@@ -270,20 +280,23 @@ class EstimateRun(Record):
     est_qbar: DensityEstimate
 
 
-def simulate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> PathBatch:
-    """Simulate the planned chain: the back end shared by ``estimate`` and
-    ``expect``.
-
-    A rate at which every landing probability ``(s^+ + s^-)_i / d_i`` is
-    below machine epsilon is refused before any path is simulated: no path
-    could be seen to land, so every estimate would read zero.
-    """
+def check_landing(run_plan: RunPlan):
+    """Refuse a rate at which every landing probability ``(s^+ + s^-)_i / d_i``
+    is below machine epsilon: no path could be seen to land, so every
+    estimate would read zero."""
     profile = run_plan.profile
     if np.all(profile.qplus + profile.qminus < np.finfo(float).eps):
         raise ValueError(
             f"tilting rate {run_plan.lam!r} is too large: every landing probability "
             "is below machine epsilon, so no path can be seen to land"
         )
+
+
+def simulate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> PathBatch:
+    """Simulate the planned chain: the back end shared by ``estimate`` and
+    ``expect``, which refuses the rates :func:`check_landing` refuses before
+    any path is simulated."""
+    check_landing(run_plan)
     return simulate_batch(
         run_plan.split, run_plan.lam, run_plan.init, n_paths=cfg.n_paths, seed=cfg.seed,
         chunk=cfg.chunk, workers=cfg.workers, collect_trace=collect_trace,
@@ -295,7 +308,8 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
 
     The rate is ``run_plan.lam``, resolved when the caller planned the model;
     ``cfg.lam`` is not read here.  A grid whose count table is too large is
-    refused first, and the oracle is checked before any path is drawn.
+    refused first; the oracle, the scale, the rate's landings and the
+    per-path bin weight are checked before any path is drawn.
     The batch's exits are counted once, and both estimators, whichever
     ``cfg.estimator`` names, read the counts: a finalizer takes under 1 ms.
     """
@@ -308,6 +322,8 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
             f"tilting rate {lam!r} is too large: the scale or the analytic "
             "bin averages of the tilted density are not finite"
         )
+    check_landing(run_plan)  # a rate with no visible landing is named first
+    check_bin_weight(scale, cfg.grid)
     batch = simulate(run_plan, cfg, collect_trace)
     counts = count_exits(batch, cfg.grid)
     est_beta = mc_density_beta(counts, scale)
@@ -341,36 +357,41 @@ def render_estimate_csv(run: EstimateRun) -> str:
 
 
 def write_trace(path, batch: PathBatch):
-    """Tab-separated debug trace: per path, one line per jump
-    (time, from_state, to_state)."""
+    """Tab-separated debug trace: per path, a ``# path k`` line, then one line
+    per jump (time, from_state, to_state), each state code named by
+    :func:`state_labels`."""
     if batch.trace is None:
         raise ValueError("batch carries no trace; simulate with collect_trace=True")
     path_idx, times, frm, to = batch.trace
+    labels = state_labels(batch.p)
     with open_output(path) as fh:
         current = None
         for k in range(path_idx.shape[0]):
             if path_idx[k] != current:
                 current = path_idx[k]
                 fh.write(f"# path {int(current)}\n")
-            fh.write(
-                f"{_fmt(times[k])}\t{code_label(int(frm[k]), batch.p)}"
-                f"\t{code_label(int(to[k]), batch.p)}\n"
-            )
+            fh.write(f"{_fmt(times[k])}\t{labels[frm[k]]}\t{labels[to[k]]}\n")
 
 
 def read_trace(path) -> dict:
     """Each path of a trace that :func:`write_trace` wrote, mapped to its
-    ``(time, from_label, to_label)`` rows; a bad file raises ParseError.
+    ``(time, from_label, to_label)`` rows; a file it cannot have written
+    raises ParseError naming the file and line.
 
-    Each path appears once and ends in a landing (``DeltaO``, ``DeltaA`` or
-    ``term``), as every path that :func:`write_trace` writes does.  Within a
-    path, no row follows the landing, each row leaves the state the row
-    before it entered, and no time is below the time before it."""
+    Path numbers are non-negative, each path appears once, and every label
+    is one :func:`state_labels` gives.  A path starts in a transient state
+    and ends in a landing (``DeltaO``, ``DeltaA`` or ``term``), as every
+    path that :func:`write_trace` writes does.  Within a path, no row
+    follows the landing, each row leaves the state the row before it
+    entered, and every time is finite, at least 0 and no lower than the
+    time before it."""
     paths, rows, last_line = {}, None, {}
     try:
         for ln, line in enumerate(read_input(path).splitlines(), 1):
             if line.startswith("# path "):
                 k = int(line[len("# path "):])
+                if k < 0:
+                    raise ParseError(f"{path}:{ln}: path number {k} is negative")
                 if k in paths:
                     raise ParseError(f"{path}:{ln}: path {k} appears twice")
                 rows = paths[k] = []
@@ -379,6 +400,15 @@ def read_trace(path) -> dict:
             if len(parts) != 3 or rows is None:
                 raise ParseError(f"{path}:{ln}: malformed trace line {line!r}")
             t, frm, to = float(parts[0]), parts[1], parts[2]
+            for label in (frm, to):
+                if not re.fullmatch(_STATE_LABEL, label):
+                    raise ParseError(f"{path}:{ln}: unknown state label {label!r}")
+            if not (math.isfinite(t) and t >= 0.0):
+                raise ParseError(
+                    f"{path}:{ln}: path {k} jumps at {t!r}, not a finite time at or after 0"
+                )
+            if not rows and frm in LANDING_LABELS:
+                raise ParseError(f"{path}:{ln}: path {k} starts in the landing {frm!r}")
             if rows:
                 t_before, _, to_before = rows[-1]
                 if to_before in LANDING_LABELS:

@@ -21,11 +21,12 @@ from mejump.modelio import (
     read_model,
     read_trace,
     render_estimate_csv,
+    state_labels,
     write_model,
     write_trace,
 )
-from mejump.jumpsim import code_label, simulate_batch
-from mejump.models import random_me_model, reference_model
+from mejump.jumpsim import simulate_batch
+from mejump.models import exponential_model, random_me_model, reference_model
 
 from conftest import decoupled_rotator
 
@@ -595,18 +596,40 @@ class TestEstimateCommand:
         )
         assert not out.exists()
 
-    def test_oracle_is_refused_before_any_path(self, monkeypatch):
-        # run_estimate checks the analytic bin averages before it simulates;
-        # modelio.simulate calls the name modelio bound
+    @pytest.mark.parametrize(
+        "params, lam, grid, message",
+        [
+            (reference_model(), 2.0, Grid(0.0, 4.0, 10_000_000), r"grid 0:4:10000000 has too many"),
+            (reference_model(), 2.0, Grid(1.7e308, 1.75e308, 1000), r"x_min 1\.7e\+308 of grid "),
+            (reference_model(), 2.0, Grid(0.0, 1e308, 2), r"bin width 5e\+307 of grid "),
+            (
+                reference_model(), 2.0, Grid(0.0, 5e-324, 1),
+                r"bin width 4\.94066e-324 times the normalizer .* underflows",
+            ),
+            (reference_model(), 2.0, Grid(0.0, 1e-160, 1), r"per-path bin weight .* overflows"),
+            (
+                MEParams(alpha=np.array([1.0]), T=np.array([[-1e-300]]), s=np.array([1e-300])),
+                1e10, Grid(0.0, 4.0, 40), r"tilting rate 10000000000\.0 is too large: the scale",
+            ),
+            (
+                reference_model(), 1e17, Grid(0.0, 4.0, 40),
+                r"tilting rate 1e\+17 is too large: every landing probability",
+            ),
+        ],
+        ids=["huge-grid", "x-min", "bin-width", "underflow", "bin-weight", "scale", "landing"],
+    )
+    def test_oracle_is_refused_before_any_path(self, params, lam, grid, message, monkeypatch):
+        # run_estimate and modelio.simulate refuse their inputs before they
+        # simulate; modelio.simulate calls the name modelio bound
         from mejump import modelio
 
         def refuse(*args, **kwargs):
-            raise AssertionError("simulated before the oracle was checked")
+            raise AssertionError("simulated before the inputs were checked")
 
         monkeypatch.setattr(modelio, "simulate_batch", refuse)
-        cfg = RunConfig(lam=2.0, grid=Grid(1.7e308, 1.75e308, 1000))
-        with pytest.raises(ValueError, match=r"^x_min 1\.7e\+308 of grid "):
-            modelio.run_estimate(modelio.plan(reference_model(), 2.0), cfg)
+        cfg = RunConfig(lam=lam, grid=grid)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            modelio.run_estimate(modelio.plan(params, lam), cfg)
 
     @pytest.mark.parametrize("grid", ["1e307:1.1e307:1", "0:1e306:1"])
     def test_huge_exponentiable_grid_runs(self, model_file, tmp_path, grid, capsys):
@@ -797,12 +820,24 @@ class TestDebugCommand:
             line = text.count("\n")
             assert f"{bad}:{line}:" in err
 
-    def test_read_trace_inverts_write_trace(self, tmp_path):
-        m = reference_model()
+    @pytest.mark.parametrize(
+        "m, above_lambda0",
+        [
+            (reference_model(), 0.0),
+            (exponential_model(1.0), 1.0),
+            # alpha has a negative entry, so some paths start on the anti side
+            (random_me_model(2, np.random.default_rng(1)), 1.0),
+            (random_me_model(5, np.random.default_rng(2)), 1.0),
+        ],
+        ids=["reference", "exponential", "random-2", "random-5"],
+    )
+    def test_read_trace_inverts_write_trace(self, tmp_path, m, above_lambda0):
+        # the reader refuses what the writer cannot write, so it must accept
+        # all the writer writes: above lambda_0 some paths terminate
         split = splitting.sign_split(m.T, m.s)
         batch = simulate_batch(
-            split, 2.0, splitting.initial_split(m.alpha), n_paths=300, seed=4, chunk=128,
-            collect_trace=True,
+            split, split.lambda0 + above_lambda0, splitting.initial_split(m.alpha),
+            n_paths=300, seed=4, chunk=128, collect_trace=True,
         )
         path = tmp_path / "trace.tsv"
         write_trace(path, batch)
@@ -811,9 +846,8 @@ class TestDebugCommand:
         assert list(paths) == list(range(300))
         assert [len(rows) for rows in paths.values()] == batch.n_jumps.tolist()
         rows = [row for k in paths for row in paths[k]]
-        assert rows == [
-            (t, code_label(a, 3), code_label(b, 3)) for t, a, b in zip(times, frm, to, strict=True)
-        ]
+        labels = state_labels(m.p)
+        assert rows == [(t, labels[a], labels[b]) for t, a, b in zip(times, frm, to, strict=True)]
 
     def test_path_seen_twice_exits_1(self, tmp_path, capsys):
         # a second header would silently replace the first one's rows
@@ -842,30 +876,50 @@ class TestDebugCommand:
         assert err.startswith(f"error: {bad}:{line}: path ") and "not a landing" in err
 
     @pytest.mark.parametrize(
-        "text, message",
+        "text, line, message",
         [
             (
-                "# path 0\n0.5\to0\tDeltaO\n0.7\to1\tDeltaA\n",
+                "# path 0\n0.5\to0\tDeltaO\n0.7\to1\tDeltaA\n", 3,
                 "path 0 has a row after its landing",
             ),
             (
-                "# path 0\n0.5\to0\ta1\n0.7\to2\tDeltaO\n",
+                "# path 0\n0.5\to0\ta1\n0.7\to2\tDeltaO\n", 3,
                 "path 0 jumps from 'o2', but its previous jump entered 'a1'",
             ),
             (
-                "# path 0\n0.5\to0\ta1\n0.25\ta1\tDeltaO\n",
+                "# path 0\n0.5\to0\ta1\n0.25\ta1\tDeltaO\n", 3,
                 "path 0 jumps at 0.25, before its previous jump at 0.5",
             ),
+            (
+                "# path 0\n0.5\to0\ta1\nnan\ta1\tDeltaO\n", 3,
+                "path 0 jumps at nan, not a finite time at or after 0",
+            ),
+            (
+                "# path 0\ninf\to0\tDeltaO\n", 2,
+                "path 0 jumps at inf, not a finite time at or after 0",
+            ),
+            (
+                "# path 0\n-0.5\to0\tDeltaO\n", 2,
+                "path 0 jumps at -0.5, not a finite time at or after 0",
+            ),
+            ("# path 0\n0.5\to0\tbogus\n", 2, "unknown state label 'bogus'"),
+            ("# path 0\n0.5\to0\tDeltaO\n# path -1\n", 3, "path number -1 is negative"),
+            ("# path 0\n0.5\tDeltaO\tDeltaA\n", 2, "path 0 starts in the landing 'DeltaO'"),
         ],
-        ids=["row-after-landing", "from-not-last-to", "time-goes-back"],
+        ids=[
+            "row-after-landing", "from-not-last-to", "time-goes-back", "nan-time", "inf-time",
+            "negative-time", "unknown-label", "negative-path", "starts-in-a-landing",
+        ],
     )
-    def test_path_that_write_trace_cannot_write_exits_1(self, tmp_path, text, message, capsys):
+    def test_path_that_write_trace_cannot_write_exits_1(
+        self, tmp_path, text, line, message, capsys
+    ):
         # write_trace writes no such row, and debug would count it as a jump
         bad = tmp_path / "impossible.tsv"
         bad.write_text(text)
         code, out, err = run_cli(["debug", bad], capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: {bad}:3: {message}\n"
+        assert err == f"error: {bad}:{line}: {message}\n"
 
     def test_path_without_rows_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "empty_path.tsv"

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mejump import jumpsim, linalg, medist, splitting
 from mejump.errors import NotTransientError
-from mejump.jumpsim import JumpChain, RngStream, code_label, simulate_batch
+from mejump.jumpsim import JumpChain, RngStream, simulate_batch
+from mejump.modelio import state_labels
 from mejump.models import exponential_model, random_me_model, reference_model
 from conftest import decoupled_rotator
 
@@ -92,7 +93,7 @@ class TestStateIds:
     """Integer state codes and their trace labels."""
 
     def test_labels(self):
-        labels = [code_label(code, 3) for code in range(9)]
+        labels = state_labels(3)
         assert labels == [
             "o0", "o1", "o2", "a0", "a1", "a2", "DeltaO", "DeltaA", "term",
         ]

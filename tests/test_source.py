@@ -342,3 +342,82 @@ def test_exit_code_layout_has_one_home():
         if isinstance(node, ast.FunctionDef)
     }
     assert "_signed_chunks" not in defined
+
+
+def test_trace_labels_have_one_home():
+    # modelio names each state code of a trace and parses the names back;
+    # jumpsim works on integer codes only
+    package = pathlib.Path(mejump.__file__).parent
+    labels, defined = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if {"DeltaO", "DeltaA", "term"} & set(strings(tree)):
+            labels.add(path.name)
+        defined |= {
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and "label" in node.name
+        }
+    assert labels == {"modelio.py"}
+    assert defined == {"modelio.state_labels"}
+    assert callers("state_labels") == {"modelio.write_trace"}
+
+
+#: The flags that set a run-config field.
+RUN_CONFIG_FLAGS = (
+    "--lambda", "--paths", "--seed", "--chunk", "--workers", "--grid", "--estimator",
+)
+
+
+def test_run_config_flags_are_declared_once():
+    # one declaration per flag, which both the parser and the run-config
+    # loader read, so a flag cannot be parsed and then ignored
+    path = pathlib.Path(mejump.__file__).parent / "cli.py"
+    found = strings(ast.parse(path.read_text(encoding="utf-8")))
+    assert {flag: found.count(flag) for flag in RUN_CONFIG_FLAGS} == {
+        flag: 1 for flag in RUN_CONFIG_FLAGS
+    }
+
+
+def test_every_run_config_flag_reaches_the_run_config():
+    # each flag a run-config command accepts, other than the files it names,
+    # changes the RunConfig the command runs with
+    from mejump import cli
+
+    values = {
+        "--lambda": "3.5", "--paths": "123", "--seed": "7", "--chunk": "99",
+        "--workers": "3", "--grid": "0:2:5", "--estimator": "beta",
+    }
+    parser = cli.build_parser()
+    (commands,) = (a.choices for a in parser._actions if getattr(a, "choices", None))
+    reached = {}
+    for command in ("estimate", "expect", "reproduce-example"):
+        model = [] if command == "reproduce-example" else ["model.json"]
+        # records compare by identity, so the configs compare by their reprs
+        base = repr(cli._load_run_config(parser.parse_args([command, *model])))
+        flags = [
+            flag for action in commands[command]._actions for flag in action.option_strings
+            if flag not in ("-h", "--help", "--config", "--out", "--trace")
+        ]
+        reached[command] = [
+            flag for flag in flags
+            if repr(cli._load_run_config(parser.parse_args([command, *model, flag, values[flag]])))
+            != base
+        ]
+        assert reached[command] == flags, command
+    assert reached == {
+        "estimate": list(RUN_CONFIG_FLAGS),
+        "expect": ["--lambda", "--paths", "--seed", "--chunk", "--workers"],
+        "reproduce-example": ["--paths", "--seed", "--lambda"],
+    }
+
+
+def test_bin_weight_refusal_has_one_home():
+    # estimators.check_bin_weight refuses the per-path bin weight for the
+    # finalizer and, before the first path, for run_estimate
+    assert raising_modules(("per-path bin weight",)) == {"per-path bin weight": {"estimators.py"}}
+    assert functions_where(
+        lambda node: isinstance(node, ast.Raise)
+        and any(text.startswith("per-path bin weight") for text in strings(node))
+    ) == {"estimators.check_bin_weight"}
+    assert callers("check_bin_weight") == {"estimators.finalize_density", "modelio.run_estimate"}

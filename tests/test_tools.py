@@ -35,3 +35,20 @@ def test_bench_writes_every_layer(tmp_path):
         assert all(row[key] > 0 for key in layers)
     # lambda_0 of the reference model is 2
     assert [row["lam"] for row in result["rows"]] == [2.0, 3.0]
+
+
+def test_outputs_records_every_invocation(tmp_path):
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "outputs.py"), str(tmp_path)],
+        check=True, capture_output=True, timeout=120,
+    )
+    codes = {
+        path.parent.name: path.read_text(encoding="utf-8")
+        for path in tmp_path.glob("*/exit_code")
+    }
+    assert len(codes) == 20
+    assert set(codes.values()) == {"0\n"}
+    golden = ROOT / "tests" / "data" / "golden_estimate.csv"
+    assert (tmp_path / "golden" / "golden.csv").read_bytes() == golden.read_bytes()
+    table = (tmp_path / "reproduce-example" / "stdout").read_text(encoding="utf-8")
+    assert "runtime=<masked>s" in table and "sim+estimate <masked>s" in table
