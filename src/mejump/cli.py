@@ -1,13 +1,13 @@
 """Command-line front door.
 
-Subcommands: validate, split, tilt, estimate, expect, reproduce-example,
-plus debug (summarizes a trace written by estimate --trace).
-Exit codes: 0 success; 1 parse/usage error, unwritable output, or a value
-refused as a ValueError (a non-finite or too-large rate, an overflowing bin
-weight, a bin width or x_min too large to exponentiate (T - lam I) at, a
-non-convergent h, non-finite weights); 2 validation failure;
-3 precondition failure (tilting rate / transience); 4 failed acceptance
-checks in reproduce-example.
+Subcommands: validate, split, tilt, estimate, expect, reproduce-example;
+estimate --trace also prints a summary of the paths it traced.
+Exit codes: 0 success; 1 parse/usage error, unwritable output, a path count
+too large to allocate, or a value refused as a ValueError (a non-finite or
+too-large rate, an overflowing bin weight, a bin width or x_min too large to
+exponentiate (T - lam I) at, a non-convergent h, non-finite weights);
+2 validation failure; 3 precondition failure (tilting rate / transience);
+4 failed acceptance checks in reproduce-example.
 
 The heap this module's imports leave behind (about 10^5 objects of numpy,
 the stdlib and the package) lives until the process exits, so it is frozen
@@ -39,10 +39,10 @@ from .modelio import (
     plan,
     read_json,
     read_model,
-    read_trace,
     render_estimate_csv,
     run_estimate,
     simulate,
+    trace_summary,
     write_model,
     write_split_outputs,
     write_trace,
@@ -231,6 +231,7 @@ def cmd_estimate(args) -> int:
         if args.trace is not None:
             write_trace(args.trace, run.batch)
             print(f"wrote trace to {args.trace}")
+            print(trace_summary(run.batch))
     return 0
 
 
@@ -263,21 +264,6 @@ def cmd_expect(args) -> int:
     warning = cfg.h.variance_warning(lam, run_plan.split.eta)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
-    return 0
-
-
-def cmd_debug(args) -> int:
-    """Summarize a trace file written by estimate --trace."""
-    paths = read_trace(args.trace_file)
-    print(f"paths: {len(paths)}")
-    if paths:
-        jumps = [len(v) for v in paths.values()]
-        taus = [v[-1][0] for v in paths.values()]
-        landings = [v[-1][2] for v in paths.values()]
-        print(f"total jumps: {sum(jumps)}  mean jumps/path: {sum(jumps)/len(jumps):.3f}")
-        print(f"mean exit time: {sum(taus)/len(taus):.6f}  max: {max(taus):.6f}")
-        for label in sorted(set(landings)):
-            print(f"landing {label}: {landings.count(label)}")
     return 0
 
 
@@ -340,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_options(p, "paths seed lam", paths=1_000_000)
     p.set_defaults(func=cmd_reproduce_example)
 
-    p = sub.add_parser("debug", help="summarize a per-jump trace file")
-    p.add_argument("trace_file")
-    p.set_defaults(func=cmd_debug)
-
     return parser
 
 
@@ -360,8 +342,9 @@ def main(argv=None) -> int:
         error, code = exc, 3
     except MEJumpError as exc:
         error, code = exc, 2
-    except (ParseError, ValueError, OSError) as exc:
-        # an unreadable input is a ParseError, so an OSError is an unwritable output
+    except (ParseError, ValueError, OSError, MemoryError) as exc:
+        # an unreadable input is a ParseError, so an OSError is an unwritable
+        # output; numpy's MemoryError names the allocation it could not make
         error, code = exc, 1
     print(f"error: {error}", file=sys.stderr)
     return code

@@ -11,8 +11,6 @@ decimals, LF line endings and a fixed header, making golden-file diffs stable.
 from __future__ import annotations
 
 import json
-import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +53,6 @@ def state_labels(p: int) -> list:
     """Each state code's trace label on a chain on ``p`` states, by code:
     ``o0..`` original, ``a0..`` anti, then the landings ``2p + landing``."""
     return [f"o{i}" for i in range(p)] + [f"a{i}" for i in range(p)] + list(LANDING_LABELS)
-
-
-#: Every label that :func:`state_labels` gives for some ``p``, a pattern
-#: that ``re`` compiles on the first trace read.
-_STATE_LABEL = "[oa](?:0|[1-9][0-9]*)|" + "|".join(LANDING_LABELS)
 
 
 class ParseError(Exception):
@@ -357,7 +350,7 @@ def render_estimate_csv(run: EstimateRun) -> str:
 
 
 def write_trace(path, batch: PathBatch):
-    """Tab-separated debug trace: per path, a ``# path k`` line, then one line
+    """Tab-separated per-jump trace: per path, a ``# path k`` line, then one line
     per jump (time, from_state, to_state), each state code named by
     :func:`state_labels`."""
     if batch.trace is None:
@@ -373,68 +366,21 @@ def write_trace(path, batch: PathBatch):
             fh.write(f"{_fmt(times[k])}\t{labels[frm[k]]}\t{labels[to[k]]}\n")
 
 
-def read_trace(path) -> dict:
-    """Each path of a trace that :func:`write_trace` wrote, mapped to its
-    ``(time, from_label, to_label)`` rows; a file it cannot have written
-    raises ParseError naming the file and line.
-
-    Path numbers are non-negative, each path appears once, and every label
-    is one :func:`state_labels` gives.  A path starts in a transient state
-    and ends in a landing (``DeltaO``, ``DeltaA`` or ``term``), as every
-    path that :func:`write_trace` writes does.  Within a path, no row
-    follows the landing, each row leaves the state the row before it
-    entered, and every time is finite, at least 0 and no lower than the
-    time before it."""
-    paths, rows, last_line = {}, None, {}
-    try:
-        for ln, line in enumerate(read_input(path).splitlines(), 1):
-            if line.startswith("# path "):
-                k = int(line[len("# path "):])
-                if k < 0:
-                    raise ParseError(f"{path}:{ln}: path number {k} is negative")
-                if k in paths:
-                    raise ParseError(f"{path}:{ln}: path {k} appears twice")
-                rows = paths[k] = []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or rows is None:
-                raise ParseError(f"{path}:{ln}: malformed trace line {line!r}")
-            t, frm, to = float(parts[0]), parts[1], parts[2]
-            for label in (frm, to):
-                if not re.fullmatch(_STATE_LABEL, label):
-                    raise ParseError(f"{path}:{ln}: unknown state label {label!r}")
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ParseError(
-                    f"{path}:{ln}: path {k} jumps at {t!r}, not a finite time at or after 0"
-                )
-            if not rows and frm in LANDING_LABELS:
-                raise ParseError(f"{path}:{ln}: path {k} starts in the landing {frm!r}")
-            if rows:
-                t_before, _, to_before = rows[-1]
-                if to_before in LANDING_LABELS:
-                    raise ParseError(f"{path}:{ln}: path {k} has a row after its landing")
-                if frm != to_before:
-                    raise ParseError(
-                        f"{path}:{ln}: path {k} jumps from {frm!r}, "
-                        f"but its previous jump entered {to_before!r}"
-                    )
-                if t < t_before:
-                    raise ParseError(
-                        f"{path}:{ln}: path {k} jumps at {t!r}, "
-                        f"before its previous jump at {t_before!r}"
-                    )
-            rows.append((t, frm, to))
-            last_line[k] = ln
-    except ValueError as exc:  # a path number or time that does not parse
-        raise ParseError(f"{path}:{ln}: {exc}") from exc
-    for k, jumps in paths.items():
-        if not jumps:
-            raise ParseError(f"{path}: path {k} has no jump rows")
-        if jumps[-1][2] not in LANDING_LABELS:
-            raise ParseError(
-                f"{path}:{last_line[k]}: path {k} ends in {jumps[-1][2]!r}, not a landing"
-            )
-    return paths
+def trace_summary(batch: PathBatch) -> str:
+    """What ``estimate --trace`` prints of the batch it traced: the path
+    count, the jumps, the exit times and each landing's count, in the order
+    of the landings' names."""
+    jumps = int(batch.n_jumps.sum())
+    taus = batch.tau.tolist()
+    counts = np.bincount(batch.landing, minlength=len(LANDING_LABELS)).tolist()
+    lines = [
+        f"paths: {len(taus)}",
+        f"total jumps: {jumps}  mean jumps/path: {jumps / len(taus):.3f}",
+        f"mean exit time: {sum(taus) / len(taus):.6f}  max: {max(taus):.6f}",
+    ]
+    seen = {LANDING_LABELS[code]: n for code, n in enumerate(counts) if n}
+    lines += [f"landing {name}: {seen[name]}" for name in sorted(seen)]
+    return "\n".join(lines)
 
 
 def write_matrix_csv(path, M):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -19,7 +20,6 @@ from mejump.modelio import (
     RunConfig,
     config_from_dict,
     read_model,
-    read_trace,
     render_estimate_csv,
     state_labels,
     write_model,
@@ -793,33 +793,20 @@ class TestGoldenEstimate:
             assert abs(float(row[4]) - want) <= 4.0 * float(row[5])
 
 
-class TestDebugCommand:
-    def test_summarizes_trace(self, model_file, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"lambda": 2.0, "n_paths": 50, "seed": 11}')
-        trace = tmp_path / "trace.tsv"
-        code, _, _ = run_cli(
-            [
-                "estimate", model_file, "--config", cfg,
-                "--out", tmp_path / "o.csv", "--trace", trace,
-            ],
-            capsys,
-        )
-        assert code == 0
-        code, out, _ = run_cli(["debug", trace], capsys)
-        assert code == 0
-        assert "paths: 50" in out
-        assert "mean exit time" in out
+def trace_paths(path):
+    """Each ``# path`` header line of a trace file, in order, and the rows
+    under each, split at their tabs."""
+    headers, rows = [], []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# path "):
+            headers.append(line)
+            rows.append([])
+        else:
+            rows[-1].append(line.split("\t"))
+    return headers, rows
 
-    def test_malformed_trace_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.tsv"
-        for text in ("0.5\to0\n", "# path x\n", "# path 0\nabc\to0\tDeltaO\n"):
-            bad.write_text(text)
-            code, _, err = run_cli(["debug", bad], capsys)
-            assert code == 1
-            line = text.count("\n")
-            assert f"{bad}:{line}:" in err
 
+class TestTrace:
     @pytest.mark.parametrize(
         "m, above_lambda0",
         [
@@ -831,9 +818,8 @@ class TestDebugCommand:
         ],
         ids=["reference", "exponential", "random-2", "random-5"],
     )
-    def test_read_trace_inverts_write_trace(self, tmp_path, m, above_lambda0):
-        # the reader refuses what the writer cannot write, so it must accept
-        # all the writer writes: above lambda_0 some paths terminate
+    def test_write_trace_writes_the_batch(self, tmp_path, m, above_lambda0):
+        # above lambda_0 some paths terminate
         split = splitting.sign_split(m.T, m.s)
         batch = simulate_batch(
             split, split.lambda0 + above_lambda0, splitting.initial_split(m.alpha),
@@ -841,93 +827,70 @@ class TestDebugCommand:
         )
         path = tmp_path / "trace.tsv"
         write_trace(path, batch)
-        paths = read_trace(path)
-        index, times, frm, to = (col.tolist() for col in batch.trace)
-        assert list(paths) == list(range(300))
-        assert [len(rows) for rows in paths.values()] == batch.n_jumps.tolist()
-        rows = [row for k in paths for row in paths[k]]
+        headers, rows = trace_paths(path)
+        assert headers == [f"# path {k}" for k in range(300)]
+        assert [len(jumps) for jumps in rows] == batch.n_jumps.tolist()
+        _, times, frm, to = (col.tolist() for col in batch.trace)
         labels = state_labels(m.p)
-        assert rows == [(t, labels[a], labels[b]) for t, a, b in zip(times, frm, to, strict=True)]
+        assert [row for jumps in rows for row in jumps] == [
+            [repr(t), labels[a], labels[b]] for t, a, b in zip(times, frm, to, strict=True)
+        ]
 
-    def test_path_seen_twice_exits_1(self, tmp_path, capsys):
-        # a second header would silently replace the first one's rows
-        bad = tmp_path / "twice.tsv"
-        bad.write_text(
-            "# path 0\n0.5\to0\tDeltaO\n# path 1\n0.25\to0\tterm\n# path 0\n0.75\to0\tDeltaA\n"
+    @pytest.mark.parametrize(
+        "m, above_lambda0",
+        [
+            (reference_model(), 0.0),
+            # alpha has a negative entry, and some paths terminate
+            (random_me_model(5, np.random.default_rng(2)), 1.0),
+        ],
+        ids=["reference", "random-5"],
+    )
+    def test_summary_agrees_with_the_trace_file(self, tmp_path, m, above_lambda0, capsys):
+        model = tmp_path / "model.json"
+        write_model(m, model)
+        lam = splitting.sign_split(m.T, m.s).lambda0 + above_lambda0
+        trace = tmp_path / "trace.tsv"
+        code, out, _ = run_cli(
+            [
+                "estimate", model, "--lambda", repr(lam), "--paths", "2000", "--seed", "7",
+                "--out", tmp_path / "est.csv", "--trace", trace,
+            ],
+            capsys,
         )
-        code, out, err = run_cli(["debug", bad], capsys)
-        assert (code, out) == (1, "")
-        assert err == f"error: {bad}:5: path 0 appears twice\n"
+        assert code == 0
+        lines = out.splitlines()
+        summary = lines[lines.index(f"wrote trace to {trace}") + 1:]
+        headers, rows = trace_paths(trace)
+        n, jumps = len(headers), sum(map(len, rows))
+        assert n == 2000
+        taus = [float(path_rows[-1][0]) for path_rows in rows]
+        landings = collections.Counter(path_rows[-1][2] for path_rows in rows)
+        assert summary == [
+            f"paths: {n}",
+            f"total jumps: {jumps}  mean jumps/path: {jumps / n:.3f}",
+            f"mean exit time: {sum(taus) / n:.6f}  max: {max(taus):.6f}",
+            *(f"landing {label}: {landings[label]}" for label in sorted(landings)),
+        ]
 
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("# path 0\n0.5\to0\ta1\n", 2),
-            ("# path 0\n0.5\to0\ta1\n0.75\ta1\tDeltaO\n# path 1\n0.25\to0\to2\n", 5),
-        ],
-        ids=["only-path", "last-path"],
-    )
-    def test_path_without_a_landing_exits_1(self, tmp_path, text, line, capsys):
-        # a truncated path would be summarized as landing in a transient state
-        bad = tmp_path / "truncated.tsv"
-        bad.write_text(text)
-        code, out, err = run_cli(["debug", bad], capsys)
-        assert (code, out) == (1, "")
-        assert err.startswith(f"error: {bad}:{line}: path ") and "not a landing" in err
 
-    @pytest.mark.parametrize(
-        "text, line, message",
-        [
-            (
-                "# path 0\n0.5\to0\tDeltaO\n0.7\to1\tDeltaA\n", 3,
-                "path 0 has a row after its landing",
-            ),
-            (
-                "# path 0\n0.5\to0\ta1\n0.7\to2\tDeltaO\n", 3,
-                "path 0 jumps from 'o2', but its previous jump entered 'a1'",
-            ),
-            (
-                "# path 0\n0.5\to0\ta1\n0.25\ta1\tDeltaO\n", 3,
-                "path 0 jumps at 0.25, before its previous jump at 0.5",
-            ),
-            (
-                "# path 0\n0.5\to0\ta1\nnan\ta1\tDeltaO\n", 3,
-                "path 0 jumps at nan, not a finite time at or after 0",
-            ),
-            (
-                "# path 0\ninf\to0\tDeltaO\n", 2,
-                "path 0 jumps at inf, not a finite time at or after 0",
-            ),
-            (
-                "# path 0\n-0.5\to0\tDeltaO\n", 2,
-                "path 0 jumps at -0.5, not a finite time at or after 0",
-            ),
-            ("# path 0\n0.5\to0\tbogus\n", 2, "unknown state label 'bogus'"),
-            ("# path 0\n0.5\to0\tDeltaO\n# path -1\n", 3, "path number -1 is negative"),
-            ("# path 0\n0.5\tDeltaO\tDeltaA\n", 2, "path 0 starts in the landing 'DeltaO'"),
-        ],
-        ids=[
-            "row-after-landing", "from-not-last-to", "time-goes-back", "nan-time", "inf-time",
-            "negative-time", "unknown-label", "negative-path", "starts-in-a-landing",
-        ],
-    )
-    def test_path_that_write_trace_cannot_write_exits_1(
-        self, tmp_path, text, line, message, capsys
-    ):
-        # write_trace writes no such row, and debug would count it as a jump
-        bad = tmp_path / "impossible.tsv"
-        bad.write_text(text)
-        code, out, err = run_cli(["debug", bad], capsys)
-        assert (code, out) == (1, "")
-        assert err == f"error: {bad}:{line}: {message}\n"
-
-    def test_path_without_rows_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "empty_path.tsv"
-        for text, k in (("# path 0\n", 0), ("# path 0\n0.5\to0\tDeltaO\n# path 1\n", 1)):
-            bad.write_text(text)
-            code, _, err = run_cli(["debug", bad], capsys)
-            assert code == 1
-            assert f"path {k} has no jump rows" in err
+class TestUnallocatableRun:
+    @pytest.mark.parametrize("command", ["estimate", "expect"])
+    def test_exits_1_leaving_no_output(self, model_file, tmp_path, command):
+        # 2^56 paths need 2^59 B for the exit times alone, which no host can allocate
+        cfg = tmp_path / "h.json"
+        cfg.write_text('{"h": {"type": "exp-decay", "c": 2.0}}')
+        out = tmp_path / "x.csv"
+        args = [command, str(model_file), "--paths", str(2**56)]
+        args += ["--out", str(out)] if command == "estimate" else ["--config", str(cfg)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mejump.cli", *args],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 class TestUndecodableInput:
@@ -938,9 +901,8 @@ class TestUndecodableInput:
         [
             ("validate", b'{"alpha": [1.0], "T": [[-1.0]], "s": [1.0], "name": "\xff"}'),
             ("estimate", b'{"n_paths": 100, "seed": 1}\xff'),
-            ("debug", b"# path 0\n0.5\to0\tDeltaO\xff\n"),
         ],
-        ids=["validate-model", "estimate-config", "debug-trace"],
+        ids=["validate-model", "estimate-config"],
     )
     def test_exits_1_naming_the_file(self, model_file, tmp_path, command, data, capsys):
         path = tmp_path / "input"

@@ -24,8 +24,8 @@ ROOT = pathlib.Path(__file__).parents[1]
 #: checks, and nothing more for criterion 13's run of 2 chunks on 4 workers.
 UNWANTED = ("concurrent.futures", "dataclasses", "logging", "scipy", "mejump.acceptance")
 
-#: Run in order in one interpreter; ``debug`` reads the trace ``estimate`` writes,
-#: and ``reproduce-example`` comes last, since it loads ``mejump.acceptance``.
+#: Run in order in one interpreter; ``reproduce-example`` comes last, since it
+#: loads ``mejump.acceptance``.
 COMMANDS = {
     "validate": ["validate", "{model}"],
     "split": ["split", "{model}"],
@@ -35,7 +35,6 @@ COMMANDS = {
         "--out", "{tmp}/est.csv", "--trace", "{tmp}/trace.tsv",
     ],
     "expect": ["expect", "{model}", "--config", "{tmp}/h.json"],
-    "debug": ["debug", "{tmp}/trace.tsv"],
     "reproduce-example": ["reproduce-example", "--paths", "30000", "--seed", "5"],
 }
 

@@ -177,15 +177,13 @@ def test_run_shape_refusals_have_one_home():
 
 
 def test_trace_format_has_one_home():
-    # modelio writes the trace and parses it; the debug command only
-    # summarizes what modelio.read_trace returns
-    package = pathlib.Path(mejump.__file__).parent
-    found = {
-        path.name
-        for path in sorted(package.glob("*.py"))
-        if any("# path " in text for text in strings(ast.parse(path.read_text(encoding="utf-8"))))
-    }
-    assert found == {"modelio.py"}
+    # modelio.write_trace writes the trace; nothing reads it back, and
+    # estimate --trace summarizes the batch, not the file
+    assert functions_where(
+        lambda node: isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "# path " in node.value
+    ) == {"modelio.write_trace"}
 
 
 def test_resolvent_and_doubled_laws_have_one_home():
@@ -345,8 +343,8 @@ def test_exit_code_layout_has_one_home():
 
 
 def test_trace_labels_have_one_home():
-    # modelio names each state code of a trace and parses the names back;
-    # jumpsim works on integer codes only
+    # modelio names each state code of a trace; jumpsim works on integer
+    # codes only
     package = pathlib.Path(mejump.__file__).parent
     labels, defined = set(), set()
     for path in sorted(package.glob("*.py")):

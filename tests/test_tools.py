@@ -46,7 +46,7 @@ def test_outputs_records_every_invocation(tmp_path):
         path.parent.name: path.read_text(encoding="utf-8")
         for path in tmp_path.glob("*/exit_code")
     }
-    assert len(codes) == 20
+    assert len(codes) == 18
     assert set(codes.values()) == {"0\n"}
     golden = ROOT / "tests" / "data" / "golden_estimate.csv"
     assert (tmp_path / "golden" / "golden.csv").read_bytes() == golden.read_bytes()

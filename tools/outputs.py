@@ -14,7 +14,7 @@ thread count, so run both sides with the same ``OPENBLAS_NUM_THREADS``.
 The list: ``--help`` of every subcommand; ``validate``, ``split --out`` and
 ``tilt --out`` on the reference model; the golden ``estimate`` run
 (``tests/data/golden_estimate.csv``); a traced reference ``estimate`` on one
-worker and on two, and ``debug`` of the first trace; each single estimator;
+worker and on two, each printing its trace's summary; each single estimator;
 the benchmark's wide model ``random_me_model(100, default_rng(100))``;
 ``expect`` with each kind of integrand; and ``reproduce-example``.
 """
@@ -52,9 +52,7 @@ TRACED = ["estimate", REF, "--paths", "10000", "--out", "est.csv", "--trace", "t
 INVOCATIONS = [
     *(
         (f"help-{command}", [command, "--help"])
-        for command in (
-            "validate", "split", "tilt", "estimate", "expect", "reproduce-example", "debug",
-        )
+        for command in ("validate", "split", "tilt", "estimate", "expect", "reproduce-example")
     ),
     ("validate", ["validate", REF]),
     ("split", ["split", REF, "--out", "split"]),
@@ -62,7 +60,6 @@ INVOCATIONS = [
     ("golden", ["estimate", REF, "--config", "../golden.json", "--out", "golden.csv"]),
     ("traced-1", [*TRACED, "--workers", "1"]),
     ("traced-2", [*TRACED, "--workers", "2"]),
-    ("debug", ["debug", "../traced-1/trace.tsv"]),
     ("beta", ["estimate", REF, "--paths", "20000", "--estimator", "beta", "--out", "est.csv"]),
     ("qbar", ["estimate", REF, "--paths", "20000", "--estimator", "qbar", "--out", "est.csv"]),
     ("wide", ["estimate", "../wide.json", "--paths", "20000", "--out", "est.csv"]),
