@@ -2,10 +2,12 @@
 
 Subcommands: validate, split, tilt, estimate, expect, reproduce-example;
 estimate --trace also prints a summary of the paths it traced.
-Exit codes: 0 success; 1 parse/usage error, unwritable output, a path count
-too large to allocate, or a value refused as a ValueError (a non-finite or
-too-large rate, an overflowing bin weight, a bin width or x_min too large to
-exponentiate (T - lam I) at, a non-convergent h, non-finite weights);
+Exit codes: 0 success; 1 parse/usage error, unwritable output, an output
+path that names the model, the --config file or another output, a path
+count too large to allocate, or a value refused as a ValueError (a
+non-finite or too-large rate, an overflowing bin weight, a bin width or
+x_min too large to exponentiate (T - lam I) at, a non-convergent or
+non-finite h, an h degree whose exact value overflows, non-finite weights);
 2 validation failure; 3 precondition failure (tilting rate / transience);
 4 failed acceptance checks in reproduce-example.
 
@@ -156,6 +158,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_tilt(args) -> int:
+    _refuse_overwrites(args, "out")
     params, name = read_model(args.model)
     medist.validate(params)
     lam_spec = _parse_lambda(args.lam)
@@ -201,12 +204,26 @@ def _claimed_outputs(*paths):
         raise
 
 
+def _refuse_overwrites(args, *outputs):
+    """Refuse, before any input is read, an output path (the options named
+    by ``outputs``) that names the model, the ``--config`` file or another
+    output: the run would replace an input with its result, or one output
+    with the other after both were reported written."""
+    named = {os.path.realpath(args.model): "the model"}
+    if getattr(args, "config", None):
+        named.setdefault(os.path.realpath(args.config), "--config")
+    for dest in outputs:
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in named:
+            raise ParseError(f"{named[real]} and --{dest} name the same file, {path!r}")
+        named[real] = f"--{dest}"
+
+
 def cmd_estimate(args) -> int:
-    if args.out is not None and args.trace is not None and (
-        os.path.realpath(args.out) == os.path.realpath(args.trace)
-    ):
-        # the trace would overwrite the CSV after both were reported written
-        raise ParseError(f"--out and --trace name the same file, {args.out!r}")
+    _refuse_overwrites(args, "out", "trace")
     params, name = read_model(args.model)
     cfg = _load_run_config(args)
     with _claimed_outputs(args.out, args.trace):

@@ -130,21 +130,26 @@ def check_bin_weight(scale: float, grid: Grid) -> float:
     return per_path
 
 
+def _mean_and_stderr(sum_w, sum_w2, n: int, scale: float):
+    """The mean of ``n`` weights ``scale * w`` and its standard error, from
+    ``sum(w)`` and ``sum(w**2)`` (arrays or scalars); the sample variance
+    is clipped at zero, and one weight has standard error zero."""
+    if n == 0:
+        raise ValueError("empty outcome set")
+    mean = scale * sum_w / n
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    var = (scale**2 * sum_w2 - n * mean**2) / (n - 1)
+    return mean, np.sqrt(np.maximum(var, 0.0) / n)
+
+
 def finalize_density(
     sum_w, sum_w2, n_hits, n_paths: int, grid: Grid, scale: float
 ) -> DensityEstimate:
     """Per-bin estimates and standard errors from the bins' sums of weights
     and of squared weights over ``n_paths`` paths, each path weighted by
     :func:`check_bin_weight`."""
-    if n_paths == 0:
-        raise ValueError("empty outcome set")
-    per_path = check_bin_weight(scale, grid)
-    estimate = per_path * sum_w / n_paths
-    if n_paths > 1:
-        var = (per_path**2 * sum_w2 - n_paths * estimate**2) / (n_paths - 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / n_paths)
-    else:
-        stderr = np.zeros_like(estimate)
+    estimate, stderr = _mean_and_stderr(sum_w, sum_w2, n_paths, check_bin_weight(scale, grid))
     return DensityEstimate(grid=grid, estimate=estimate, stderr=stderr, n_hits=n_hits, scale=scale)
 
 
@@ -232,6 +237,8 @@ class HSpec(Record):
     def __post_init__(self):
         if self.kind not in ("exp-decay", "poly-exp-decay"):
             raise ValueError(f"unknown h type {self.kind!r}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"h decay rate c must be finite, got {self.c!r}")
         if self.kind == "exp-decay" and self.degree != 0:
             raise ValueError("exp-decay takes no degree; use poly-exp-decay")
         if self.degree < 0:
@@ -239,11 +246,20 @@ class HSpec(Record):
 
     def tilted_weight(self, tau: np.ndarray, lam: float) -> np.ndarray:
         """``h(tau) e^{lam tau}`` evaluated without intermediate overflow; an
-        overflowing weight is ``inf``, which the estimator rejects."""
-        with np.errstate(over="ignore"):
+        overflowing weight is ``inf``, which the estimator rejects.
+
+        Where ``tau**degree`` overflows, or its product with the exponential
+        does, the weight is taken again as one exponential of the sum of the
+        logarithms: a huge power times a vanishing exponential is then the
+        weight they make, not ``inf * 0 = nan``."""
+        with np.errstate(over="ignore", invalid="ignore"):
             weight = np.exp((lam - self.c) * tau)
             if self.degree:
                 weight = tau**self.degree * weight
+                lost = np.flatnonzero(~np.isfinite(weight))
+                if lost.size:
+                    t = tau[lost]
+                    weight[lost] = np.exp(self.degree * np.log(t) + (lam - self.c) * t)
             return weight
 
     def analytic_expectation(self, params: MEParams) -> float:
@@ -294,8 +310,6 @@ def mc_expectation_untilted(
         raise ValueError(f"unknown form {form!r}")
     elif profile is None:
         raise ValueError('form="qbar" needs an ExitProfile')
-    if len(batch) == 0:
-        raise ValueError("empty outcome set")
 
     weight_of_code = _code_weights(n_exit_codes(batch.p), profile)
     sum_v = 0.0
@@ -316,15 +330,10 @@ def mc_expectation_untilted(
     # a finite sum of squares bounds n mean^2, so nothing below overflows
     if not math.isfinite(sum_v2):
         raise ValueError("h(tau) e^{lam tau} is too large: the sum of its squares overflows")
-    n = len(batch)
-    mean = sum_v / n
-    value = w_total * mean
-    if n > 1:
-        var = max(0.0, (sum_v2 - n * mean**2) / (n - 1))
-        stderr = w_total * math.sqrt(var / n)
-    else:
-        stderr = 0.0
-    return ExpectationEstimate(value=value, stderr=stderr, max_abs_weight=max_abs)
+    mean, stderr = _mean_and_stderr(sum_v, sum_v2, len(batch), 1.0)
+    return ExpectationEstimate(
+        value=float(w_total * mean), stderr=float(w_total * stderr), max_abs_weight=max_abs
+    )
 
 
 def analytic_untilted_doubled(split: SignSplit, init: InitialSplit, x):

@@ -71,7 +71,7 @@ their outcomes and compacts the survivors by gathering through index lists,
 which costs far less than boolean-mask indexing with scattered ``True``s.
 
 Each worker runs its chunks in one ``_Arena`` of ``chunk + chunk // 8``
-slots of 73 B, allocated once per ``simulate_batch`` call, which every
+slots of 81 B, allocated once per ``simulate_batch`` call, which every
 iteration writes its intermediates into (``out=`` arguments, and
 ``take(..., mode="wrap")``, since ``take`` copies through a hidden buffer
 under the default ``mode="raise"``).  Only the index lists of exiting and
@@ -356,11 +356,12 @@ class _Arena:
     """One worker's buffers, reused by every chunk it runs.  The worker
     admits its next chunk once at most ``admit_at = chunk // 8`` paths are
     live, so ``chunk + chunk // 8`` slots hold every path in flight.  Per
-    slot (73 B): the uniforms (two), which double as the holding and exit
+    slot (81 B): the uniforms (two), which double as the holding and exit
     times; one float, one int64 and one bool scratch array; the running
-    times; two int64 state buffers (the state, and the next) and two int64
+    times; two int64 state buffers (the state, and the next), two int64
     path-index buffers (the live paths, and their compaction, swapped per
-    iteration)."""
+    iteration) and the int64 ramp ``0, 1, ...``, which a joining chunk
+    offsets to its path indices."""
 
     def __init__(self, chunk: int):
         self.admit_at = chunk // 8
@@ -372,6 +373,7 @@ class _Arena:
         self.times = np.empty(n)
         self.states = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
         self.paths = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+        self.ramp = np.arange(n, dtype=np.int64)
 
 
 def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
@@ -417,10 +419,7 @@ def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
             if taken is None:
                 break
             lo, hi, rng = taken
-            new = path_buf[k : k + hi - lo]
-            new.fill(1)
-            new[0] = lo
-            np.cumsum(new, out=new)  # lo, lo + 1, ..., hi - 1
+            new = np.add(arena.ramp[: hi - lo], lo, out=path_buf[k : k + hi - lo])
             if chain.start is None:
                 origin = next_buf[: new.size]
                 origin.fill(2 * chain.p)

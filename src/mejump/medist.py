@@ -82,14 +82,23 @@ class ValidationReport(Record):
 
 def resolvent_moment(params: MEParams, z: float, k: int) -> float:
     """``k! alpha (z I - T)^{-(k+1)} s``, the factorial riding along one factor
-    per solve.  Each caller refuses its own ``z`` and silences its warnings."""
+    per solve.  Each caller refuses its own ``z`` and silences its warnings.
+
+    After each solve the vector is brought back to unit scale by a power of
+    two, which is exact, and the exponents are applied once, to ``alpha v``:
+    a vector that shrinks or grows with ``k`` never reaches the subnormals,
+    where the solve's residual check fails, or overflows, so a moment beyond
+    the float range comes out as 0 or inf.
+    """
     A = z * np.eye(params.p) - params.T
     v = linalg.solve_linear(A, params.s)
+    exponent = 0
     for j in range(1, k + 1):
-        if not np.all(np.isfinite(v)):
-            break
         v = j * linalg.solve_linear(A, v)
-    return float(params.alpha @ v)
+        _, shift = np.frexp(np.abs(v).max())
+        v = np.ldexp(v, -shift)
+        exponent += int(shift)
+    return float(np.ldexp(params.alpha @ v, exponent))
 
 
 def validate(params: MEParams) -> ValidationReport:

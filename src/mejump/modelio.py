@@ -349,21 +349,34 @@ def render_estimate_csv(run: EstimateRun) -> str:
     return "\n".join([ESTIMATE_CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
+#: Rows of the trace that :func:`write_trace` renders and writes at a time.
+TRACE_BLOCK_ROWS = 1 << 16
+
+
 def write_trace(path, batch: PathBatch):
     """Tab-separated per-jump trace: per path, a ``# path k`` line, then one line
     per jump (time, from_state, to_state), each state code named by
-    :func:`state_labels`."""
+    :func:`state_labels`.
+
+    The rows are rendered a block at a time, column by column: the times
+    through :func:`_fmt_column`, the states through a table of their labels,
+    and the ``# path k`` line prefixed to each row whose path differs from
+    the row before it."""
     if batch.trace is None:
         raise ValueError("batch carries no trace; simulate with collect_trace=True")
     path_idx, times, frm, to = batch.trace
-    labels = state_labels(batch.p)
+    labels = np.array(state_labels(batch.p), dtype=object)
+    # path indices are nonnegative, so the first row starts a path
+    starts = np.diff(path_idx, prepend=-1) != 0
     with open_output(path) as fh:
-        current = None
-        for k in range(path_idx.shape[0]):
-            if path_idx[k] != current:
-                current = path_idx[k]
-                fh.write(f"# path {int(current)}\n")
-            fh.write(f"{_fmt(times[k])}\t{labels[frm[k]]}\t{labels[to[k]]}\n")
+        for lo in range(0, path_idx.shape[0], TRACE_BLOCK_ROWS):
+            block = slice(lo, lo + TRACE_BLOCK_ROWS)
+            rows = list(_fmt_column(times[block]))
+            first = starts[block]
+            for i, k in zip(np.flatnonzero(first).tolist(), path_idx[block][first].tolist()):
+                rows[i] = f"# path {k}\n{rows[i]}"
+            lines = map("\t".join, zip(rows, labels[frm[block]], labels[to[block]]))
+            fh.write("\n".join(lines) + "\n")
 
 
 def trace_summary(batch: PathBatch) -> str:

@@ -251,6 +251,48 @@ class TestUnwritableOutputs:
         assert not out.exists() and not trace.exists()
         assert kept.read_text() == "earlier output\n"
 
+    @pytest.mark.parametrize(
+        "args, clash, named",
+        [
+            (["estimate", "{model}", "--out", "{model}"], "the model and --out", "model"),
+            (["estimate", "{model}", "--out", "{cfg}"], "--config and --out", "cfg"),
+            (["estimate", "{model}", "--trace", "{cfg}"], "--config and --trace", "cfg"),
+            (
+                ["estimate", "{model}", "--out", "{ok}", "--trace", "{dir}/sub/../model.json"],
+                "the model and --trace", "model",
+            ),
+            (["tilt", "{model}", "--out", "{model}"], "the model and --out", "model"),
+        ],
+        ids=["estimate-out-model", "estimate-out-config", "estimate-trace-config",
+             "estimate-trace-model", "tilt-out-model"],
+    )
+    def test_output_naming_an_input_exits_1(
+        self, model_file, tmp_path, args, clash, named, capsys, monkeypatch
+    ):
+        # the run would replace its own input with its result; the paths are
+        # compared before any input is read or any path simulated
+        from mejump import modelio
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated with an output naming an input")
+
+        monkeypatch.setattr(modelio, "simulate_batch", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_paths": 100}')
+        (tmp_path / "sub").mkdir()
+        paths = {"model": model_file, "cfg": cfg, "ok": tmp_path / "ok.csv", "dir": tmp_path}
+        inputs = {"model": model_file.read_bytes(), "cfg": cfg.read_bytes()}
+        argv = [a.format(**paths) for a in args]
+        if args[0] == "estimate":
+            argv += ["--config", cfg]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {clash} name the same file, ")
+        assert err.count("\n") == 1
+        assert str(tmp_path) in err and str(paths[named].name) in err
+        assert {"model": model_file.read_bytes(), "cfg": cfg.read_bytes()} == inputs
+        assert not (tmp_path / "ok.csv").exists()
+
     @pytest.mark.parametrize("command", ["split", "tilt"])
     def test_split_refused_before_printing(self, model_file, tmp_path, command, capsys):
         bad = tmp_path / "missing" / "x"
@@ -836,6 +878,35 @@ class TestTrace:
             [repr(t), labels[a], labels[b]] for t, a, b in zip(times, frm, to, strict=True)
         ]
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 32, 10_000])
+    def test_blocks_write_the_rows_one_at_a_time_would(self, tmp_path, block, monkeypatch):
+        # the trace is rendered a block of rows at a time; a path whose rows
+        # cross the edge of a block gets its header once, in the block it starts
+        from mejump import modelio
+
+        m = random_me_model(5, np.random.default_rng(2))
+        split = splitting.sign_split(m.T, m.s)
+        batch = simulate_batch(
+            split, split.lambda0 + 1.0, splitting.initial_split(m.alpha),
+            n_paths=60, seed=4, chunk=16, collect_trace=True,
+        )
+        path_idx, times, frm, to = batch.trace
+        labels = state_labels(m.p)
+        want, current = [], None
+        for k in range(path_idx.shape[0]):
+            if path_idx[k] != current:
+                current = path_idx[k]
+                want.append(f"# path {int(current)}\n")
+            want.append(f"{float(times[k])!r}\t{labels[frm[k]]}\t{labels[to[k]]}\n")
+        # a path that starts before an edge and ends after it
+        edges = np.arange(block, path_idx.shape[0], block)
+        if block < path_idx.shape[0]:
+            assert np.any(path_idx[edges - 1] == path_idx[edges])
+        monkeypatch.setattr(modelio, "TRACE_BLOCK_ROWS", block)
+        path = tmp_path / "trace.tsv"
+        write_trace(path, batch)
+        assert path.read_bytes() == "".join(want).encode()
+
     @pytest.mark.parametrize(
         "m, above_lambda0",
         [
@@ -1105,6 +1176,45 @@ class TestExpectCommand:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"
         assert proc.stdout == ""
+
+    def test_huge_degree_with_a_tiny_value_runs(self, model_file, tmp_path, capsys):
+        # 1000! (1000 I - T)^{-1001} s = 1.52e-436 underflows to zero; the
+        # solves' vector passes through no subnormal on the way there.  Each
+        # weight tau^1000 e^{-998 tau} is below 1e-400 too, where tau^1000
+        # alone may overflow
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"n_paths": 1000, "h": {"type": "poly-exp-decay", "c": 1000.0, "degree": 1000}}
+        ))
+        code, out, err = run_cli(["expect", model_file, "--config", cfg], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[3:] == [
+            "analytic value: 0.0",
+            "beta form:  0.0 +- 0.0",
+            "qbar form:  0.0 +- 0.0",
+            "max |h(tau) e^(lambda tau)|: 0.0",
+        ]
+
+    def test_huge_degree_with_a_huge_value_exits_1(self, model_file, tmp_path, capsys):
+        # 20000! (1000 I - T)^{-20001} s = 3.58e+17325 overflows a float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"n_paths": 1000, "h": {"type": "poly-exp-decay", "c": 1000.0, "degree": 20000}}
+        ))
+        code, out, err = run_cli(["expect", model_file, "--config", cfg], capsys)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: the exact value of integral h(x) f(x) dx overflows at degree 20000\n"
+        )
+
+    @pytest.mark.parametrize("c", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_decay_rate_is_a_config_error(self, model_file, tmp_path, c, capsys):
+        # Python's json reads NaN and Infinity
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"n_paths": 100, "h": {{"type": "exp-decay", "c": {c}}}}}')
+        code, out, err = run_cli(["expect", model_file, "--config", cfg], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: config: h decay rate c must be finite, got {float(c)!r}\n"
 
     @pytest.mark.parametrize("lam, want", [("1e300", 1), ("1e150", 1), ("1e6", 0)])
     def test_rate_needs_a_visible_landing(self, model_file, tmp_path, lam, want, capsys):

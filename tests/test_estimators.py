@@ -252,6 +252,74 @@ class TestMergeAssociativity:
         )
 
 
+def density_finish(sum_w, sum_w2, n, per_path):
+    """The density estimators' finish, as ``finalize_density`` once spelled
+    it out itself."""
+    estimate = per_path * sum_w / n
+    if n > 1:
+        var = (per_path**2 * sum_w2 - n * estimate**2) / (n - 1)
+        stderr = np.sqrt(np.maximum(var, 0.0) / n)
+    else:
+        stderr = np.zeros_like(estimate)
+    return estimate, stderr
+
+
+def expectation_finish(sum_v, sum_v2, n, w_total):
+    """The expectation's finish on Python floats, as
+    ``mc_expectation_untilted`` once spelled it out itself."""
+    mean = sum_v / n
+    value = w_total * mean
+    if n > 1:
+        var = max(0.0, (sum_v2 - n * mean**2) / (n - 1))
+        stderr = w_total * math.sqrt(var / n)
+    else:
+        stderr = 0.0
+    return value, stderr
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMeanAndStderr:
+    """One finish serves the density estimators and both expectation forms;
+    it must give each the bits its own formula gave."""
+
+    sums = st.floats(-1e100, 1e100, allow_subnormal=False)
+    # a sum of squares is never negative, nor -0.0
+    squares = st.floats(0.0, 1e200, allow_subnormal=False).map(abs)
+    counts = st.one_of(st.integers(1, 3), st.integers(1, 10**12))
+    scales = st.floats(1e-50, 1e50)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), n=counts, scale=scales, size=st.integers(1, 8))
+    def test_arrays_match_the_density_finish(self, data, n, scale, size):
+        sum_w = np.array(data.draw(st.lists(self.sums, min_size=size, max_size=size)))
+        sum_w2 = np.array(data.draw(st.lists(self.squares, min_size=size, max_size=size)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = estimators._mean_and_stderr(sum_w, sum_w2, n, scale)
+            want = density_finish(sum_w, sum_w2, n, scale)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(sum_w=sums, sum_w2=squares, n=counts, scale=scales, w_total=scales)
+    def test_scalars_match_both_finishes(self, sum_w, sum_w2, n, scale, w_total):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = estimators._mean_and_stderr(sum_w, sum_w2, n, scale)
+            want = density_finish(sum_w, sum_w2, n, scale)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            mean, stderr = estimators._mean_and_stderr(sum_w, sum_w2, n, 1.0)
+            value, want_stderr = expectation_finish(sum_w, sum_w2, n, w_total)
+        assert same_bits(float(w_total * mean), value)
+        assert same_bits(float(w_total * stderr), want_stderr)
+
+    def test_no_outcomes_refused(self):
+        for sums in ((0.0, 0.0), (np.zeros(3), np.zeros(3))):
+            with pytest.raises(ValueError, match="^empty outcome set$"):
+                estimators._mean_and_stderr(*sums, 0, 1.0)
+
+
 class TestFoldsMatchTheReference:
     """The exit count bins every exit time (outside ones to an overflow bin)
     where the references gather the inside ones; the estimates must not
@@ -535,6 +603,27 @@ class TestExpectation:
 
 
 class TestHSpec:
+    def test_huge_power_times_vanishing_exponential(self):
+        # tau**400 overflows from tau = 10 on, but e^{-50 tau} brings the
+        # weight back into range (e^{421} at 10), or to zero at 1000
+        # instead of inf * 0 = nan; where the product is finite it is kept
+        h = HSpec("poly-exp-decay", 52.0, 400)
+        tau = np.array([0.0, 0.5, 5.0, 10.0, 20.0, 30.0, 1000.0])
+        got = h.tilted_weight(tau, 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = tau**400 * np.exp(-50.0 * tau)
+        kept = np.isfinite(direct)
+        assert kept.tolist() == [True, True, True, False, False, False, False]
+        assert got[kept].tobytes() == direct[kept].tobytes()
+        want = [math.exp(400 * math.log(t) - 50.0 * t) for t in tau[~kept]]
+        assert got[~kept] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got[-1] == 0.0
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_decay_rate_refused(self, c):
+        with pytest.raises(ValueError, match="^h decay rate c must be finite"):
+            HSpec("exp-decay", c)
+
     def test_analytic_exponential(self):
         params = exponential_model(1.0)
         assert HSpec("exp-decay", 3.0).analytic_expectation(params) == pytest.approx(

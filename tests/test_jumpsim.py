@@ -674,8 +674,9 @@ class TestSimulateBatch:
         # lists of one iteration per worker, which are a fraction of it; an
         # arena has a slot for each path of a chunk and of the tail before it
         chunk = 65536
-        arena_bytes = sum(buf.nbytes for buf in arena_buffers(jumpsim._Arena(chunk)))
-        assert arena_bytes == 73 * (chunk + chunk // 8)
+        arena = jumpsim._Arena(chunk)
+        arena_bytes = sum(buf.nbytes for buf in (*arena_buffers(arena), arena.ramp))
+        assert arena_bytes == 81 * (chunk + chunk // 8)
         # a first call loads numpy's lazy imports, which tracemalloc would count
         simulate_batch(ref_split, 2.0, ref_init, n_paths=100, seed=5, chunk=10, workers=2)
         tracemalloc.start()

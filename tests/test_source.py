@@ -419,3 +419,23 @@ def test_bin_weight_refusal_has_one_home():
         and any(text.startswith("per-path bin weight") for text in strings(node))
     ) == {"estimators.check_bin_weight"}
     assert callers("check_bin_weight") == {"estimators.finalize_density", "modelio.run_estimate"}
+
+
+def test_mean_and_stderr_have_one_home():
+    # estimators._mean_and_stderr finishes every Monte-Carlo estimate: the
+    # one sample variance (the one division by n - 1) and the one refusal of
+    # an empty outcome set, for the density estimators and the expectation
+    assert functions_where(
+        lambda node: isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.Sub)
+        and getattr(node.right.right, "value", None) == 1
+    ) == {"estimators._mean_and_stderr"}
+    assert raising_modules(("empty outcome set",)) == {"empty outcome set": {"estimators.py"}}
+    assert functions_where(
+        lambda node: isinstance(node, ast.Raise) and "empty outcome set" in strings(node)
+    ) == {"estimators._mean_and_stderr"}
+    assert callers("_mean_and_stderr") == {
+        "estimators.finalize_density", "estimators.mc_expectation_untilted",
+    }

@@ -16,7 +16,10 @@ The list: ``--help`` of every subcommand; ``validate``, ``split --out`` and
 (``tests/data/golden_estimate.csv``); a traced reference ``estimate`` on one
 worker and on two, each printing its trace's summary; each single estimator;
 the benchmark's wide model ``random_me_model(100, default_rng(100))``;
-``expect`` with each kind of integrand; and ``reproduce-example``.
+``expect`` with each kind of integrand; the refusals that keep ``estimate
+--out`` and ``tilt --out`` from writing over their model; ``expect`` with a
+NaN decay rate, with a degree whose exact value underflows (1000) and with
+one whose value overflows (20000); and ``reproduce-example``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,13 @@ INPUTS = {
         '{"lambda": 3.0, "n_paths": 20000, '
         '"h": {"type": "poly-exp-decay", "c": 2.0, "degree": 2}}'
     ),
+    "c-nan.json": '{"n_paths": 1000, "h": {"type": "exp-decay", "c": NaN}}',
+    "degree-1000.json": (
+        '{"n_paths": 1000, "h": {"type": "poly-exp-decay", "c": 1000.0, "degree": 1000}}'
+    ),
+    "degree-20000.json": (
+        '{"n_paths": 1000, "h": {"type": "poly-exp-decay", "c": 1000.0, "degree": 20000}}'
+    ),
 }
 
 REF = "../reference.json"
@@ -65,8 +75,17 @@ INVOCATIONS = [
     ("wide", ["estimate", "../wide.json", "--paths", "20000", "--out", "est.csv"]),
     ("expect-exp-decay", ["expect", REF, "--config", "../exp-decay.json"]),
     ("expect-poly-exp-decay", ["expect", REF, "--config", "../poly-exp-decay.json"]),
+    ("overwrite-estimate", ["estimate", "model.json", "--paths", "1000", "--out", "model.json"]),
+    ("overwrite-tilt", ["tilt", "model.json", "--out", "model.json"]),
+    ("expect-c-nan", ["expect", REF, "--config", "../c-nan.json"]),
+    ("expect-degree-1000", ["expect", REF, "--config", "../degree-1000.json"]),
+    ("expect-degree-20000", ["expect", REF, "--config", "../degree-20000.json"]),
     ("reproduce-example", ["reproduce-example", "--paths", "20000"]),
 ]
+
+#: The invocations that find a copy of the reference model as ``model.json``
+#: in their own directory, which they would write over if not refused.
+OWN_MODEL = {"overwrite-estimate", "overwrite-tilt"}
 
 #: A wall time in ``reproduce-example``'s table.
 WALL_TIME = re.compile(r"(runtime=|sim\+estimate )\d+(\.\d+)?s")
@@ -93,6 +112,8 @@ def main(argv=None) -> int:
     for name, args in INVOCATIONS:
         cwd = out / name
         cwd.mkdir(exist_ok=True)
+        if name in OWN_MODEL:
+            (cwd / "model.json").write_bytes((out / "reference.json").read_bytes())
         done = subprocess.run(
             [sys.executable, "-m", "mejump.cli", *args],
             cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
