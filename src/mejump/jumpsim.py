@@ -11,15 +11,17 @@ absorbing state, the negative one, or was terminated; a batch reads the sign
 off the landing.  ``JumpChain`` refuses no rate itself: ``admit_rate`` does,
 and returns the generator the chain compiles.
 
-Randomness is pinned for reproducibility: streams are numpy ``Philox``
-(counter-based) bit generators keyed by ``SeedSequence(seed, spawn_key=
-(stream_index,))``, and every variate is derived from 53-bit uniforms by
-inverse transform (no ziggurat), so identical ``(seed, stream_index)`` always
-reproduce identical paths.  ``simulate_batch`` assigns paths to streams in
-fixed chunks and allocates the output columns once; each chunk writes only
-its own slice of them, which makes the output independent of how many worker
-threads execute the chunks.  The workers are plain ``threading.Thread``s, the
-calling thread one of them, so a run loads no thread pool.
+Randomness is pinned for reproducibility: streams are numpy ``PCG64DXSM``
+bit generators keyed by ``SeedSequence(seed, spawn_key=(stream_index,))``,
+and every variate is derived from 53-bit uniforms by inverse transform (no
+ziggurat), so identical ``(seed, stream_index)`` always reproduce identical
+paths.  Each uniform takes one 64-bit output, and the stream advances one
+step per output, so a fresh stream skips ``n`` uniforms in one ``advance``.
+``simulate_batch`` assigns paths to streams in fixed chunks and allocates the
+output columns once; each chunk writes only its own slice of them, which
+makes the output independent of how many worker threads execute the chunks.
+The workers are plain ``threading.Thread``s, the calling thread one of them,
+so a run loads no thread pool.
 
 There is one simulator, ``simulate_batch``, and it works on integer codes
 only: transient states are ``0..p-1`` (original) and ``p..2p-1`` (anti), the
@@ -62,13 +64,14 @@ it takes its next chunk once at most ``chunk // 8`` of its paths are live,
 and one loop iteration advances every chunk in flight.  Run one at a time,
 a chunk's last few live paths would each cost a whole iteration, whose fixed
 numpy and Python overhead outweighs the work of thousands of live paths; on
-the benchmark's wide model (200 000 paths in chunks of 65536) the pipeline
-runs 234 iterations where one chunk at a time ran 616.  The live arrays hold
-one segment per chunk, and each chunk draws its uniforms from its own
-stream, holding times first, then targets, exactly as it would alone.  Each
-iteration finds the exiting paths once, as an index list, and both writes
-their outcomes and compacts the survivors by gathering through index lists,
-which costs far less than boolean-mask indexing with scattered ``True``s.
+the benchmark's wide model (200 000 paths in chunks of 65536, seed 5) the
+pipeline runs 239 iterations where one chunk at a time runs 592.  The live
+arrays hold one segment per chunk, and each chunk draws its uniforms from
+its own stream, holding times first, then targets, exactly as it would
+alone.  Each iteration finds the exiting paths once, as an index list, and
+both writes their outcomes and compacts the survivors by gathering through
+index lists, which costs far less than boolean-mask indexing with scattered
+``True``s.
 
 Each worker runs its chunks in one ``_Arena`` of ``chunk + chunk // 8``
 slots of 81 B, allocated once per ``simulate_batch`` call, which every
@@ -134,11 +137,12 @@ def stream_slices(n_paths: int, chunk: int) -> list:
 
 
 class RngStream(Record):
-    """Pinned random stream: Philox keyed by (seed, stream_index).
+    """Pinned random stream: PCG64DXSM keyed by (seed, stream_index).
 
     Distinct stream indices yield statistically independent streams; identical
-    (seed, index) pairs reproduce identical draws.  Being counter-based, a
-    fresh stream skips uniforms exactly (``_skip_uniforms``).
+    (seed, index) pairs reproduce identical draws.  PCG64DXSM advances one
+    step per 64-bit output in one call, so a fresh stream skips uniforms
+    exactly (``_skip_uniforms``).
     """
 
     seed: int
@@ -146,13 +150,13 @@ class RngStream(Record):
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def _skip_uniforms(rng: np.random.Generator, n: int):
-    """Skip a fresh stream's next ``n`` uniforms: Philox's counter moves once per four."""
-    rng.bit_generator.advance(n // 4)
-    rng.random(n % 4)
+    """Skip a fresh stream's next ``n`` uniforms: a double takes one 64-bit
+    output, and PCG64DXSM advances one step per output."""
+    rng.bit_generator.advance(n)
 
 
 def _cum_and_last(weights: np.ndarray):

@@ -878,10 +878,12 @@ class TestTrace:
             [repr(t), labels[a], labels[b]] for t, a, b in zip(times, frm, to, strict=True)
         ]
 
-    @pytest.mark.parametrize("block", [1, 2, 7, 32, 10_000])
+    @pytest.mark.parametrize("block", [1, 2, 7, 32, 10_000, None])
     def test_blocks_write_the_rows_one_at_a_time_would(self, tmp_path, block, monkeypatch):
         # the trace is rendered a block of rows at a time; a path whose rows
-        # cross the edge of a block gets its header once, in the block it starts
+        # cross the edge of a block gets its header once, in the block it
+        # starts.  Block None is taken from the trace, so that its first edge
+        # falls between the last two rows of one path
         from mejump import modelio
 
         m = random_me_model(5, np.random.default_rng(2))
@@ -898,9 +900,10 @@ class TestTrace:
                 current = path_idx[k]
                 want.append(f"# path {int(current)}\n")
             want.append(f"{float(times[k])!r}\t{labels[frm[k]]}\t{labels[to[k]]}\n")
-        # a path that starts before an edge and ends after it
-        edges = np.arange(block, path_idx.shape[0], block)
-        if block < path_idx.shape[0]:
+        if block is None:
+            block = int(np.flatnonzero(path_idx[1:] == path_idx[:-1])[-1]) + 1
+            # a path that starts before an edge and ends after it
+            edges = np.arange(block, path_idx.shape[0], block)
             assert np.any(path_idx[edges - 1] == path_idx[edges])
         monkeypatch.setattr(modelio, "TRACE_BLOCK_ROWS", block)
         path = tmp_path / "trace.tsv"

@@ -75,17 +75,20 @@ class TestRngStream:
         b = RngStream(123, 1).generator().random(10)
         assert not np.array_equal(a, b)
 
+    def test_streams_are_pcg64dxsm(self):
+        assert type(RngStream(123, 4).generator().bit_generator) is np.random.PCG64DXSM
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 16960, 65536])
     def test_skipping_uniforms_equals_drawing_them(self, n):
         # a point-mass start skips its first-state uniforms by advancing
-        # Philox's counter, which moves once per four 64-bit outputs
+        # PCG64DXSM one step per uniform: a double takes one 64-bit output
         skipped = RngStream(123, 4).generator()
         jumpsim._skip_uniforms(skipped, n)
         drawn = RngStream(123, 4).generator().random(n + 9)[n:]
         assert np.array_equal(skipped.random(9), drawn), (
             f"skipping {n} uniforms of a fresh stream no longer equals drawing "
-            "them: numpy changed how Philox buffers its outputs, so a point-mass "
-            "start must draw its uniforms and discard them"
+            "them: numpy no longer draws a PCG64DXSM double from one 64-bit "
+            "output, so a point-mass start must draw its uniforms and discard them"
         )
 
 
@@ -607,7 +610,7 @@ class TestSimulateBatch:
         ):
             digest.update(np.ascontiguousarray(getattr(batch, field), dtype=dtype).tobytes())
         assert digest.hexdigest() == (
-            "aff4284a8638d237dbfa25bfad089418ef90e6d86bb596c4704e2e01923534bd"
+            "fe1386e0f28c843bfb966164989199c7042134e26dc538048667f773d142e90c"
         )
 
     def test_wide_trace_digest(self):
@@ -625,7 +628,7 @@ class TestSimulateBatch:
             assert col.dtype == np.dtype(dtype)
             digest.update(np.ascontiguousarray(col).tobytes())
         assert digest.hexdigest() == (
-            "3f228615a8f124955a57c12e4e856b964650a2f94d2ba25b37fbf437a9d05f39"
+            "7b62736694a917ed14be59a5bf97660ad2d7870391e4d60063cc34d52e7e8d58"
         )
 
     def test_one_path_chunks_digest(self):
@@ -646,7 +649,7 @@ class TestSimulateBatch:
             assert col.dtype == np.dtype(dtype)
             digest.update(np.ascontiguousarray(col).tobytes())
         assert digest.hexdigest() == (
-            "963b1253fe637e969ed9d165d49d5a53b2d00de808bcd67da4f109c082ac252a"
+            "0518c754ad1efc107c4ced7a1083aa09c337081afd758995c08726c7a3e2c7d5"
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -749,8 +752,8 @@ class TestSimulateBatch:
     )
     def test_pipeline_iterations_at_benchmark_scale(self, wide, n_paths, seed, most, monkeypatch):
         # the simulations of the benchmark's estimate workloads, in the
-        # default chunks on one worker: the pipeline runs 56 (reference) and
-        # 234 (wide) iterations, where one chunk at a time ran 179 and 616.
+        # default chunks on one worker: the pipeline runs 54 (reference) and
+        # 239 (wide) iterations, where one chunk at a time runs 176 and 592.
         # Each iteration is one draw from transient states; a chunk whose
         # first states are drawn draws them from the start row 2p
         m = random_me_model(100, np.random.default_rng(100)) if wide else reference_model()
