@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Subcommands: validate, split, tilt, estimate, expect, reproduce-example;
-estimate --trace also prints a summary of the paths it traced.
+estimate --trace also prints a summary of the paths it traced.  split, tilt
+and estimate claim every output before reading any input, and a run that
+fails removes the files it created.
 Exit codes: 0 success; 1 parse/usage error, unwritable output, an output
 path that names the model, the --config file or another output, a path
 count too large to allocate, or a value refused as a ValueError (a
@@ -44,6 +46,7 @@ from .modelio import (
     render_estimate_csv,
     run_estimate,
     simulate,
+    split_paths,
     trace_summary,
     write_model,
     write_split_outputs,
@@ -115,6 +118,40 @@ def _load_run_config(args):
     return config_from_dict(raw)
 
 
+@contextlib.contextmanager
+def _claimed_outputs(args, outputs):
+    """The one rule for the files a command writes, ``outputs`` being its
+    ``(option, path)`` pairs (a None path is skipped), entered before any
+    input is read.  A path that names the model, the ``--config`` file or
+    another output is refused: the run would replace an input with its
+    result, or one output with another after both were reported written.
+    Every path is then opened to append, so an unwritable one is refused
+    before any work; an existing file keeps its bytes until it is written.
+    If the work fails, the files this call created are removed."""
+    named = {os.path.realpath(args.model): "the model"}
+    if getattr(args, "config", None):
+        named.setdefault(os.path.realpath(args.config), "--config")
+    outputs = [(option, path) for option, path in outputs if path is not None]
+    for option, path in outputs:
+        real = os.path.realpath(path)
+        if real in named:
+            raise ParseError(f"{named[real]} and {option} name the same file, {path!r}")
+        named[real] = option
+    created = []
+    try:
+        for _, path in outputs:
+            existed = os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def cmd_validate(args) -> int:
     params, name = read_model(args.model)
     report = medist.validate(params)
@@ -128,105 +165,63 @@ def cmd_validate(args) -> int:
 
 
 def cmd_split(args) -> int:
-    params, name = read_model(args.model)
-    run_plan = plan(params, _parse_lambda(args.lam))
-    split, profile = run_plan.split, run_plan.profile
-    gen = build_generator(split, run_plan.lam)
-    # an unwritable prefix fails before any matrix is printed
-    if args.out:
-        write_split_outputs(args.out, run_plan, gen.D)
-    print(f"model: {name or args.model} (p={params.p})")
-    print(f"lambda0: {split.lambda0!r}")
-    print(f"lambda: {run_plan.lam!r}")
-    _print_matrix("T_plus", split.Tplus)
-    _print_matrix("T_minus", split.Tminus)
-    _print_matrix("s_plus", split.splus)
-    _print_matrix("s_minus", split.sminus)
-    _print_matrix("D(lambda)", gen.D)
-    _print_matrix("termination", gen.term)
-    _print_matrix("d", profile.d)
-    _print_matrix("q_plus", profile.qplus)
-    _print_matrix("q_minus", profile.qminus)
-    _print_matrix("q_bar(original)", profile.qbar_original)
-    print(
-        f"transient: {str(run_plan.transient).lower()} "
-        f"(doubled abscissa {run_plan.abscissa!r})"
-    )
-    if args.out:
-        print(f"wrote CSV files with prefix {args.out}_")
+    outputs = [("--out", path) for path in split_paths(args.out)] if args.out else []
+    with _claimed_outputs(args, outputs):
+        params, name = read_model(args.model)
+        run_plan = plan(params, _parse_lambda(args.lam))
+        split, profile = run_plan.split, run_plan.profile
+        gen = build_generator(split, run_plan.lam)
+        if args.out:
+            write_split_outputs(args.out, run_plan, gen.D)
+        print(f"model: {name or args.model} (p={params.p})")
+        print(f"lambda0: {split.lambda0!r}")
+        print(f"lambda: {run_plan.lam!r}")
+        _print_matrix("T_plus", split.Tplus)
+        _print_matrix("T_minus", split.Tminus)
+        _print_matrix("s_plus", split.splus)
+        _print_matrix("s_minus", split.sminus)
+        _print_matrix("D(lambda)", gen.D)
+        _print_matrix("termination", gen.term)
+        _print_matrix("d", profile.d)
+        _print_matrix("q_plus", profile.qplus)
+        _print_matrix("q_minus", profile.qminus)
+        _print_matrix("q_bar(original)", profile.qbar_original)
+        print(
+            f"transient: {str(run_plan.transient).lower()} "
+            f"(doubled abscissa {run_plan.abscissa!r})"
+        )
+        if args.out:
+            print(f"wrote CSV files with prefix {args.out}_")
     return 0
 
 
 def cmd_tilt(args) -> int:
-    _refuse_overwrites(args, "out")
-    params, name = read_model(args.model)
-    medist.validate(params)
-    lam_spec = _parse_lambda(args.lam)
-    if lam_spec == "auto":
-        lam = resolve_lambda(sign_split(params.T, params.s), "auto")
-    else:
-        lam = lam_spec
-    tilted, norm = medist.tilt(params, lam)
-    # an unwritable output fails before anything is printed
-    if args.out:
-        write_model(tilted, args.out, name=f"{name or 'model'}-tilted-{lam:g}")
-    print(f"model: {name or args.model} (p={params.p})")
-    print(f"lambda: {lam!r}")
-    print(f"normalizer alpha (lambda I - T)^-1 s: {norm!r}")
-    _print_matrix("alpha'", tilted.alpha)
-    _print_matrix("T'", tilted.T)
-    _print_matrix("s'", tilted.s)
-    if args.out:
-        print(f"wrote tilted model to {args.out}")
+    with _claimed_outputs(args, [("--out", args.out)]):
+        params, name = read_model(args.model)
+        medist.validate(params)
+        lam_spec = _parse_lambda(args.lam)
+        if lam_spec == "auto":
+            lam = resolve_lambda(sign_split(params.T, params.s), "auto")
+        else:
+            lam = lam_spec
+        tilted, norm = medist.tilt(params, lam)
+        if args.out:
+            write_model(tilted, args.out, name=f"{name or 'model'}-tilted-{lam:g}")
+        print(f"model: {name or args.model} (p={params.p})")
+        print(f"lambda: {lam!r}")
+        print(f"normalizer alpha (lambda I - T)^-1 s: {norm!r}")
+        _print_matrix("alpha'", tilted.alpha)
+        _print_matrix("T'", tilted.T)
+        _print_matrix("s'", tilted.s)
+        if args.out:
+            print(f"wrote tilted model to {args.out}")
     return 0
 
 
-@contextlib.contextmanager
-def _claimed_outputs(*paths):
-    """Open every given output path before the work starts, so an unwritable
-    one is refused before any path is simulated; if the work then fails,
-    remove the files this call created.  An existing file keeps its bytes
-    until it is written."""
-    created = []
-    try:
-        for path in paths:
-            if path is None:
-                continue
-            existed = os.path.exists(path)
-            open(path, "a", encoding="utf-8").close()
-            if not existed:
-                created.append(path)
-        yield
-    except BaseException:
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
-
-
-def _refuse_overwrites(args, *outputs):
-    """Refuse, before any input is read, an output path (the options named
-    by ``outputs``) that names the model, the ``--config`` file or another
-    output: the run would replace an input with its result, or one output
-    with the other after both were reported written."""
-    named = {os.path.realpath(args.model): "the model"}
-    if getattr(args, "config", None):
-        named.setdefault(os.path.realpath(args.config), "--config")
-    for dest in outputs:
-        path = getattr(args, dest)
-        if path is None:
-            continue
-        real = os.path.realpath(path)
-        if real in named:
-            raise ParseError(f"{named[real]} and --{dest} name the same file, {path!r}")
-        named[real] = f"--{dest}"
-
-
 def cmd_estimate(args) -> int:
-    _refuse_overwrites(args, "out", "trace")
-    params, name = read_model(args.model)
-    cfg = _load_run_config(args)
-    with _claimed_outputs(args.out, args.trace):
+    with _claimed_outputs(args, [("--out", args.out), ("--trace", args.trace)]):
+        params, name = read_model(args.model)
+        cfg = _load_run_config(args)
         run = run_estimate(plan(params, cfg.lam), cfg, collect_trace=args.trace is not None)
         print(f"model: {name or args.model} (p={params.p})")
         print(

@@ -59,10 +59,13 @@ class ParseError(Exception):
     """Malformed model/config file; message points at the offending field."""
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number: not a boolean, not a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_number_list(raw, field: str, where: str) -> list:
-    if not isinstance(raw, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
+    if not isinstance(raw, list) or not all(map(_is_number, raw)):
         raise ParseError(f"{where}: field {field!r} must be an array of numbers")
     return [float(v) for v in raw]
 
@@ -159,19 +162,16 @@ class RunConfig(Record):
             raise ValueError("estimator must be beta, qbar or both")
 
 
-#: Run-config fields holding integers, at any nesting depth.
-_INTEGER_FIELDS = frozenset({"n_paths", "seed", "chunk", "workers", "n_bins", "degree"})
-
-
-def _refuse_loose_numbers(raw: dict):
-    """Refuse booleans, which ``float()`` reads as 1, and fractions in integer fields."""
-    for key, value in raw.items():
-        if isinstance(value, dict):
-            _refuse_loose_numbers(value)
-        elif isinstance(value, bool):
-            raise ParseError(f"config: field {key!r} must not be a boolean")
-        elif key in _INTEGER_FIELDS and isinstance(value, float) and not value.is_integer():
-            raise ParseError(f"config: field {key!r} must be an integer, got {value!r}")
+def _config_number(raw: dict, field: str, integer: bool = False):
+    """``raw[field]`` as a float, or as an int if ``integer``, refusing a fraction."""
+    value = raw[field]
+    if not _is_number(value):
+        raise ParseError(f"config: field {field!r} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ParseError(f"config: field {field!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _refuse_unknown_fields(raw: dict, known: set, where: str):
@@ -191,15 +191,13 @@ def config_from_dict(raw) -> RunConfig:
     for field, known in (("grid", {"x_min", "x_max", "n_bins"}), ("h", {"type", "c", "degree"})):
         if isinstance(raw.get(field), dict):
             _refuse_unknown_fields(raw[field], known, f"config: field {field!r}")
-    _refuse_loose_numbers(raw)
     fields = {}
     try:
         if "lambda" in raw:
-            lam = raw["lambda"]
-            fields["lam"] = lam if lam == "auto" else float(lam)
+            fields["lam"] = "auto" if raw["lambda"] == "auto" else _config_number(raw, "lambda")
         for field in ("n_paths", "seed", "chunk", "workers"):
             if field in raw:
-                fields[field] = int(raw[field])
+                fields[field] = _config_number(raw, field, integer=True)
         if "estimator" in raw:
             fields["estimator"] = str(raw["estimator"])
         if "grid" in raw:
@@ -209,16 +207,16 @@ def config_from_dict(raw) -> RunConfig:
                     'grid must be an object with "x_min", "x_max" and "n_bins" fields'
                 )
             fields["grid"] = Grid(
-                x_min=float(g["x_min"]),
-                x_max=float(g["x_max"]),
-                n_bins=int(g["n_bins"]),
+                _config_number(g, "x_min"), _config_number(g, "x_max"),
+                _config_number(g, "n_bins", integer=True),
             )
         h = raw.get("h")
         if h is not None:
             if not isinstance(h, dict) or not {"type", "c"} <= set(h):
                 raise ValueError('h must be an object with "type" and "c" fields')
             fields["h"] = HSpec(
-                kind=str(h["type"]), c=float(h["c"]), degree=int(h.get("degree", 0))
+                str(h["type"]), _config_number(h, "c"),
+                _config_number(h, "degree", integer=True) if "degree" in h else 0,
             )
         return RunConfig(**fields)
     except (KeyError, TypeError, ValueError) as exc:
@@ -324,13 +322,16 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
     return EstimateRun(run_plan, scale, cfg, batch, analytic, est_beta, est_qbar)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _fmt_column(col):
-    """``_fmt`` of every entry of ``col``, converted once per column."""
+    """Shortest round-trip text of every entry of ``col`` as a float, converted once per column."""
     return map(repr, np.asarray(col, dtype=float).tolist())
+
+
+def _csv(header, columns) -> str:
+    """CSV text of ``columns`` of cell texts, under ``header`` unless it is
+    None: the one place a CSV file's rows are joined."""
+    rows = map(",".join, zip(*columns))
+    return "\n".join([header, *rows] if header is not None else rows) + "\n"
 
 
 def render_estimate_csv(run: EstimateRun) -> str:
@@ -346,7 +347,7 @@ def render_estimate_csv(run: EstimateRun) -> str:
         else:
             columns += [[""] * grid.n_bins] * 2
     columns.append(map(str, np.asarray(run.est_beta.n_hits, dtype=np.int64).tolist()))
-    return "\n".join([ESTIMATE_CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+    return _csv(ESTIMATE_CSV_HEADER, columns)
 
 
 #: Rows of the trace that :func:`write_trace` renders and writes at a time.
@@ -396,33 +397,27 @@ def trace_summary(batch: PathBatch) -> str:
     return "\n".join(lines)
 
 
-def write_matrix_csv(path, M):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open_output(path) as fh:
-        for row in M:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def split_paths(prefix) -> list:
+    """The files ``split --out PREFIX`` writes, in the order it writes them:
+    the one place their names are made."""
+    names = ("Tplus", "Tminus", "splus", "sminus", "D", "exit_profile", "summary")
+    return [f"{prefix}_{name}.csv" for name in names]
 
 
 def write_split_outputs(prefix, run_plan: RunPlan, D: np.ndarray):
-    """Write the split pieces as CSV files sharing a path prefix."""
-    prefix = str(prefix)
+    """Write the split pieces as the CSV files :func:`split_paths` names; a
+    vector is written as one row."""
     split, profile = run_plan.split, run_plan.profile
-    qbar = profile.qbar_original  # a property that builds the array on every read
-    write_matrix_csv(f"{prefix}_Tplus.csv", split.Tplus)
-    write_matrix_csv(f"{prefix}_Tminus.csv", split.Tminus)
-    write_matrix_csv(f"{prefix}_splus.csv", split.splus)
-    write_matrix_csv(f"{prefix}_sminus.csv", split.sminus)
-    write_matrix_csv(f"{prefix}_D.csv", D)
-    with open_output(f"{prefix}_exit_profile.csv") as fh:
-        fh.write("state,d,q_plus,q_minus,q_bar_original\n")
-        for i in range(split.p):
-            fh.write(
-                f"{i},{_fmt(profile.d[i])},{_fmt(profile.qplus[i])},"
-                f"{_fmt(profile.qminus[i])},{_fmt(qbar[i])}\n"
-            )
-    with open_output(f"{prefix}_summary.csv") as fh:
-        fh.write("key,value\n")
-        fh.write(f"lambda0,{_fmt(split.lambda0)}\n")
-        fh.write(f"lambda,{_fmt(run_plan.lam)}\n")
-        fh.write(f"transient,{str(run_plan.transient).lower()}\n")
-        fh.write(f"doubled_abscissa,{_fmt(run_plan.abscissa)}\n")
+    lambda0, lam, abscissa = _fmt_column([split.lambda0, run_plan.lam, run_plan.abscissa])
+    profile_columns = (profile.d, profile.qplus, profile.qminus, profile.qbar_original)
+    texts = [
+        *(_csv(None, map(_fmt_column, np.atleast_2d(M).T))
+          for M in (split.Tplus, split.Tminus, split.splus, split.sminus, D)),
+        _csv("state,d,q_plus,q_minus,q_bar_original",
+             [map(str, range(split.p)), *map(_fmt_column, profile_columns)]),
+        _csv("key,value", [("lambda0", "lambda", "transient", "doubled_abscissa"),
+                           (lambda0, lam, str(run_plan.transient).lower(), abscissa)]),
+    ]
+    for path, text in zip(split_paths(prefix), texts):
+        with open_output(path) as fh:
+            fh.write(text)

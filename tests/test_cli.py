@@ -109,6 +109,12 @@ class TestConfig:
             {"grid": dict(grid, xmax=2.0)},
             {"n_paths": float("inf")},
             {"h": dict(h, degree=-1)},
+            # a string is not a number, as in a model file
+            {"seed": " 7 "},
+            {"n_paths": "100"},
+            {"lambda": "2.5"},
+            {"grid": dict(grid, x_max="4")},
+            {"h": {"type": "exp-decay", "c": "2"}},
         ):
             with pytest.raises(ParseError):
                 config_from_dict(raw)
@@ -292,6 +298,39 @@ class TestUnwritableOutputs:
         assert str(tmp_path) in err and str(paths[named].name) in err
         assert {"model": model_file.read_bytes(), "cfg": cfg.read_bytes()} == inputs
         assert not (tmp_path / "ok.csv").exists()
+
+    @pytest.mark.parametrize("command", ["split", "tilt", "estimate"])
+    def test_output_replacing_the_model_exits_1(self, model_file, tmp_path, command, capsys):
+        # split --out p would write p_D.csv among its files; nothing is written
+        model, out = model_file, model_file
+        if command == "split":
+            model, out = tmp_path / "p_D.csv", tmp_path / "p"
+            model.write_bytes(model_file.read_bytes())
+        args = [command, model, "--out", out]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        code, stdout, err = run_cli(args, capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: the model and --out name the same file, {str(model)!r}\n"
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["split", "tilt", "estimate"])
+    def test_failed_run_removes_the_files_it_created(self, model_file, tmp_path, command, capsys):
+        # split fails on claiming a prefix file that is a directory, after
+        # claiming four others; tilt and estimate on a model that fails
+        # validation, after claiming all of theirs
+        if command == "split":
+            (tmp_path / "p_D.csv").mkdir()
+            args, want = ["split", model_file, "--out", tmp_path / "p"], 1
+        else:
+            model = tmp_path / "unstable.json"
+            model.write_text('{"alpha": [1.0], "T": [[1.0]], "s": [1.0]}')
+            args, want = [command, model, "--out", tmp_path / "x.out"], 2
+            if command == "estimate":
+                args += ["--trace", tmp_path / "x.tsv"]
+        before = set(tmp_path.iterdir())
+        code, stdout, err = run_cli(args, capsys)
+        assert (code, stdout) == (want, "") and err.count("\n") == 1
+        assert set(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["split", "tilt"])
     def test_split_refused_before_printing(self, model_file, tmp_path, command, capsys):

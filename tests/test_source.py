@@ -239,6 +239,33 @@ def test_output_files_are_opened_in_one_place():
     assert callers("write_bytes") == set()
 
 
+def test_output_rule_has_one_home():
+    # cli._claimed_outputs refuses an output naming an input or another
+    # output, claims every output and removes the files a failed run created,
+    # for each command that writes a file; modelio._csv joins every CSV row
+    assert functions_where(
+        lambda node: isinstance(node, ast.Raise)
+        and any("name the same file" in text for text in strings(node))
+    ) == {"cli._claimed_outputs"}
+    assert callers("_claimed_outputs") == {"cli.cmd_split", "cli.cmd_tilt", "cli.cmd_estimate"}
+    assert functions_where(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "join"
+        and getattr(node.value, "value", None) == ","
+    ) == {"modelio._csv"}
+
+
+def test_split_file_names_have_one_home():
+    # modelio.split_paths names the files split --out PREFIX writes, for the
+    # writer and for the claim; criterion 13 names its own temporary CSVs
+    assert functions_where(
+        lambda node: isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.endswith(".csv")
+    ) == {"modelio.split_paths", "acceptance.criterion_13"}
+    assert callers("split_paths") == {"cli.cmd_split", "modelio.write_split_outputs"}
+
+
 def test_estimator_choice_has_one_home():
     # RunConfig refuses an estimator, render_estimate_csv alone acts on it
     # and the estimate command echoes it; argparse checks no choice

@@ -46,13 +46,23 @@ def test_outputs_records_every_invocation(tmp_path):
         path.parent.name: path.read_text(encoding="utf-8")
         for path in tmp_path.glob("*/exit_code")
     }
-    assert len(codes) == 23
-    refused = {"overwrite-estimate", "overwrite-tilt", "expect-c-nan", "expect-degree-20000"}
+    assert len(codes) == 24
+    refused = {
+        "overwrite-estimate", "overwrite-tilt", "overwrite-split", "expect-c-nan",
+        "expect-degree-20000",
+    }
     assert {name for name, code in codes.items() if code != "0\n"} == refused
     assert {codes[name] for name in refused} == {"1\n"}
     reference = (tmp_path / "reference.json").read_bytes()
-    for name in ("overwrite-estimate", "overwrite-tilt"):
-        assert (tmp_path / name / "model.json").read_bytes() == reference
+    for name, model in (
+        ("overwrite-estimate", "model.json"), ("overwrite-tilt", "model.json"),
+        ("overwrite-split", "p_D.csv"),
+    ):
+        assert (tmp_path / name / model).read_bytes() == reference
+    # the refusal comes before any output is claimed
+    assert {path.name for path in (tmp_path / "overwrite-split").iterdir()} == {
+        "p_D.csv", "stdout", "stderr", "exit_code",
+    }
     golden = ROOT / "tests" / "data" / "golden_estimate.csv"
     assert (tmp_path / "golden" / "golden.csv").read_bytes() == golden.read_bytes()
     table = (tmp_path / "reproduce-example" / "stdout").read_text(encoding="utf-8")

@@ -17,7 +17,8 @@ The list: ``--help`` of every subcommand; ``validate``, ``split --out`` and
 worker and on two, each printing its trace's summary; each single estimator;
 the benchmark's wide model ``random_me_model(100, default_rng(100))``;
 ``expect`` with each kind of integrand; the refusals that keep ``estimate
---out`` and ``tilt --out`` from writing over their model; ``expect`` with a
+--out``, ``tilt --out`` and ``split --out`` (through the ``_D.csv`` it would
+write) from writing over their model; ``expect`` with a
 NaN decay rate, with a degree whose exact value underflows (1000) and with
 one whose value overflows (20000); and ``reproduce-example``.
 """
@@ -77,15 +78,21 @@ INVOCATIONS = [
     ("expect-poly-exp-decay", ["expect", REF, "--config", "../poly-exp-decay.json"]),
     ("overwrite-estimate", ["estimate", "model.json", "--paths", "1000", "--out", "model.json"]),
     ("overwrite-tilt", ["tilt", "model.json", "--out", "model.json"]),
+    ("overwrite-split", ["split", "p_D.csv", "--out", "p"]),
     ("expect-c-nan", ["expect", REF, "--config", "../c-nan.json"]),
     ("expect-degree-1000", ["expect", REF, "--config", "../degree-1000.json"]),
     ("expect-degree-20000", ["expect", REF, "--config", "../degree-20000.json"]),
     ("reproduce-example", ["reproduce-example", "--paths", "20000"]),
 ]
 
-#: The invocations that find a copy of the reference model as ``model.json``
-#: in their own directory, which they would write over if not refused.
-OWN_MODEL = {"overwrite-estimate", "overwrite-tilt"}
+#: The invocations that find a copy of the reference model in their own
+#: directory, by the name given here, which they would write over if not
+#: refused.
+OWN_MODEL = {
+    "overwrite-estimate": "model.json",
+    "overwrite-tilt": "model.json",
+    "overwrite-split": "p_D.csv",
+}
 
 #: A wall time in ``reproduce-example``'s table.
 WALL_TIME = re.compile(r"(runtime=|sim\+estimate )\d+(\.\d+)?s")
@@ -113,7 +120,7 @@ def main(argv=None) -> int:
         cwd = out / name
         cwd.mkdir(exist_ok=True)
         if name in OWN_MODEL:
-            (cwd / "model.json").write_bytes((out / "reference.json").read_bytes())
+            (cwd / OWN_MODEL[name]).write_bytes((out / "reference.json").read_bytes())
         done = subprocess.run(
             [sys.executable, "-m", "mejump.cli", *args],
             cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
