@@ -39,7 +39,6 @@ from .medist import MEParams, ValidationReport, density, laplace_transform, tilt
 from .models import exponential_model, phase_type_example, reference_model
 from .splitting import (
     DoubledGenerator,
-    ExitProfile,
     InitialSplit,
     SignSplit,
     build_generator,
@@ -58,7 +57,7 @@ __all__ = [
     "ZeroAlphaError", "LambdaTooSmallError", "NotTransientError",
     "SingularMatrixError", "EigenConvergenceError",
     "MEParams", "ValidationReport", "validate", "density", "laplace_transform", "tilt",
-    "SignSplit", "InitialSplit", "ExitProfile", "DoubledGenerator",
+    "SignSplit", "InitialSplit", "DoubledGenerator",
     "sign_split", "initial_split", "build_generator",
     "doubled_matrix", "exit_profile", "check_transience", "resolve_lambda",
     "PathBatch", "RngStream", "simulate_batch",

@@ -52,7 +52,7 @@ from .modelio import (
     write_split_outputs,
     write_trace,
 )
-from .splitting import build_generator, resolve_lambda, sign_split
+from .splitting import resolve_lambda, sign_split
 
 gc.freeze()
 
@@ -170,9 +170,8 @@ def cmd_split(args) -> int:
         params, name = read_model(args.model)
         run_plan = plan(params, _parse_lambda(args.lam))
         split, profile = run_plan.split, run_plan.profile
-        gen = build_generator(split, run_plan.lam)
         if args.out:
-            write_split_outputs(args.out, run_plan, gen.D)
+            write_split_outputs(args.out, run_plan)
         print(f"model: {name or args.model} (p={params.p})")
         print(f"lambda0: {split.lambda0!r}")
         print(f"lambda: {run_plan.lam!r}")
@@ -180,8 +179,8 @@ def cmd_split(args) -> int:
         _print_matrix("T_minus", split.Tminus)
         _print_matrix("s_plus", split.splus)
         _print_matrix("s_minus", split.sminus)
-        _print_matrix("D(lambda)", gen.D)
-        _print_matrix("termination", gen.term)
+        _print_matrix("D(lambda)", profile.D)
+        _print_matrix("termination", profile.term)
         _print_matrix("d", profile.d)
         _print_matrix("q_plus", profile.qplus)
         _print_matrix("q_minus", profile.qminus)

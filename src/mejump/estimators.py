@@ -31,7 +31,7 @@ from . import linalg
 from .jumpsim import SIGN_OF_LANDING, PathBatch, n_exit_codes, split_exit_code
 from .medist import MEParams, laplace_transform, resolvent_moment
 from .records import Record
-from .splitting import ExitProfile, InitialSplit, SignSplit, doubled_expm_action
+from .splitting import DoubledGenerator, InitialSplit, SignSplit, doubled_expm_action
 
 
 class Grid(Record):
@@ -156,6 +156,9 @@ def finalize_density(
 #: Most entries of the count table of ``count_exits``: 128 MiB of int64.
 MAX_COUNT_ENTRIES = 1 << 24
 
+#: Largest ``h`` degree: its exact value takes one resolvent solve per degree.
+MAX_H_DEGREE = 100_000
+
 
 def check_count_table(grid: Grid, p: int):
     """Refuse a grid whose count table for a model on ``p`` states, ``(n_bins +
@@ -188,7 +191,7 @@ def count_exits(batch: PathBatch, grid: Grid) -> ExitCounts:
     return ExitCounts(grid, counts.reshape(-1, n_codes)[:-1], len(batch))
 
 
-def _code_weights(n_codes: int, profile: ExitProfile | None = None) -> np.ndarray:
+def _code_weights(n_codes: int, profile: DoubledGenerator | None = None) -> np.ndarray:
     """One weight per exit code: the landing sign (int8), or with a
     ``profile`` the conditional expected sign ``qbar`` of the pre-exit state
     (``-qbar`` on the anti side)."""
@@ -216,7 +219,9 @@ def mc_density_beta(counts: ExitCounts, scale: float) -> DensityEstimate:
     return _density_of_counts(counts, _code_weights(counts.counts.shape[1]), scale)
 
 
-def mc_density_qbar(counts: ExitCounts, profile: ExitProfile, scale: float) -> DensityEstimate:
+def mc_density_qbar(
+    counts: ExitCounts, profile: DoubledGenerator, scale: float
+) -> DensityEstimate:
     """Histogram estimate weighting every exiting path (terminated ones
     included) by the conditional expected sign of its pre-exit state."""
     return _density_of_counts(counts, _code_weights(counts.counts.shape[1], profile), scale)
@@ -243,6 +248,8 @@ class HSpec(Record):
             raise ValueError("exp-decay takes no degree; use poly-exp-decay")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
+        if self.degree > MAX_H_DEGREE:
+            raise ValueError(f"degree must be at most {MAX_H_DEGREE}")
 
     def tilted_weight(self, tau: np.ndarray, lam: float) -> np.ndarray:
         """``h(tau) e^{lam tau}`` evaluated without intermediate overflow; an
@@ -296,7 +303,7 @@ def mc_expectation_untilted(
     lam: float,
     w_total: float,
     form: str = "beta",
-    profile: ExitProfile | None = None,
+    profile: DoubledGenerator | None = None,
 ) -> ExpectationEstimate:
     """Estimate ``integral of h(x) f(x) dx`` as
     ``w_total * mean(h(tau) e^{lam tau} * weight)``.
@@ -309,7 +316,7 @@ def mc_expectation_untilted(
     elif form != "qbar":
         raise ValueError(f"unknown form {form!r}")
     elif profile is None:
-        raise ValueError('form="qbar" needs an ExitProfile')
+        raise ValueError('form="qbar" needs a DoubledGenerator')
 
     weight_of_code = _code_weights(n_exit_codes(batch.p), profile)
     sum_v = 0.0

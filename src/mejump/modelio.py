@@ -31,7 +31,7 @@ from .jumpsim import DEFAULT_CHUNK, PathBatch, check_run_shape, simulate_batch
 from .medist import MEParams
 from .records import Record
 from .splitting import (
-    ExitProfile,
+    DoubledGenerator,
     InitialSplit,
     SignSplit,
     check_transience,
@@ -64,10 +64,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _as_float(value, field: str, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ParseError(f"{where}: field {field!r} is too large for a float") from None
+
+
 def _as_number_list(raw, field: str, where: str) -> list:
     if not isinstance(raw, list) or not all(map(_is_number, raw)):
         raise ParseError(f"{where}: field {field!r} must be an array of numbers")
-    return [float(v) for v in raw]
+    return [_as_float(v, field, where) for v in raw]
 
 
 def model_from_dict(raw, where: str = "model"):
@@ -168,7 +175,7 @@ def _config_number(raw: dict, field: str, integer: bool = False):
     if not _is_number(value):
         raise ParseError(f"config: field {field!r} must be a number, got {value!r}")
     if not integer:
-        return float(value)
+        return _as_float(value, field, "config")
     if isinstance(value, float) and not value.is_integer():
         raise ParseError(f"config: field {field!r} must be an integer, got {value!r}")
     return int(value)
@@ -226,14 +233,14 @@ def config_from_dict(raw) -> RunConfig:
 class RunPlan(Record):
     """What a command derives once from a model and a tilting-rate request:
     the validated parameters, their sign split, the resolved rate ``lam``, the
-    initial mixture and the exit profile at ``lam``.  The doubled abscissa
-    and transience follow, from :func:`check_transience`."""
+    initial mixture and ``profile``, the doubled chain at ``lam``.  The doubled
+    abscissa and transience follow, from :func:`check_transience`."""
 
     params: MEParams
     split: SignSplit
     lam: float
     init: InitialSplit
-    profile: ExitProfile
+    profile: DoubledGenerator
 
     @property
     def abscissa(self) -> float:
@@ -245,12 +252,12 @@ class RunPlan(Record):
 
 
 def plan(params: MEParams, lam_request) -> RunPlan:
-    """Validate, split, resolve the rate and derive the profile, once each.
+    """Validate, split, resolve the rate and build the doubled chain, once each.
 
-    A rate below ``lambda_0`` is refused (by :func:`exit_profile`); a
-    non-transient one is only reported, for ``split`` to show, and refused by
-    ``admit_rate`` when the simulator compiles its chain.  Errors are raised
-    unchanged; the CLI maps them to exit codes.
+    A rate below ``lambda_0`` is refused (by :func:`exit_profile`, which is
+    ``build_generator``); a non-transient one is only reported, for ``split``
+    to show, and refused by ``admit_rate`` when the simulator compiles its
+    chain.  Errors are raised unchanged; the CLI maps them to exit codes.
     """
     medist.validate(params)
     split = sign_split(params.T, params.s)
@@ -404,7 +411,7 @@ def split_paths(prefix) -> list:
     return [f"{prefix}_{name}.csv" for name in names]
 
 
-def write_split_outputs(prefix, run_plan: RunPlan, D: np.ndarray):
+def write_split_outputs(prefix, run_plan: RunPlan):
     """Write the split pieces as the CSV files :func:`split_paths` names; a
     vector is written as one row."""
     split, profile = run_plan.split, run_plan.profile
@@ -412,7 +419,7 @@ def write_split_outputs(prefix, run_plan: RunPlan, D: np.ndarray):
     profile_columns = (profile.d, profile.qplus, profile.qminus, profile.qbar_original)
     texts = [
         *(_csv(None, map(_fmt_column, np.atleast_2d(M).T))
-          for M in (split.Tplus, split.Tminus, split.splus, split.sminus, D)),
+          for M in (split.Tplus, split.Tminus, split.splus, split.sminus, profile.D)),
         _csv("state,d,q_plus,q_minus,q_bar_original",
              [map(str, range(split.p)), *map(_fmt_column, profile_columns)]),
         _csv("key,value", [("lambda0", "lambda", "transient", "doubled_abscissa"),

@@ -12,7 +12,8 @@ over ``p`` *original* and ``p`` *anti* states.  Each row additionally carries
 absorption intensities ``s^+ / s^-`` (swapped on the anti side) into two
 absorbing states, plus a nonnegative termination defect that kills the path.
 ``lambda_0`` is the least ``lam >= 0`` for which every such row sums to zero
-with a nonnegative defect.
+with a nonnegative defect.  All that a rate fixes about this chain, ``qbar``
+included, is one :class:`DoubledGenerator`, built by :func:`build_generator`.
 
 Signed exit densities of this jump process reproduce ``e^{(T - lam I) x} s``:
 starting from original state i yields ``e_i^T e^{(T - lam I) x} s`` and from
@@ -87,19 +88,41 @@ class InitialSplit(Record):
         return np.concatenate([self.alphahat_plus, self.alphahat_minus])
 
 
-class ExitProfile(Record):
-    """Per-state exit intensities and conditional landing probabilities.
+class DoubledGenerator(Record):
+    """The doubled chain at a rate: the block ``D`` and, once per state (its
+    original and anti copy share them), the absorption intensities
+    ``s^{+/-}``, exit rate ``d`` and termination defect.  Read off them are
+    the ``2p`` columns of ``[D | abs_o | abs_a | term]``, whose rows sum to
+    zero; ``q^{+/-} = s^{+/-} / d`` (0 where ``d = 0``), the chances that an
+    exit from an original state lands in the positive/negative absorbing
+    state; and ``qbar``, the expected sign of that landing (negated on the
+    anti side)."""
 
-    ``d_i`` is the total exit rate out of state i (same for original and
-    anti), ``q^{+/-}_i`` the conditional probabilities of landing in the
-    positive/negative absorbing state given an exit from original state i, and
-    ``qbar`` the conditional expected sign of the landing: ``q^+_i - q^-_i``
-    from original states, its negative from anti states.
-    """
-
+    D: np.ndarray
+    splus: np.ndarray
+    sminus: np.ndarray
     d: np.ndarray
-    qplus: np.ndarray
-    qminus: np.ndarray
+    defect: np.ndarray
+
+    @property
+    def abs_o(self) -> np.ndarray:
+        return np.concatenate([self.splus, self.sminus])
+
+    @property
+    def abs_a(self) -> np.ndarray:
+        return np.concatenate([self.sminus, self.splus])
+
+    @property
+    def term(self) -> np.ndarray:
+        return np.concatenate([self.defect, self.defect])
+
+    @property
+    def qplus(self) -> np.ndarray:
+        return np.divide(self.splus, self.d, out=np.zeros_like(self.d), where=self.d > 0.0)
+
+    @property
+    def qminus(self) -> np.ndarray:
+        return np.divide(self.sminus, self.d, out=np.zeros_like(self.d), where=self.d > 0.0)
 
     @property
     def qbar_original(self) -> np.ndarray:
@@ -107,19 +130,8 @@ class ExitProfile(Record):
 
     @property
     def qbar(self) -> np.ndarray:
-        """``qbar`` over the ``2p`` original, then anti states."""
         q = self.qbar_original
         return np.concatenate([q, -q])
-
-
-class DoubledGenerator(Record):
-    """Doubled transient block at a rate with its absorption columns and
-    termination defect; rows of ``[D | abs_o | abs_a | term]`` sum to zero."""
-
-    D: np.ndarray
-    abs_o: np.ndarray
-    abs_a: np.ndarray
-    term: np.ndarray
 
 
 def sign_split(T, s) -> SignSplit:
@@ -181,16 +193,15 @@ def doubled_matrix(split: SignSplit, lam: float) -> np.ndarray:
     return np.block([[A, split.Tminus], [split.Tminus, A]])
 
 
-def _rows(split: SignSplit, lam: float):
-    """Refuse a ``lam`` that is not finite or lies below ``lambda_0``, and
-    return the per-state exit rates ``d = lam 1 - (T^+ + T^-) 1`` and
-    termination defects ``d - s^+ - s^-``.
-
-    The row's total rate ``lam - T_ii`` bounds every weight in it, so a
-    defect no larger than ``1e-12`` times that rate is rounding noise and
-    reads zero.  So does every negative defect: ``lam`` is at most the slack
-    below ``lambda_0``, so it is slack or rounding.  ``d`` is floored at
-    ``s^+ + s^-`` to match, so the landing probabilities never sum above one.
+def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
+    """The doubled chain at a finite rate ``lam``, refused below ``lambda_0``.
+    A non-transient rate is built: ``split`` shows it, :func:`admit_rate`
+    refuses it.  State i exits at rate ``d_i = lam - sum_j (T^+ + T^-)_{ij}``
+    with defect ``d_i - s^+_i - s^-_i``.  Its total rate ``lam - T_ii`` bounds
+    every weight in the row, so a defect no larger than ``1e-12`` times that
+    is rounding noise and reads zero, as does any negative defect (``lam``
+    is then at most the slack below ``lambda_0``).  ``d`` is floored at
+    ``s^+ + s^-`` to match, so the landing probabilities sum to at most one.
     """
     require_finite_rate(lam)
     if lam < split.lambda0 - LAMBDA_SLACK * max(1.0, abs(split.lambda0)):
@@ -201,37 +212,14 @@ def _rows(split: SignSplit, lam: float):
     d = lam - (split.Tplus + split.Tminus).sum(axis=1)
     defect = d - split.splus - split.sminus
     defect[defect <= 1e-12 * (lam - np.diag(split.Tplus))] = 0.0
-    return np.maximum(d, split.splus + split.sminus), defect
+    return DoubledGenerator(
+        D=doubled_matrix(split, lam), splus=split.splus, sminus=split.sminus,
+        d=np.maximum(d, split.splus + split.sminus), defect=defect,
+    )
 
 
-def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
-    """Assemble the doubled generator at rate ``lam >= lambda_0``.
-
-    The termination defect of row i is
-    ``lam - sum_j (T^+ + T^-)_{ij} - s^+_i - s^-_i`` (identical for the
-    original and anti copies), with rounding noise read as zero by
-    :func:`_rows`, which also refuses a rate below ``lambda_0``.  A
-    non-transient rate is built: ``split`` shows it, and :func:`admit_rate`
-    refuses it for simulation.
-    """
-    _, defect = _rows(split, lam)
-    D = doubled_matrix(split, lam)
-    abs_o = np.concatenate([split.splus, split.sminus])
-    abs_a = np.concatenate([split.sminus, split.splus])
-    term = np.concatenate([defect, defect])
-    return DoubledGenerator(D=D, abs_o=abs_o, abs_a=abs_a, term=term)
-
-
-def exit_profile(split: SignSplit, lam: float) -> ExitProfile:
-    """Exit intensities ``d = lam 1 - (T^+ + T^-) 1`` and conditional landing
-    probabilities ``q^{+/-} = s^{+/-} / d`` (zero where ``d_i = 0``)."""
-    d, _ = _rows(split, lam)
-    qplus = np.zeros(split.p)
-    qminus = np.zeros(split.p)
-    positive = d > 0.0
-    qplus[positive] = split.splus[positive] / d[positive]
-    qminus[positive] = split.sminus[positive] / d[positive]
-    return ExitProfile(d=d, qplus=qplus, qminus=qminus)
+#: The builder under the name ``modelio.plan`` calls, which ``benchmarks/probe.py`` times.
+exit_profile = build_generator
 
 
 def check_transience(split: SignSplit, lam: float):
@@ -251,11 +239,10 @@ def check_transience(split: SignSplit, lam: float):
 
 
 def admit_rate(split: SignSplit, lam: float) -> DoubledGenerator:
-    """The one gate on a simulation rate, returning the doubled generator it
-    admits.  ``lam`` must be finite and at least ``lambda_0`` (refused while
-    :func:`build_generator` builds the generator), make the doubled chain
-    transient and leave every state at a positive rate ``lam - T_ii``
-    (transience implies it, but ``eta`` is rounded)."""
+    """The one gate on a simulation rate, returning the doubled chain it
+    admits: ``lam`` must be finite and at least ``lambda_0`` (refused by
+    :func:`build_generator`), make the chain transient and leave every state
+    at a positive rate ``lam - T_ii`` (transience implies it; ``eta`` is rounded)."""
     gen = build_generator(split, lam)
     transient, abscissa = check_transience(split, lam)
     if not transient:

@@ -6,11 +6,12 @@ import pathlib
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mejump import cli, splitting
+from mejump import cli, estimators, splitting
 from mejump.estimators import DensityEstimate, Grid
 from mejump.medist import MEParams
 from mejump.modelio import (
@@ -74,6 +75,46 @@ class TestModelRoundTrip:
         path.write_text('{"alpha": [1.0], "T": [[false]], "s": [1]}')
         with pytest.raises(ParseError, match=r"'T\[0\]' must be an array of numbers"):
             read_model(path)
+
+
+#: A JSON integer past the float range.
+HUGE = 10**400
+
+
+class TestHugeJsonIntegers:
+    """A float field holding an integer past the float range is refused by
+    name, in one error line; an integer field keeps it exact."""
+
+    @pytest.mark.parametrize("field", ["alpha", "T[1]", "s"])
+    def test_model_field_is_named(self, model_file, field, capsys):
+        raw = json.loads(model_file.read_text())
+        (raw["T"][1] if field == "T[1]" else raw[field])[0] = HUGE
+        model_file.write_text(json.dumps(raw))
+        assert run_cli(["validate", model_file], capsys) == (
+            1, "", f"error: {model_file}: field {field!r} is too large for a float\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("lambda", {"lambda": HUGE}),
+            ("x_min", {"grid": {"x_min": HUGE, "x_max": 4.0, "n_bins": 4}}),
+            ("x_max", {"grid": {"x_min": 0.0, "x_max": HUGE, "n_bins": 4}}),
+            ("c", {"h": {"type": "exp-decay", "c": HUGE}}),
+        ],
+        ids=["lambda", "x_min", "x_max", "c"],
+    )
+    def test_config_field_is_named(self, model_file, tmp_path, field, raw, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(raw, n_paths=1000)))
+        out_csv = tmp_path / "out.csv"
+        assert run_cli(["estimate", model_file, "--config", cfg, "--out", out_csv], capsys) == (
+            1, "", f"error: config: field {field!r} is too large for a float\n"
+        )
+        assert not out_csv.exists()
+
+    def test_integer_field_keeps_its_value(self):
+        assert config_from_dict({"seed": HUGE}).seed == HUGE
 
 
 class TestConfig:
@@ -1248,6 +1289,17 @@ class TestExpectCommand:
         assert err == (
             "error: the exact value of integral h(x) f(x) dx overflows at degree 20000\n"
         )
+
+    def test_degree_above_the_bound_is_a_config_error(self, model_file, tmp_path, capsys):
+        # refused before the first of its 100001 resolvent solves
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"n_paths": 1000, "h": {"type": "poly-exp-decay", "c": 1000.0, "degree": 100_001}}
+        ))
+        with mock.patch.object(estimators, "resolvent_moment") as solves:
+            code, out, err = run_cli(["expect", model_file, "--config", cfg], capsys)
+        assert (code, out, err) == (1, "", "error: config: degree must be at most 100000\n")
+        assert not solves.called
 
     @pytest.mark.parametrize("c", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_decay_rate_is_a_config_error(self, model_file, tmp_path, c, capsys):

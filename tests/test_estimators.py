@@ -521,7 +521,7 @@ class TestExpectation:
         h = HSpec("exp-decay", 2.0)
         with pytest.raises(ValueError, match="^unknown form 'gamma'$"):
             mc_expectation_untilted(batch, h, 2.0, 1.0, form="gamma")
-        with pytest.raises(ValueError, match='^form="qbar" needs an ExitProfile$'):
+        with pytest.raises(ValueError, match='^form="qbar" needs a DoubledGenerator$'):
             mc_expectation_untilted(batch, h, 2.0, 1.0, form="qbar")
 
     @pytest.mark.parametrize("form", ["beta", "qbar"])
@@ -623,6 +623,13 @@ class TestHSpec:
     def test_non_finite_decay_rate_refused(self, c):
         with pytest.raises(ValueError, match="^h decay rate c must be finite"):
             HSpec("exp-decay", c)
+
+    @pytest.mark.parametrize("degree", [100_001, 10**400], ids=["100001", "1e400"])
+    def test_degree_above_the_bound_refused(self, degree):
+        # refused when h is made, before the one solve per degree
+        with pytest.raises(ValueError, match="^degree must be at most 100000$"):
+            HSpec("poly-exp-decay", 2.0, degree)
+        assert HSpec("poly-exp-decay", 2.0, 100_000).degree == 100_000
 
     def test_analytic_exponential(self):
         params = exponential_model(1.0)

@@ -577,21 +577,21 @@ class TestSimulateBatch:
             assert np.array_equal(col_a, col_b)
 
     def test_one_table_and_one_rate_rule_per_run(self, ref_split, ref_init, monkeypatch):
-        # the chain applies the lambda_0 rule once, through the generator the
-        # gate returns, and compiles one guide table, the start row included
+        # the chain builds its doubled generator once, through the gate, and
+        # compiles one guide table, the start row included
         tables, rates = [], []
-        guide_table, rows = jumpsim._guide_table, splitting._rows
+        guide_table, build = jumpsim._guide_table, splitting.build_generator
 
         def counted_table(cum, last, answers):
             tables.append(cum.shape)
             return guide_table(cum, last, answers)
 
-        def counted_rows(split, lam):
+        def counted_build(split, lam):
             rates.append(lam)
-            return rows(split, lam)
+            return build(split, lam)
 
         monkeypatch.setattr(jumpsim, "_guide_table", counted_table)
-        monkeypatch.setattr(splitting, "_rows", counted_rows)
+        monkeypatch.setattr(splitting, "build_generator", counted_build)
         simulate_batch(ref_split, 2.0, ref_init, n_paths=1000, seed=1, chunk=300, workers=2)
         assert tables == [(7, 9)]
         assert rates == [2.0]

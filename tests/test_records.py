@@ -137,7 +137,7 @@ class TestPackageRecords:
         records = _one_of_each()
         plan = records[0]
         with pytest.raises(ValueError, match="read-only"):
-            plan.profile.qplus[0] = 0.0
+            plan.profile.d[0] = 0.0
         held = set()
         for record in records:
             for name in record._fields:
@@ -147,23 +147,25 @@ class TestPackageRecords:
                         held.add(f"{type(record).__name__}.{name}")
                         with pytest.raises(ValueError, match="read-only"):
                             item[...] = 0
-        assert {"ExitProfile.qplus", "PathBatch.trace", "MEParams.T"} <= held
+        assert {"DoubledGenerator.d", "PathBatch.trace", "MEParams.T"} <= held
 
     @pytest.mark.parametrize(
-        "make",
+        "derived, make",
         [
-            lambda: medist.ValidationReport(-1.0, 1.0, True, messages=[]),
-            lambda: splitting.ExitProfile(np.ones(1), np.ones(1), np.zeros(1), np.ones(1)),
-            lambda: splitting.InitialSplit(
-                1.0, 0.0, np.ones(1), np.zeros(1), alphahat_plus=np.ones(1)
-            ),
-            lambda: modelio.RunPlan(None, None, 2.0, None, None, abscissa=-2.0),
+            ("messages", lambda: medist.ValidationReport(-1.0, 1.0, True, messages=[])),
+            ("qbar_original", lambda: splitting.DoubledGenerator(
+                *[np.ones(1)] * 5, qbar_original=np.ones(1))),
+            ("abs_a", lambda: splitting.DoubledGenerator(*[np.ones(1)] * 5, abs_a=np.ones(2))),
+            ("alphahat_plus", lambda: splitting.InitialSplit(
+                1.0, 0.0, np.ones(1), np.zeros(1), alphahat_plus=np.ones(1))),
+            ("abscissa", lambda: modelio.RunPlan(None, None, 2.0, None, None, abscissa=-2.0)),
         ],
-        ids=["ValidationReport.messages", "ExitProfile.qbar_original",
-             "InitialSplit.alphahat_plus", "RunPlan.abscissa"],
+        ids=["ValidationReport.messages", "DoubledGenerator.qbar_original",
+             "DoubledGenerator.abs_a", "InitialSplit.alphahat_plus", "RunPlan.abscissa"],
     )
-    def test_a_derived_value_is_not_a_field(self, make):
-        with pytest.raises(TypeError):
+    def test_a_derived_value_is_not_a_field(self, derived, make):
+        # refused by name, so no other field is missing or left over
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{derived}'$"):
             make()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -190,6 +192,14 @@ class TestPackageRecords:
         ).tobytes()
         prof = splitting.exit_profile(split, lam)
         assert prof.qbar_original.tobytes() == (prof.qplus - prof.qminus).tobytes()
+        for s, q in ((split.splus, prof.qplus), (split.sminus, prof.qminus)):
+            want = np.zeros(split.p)
+            positive = prof.d > 0.0
+            want[positive] = s[positive] / prof.d[positive]
+            assert q.tobytes() == want.tobytes()
+        assert prof.abs_o.tobytes() == np.concatenate([split.splus, split.sminus]).tobytes()
+        assert prof.abs_a.tobytes() == np.concatenate([split.sminus, split.splus]).tobytes()
+        assert prof.term.tobytes() == np.concatenate([prof.defect, prof.defect]).tobytes()
         shifted = modelio.RunPlan(run_plan.params, split, lam, init, prof)
         _, abscissa = splitting.check_transience(split, lam)
         assert shifted.abscissa == abscissa and shifted.transient == (abscissa < 0.0)

@@ -135,6 +135,18 @@ def test_each_run_derives_its_chain_once():
     assert "modelio.run_estimate" in callers("simulate")
 
 
+def test_one_function_builds_the_doubled_chain():
+    # splitting.build_generator derives every row of the doubled chain at a
+    # rate; exit_profile is the same function, under the name plan calls
+    from mejump import splitting
+
+    assert splitting.exit_profile is splitting.build_generator
+    assert not hasattr(splitting, "_rows") and not hasattr(splitting, "ExitProfile")
+    assert callers("DoubledGenerator") == {"splitting.build_generator"}
+    assert callers("exit_profile") == {"modelio.plan"}
+    assert callers("build_generator") == {"splitting.admit_rate"}
+
+
 def strings(node):
     """Every string constant under ``node``, the literal parts of f-strings
     included."""

@@ -46,10 +46,10 @@ def test_outputs_records_every_invocation(tmp_path):
         path.parent.name: path.read_text(encoding="utf-8")
         for path in tmp_path.glob("*/exit_code")
     }
-    assert len(codes) == 24
+    assert len(codes) == 27
     refused = {
         "overwrite-estimate", "overwrite-tilt", "overwrite-split", "expect-c-nan",
-        "expect-degree-20000",
+        "expect-degree-20000", "expect-huge-degree", "validate-huge-alpha", "estimate-huge-x-max",
     }
     assert {name for name, code in codes.items() if code != "0\n"} == refused
     assert {codes[name] for name in refused} == {"1\n"}

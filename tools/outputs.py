@@ -19,8 +19,10 @@ the benchmark's wide model ``random_me_model(100, default_rng(100))``;
 ``expect`` with each kind of integrand; the refusals that keep ``estimate
 --out``, ``tilt --out`` and ``split --out`` (through the ``_D.csv`` it would
 write) from writing over their model; ``expect`` with a
-NaN decay rate, with a degree whose exact value underflows (1000) and with
-one whose value overflows (20000); and ``reproduce-example``.
+NaN decay rate, with a degree whose exact value underflows (1000), with one
+whose value overflows (20000) and with one above the bound on degrees; the
+refusals of an integer past the float range in a model's ``alpha`` and in a
+config's ``grid.x_max``; and ``reproduce-example``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ GOLDEN_CONFIG = (
     '"grid": {"x_min": 0.0, "x_max": 4.0, "n_bins": 40}, "estimator": "both"}'
 )
 
-#: Every input file, written into ``DIR`` first.
+#: An integer past the float range, as JSON writes it.
+HUGE = "1" + "0" * 400
+
+#: Every input file, written into ``DIR`` first; one that a single invocation
+#: reads is written into that invocation's directory.
 INPUTS = {
     "golden.json": GOLDEN_CONFIG,
     "exp-decay.json": '{"lambda": 3.0, "n_paths": 20000, "h": {"type": "exp-decay", "c": 2.0}}',
@@ -53,6 +59,13 @@ INPUTS = {
     ),
     "degree-20000.json": (
         '{"n_paths": 1000, "h": {"type": "poly-exp-decay", "c": 1000.0, "degree": 20000}}'
+    ),
+    "validate-huge-alpha/model.json": f'{{"alpha": [{HUGE}], "T": [[-1.0]], "s": [1.0]}}',
+    "estimate-huge-x-max/cfg.json": (
+        f'{{"n_paths": 1000, "grid": {{"x_min": 0.0, "x_max": {HUGE}, "n_bins": 4}}}}'
+    ),
+    "expect-huge-degree/cfg.json": (
+        f'{{"n_paths": 1000, "h": {{"type": "poly-exp-decay", "c": 1000.0, "degree": {HUGE}}}}}'
     ),
 }
 
@@ -82,6 +95,9 @@ INVOCATIONS = [
     ("expect-c-nan", ["expect", REF, "--config", "../c-nan.json"]),
     ("expect-degree-1000", ["expect", REF, "--config", "../degree-1000.json"]),
     ("expect-degree-20000", ["expect", REF, "--config", "../degree-20000.json"]),
+    ("expect-huge-degree", ["expect", REF, "--config", "cfg.json"]),
+    ("validate-huge-alpha", ["validate", "model.json"]),
+    ("estimate-huge-x-max", ["estimate", REF, "--config", "cfg.json", "--out", "est.csv"]),
     ("reproduce-example", ["reproduce-example", "--paths", "20000"]),
 ]
 
@@ -115,6 +131,7 @@ def main(argv=None) -> int:
     write_model(reference_model(), out / "reference.json", name="reference")
     write_model(random_me_model(100, np.random.default_rng(100)), out / "wide.json", name="wide")
     for name, text in INPUTS.items():
+        (out / name).parent.mkdir(exist_ok=True)
         (out / name).write_text(text + "\n", encoding="utf-8")
     for name, args in INVOCATIONS:
         cwd = out / name
