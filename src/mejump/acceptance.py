@@ -414,8 +414,8 @@ def criterion_13(n_paths, seed) -> CriterionResult:
 def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
     """Run every acceptance criterion on one plan of the reference model;
     raises before any criterion runs if the run config refuses a value or
-    ``lam`` is below its threshold, and when criteria 7-9 simulate if the
-    rate gate refuses ``lam``."""
+    ``lam`` is below its threshold, and when criteria 7-9 simulate the plan's
+    chain if the rate gate refuses it."""
     cfg = RunConfig(lam=lam, n_paths=n_paths, seed=seed)
     params = reference_model()
     ref_plan = plan(params, cfg.lam)

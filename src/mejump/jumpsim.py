@@ -8,8 +8,8 @@ explicit *terminated* pseudo-state carrying the row defect.  Every path
 therefore has a well-defined exit time ``tau``, pre-exit state and landing,
 and a sign of +1 / -1 / 0 according to whether it landed in the positive
 absorbing state, the negative one, or was terminated; a batch reads the sign
-off the landing.  ``JumpChain`` refuses no rate itself: ``admit_rate`` does,
-and returns the generator the chain compiles.
+off the landing.  ``JumpChain`` compiles the doubled chain it is handed once
+``splitting.admit_rate`` has checked it: nothing here builds a chain.
 
 Randomness is pinned for reproducibility: streams are numpy ``PCG64DXSM``
 bit generators keyed by ``SeedSequence(seed, spawn_key=(stream_index,))``,
@@ -90,7 +90,7 @@ import threading
 import numpy as np
 
 from .records import Record
-from .splitting import InitialSplit, SignSplit, admit_rate
+from .splitting import DoubledGenerator, InitialSplit, admit_rate
 
 #: Paths per random stream in simulate_batch.
 DEFAULT_CHUNK = 65536
@@ -275,24 +275,23 @@ def _draw_targets(table: GuideTable, state, u, out, arena):
 
 
 class JumpChain:
-    """Compiled jump tables for one (split, lam, init) triple.
+    """Compiled jump tables for one doubled chain ``gen`` and initial law ``init``.
 
-    Admits ``lam`` through ``splitting.admit_rate``, the one rate gate, and
-    compiles the generator it returns: the per-state exit rates, negated (the
-    diagonal of the doubled block), and one guide table (see
-    ``_guide_table``) over the ``2p`` target rows of the transient states and
-    the start row ``2p``, the initial law ``(alphahat^+, alphahat^-)``, which
-    ``simulate_batch`` samples from.  It gives the table each cell's answer:
-    a transient target itself, and landing ``0/1/2`` from state ``i`` the
-    complemented exit code ``~(3 * i + landing)``.  This is where exit codes
-    are encoded, so a draw is an exit exactly when it is negative.  ``start``
-    is the state of an initial law with one positive weight, else None.
+    Checks ``gen`` with ``splitting.admit_rate``, the one rate gate, and
+    compiles it: the per-state exit rates, negated (the diagonal of ``D``),
+    and one guide table (see ``_guide_table``) over the ``2p`` target rows of
+    the transient states and the start row ``2p``, the initial law
+    ``(alphahat^+, alphahat^-)``, which ``simulate_batch`` samples from.  It
+    gives the table each cell's answer: a transient target itself, and landing
+    ``0/1/2`` from state ``i`` the complemented exit code ``~(3 * i +
+    landing)``.  This is where exit codes are encoded, so a draw is an exit
+    exactly when it is negative.  ``start`` is the state of an initial law
+    with one positive weight, else None.
     """
 
-    def __init__(self, split: SignSplit, lam: float, init: InitialSplit):
-        gen = admit_rate(split, lam)
-        p = split.p
-        self.p = p
+    def __init__(self, gen: DoubledGenerator, init: InitialSplit):
+        admit_rate(gen)
+        self.p = p = gen.d.size
         self.neg_rate = np.diag(gen.D).copy()
         start = init.alphahat
         weights = np.zeros((2 * p + 1, 2 * p + 3))
@@ -481,8 +480,7 @@ def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
 
 
 def simulate_batch(
-    split: SignSplit,
-    lam: float,
+    gen: DoubledGenerator,
     init: InitialSplit,
     n_paths: int,
     seed: int,
@@ -490,7 +488,7 @@ def simulate_batch(
     workers: int = 1,
     collect_trace: bool = False,
 ) -> PathBatch:
-    """Simulate ``n_paths`` outcomes with reproducible chunked streams.
+    """Simulate ``n_paths`` outcomes of the chain ``gen`` with reproducible chunked streams.
 
     Path k comes from stream ``k // chunk`` (``stream_slices``).  One sampler,
     ``_draw_targets``, draws each path's first state from the initial law
@@ -509,7 +507,7 @@ def simulate_batch(
     have stopped.
     """
     check_run_shape(n_paths, seed, chunk, workers)
-    chain = JumpChain(split, lam, init)
+    chain = JumpChain(gen, init)
     columns = (  # tau, exit_code, n_jumps: PathBatch's columns in field order
         np.empty(n_paths),
         np.empty(n_paths, dtype=np.int32),

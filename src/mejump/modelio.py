@@ -34,7 +34,6 @@ from .splitting import (
     DoubledGenerator,
     InitialSplit,
     SignSplit,
-    check_transience,
     exit_profile,
     initial_split,
     resolve_lambda,
@@ -231,24 +230,26 @@ def config_from_dict(raw) -> RunConfig:
 
 
 class RunPlan(Record):
-    """What a command derives once from a model and a tilting-rate request:
-    the validated parameters, their sign split, the resolved rate ``lam``, the
-    initial mixture and ``profile``, the doubled chain at ``lam``.  The doubled
-    abscissa and transience follow, from :func:`check_transience`."""
+    """What a command derives once from a model and a tilting-rate request: the
+    validated parameters, their sign split, the initial mixture and ``profile``,
+    the doubled chain at the resolved rate, which the properties read."""
 
     params: MEParams
     split: SignSplit
-    lam: float
     init: InitialSplit
     profile: DoubledGenerator
 
     @property
+    def lam(self) -> float:
+        return self.profile.lam
+
+    @property
     def abscissa(self) -> float:
-        return check_transience(self.split, self.lam)[1]
+        return self.profile.abscissa
 
     @property
     def transient(self) -> bool:
-        return check_transience(self.split, self.lam)[0]
+        return self.profile.transient
 
 
 def plan(params: MEParams, lam_request) -> RunPlan:
@@ -256,14 +257,13 @@ def plan(params: MEParams, lam_request) -> RunPlan:
 
     A rate below ``lambda_0`` is refused (by :func:`exit_profile`, which is
     ``build_generator``); a non-transient one is only reported, for ``split``
-    to show, and refused by ``admit_rate`` when the simulator compiles its
+    to show, and refused by ``admit_rate`` when :func:`simulate` runs this
     chain.  Errors are raised unchanged; the CLI maps them to exit codes.
     """
     medist.validate(params)
     split = sign_split(params.T, params.s)
-    lam = resolve_lambda(split, lam_request)
-    profile = exit_profile(split, lam)
-    return RunPlan(params, split, lam, initial_split(params.alpha), profile)
+    profile = exit_profile(split, resolve_lambda(split, lam_request))
+    return RunPlan(params, split, initial_split(params.alpha), profile)
 
 
 class EstimateRun(Record):
@@ -291,12 +291,11 @@ def check_landing(run_plan: RunPlan):
 
 
 def simulate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> PathBatch:
-    """Simulate the planned chain: the back end shared by ``estimate`` and
-    ``expect``, which refuses the rates :func:`check_landing` refuses before
-    any path is simulated."""
+    """Simulate the planned chain ``run_plan.profile``, with no second build,
+    for ``estimate`` and ``expect``, once :func:`check_landing` has passed its rate."""
     check_landing(run_plan)
     return simulate_batch(
-        run_plan.split, run_plan.lam, run_plan.init, n_paths=cfg.n_paths, seed=cfg.seed,
+        run_plan.profile, run_plan.init, n_paths=cfg.n_paths, seed=cfg.seed,
         chunk=cfg.chunk, workers=cfg.workers, collect_trace=collect_trace,
     )
 

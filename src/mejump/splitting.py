@@ -13,7 +13,7 @@ absorption intensities ``s^+ / s^-`` (swapped on the anti side) into two
 absorbing states, plus a nonnegative termination defect that kills the path.
 ``lambda_0`` is the least ``lam >= 0`` for which every such row sums to zero
 with a nonnegative defect.  All that a rate fixes about this chain, ``qbar``
-included, is one :class:`DoubledGenerator`, built by :func:`build_generator`.
+included, is one :class:`DoubledGenerator`, built once a run by :func:`build_generator`.
 
 Signed exit densities of this jump process reproduce ``e^{(T - lam I) x} s``:
 starting from original state i yields ``e_i^T e^{(T - lam I) x} s`` and from
@@ -89,20 +89,26 @@ class InitialSplit(Record):
 
 
 class DoubledGenerator(Record):
-    """The doubled chain at a rate: the block ``D`` and, once per state (its
-    original and anti copy share them), the absorption intensities
-    ``s^{+/-}``, exit rate ``d`` and termination defect.  Read off them are
-    the ``2p`` columns of ``[D | abs_o | abs_a | term]``, whose rows sum to
-    zero; ``q^{+/-} = s^{+/-} / d`` (0 where ``d = 0``), the chances that an
-    exit from an original state lands in the positive/negative absorbing
-    state; and ``qbar``, the expected sign of that landing (negated on the
-    anti side)."""
+    """The doubled chain at the rate ``lam``: its abscissa, the block ``D``
+    and, once per state (its original and anti copy share them), the
+    absorption intensities ``s^{+/-}``, exit rate ``d`` and termination
+    defect.  Read off them are transience; the ``2p`` columns of
+    ``[D | abs_o | abs_a | term]``, whose rows sum to zero; ``q^{+/-} =
+    s^{+/-} / d`` (0 where ``d = 0``), the chances that an exit from an
+    original state lands in the positive/negative absorbing state; and
+    ``qbar``, the expected sign of that landing (negated on the anti side)."""
 
+    lam: float
+    abscissa: float
     D: np.ndarray
     splus: np.ndarray
     sminus: np.ndarray
     d: np.ndarray
     defect: np.ndarray
+
+    @property
+    def transient(self) -> bool:
+        return bool(self.abscissa < 0.0)
 
     @property
     def abs_o(self) -> np.ndarray:
@@ -213,7 +219,8 @@ def build_generator(split: SignSplit, lam: float) -> DoubledGenerator:
     defect = d - split.splus - split.sminus
     defect[defect <= 1e-12 * (lam - np.diag(split.Tplus))] = 0.0
     return DoubledGenerator(
-        D=doubled_matrix(split, lam), splus=split.splus, sminus=split.sminus,
+        lam=lam, abscissa=check_transience(split, lam)[1], D=doubled_matrix(split, lam),
+        splus=split.splus, sminus=split.sminus,
         d=np.maximum(d, split.splus + split.sminus), defect=defect,
     )
 
@@ -238,23 +245,20 @@ def check_transience(split: SignSplit, lam: float):
     return bool(abscissa < 0.0), abscissa
 
 
-def admit_rate(split: SignSplit, lam: float) -> DoubledGenerator:
-    """The one gate on a simulation rate, returning the doubled chain it
-    admits: ``lam`` must be finite and at least ``lambda_0`` (refused by
-    :func:`build_generator`), make the chain transient and leave every state
-    at a positive rate ``lam - T_ii`` (transience implies it; ``eta`` is rounded)."""
-    gen = build_generator(split, lam)
-    transient, abscissa = check_transience(split, lam)
-    if not transient:
+def admit_rate(gen: DoubledGenerator):
+    """The one gate on a simulation rate: it refuses the chain ``gen`` unless
+    it is transient and leaves every state at a positive rate ``-D_ii = lam -
+    T_ii`` (transience implies it; ``eta`` is rounded).  A rate that is not
+    finite or is below ``lambda_0`` has no chain: the builder refuses it."""
+    if not gen.transient:
         raise NotTransientError(
-            f"doubled states are not transient at rate {lam:g} "
-            f"(spectral abscissa {abscissa:.6g} >= 0)"
+            f"doubled states are not transient at rate {gen.lam:g} "
+            f"(spectral abscissa {gen.abscissa:.6g} >= 0)"
         )
-    exit_rate = lam - np.diag(split.Tplus)
+    exit_rate = -np.diag(gen.D)[: gen.d.size]  # the anti half repeats it
     if not np.all(exit_rate > 0.0):
         stuck = int(np.argmin(exit_rate))
-        raise NotTransientError(f"state o{stuck} has zero total exit rate at rate {lam:g}")
-    return gen
+        raise NotTransientError(f"state o{stuck} has zero total exit rate at rate {gen.lam:g}")
 
 
 def resolve_lambda(split: SignSplit, request) -> float:

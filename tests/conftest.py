@@ -3,7 +3,7 @@ import pytest
 
 from mejump.medist import MEParams
 from mejump.models import exponential_model, phase_type_example, reference_model
-from mejump.splitting import initial_split, sign_split
+from mejump.splitting import build_generator, initial_split, sign_split
 
 
 @pytest.fixture
@@ -14,6 +14,12 @@ def ref():
 @pytest.fixture
 def ref_split(ref):
     return sign_split(ref.T, ref.s)
+
+
+@pytest.fixture
+def ref_gen(ref_split):
+    """The reference model's doubled chain at its threshold rate 2."""
+    return build_generator(ref_split, 2.0)
 
 
 @pytest.fixture

@@ -944,8 +944,8 @@ class TestTrace:
         # above lambda_0 some paths terminate
         split = splitting.sign_split(m.T, m.s)
         batch = simulate_batch(
-            split, split.lambda0 + above_lambda0, splitting.initial_split(m.alpha),
-            n_paths=300, seed=4, chunk=128, collect_trace=True,
+            splitting.build_generator(split, split.lambda0 + above_lambda0),
+            splitting.initial_split(m.alpha), n_paths=300, seed=4, chunk=128, collect_trace=True,
         )
         path = tmp_path / "trace.tsv"
         write_trace(path, batch)
@@ -968,9 +968,9 @@ class TestTrace:
 
         m = random_me_model(5, np.random.default_rng(2))
         split = splitting.sign_split(m.T, m.s)
+        gen = splitting.build_generator(split, split.lambda0 + 1.0)
         batch = simulate_batch(
-            split, split.lambda0 + 1.0, splitting.initial_split(m.alpha),
-            n_paths=60, seed=4, chunk=16, collect_trace=True,
+            gen, splitting.initial_split(m.alpha), n_paths=60, seed=4, chunk=16, collect_trace=True
         )
         path_idx, times, frm, to = batch.trace
         labels = state_labels(m.p)

@@ -111,7 +111,8 @@ def assert_same_bits(got, want):
 def make_batch(params, lam, n, seed, chunk=20_000):
     split = splitting.sign_split(params.T, params.s)
     init = splitting.initial_split(params.alpha)
-    batch = simulate_batch(split, lam, init, n_paths=n, seed=seed, chunk=chunk)
+    gen = splitting.build_generator(split, lam)
+    batch = simulate_batch(gen, init, n_paths=n, seed=seed, chunk=chunk)
     scale = init.w_total / medist.laplace_transform(params, lam)
     return split, init, batch, scale
 
@@ -146,7 +147,7 @@ class TestDensityBeta:
         # s = 0: every path terminates, beta is identically zero
         split = splitting.sign_split(np.array([[-1.0]]), np.array([0.0]))
         init = splitting.initial_split(np.array([1.0]))
-        batch = simulate_batch(split, 0.0, init, n_paths=5000, seed=2)
+        batch = simulate_batch(splitting.build_generator(split, 0.0), init, n_paths=5000, seed=2)
         assert np.all(batch.sign == 0)
         est = density_beta(batch, Grid(0.0, 5.0, 10), 1.0)
         assert np.array_equal(est.estimate, np.zeros(10))
@@ -172,7 +173,8 @@ class TestDensityBeta:
             split = splitting.sign_split(params.T, params.s)
             lam = splitting.resolve_lambda(split, "auto")
             init = splitting.initial_split(params.alpha)
-            batch = simulate_batch(split, lam, init, n_paths=200_000, seed=12)
+            gen = splitting.build_generator(split, lam)
+            batch = simulate_batch(gen, init, n_paths=200_000, seed=12)
             scale = init.w_total / medist.laplace_transform(params, lam)
             sigma0 = linalg.spectral_abscissa(params.T)
             x_max = 5.0 / (lam - sigma0)
@@ -356,9 +358,8 @@ class TestFoldsMatchTheReference:
         lam = splitting.resolve_lambda(split, "auto")
         n = int(rng.integers(2 * n_bins + 20, 4 * n_bins + 60))
         size = {"one": 1, "odd": int(rng.integers(1, n // 4)) * 2 + 1, "over": n + 3}[chunk]
-        batch = simulate_batch(
-            split, lam, splitting.initial_split(m.alpha), n_paths=n, seed=seed, chunk=size
-        )
+        gen, init = splitting.build_generator(split, lam), splitting.initial_split(m.alpha)
+        batch = simulate_batch(gen, init, n_paths=n, seed=seed, chunk=size)
         # grids that hold the simulated times, or sit far below them; a
         # time exactly at x_min, the planted ones exactly on the edges
         lo, hi = np.quantile(batch.tau, [0.2, 0.9])
@@ -392,10 +393,7 @@ class TestFoldsMatchTheReference:
         ).reshape(grid.n_bins, n_codes)
         assert counts.counts.dtype == np.int64 and np.array_equal(counts.counts, want)
         assert counts.n_paths == n
-        two = simulate_batch(
-            split, lam, splitting.initial_split(m.alpha), n_paths=n, seed=seed, chunk=size,
-            workers=2,
-        )
+        two = simulate_batch(gen, init, n_paths=n, seed=seed, chunk=size, workers=2)
         assert np.array_equal(count_exits(with_planted_times(two), grid).counts, counts.counts)
 
         # at a per-path bin weight of 1 every grid's estimate is finite
@@ -457,7 +455,8 @@ class TestExitCounts:
         split = splitting.sign_split(m.T, m.s)
         lam = splitting.resolve_lambda(split, "auto")
         init = splitting.initial_split(m.alpha)
-        batch = simulate_batch(split, lam, init, n_paths=100_000, seed=3, chunk=8192)
+        gen = splitting.build_generator(split, lam)
+        batch = simulate_batch(gen, init, n_paths=100_000, seed=3, chunk=8192)
         grid = Grid(0.0, float(np.quantile(batch.tau, 0.99)), 10_000)
         table = (grid.n_bins + 1) * 6 * m.p * 8
         columns = sum(getattr(batch, field).nbytes for field in ("tau", "exit_code", "n_jumps"))

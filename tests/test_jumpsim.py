@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mejump import jumpsim, linalg, medist, splitting
+from mejump import cli, jumpsim, linalg, medist, modelio, splitting
 from mejump.errors import NotTransientError
 from mejump.jumpsim import JumpChain, RngStream, simulate_batch
 from mejump.modelio import state_labels
@@ -114,16 +114,16 @@ class TestStateIds:
 class TestSampleInitial:
     """Initial states, read from each path's first trace ``from`` code."""
 
-    def test_reference_always_first_original(self, ref_split, ref_init):
+    def test_reference_always_first_original(self, ref_gen, ref_init):
         batch = simulate_batch(
-            ref_split, 2.0, ref_init, n_paths=50, seed=9, collect_trace=True
+            ref_gen, ref_init, n_paths=50, seed=9, collect_trace=True
         )
         assert np.all(batch.trace[2][first_rows(batch.trace[0])] == 0)
 
     def test_negative_alpha_starts_anti(self, exp_split):
         init = splitting.initial_split(np.array([-1.0]))
         batch = simulate_batch(
-            exp_split, 1.0, init, n_paths=20, seed=1, collect_trace=True
+            splitting.build_generator(exp_split, 1.0), init, n_paths=20, seed=1, collect_trace=True
         )
         assert np.all(batch.trace[2][first_rows(batch.trace[0])] == 1)
 
@@ -131,7 +131,8 @@ class TestSampleInitial:
         split = splitting.sign_split(-np.eye(2), np.ones(2))
         init = splitting.initial_split(np.array([0.5, -0.5]))
         n = 100_000
-        batch = simulate_batch(split, 0.0, init, n_paths=n, seed=77, collect_trace=True)
+        gen = splitting.build_generator(split, 0.0)
+        batch = simulate_batch(gen, init, n_paths=n, seed=77, collect_trace=True)
         hits = np.count_nonzero(batch.trace[2][first_rows(batch.trace[0])] < 2)
         # binomial 4-sigma band around 1/2
         assert abs(hits / n - 0.5) <= 4.0 * math.sqrt(0.25 / n)
@@ -142,7 +143,7 @@ class TestSimulatePath:
         # rate-1 model tilted at 1: exit rate 2, half absorb half terminate
         init = splitting.initial_split(exp1.alpha)
         n = 100_000
-        batch = simulate_batch(exp_split, 1.0, init, n_paths=n, seed=5)
+        batch = simulate_batch(splitting.build_generator(exp_split, 1.0), init, n_paths=n, seed=5)
         assert np.all(batch.n_jumps == 1)
         assert batch.tau.mean() == pytest.approx(
             0.5, abs=4 * batch.tau.std() / math.sqrt(n)
@@ -150,29 +151,29 @@ class TestSimulatePath:
         assert abs((batch.sign == 1).mean() - 0.5) <= 4 * math.sqrt(0.25 / n)
         assert np.all(batch.tau > 0.0)
 
-    def test_reference_first_holding_time(self, ref_split, ref_init):
+    def test_reference_first_holding_time(self, ref_gen, ref_init):
         # every diagonal of the doubled block at rate 2 is -3
         n = 50_000
         batch = simulate_batch(
-            ref_split, 2.0, ref_init, n_paths=n, seed=17, collect_trace=True
+            ref_gen, ref_init, n_paths=n, seed=17, collect_trace=True
         )
         first = batch.trace[1][first_rows(batch.trace[0])]
         assert first.mean() == pytest.approx(1.0 / 3.0, abs=4 * first.std() / math.sqrt(n))
 
-    def test_anti_sojourn_cannot_absorb_positive_when_sminus_zero(self, ref_split):
+    def test_anti_sojourn_cannot_absorb_positive_when_sminus_zero(self, ref_gen):
         # s^- = 0: an exit from an anti state can never land DeltaO
         init = splitting.initial_split(np.array([-1.0, 0.0, 0.0]))
-        batch = simulate_batch(ref_split, 2.0, init, n_paths=20_000, seed=3)
+        batch = simulate_batch(ref_gen, init, n_paths=20_000, seed=3)
         from_anti = batch.pre_exit >= 3
         assert from_anti.any()
         assert not np.any(batch.landing[from_anti] == 0)
         # and symmetrically original exits never land DeltaA here
         assert not np.any(batch.landing[~from_anti] == 1)
 
-    def test_trace_consistent(self, ref_split):
+    def test_trace_consistent(self, ref_gen):
         # one path started in original state 0
         init = splitting.initial_split(np.array([1.0, 0.0, 0.0]))
-        batch = simulate_batch(ref_split, 2.0, init, n_paths=1, seed=21, collect_trace=True)
+        batch = simulate_batch(ref_gen, init, n_paths=1, seed=21, collect_trace=True)
         path, times, frm, to = batch.trace
         assert np.all(path == 0)
         assert len(times) == batch.n_jumps[0]
@@ -365,7 +366,7 @@ class TestDrawTargets:
         cum0, last0 = jumpsim._cum_and_last(init_weights[None, :])
         cum = np.vstack([cum, np.pad(cum0, [(0, 0), (0, 3)], mode="edge")])
         last = np.append(last, last0)
-        table = JumpChain(split, lam, init).table
+        table = JumpChain(gen, init).table
         self.assert_guide(table, cum, last, p=p)
         state = np.repeat(np.arange(2 * p + 1), [250] * (2 * p) + [500])
         u = self.uniforms(rng, cum, state, table.shift)
@@ -373,8 +374,8 @@ class TestDrawTargets:
         want = exit_answers(self.clamped_count(cum, last, state, u), state, p)
         assert np.array_equal(got, want)
 
-    def test_chain_table(self, ref_split, ref_init):
-        table = JumpChain(ref_split, 2.0, ref_init).table
+    def test_chain_table(self, ref_gen, ref_init):
+        table = JumpChain(ref_gen, ref_init).table
         assert table.shift == 4  # width 9, 32 buckets
         assert table.guide.size == 7 * 34
         # no bucket holds two values, and no row more than 4: 4 + 2 slots
@@ -400,9 +401,9 @@ class TestDrawTargets:
 
 
 class TestSimulateBatch:
-    def test_deterministic_repeat(self, ref_split, ref_init):
-        a = simulate_batch(ref_split, 2.0, ref_init, n_paths=30_000, seed=42, chunk=7000)
-        b = simulate_batch(ref_split, 2.0, ref_init, n_paths=30_000, seed=42, chunk=7000)
+    def test_deterministic_repeat(self, ref_gen, ref_init):
+        a = simulate_batch(ref_gen, ref_init, n_paths=30_000, seed=42, chunk=7000)
+        b = simulate_batch(ref_gen, ref_init, n_paths=30_000, seed=42, chunk=7000)
         for field in ("tau", "pre_exit", "landing", "sign", "n_jumps"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
@@ -415,14 +416,14 @@ class TestSimulateBatch:
         ids=["chunk1", "chunk5", "chunk7", "chunk65536"],
     )
     def test_point_mass_start_skips_what_its_draw_uses(
-        self, ref, ref_split, alpha, start, workers, n, chunk, monkeypatch
+        self, ref, ref_gen, alpha, start, workers, n, chunk, monkeypatch
     ):
         # a chain whose initial law is one state records it, and each chunk
         # skips the uniforms its draw from the start row would use.  With the
         # recorded start cleared the chunks draw, and no path may change
         medist.validate(medist.MEParams(np.array(alpha), ref.T, ref.s))
         init = splitting.initial_split(np.array(alpha))
-        assert JumpChain(ref_split, 2.0, init).start == start
+        assert JumpChain(ref_gen, init).start == start
         starts = []
         draw_targets = jumpsim._draw_targets
 
@@ -437,10 +438,10 @@ class TestSimulateBatch:
 
         monkeypatch.setattr(jumpsim, "_draw_targets", counted)
         kw = dict(n_paths=n, seed=11, chunk=chunk, workers=workers, collect_trace=True)
-        built = simulate_batch(ref_split, 2.0, init, **kw)
+        built = simulate_batch(ref_gen, init, **kw)
         assert not any(starts)
         monkeypatch.setattr(jumpsim, "JumpChain", Drawing)
-        drawn = simulate_batch(ref_split, 2.0, init, **kw)
+        drawn = simulate_batch(ref_gen, init, **kw)
         assert sum(starts) == len(drawn.chunk_slices())
         for field in ("tau", "exit_code", "n_jumps"):
             assert np.array_equal(getattr(built, field), getattr(drawn, field))
@@ -450,21 +451,22 @@ class TestSimulateBatch:
 
     def test_start_recorded_only_for_a_point_mass(self, exp_split):
         anti = splitting.initial_split(np.array([-1.0]))
-        assert JumpChain(exp_split, 1.0, anti).start == 1
+        assert JumpChain(splitting.build_generator(exp_split, 1.0), anti).start == 1
         m = random_me_model(100, np.random.default_rng(100))
         split = splitting.sign_split(m.T, m.s)
         lam = splitting.resolve_lambda(split, "auto")
-        assert JumpChain(split, lam, splitting.initial_split(m.alpha)).start is None
+        gen = splitting.build_generator(split, lam)
+        assert JumpChain(gen, splitting.initial_split(m.alpha)).start is None
 
-    def test_deterministic_across_workers(self, ref_split, ref_init):
+    def test_deterministic_across_workers(self, ref_gen, ref_init):
         # 8192 does not divide 50_000: the last chunk is short.  The threads
         # write into shared columns, so switch between them often
         kw = dict(n_paths=50_000, seed=9, chunk=8192, collect_trace=True)
-        a = simulate_batch(ref_split, 2.0, ref_init, workers=1, **kw)
+        a = simulate_batch(ref_gen, ref_init, workers=1, **kw)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            b = simulate_batch(ref_split, 2.0, ref_init, workers=3, **kw)
+            b = simulate_batch(ref_gen, ref_init, workers=3, **kw)
         finally:
             sys.setswitchinterval(interval)
         for field in ("tau", "pre_exit", "landing", "sign", "n_jumps"):
@@ -473,7 +475,7 @@ class TestSimulateBatch:
             assert col_a.dtype == col_b.dtype
             assert np.array_equal(col_a, col_b)
 
-    def test_failing_worker_raises_once_every_worker_stops(self, ref_split, ref_init, monkeypatch):
+    def test_failing_worker_raises_once_every_worker_stops(self, ref_gen, ref_init, monkeypatch):
         # whichever worker takes chunk 0 fails on it; the others run every
         # other chunk, and the failure is raised after all have stopped
         ran = []
@@ -492,7 +494,7 @@ class TestSimulateBatch:
         monkeypatch.setattr(jumpsim, "_simulate_chunks", failing_chunks)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 0 failed"):
-            simulate_batch(ref_split, 2.0, ref_init, n_paths=10_000, seed=1, chunk=1000, workers=3)
+            simulate_batch(ref_gen, ref_init, n_paths=10_000, seed=1, chunk=1000, workers=3)
         assert threading.active_count() == threads
         assert sorted(ran) == list(range(1000, 10_000, 1000))
 
@@ -502,7 +504,7 @@ class TestSimulateBatch:
         ids=["0", "-1", "65"],
     )
     def test_no_workers_refused_before_compiling(
-        self, ref_split, ref_init, workers, bound, monkeypatch
+        self, ref_gen, ref_init, workers, bound, monkeypatch
     ):
         # with a chunk a path, 65 workers would start 64 threads
         def never(*args):
@@ -512,10 +514,10 @@ class TestSimulateBatch:
         monkeypatch.setattr(jumpsim, "_simulate_chunks", never)
         with pytest.raises(ValueError, match=f"^workers must be {bound}$"):
             simulate_batch(
-                ref_split, 2.0, ref_init, n_paths=1000, seed=1, chunk=1, workers=workers
+                ref_gen, ref_init, n_paths=1000, seed=1, chunk=1, workers=workers
             )
 
-    def test_failed_thread_start_stops_the_started_worker(self, ref_split, ref_init, monkeypatch):
+    def test_failed_thread_start_stops_the_started_worker(self, ref_gen, ref_init, monkeypatch):
         # the second thread fails to start while the first holds chunk 0;
         # the first takes no other chunk and has stopped when the error
         # arrives, and the calling thread runs no chunk
@@ -545,7 +547,7 @@ class TestSimulateBatch:
         monkeypatch.setattr(threading.Thread, "join", join_and_release)
         monkeypatch.setattr(jumpsim, "_simulate_chunks", held_chunks)
         with pytest.raises(RuntimeError, match="can't start new thread"):
-            simulate_batch(ref_split, 2.0, ref_init, n_paths=40_000, seed=1, chunk=1000, workers=3)
+            simulate_batch(ref_gen, ref_init, n_paths=40_000, seed=1, chunk=1000, workers=3)
         assert len(started) == 1 and not started[0].is_alive()
         assert ran == [0]
 
@@ -569,32 +571,43 @@ class TestSimulateBatch:
         init = splitting.initial_split(alpha)
         lam = splitting.resolve_lambda(split, "auto")
         kw = dict(n_paths=2500, seed=seed, chunk=1000, collect_trace=True)
-        a = simulate_batch(split, lam, init, workers=1, **kw)
-        b = simulate_batch(split, lam, init, workers=3, **kw)
+        gen = splitting.build_generator(split, lam)
+        a = simulate_batch(gen, init, workers=1, **kw)
+        b = simulate_batch(gen, init, workers=3, **kw)
         for field in ("tau", "pre_exit", "landing", "n_jumps"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         for col_a, col_b in zip(a.trace, b.trace, strict=True):
             assert np.array_equal(col_a, col_b)
 
-    def test_one_table_and_one_rate_rule_per_run(self, ref_split, ref_init, monkeypatch):
-        # the chain builds its doubled generator once, through the gate, and
-        # compiles one guide table, the start row included
-        tables, rates = [], []
-        guide_table, build = jumpsim._guide_table, splitting.build_generator
+    def test_one_table_and_one_rate_rule_per_run(self, ref, tmp_path, monkeypatch, capsys):
+        # an estimate and an expect each build their doubled chain once,
+        # when they plan the run: the gate checks that record and the chain
+        # compiles it into one guide table, the start row included
+        builds, tables = [], []
+        build, guide_table = splitting.build_generator, jumpsim._guide_table
+
+        def counted_build(split, lam):
+            builds.append(lam)
+            return build(split, lam)
 
         def counted_table(cum, last, answers):
             tables.append(cum.shape)
             return guide_table(cum, last, answers)
 
-        def counted_build(split, lam):
-            rates.append(lam)
-            return build(split, lam)
-
-        monkeypatch.setattr(jumpsim, "_guide_table", counted_table)
+        monkeypatch.setattr(modelio, "exit_profile", counted_build)
         monkeypatch.setattr(splitting, "build_generator", counted_build)
-        simulate_batch(ref_split, 2.0, ref_init, n_paths=1000, seed=1, chunk=300, workers=2)
-        assert tables == [(7, 9)]
-        assert rates == [2.0]
+        monkeypatch.setattr(jumpsim, "_guide_table", counted_table)
+        model, config = tmp_path / "ref.json", tmp_path / "h.json"
+        modelio.write_model(ref, model)
+        config.write_text('{"n_paths": 1000, "h": {"type": "exp-decay", "c": 2.0}}')
+        for args in (
+            ["estimate", str(model), "--paths", "1000", "--out", str(tmp_path / "est.csv")],
+            ["expect", str(model), "--config", str(config)],
+        ):
+            builds.clear()
+            tables.clear()
+            assert cli.main(args) == 0, capsys.readouterr().err
+            assert (builds, tables) == ([2.0], [(7, 9)]), args[0]
 
     def test_wide_table_digest(self):
         # pins the stream-to-path mapping on a width-63 target table, where the
@@ -603,7 +616,8 @@ class TestSimulateBatch:
         split = splitting.sign_split(m.T, m.s)
         lam = splitting.resolve_lambda(split, "auto")
         init = splitting.initial_split(m.alpha)
-        batch = simulate_batch(split, lam, init, n_paths=50_000, seed=42, chunk=8192, workers=2)
+        gen = splitting.build_generator(split, lam)
+        batch = simulate_batch(gen, init, n_paths=50_000, seed=42, chunk=8192, workers=2)
         digest = hashlib.sha256()
         for field, dtype in (
             ("tau", "<f8"), ("pre_exit", "<i4"), ("landing", "i1"), ("sign", "i1"), ("n_jumps", "<i4"),
@@ -620,8 +634,9 @@ class TestSimulateBatch:
         split = splitting.sign_split(m.T, m.s)
         lam = splitting.resolve_lambda(split, "auto")
         init = splitting.initial_split(m.alpha)
+        gen = splitting.build_generator(split, lam)
         batch = simulate_batch(
-            split, lam, init, n_paths=20_000, seed=42, chunk=7000, workers=3, collect_trace=True
+            gen, init, n_paths=20_000, seed=42, chunk=7000, workers=3, collect_trace=True
         )
         digest = hashlib.sha256()
         for col, dtype in zip(batch.trace, ("<i8", "<f8", "<i8", "<i8"), strict=True):
@@ -638,7 +653,8 @@ class TestSimulateBatch:
         split = splitting.sign_split(m.T, m.s)
         lam = splitting.resolve_lambda(split, "auto")
         init = splitting.initial_split(m.alpha)
-        batch = simulate_batch(split, lam, init, n_paths=300, seed=42, chunk=1, collect_trace=True)
+        gen = splitting.build_generator(split, lam)
+        batch = simulate_batch(gen, init, n_paths=300, seed=42, chunk=1, collect_trace=True)
         assert batch.n_jumps.max() > 1
         digest = hashlib.sha256()
         for field, dtype in (
@@ -653,14 +669,14 @@ class TestSimulateBatch:
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_allocation_near_the_columns(self, ref_split, ref_init, workers):
+    def test_peak_allocation_near_the_columns(self, ref_gen, ref_init, workers):
         # chunks write into the output columns, so with 40 chunks the peak is
         # the columns plus the temporaries of the chunks in flight, not a
         # second copy of every column
         tracemalloc.start()
         try:
             batch = simulate_batch(
-                ref_split, 2.0, ref_init, n_paths=400_000, seed=5, chunk=10_000, workers=workers
+                ref_gen, ref_init, n_paths=400_000, seed=5, chunk=10_000, workers=workers
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -672,7 +688,7 @@ class TestSimulateBatch:
         assert peak <= 1.5 * columns
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_allocation_within_the_arenas(self, ref_split, ref_init, workers):
+    def test_peak_allocation_within_the_arenas(self, ref_gen, ref_init, workers):
         # past the columns, a run holds one arena per worker and the index
         # lists of one iteration per worker, which are a fraction of it; an
         # arena has a slot for each path of a chunk and of the tail before it
@@ -681,11 +697,11 @@ class TestSimulateBatch:
         arena_bytes = sum(buf.nbytes for buf in (*arena_buffers(arena), arena.ramp))
         assert arena_bytes == 81 * (chunk + chunk // 8)
         # a first call loads numpy's lazy imports, which tracemalloc would count
-        simulate_batch(ref_split, 2.0, ref_init, n_paths=100, seed=5, chunk=10, workers=2)
+        simulate_batch(ref_gen, ref_init, n_paths=100, seed=5, chunk=10, workers=2)
         tracemalloc.start()
         try:
             batch = simulate_batch(
-                ref_split, 2.0, ref_init, n_paths=400_000, seed=5, chunk=chunk, workers=workers
+                ref_gen, ref_init, n_paths=400_000, seed=5, chunk=chunk, workers=workers
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -719,11 +735,12 @@ class TestSimulateBatch:
             return draw_targets(table, state, *args)
 
         monkeypatch.setattr(jumpsim, "_draw_targets", counted)
+        gen = splitting.build_generator(split, lam)
         batch = simulate_batch(
-            split, lam, init, n_paths=n, seed=8, chunk=chunk, workers=workers, collect_trace=True
+            gen, init, n_paths=n, seed=8, chunk=chunk, workers=workers, collect_trace=True
         )
         pipelined = len(draws)
-        chain = JumpChain(split, lam, init)
+        chain = JumpChain(gen, init)
         columns = (np.full(n, np.nan), np.full(n, -1, np.int32), np.full(n, -1, np.int32))
         rows = []
         for index, lo in enumerate(range(0, n, chunk)):
@@ -767,32 +784,35 @@ class TestSimulateBatch:
             return draw_targets(table, state, *args)
 
         monkeypatch.setattr(jumpsim, "_draw_targets", counted)
-        simulate_batch(split, lam, splitting.initial_split(m.alpha), n_paths, seed)
+        gen = splitting.build_generator(split, lam)
+        simulate_batch(gen, splitting.initial_split(m.alpha), n_paths, seed)
         assert sum(draws) <= most
 
-    def test_invalid_args(self, ref_split, ref_init):
+    def test_invalid_args(self, ref_gen, ref_init):
         with pytest.raises(ValueError):
-            simulate_batch(ref_split, 2.0, ref_init, n_paths=0, seed=1)
+            simulate_batch(ref_gen, ref_init, n_paths=0, seed=1)
         with pytest.raises(ValueError):
-            simulate_batch(ref_split, 2.0, ref_init, n_paths=10, seed=1, chunk=0)
+            simulate_batch(ref_gen, ref_init, n_paths=10, seed=1, chunk=0)
         with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
-            simulate_batch(ref_split, 2.0, ref_init, n_paths=10, seed=-1)
+            simulate_batch(ref_gen, ref_init, n_paths=10, seed=-1)
 
-    def test_preconditions(self, ref_split, ref_init):
+    def test_preconditions(self, ref_split):
         from mejump.errors import LambdaTooSmallError, NotTransientError
 
+        # the build refuses a rate below lambda_0 or not finite, so no chain
+        # at one can reach the simulator; the gate refuses one not transient
         with pytest.raises(LambdaTooSmallError):
-            simulate_batch(ref_split, 1.0, ref_init, n_paths=10, seed=1)
+            splitting.build_generator(ref_split, 1.0)
         for lam in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                simulate_batch(ref_split, lam, ref_init, n_paths=10, seed=1)
+                splitting.build_generator(ref_split, lam)
         m = decoupled_rotator()
         split = splitting.sign_split(m.T, m.s)
         init = splitting.initial_split(m.alpha)
         with pytest.raises(NotTransientError):
-            simulate_batch(split, 0.0, init, n_paths=10, seed=1)
+            simulate_batch(splitting.build_generator(split, 0.0), init, n_paths=10, seed=1)
         # above the threshold the rotator simulates fine
-        batch = simulate_batch(split, 1.0, init, n_paths=1000, seed=1)
+        batch = simulate_batch(splitting.build_generator(split, 1.0), init, n_paths=1000, seed=1)
         assert len(batch) == 1000
 
     def test_zero_rate_state_refused(self):
@@ -802,21 +822,22 @@ class TestSimulateBatch:
         split = splitting.sign_split([[0.0]], [0.0])
         init = splitting.initial_split([1.0])
         with pytest.raises(NotTransientError, match="not transient"):
-            JumpChain(split, 0.0, init)
+            JumpChain(splitting.build_generator(split, 0.0), init)
         faked = splitting.SignSplit(
             split.Tplus, split.Tminus, split.splus, split.sminus, split.lambda0, eta=-1.0
         )
-        assert splitting.check_transience(faked, 0.0)[0]
+        gen = splitting.build_generator(faked, 0.0)
+        assert gen.transient
         with pytest.raises(NotTransientError, match="state o0 has zero total exit rate"):
-            splitting.admit_rate(faked, 0.0)
+            splitting.admit_rate(gen)
         with pytest.raises(NotTransientError, match="state o0 has zero total exit rate"):
-            JumpChain(faked, 0.0, init)
+            JumpChain(gen, init)
 
-    def test_occupancy_matches_matrix_exponential(self, ref_split, ref_init):
+    def test_occupancy_matches_matrix_exponential(self, ref_split, ref_gen, ref_init):
         x = 0.5
         n = 200_000
         batch = simulate_batch(
-            ref_split, 2.0, ref_init, n_paths=n, seed=11, collect_trace=True
+            ref_gen, ref_init, n_paths=n, seed=11, collect_trace=True
         )
         path, times, frm, _ = batch.trace
         # the state held at x is the from-code of a path's first row after x
@@ -831,9 +852,8 @@ class TestSimulateBatch:
         alive[path[held]] = True
         assert np.array_equal(alive, batch.tau > x)
 
-    def test_landing_split_given_pre_exit(self, ref_split, ref_init):
-        batch = simulate_batch(ref_split, 2.0, ref_init, n_paths=300_000, seed=13)
-        prof = splitting.exit_profile(ref_split, 2.0)
+    def test_landing_split_given_pre_exit(self, ref_gen, ref_init):
+        batch = simulate_batch(ref_gen, ref_init, n_paths=300_000, seed=13)
         # states 1 and 2 have a positive termination defect at rate 2
         assert (batch.landing == 2).any()
         for i in range(3):
@@ -842,21 +862,21 @@ class TestSimulateBatch:
             if n < 1000:
                 continue
             frac_o = float((batch.landing[mask] == 0).mean())
-            q = prof.qplus[i]
+            q = ref_gen.qplus[i]
             band = 4.0 * math.sqrt(max(q * (1 - q), 1e-12) / n)
             assert abs(frac_o - q) <= max(band, 1e-9)
 
-    def test_mean_jumps_stable_across_seeds(self, ref_split, ref_init):
+    def test_mean_jumps_stable_across_seeds(self, ref_gen, ref_init):
         means = [
-            simulate_batch(ref_split, 2.0, ref_init, n_paths=50_000, seed=s).n_jumps.mean()
+            simulate_batch(ref_gen, ref_init, n_paths=50_000, seed=s).n_jumps.mean()
             for s in (1, 2, 3)
         ]
         assert max(means) - min(means) < 0.05
         assert all(np.isfinite(m) for m in means)
 
-    def test_batch_trace(self, ref_split, ref_init):
+    def test_batch_trace(self, ref_gen, ref_init):
         batch = simulate_batch(
-            ref_split, 2.0, ref_init, n_paths=200, seed=3, chunk=64, collect_trace=True
+            ref_gen, ref_init, n_paths=200, seed=3, chunk=64, collect_trace=True
         )
         path, times, frm, to = batch.trace
         # per-path jump counts and final landing agree with the outcomes
@@ -868,11 +888,11 @@ class TestSimulateBatch:
             assert times[rows][-1] == batch.tau[k]
             assert np.all(np.diff(times[rows]) > 0)
         # tracing must not perturb the draws
-        plain = simulate_batch(ref_split, 2.0, ref_init, n_paths=200, seed=3, chunk=64)
+        plain = simulate_batch(ref_gen, ref_init, n_paths=200, seed=3, chunk=64)
         assert np.array_equal(batch.tau, plain.tau)
 
-    def test_zero_defect_state_never_terminates(self, ref_split, ref_init):
+    def test_zero_defect_state_never_terminates(self, ref_gen, ref_init):
         # row 0 of the reference model has zero termination defect at rate 2
-        batch = simulate_batch(ref_split, 2.0, ref_init, n_paths=100_000, seed=29)
+        batch = simulate_batch(ref_gen, ref_init, n_paths=100_000, seed=29)
         exits_from_0 = (batch.pre_exit % 3) == 0
         assert not np.any(batch.landing[exits_from_0] == 2)

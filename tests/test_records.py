@@ -101,7 +101,7 @@ def _one_of_each() -> list:
     ref_plan = modelio.plan(reference_model(), "auto")
     cfg = modelio.RunConfig(n_paths=2000, chunk=1000, h=HSpec("exp-decay", 2.0))
     run = modelio.run_estimate(ref_plan, cfg, collect_trace=True)
-    chain = JumpChain(ref_plan.split, ref_plan.lam, ref_plan.init)
+    chain = JumpChain(ref_plan.profile, ref_plan.init)
     return [
         ref_plan, ref_plan.params, ref_plan.split, ref_plan.init, ref_plan.profile,
         medist.validate(ref_plan.params),
@@ -154,14 +154,19 @@ class TestPackageRecords:
         [
             ("messages", lambda: medist.ValidationReport(-1.0, 1.0, True, messages=[])),
             ("qbar_original", lambda: splitting.DoubledGenerator(
-                *[np.ones(1)] * 5, qbar_original=np.ones(1))),
-            ("abs_a", lambda: splitting.DoubledGenerator(*[np.ones(1)] * 5, abs_a=np.ones(2))),
+                2.0, -1.0, *[np.ones(1)] * 5, qbar_original=np.ones(1))),
+            ("abs_a", lambda: splitting.DoubledGenerator(
+                2.0, -1.0, *[np.ones(1)] * 5, abs_a=np.ones(2))),
+            ("transient", lambda: splitting.DoubledGenerator(
+                2.0, -1.0, *[np.ones(1)] * 5, transient=True)),
             ("alphahat_plus", lambda: splitting.InitialSplit(
                 1.0, 0.0, np.ones(1), np.zeros(1), alphahat_plus=np.ones(1))),
-            ("abscissa", lambda: modelio.RunPlan(None, None, 2.0, None, None, abscissa=-2.0)),
+            ("abscissa", lambda: modelio.RunPlan(None, None, None, None, abscissa=-2.0)),
+            ("lam", lambda: modelio.RunPlan(None, None, None, None, lam=2.0)),
         ],
         ids=["ValidationReport.messages", "DoubledGenerator.qbar_original",
-             "DoubledGenerator.abs_a", "InitialSplit.alphahat_plus", "RunPlan.abscissa"],
+             "DoubledGenerator.abs_a", "DoubledGenerator.transient", "InitialSplit.alphahat_plus",
+             "RunPlan.abscissa", "RunPlan.lam"],
     )
     def test_a_derived_value_is_not_a_field(self, derived, make):
         # refused by name, so no other field is missing or left over
@@ -200,9 +205,11 @@ class TestPackageRecords:
         assert prof.abs_o.tobytes() == np.concatenate([split.splus, split.sminus]).tobytes()
         assert prof.abs_a.tobytes() == np.concatenate([split.sminus, split.splus]).tobytes()
         assert prof.term.tobytes() == np.concatenate([prof.defect, prof.defect]).tobytes()
-        shifted = modelio.RunPlan(run_plan.params, split, lam, init, prof)
-        _, abscissa = splitting.check_transience(split, lam)
-        assert shifted.abscissa == abscissa and shifted.transient == (abscissa < 0.0)
+        transient, abscissa = splitting.check_transience(split, lam)
+        assert prof.lam == lam and prof.abscissa == abscissa and prof.transient == transient
+        shifted = modelio.RunPlan(run_plan.params, split, init, prof)
+        assert shifted.lam == lam and shifted.abscissa == abscissa
+        assert shifted.transient == transient
 
     def test_non_transient_plan(self):
         # "auto" steps off lambda_0 = 0 here; a plan at lambda_0 reports it

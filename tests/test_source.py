@@ -137,14 +137,17 @@ def test_each_run_derives_its_chain_once():
 
 def test_one_function_builds_the_doubled_chain():
     # splitting.build_generator derives every row of the doubled chain at a
-    # rate; exit_profile is the same function, under the name plan calls
-    from mejump import splitting
+    # rate; exit_profile is the same function, under the name plan calls,
+    # and the only build of a run: the gate and the simulator take the
+    # plan's record, not a split and a rate
+    from mejump import jumpsim, splitting
 
     assert splitting.exit_profile is splitting.build_generator
     assert not hasattr(splitting, "_rows") and not hasattr(splitting, "ExitProfile")
     assert callers("DoubledGenerator") == {"splitting.build_generator"}
     assert callers("exit_profile") == {"modelio.plan"}
-    assert callers("build_generator") == {"splitting.admit_rate"}
+    assert callers("build_generator") == set()
+    assert not hasattr(jumpsim, "SignSplit")
 
 
 def strings(node):

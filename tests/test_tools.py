@@ -46,13 +46,16 @@ def test_outputs_records_every_invocation(tmp_path):
         path.parent.name: path.read_text(encoding="utf-8")
         for path in tmp_path.glob("*/exit_code")
     }
-    assert len(codes) == 27
+    assert len(codes) == 32
     refused = {
-        "overwrite-estimate", "overwrite-tilt", "overwrite-split", "expect-c-nan",
-        "expect-degree-20000", "expect-huge-degree", "validate-huge-alpha", "estimate-huge-x-max",
+        "overwrite-estimate": 1, "overwrite-tilt": 1, "overwrite-split": 1, "expect-c-nan": 1,
+        "expect-degree-20000": 1, "expect-huge-degree": 1, "validate-huge-alpha": 1,
+        "estimate-huge-x-max": 1, "estimate-below-lambda0": 3, "estimate-huge-lambda": 1,
+        "estimate-rotator": 3, "expect-rotator": 3,
     }
-    assert {name for name, code in codes.items() if code != "0\n"} == refused
-    assert {codes[name] for name in refused} == {"1\n"}
+    assert {name: int(code) for name, code in codes.items() if code != "0\n"} == refused
+    split = (tmp_path / "split-rotator" / "stdout").read_text(encoding="utf-8")
+    assert "transient: false" in split
     reference = (tmp_path / "reference.json").read_bytes()
     for name, model in (
         ("overwrite-estimate", "model.json"), ("overwrite-tilt", "model.json"),

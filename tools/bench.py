@@ -11,9 +11,11 @@ tilting rates ``lambda_0`` (the ``"auto"`` rate) and ``lambda_0 + 1``, it
 times each layer of an ``estimate`` run and keeps the median over ``--reps``
 repetitions:
 
-* ``plan``: validation, sign split, rate and exit profile (``modelio.plan``);
+* ``plan``: validation, sign split, rate and the doubled chain
+  (``modelio.plan``, the run's one build of the chain);
 * ``oracle``: the exact bin averages (``estimators.tilted_bin_averages``);
-* ``compile``: the chain's tables (``jumpsim.JumpChain``);
+* ``compile``: the rate gate and the tables of the plan's chain
+  (``jumpsim.JumpChain``), which builds no chain;
 * ``simulate``: ``jumpsim.simulate_batch``, with paths/s and jumps/s;
 * ``count`` and ``finalize``: the exit count table and the two density
   estimators read off it;
@@ -165,11 +167,11 @@ def bench_size(p, above, args):
         lambda: estimators.tilted_bin_averages(params, lam, grid), reps
     )
     scale = run_plan.init.w_total / norm
-    split, init = run_plan.split, run_plan.init
-    row["compile_s"], _ = _timed(lambda: jumpsim.JumpChain(split, lam, init), reps)
+    gen, init = run_plan.profile, run_plan.init
+    row["compile_s"], _ = _timed(lambda: jumpsim.JumpChain(gen, init), reps)
 
     def simulate():  # the default chunk, on one worker
-        return jumpsim.simulate_batch(split, lam, init, args.paths, SEED)
+        return jumpsim.simulate_batch(gen, init, args.paths, SEED)
 
     row["simulate_s"], batch = _timed(simulate, reps)
     jumps = int(batch.n_jumps.sum(dtype=np.int64))

@@ -22,7 +22,11 @@ write) from writing over their model; ``expect`` with a
 NaN decay rate, with a degree whose exact value underflows (1000), with one
 whose value overflows (20000) and with one above the bound on degrees; the
 refusals of an integer past the float range in a model's ``alpha`` and in a
-config's ``grid.x_max``; and ``reproduce-example``.
+config's ``grid.x_max``; the rate refusals of ``estimate`` (below
+``lambda_0``, a rate at which no path can be seen to land, and a chain that
+is not transient, on a model whose doubled chain is not transient at rate 0)
+and of ``expect`` (not transient), and ``split`` reporting that chain as not
+transient; and ``reproduce-example``.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ INPUTS = {
     "expect-huge-degree/cfg.json": (
         f'{{"n_paths": 1000, "h": {{"type": "poly-exp-decay", "c": 1000.0, "degree": {HUGE}}}}}'
     ),
+    # an Exp(1) in disguise whose doubled chain is not transient at rate 0
+    "rotator.json": (
+        '{"alpha": [0, 0, 1], "T": [[-1, -1, 0], [1, -1, 0], [0, 0, -1]], "s": [0, 0, 1]}'
+    ),
 }
 
 REF = "../reference.json"
@@ -98,6 +106,13 @@ INVOCATIONS = [
     ("expect-huge-degree", ["expect", REF, "--config", "cfg.json"]),
     ("validate-huge-alpha", ["validate", "model.json"]),
     ("estimate-huge-x-max", ["estimate", REF, "--config", "cfg.json", "--out", "est.csv"]),
+    ("estimate-below-lambda0", ["estimate", REF, "--lambda", "1"]),
+    ("estimate-huge-lambda", ["estimate", REF, "--lambda", "1e300"]),
+    ("estimate-rotator", ["estimate", "../rotator.json", "--lambda", "0"]),
+    ("expect-rotator", [
+        "expect", "../rotator.json", "--lambda", "0", "--config", "../exp-decay.json",
+    ]),
+    ("split-rotator", ["split", "../rotator.json", "--lambda", "0"]),
     ("reproduce-example", ["reproduce-example", "--paths", "20000"]),
 ]
 
