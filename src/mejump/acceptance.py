@@ -250,7 +250,7 @@ def criterion_6(params, split) -> CriterionResult:
 def criterion_7(run, elapsed: float) -> CriterionResult:
     grid = run.config.grid
     n = len(run.batch)
-    analytic = reference_tilted_bin_averages(run.plan.lam, grid)
+    analytic = reference_tilted_bin_averages(run.plan.profile.lam, grid)
     ok4, n_empty = _band_check(run.est_beta, analytic, n, 4.0)
     ok3, _ = _band_check(run.est_beta, analytic, n, 3.0)
     frac3 = ok3.mean()
@@ -268,7 +268,7 @@ def criterion_7(run, elapsed: float) -> CriterionResult:
 def criterion_8(run) -> CriterionResult:
     grid = run.config.grid
     est_b, est_q = run.est_beta, run.est_qbar
-    analytic = reference_tilted_bin_averages(run.plan.lam, grid)
+    analytic = reference_tilted_bin_averages(run.plan.profile.lam, grid)
     ok4, _ = _band_check(est_q, analytic, len(run.batch), 4.0)
     both = (est_b.stderr > 0) & (est_q.stderr > 0)
     ratio = np.full(grid.n_bins, np.nan)
@@ -294,7 +294,7 @@ def criterion_8(run) -> CriterionResult:
 
 def criterion_9(run) -> CriterionResult:
     h = HSpec("exp-decay", 2.0)
-    lam, w_total = run.plan.lam, run.plan.init.w_total
+    lam, w_total = run.plan.profile.lam, run.plan.init.w_total
     est_b = mc_expectation_untilted(run.batch, h, lam, w_total, form="beta")
     est_q = mc_expectation_untilted(
         run.batch, h, lam, w_total, form="qbar", profile=run.plan.profile

@@ -174,7 +174,7 @@ def cmd_split(args) -> int:
             write_split_outputs(args.out, run_plan)
         print(f"model: {name or args.model} (p={params.p})")
         print(f"lambda0: {split.lambda0!r}")
-        print(f"lambda: {run_plan.lam!r}")
+        print(f"lambda: {profile.lam!r}")
         _print_matrix("T_plus", split.Tplus)
         _print_matrix("T_minus", split.Tminus)
         _print_matrix("s_plus", split.splus)
@@ -186,8 +186,8 @@ def cmd_split(args) -> int:
         _print_matrix("q_minus", profile.qminus)
         _print_matrix("q_bar(original)", profile.qbar_original)
         print(
-            f"transient: {str(run_plan.transient).lower()} "
-            f"(doubled abscissa {run_plan.abscissa!r})"
+            f"transient: {str(profile.transient).lower()} "
+            f"(doubled abscissa {profile.abscissa!r})"
         )
         if args.out:
             print(f"wrote CSV files with prefix {args.out}_")
@@ -224,8 +224,8 @@ def cmd_estimate(args) -> int:
         run = run_estimate(plan(params, cfg.lam), cfg, collect_trace=args.trace is not None)
         print(f"model: {name or args.model} (p={params.p})")
         print(
-            f"lambda: {run.plan.lam!r} (lambda0 {run.plan.split.lambda0!r}, "
-            f"doubled abscissa {run.plan.abscissa!r})"
+            f"lambda: {run.plan.profile.lam!r} (lambda0 {run.plan.split.lambda0!r}, "
+            f"doubled abscissa {run.plan.profile.abscissa!r})"
         )
         print(
             f"seed: {cfg.seed}  chunk: {cfg.chunk}  n_paths: {cfg.n_paths}  "
@@ -256,7 +256,7 @@ def cmd_expect(args) -> int:
     # a model or rate refusal (exit 2 or 3) comes before a non-convergent h
     # (exit 1), and all of them before any path is simulated
     run_plan = plan(params, cfg.lam)
-    lam, w_total = run_plan.lam, run_plan.init.w_total
+    lam, w_total = run_plan.profile.lam, run_plan.init.w_total
     analytic = cfg.h.analytic_expectation(params)
     batch = simulate(run_plan, cfg)
     # bound here, not in modelio: the benchmark probe wraps this estimator

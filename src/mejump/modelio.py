@@ -232,24 +232,13 @@ def config_from_dict(raw) -> RunConfig:
 class RunPlan(Record):
     """What a command derives once from a model and a tilting-rate request: the
     validated parameters, their sign split, the initial mixture and ``profile``,
-    the doubled chain at the resolved rate, which the properties read."""
+    the doubled chain at the resolved rate, which holds that rate ``lam``, the
+    doubled ``abscissa`` and ``transient``."""
 
     params: MEParams
     split: SignSplit
     init: InitialSplit
     profile: DoubledGenerator
-
-    @property
-    def lam(self) -> float:
-        return self.profile.lam
-
-    @property
-    def abscissa(self) -> float:
-        return self.profile.abscissa
-
-    @property
-    def transient(self) -> bool:
-        return self.profile.transient
 
 
 def plan(params: MEParams, lam_request) -> RunPlan:
@@ -285,7 +274,7 @@ def check_landing(run_plan: RunPlan):
     profile = run_plan.profile
     if np.all(profile.qplus + profile.qminus < np.finfo(float).eps):
         raise ValueError(
-            f"tilting rate {run_plan.lam!r} is too large: every landing probability "
+            f"tilting rate {profile.lam!r} is too large: every landing probability "
             "is below machine epsilon, so no path can be seen to land"
         )
 
@@ -303,7 +292,7 @@ def simulate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> 
 def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False) -> EstimateRun:
     """Simulate the chain its caller planned, then estimate.
 
-    The rate is ``run_plan.lam``, resolved when the caller planned the model;
+    The rate is ``run_plan.profile.lam``, resolved when the caller planned the model;
     ``cfg.lam`` is not read here.  A grid whose count table is too large is
     refused first; the oracle, the scale, the rate's landings and the
     per-path bin weight are checked before any path is drawn.
@@ -311,7 +300,7 @@ def run_estimate(run_plan: RunPlan, cfg: RunConfig, collect_trace: bool = False)
     ``cfg.estimator`` names, read the counts: a finalizer takes under 1 ms.
     """
     check_count_table(cfg.grid, run_plan.params.p)
-    lam = run_plan.lam
+    lam = run_plan.profile.lam
     analytic, norm = tilted_bin_averages(run_plan.params, lam, cfg.grid)
     scale = run_plan.init.w_total / norm
     if not (np.isfinite(scale) and np.all(np.isfinite(analytic))):
@@ -414,7 +403,7 @@ def write_split_outputs(prefix, run_plan: RunPlan):
     """Write the split pieces as the CSV files :func:`split_paths` names; a
     vector is written as one row."""
     split, profile = run_plan.split, run_plan.profile
-    lambda0, lam, abscissa = _fmt_column([split.lambda0, run_plan.lam, run_plan.abscissa])
+    lambda0, lam, abscissa = _fmt_column([split.lambda0, profile.lam, profile.abscissa])
     profile_columns = (profile.d, profile.qplus, profile.qminus, profile.qbar_original)
     texts = [
         *(_csv(None, map(_fmt_column, np.atleast_2d(M).T))
@@ -422,7 +411,7 @@ def write_split_outputs(prefix, run_plan: RunPlan):
         _csv("state,d,q_plus,q_minus,q_bar_original",
              [map(str, range(split.p)), *map(_fmt_column, profile_columns)]),
         _csv("key,value", [("lambda0", "lambda", "transient", "doubled_abscissa"),
-                           (lambda0, lam, str(run_plan.transient).lower(), abscissa)]),
+                           (lambda0, lam, str(profile.transient).lower(), abscissa)]),
     ]
     for path, text in zip(split_paths(prefix), texts):
         with open_output(path) as fh:

@@ -582,7 +582,8 @@ class TestSimulateBatch:
     def test_one_table_and_one_rate_rule_per_run(self, ref, tmp_path, monkeypatch, capsys):
         # an estimate and an expect each build their doubled chain once,
         # when they plan the run: the gate checks that record and the chain
-        # compiles it into one guide table, the start row included
+        # compiles it into one guide table, the start row included, however
+        # many chunks (four here) and worker threads (two) draw the paths
         builds, tables = [], []
         build, guide_table = splitting.build_generator, jumpsim._guide_table
 
@@ -599,9 +600,14 @@ class TestSimulateBatch:
         monkeypatch.setattr(jumpsim, "_guide_table", counted_table)
         model, config = tmp_path / "ref.json", tmp_path / "h.json"
         modelio.write_model(ref, model)
-        config.write_text('{"n_paths": 1000, "h": {"type": "exp-decay", "c": 2.0}}')
+        config.write_text(
+            '{"n_paths": 1000, "chunk": 300, "workers": 2, "h": {"type": "exp-decay", "c": 2.0}}'
+        )
         for args in (
-            ["estimate", str(model), "--paths", "1000", "--out", str(tmp_path / "est.csv")],
+            [
+                "estimate", str(model), "--paths", "1000", "--chunk", "300", "--workers", "2",
+                "--out", str(tmp_path / "est.csv"),
+            ],
             ["expect", str(model), "--config", str(config)],
         ):
             builds.clear()

@@ -105,10 +105,10 @@ def _one_of_each() -> list:
     return [
         ref_plan, ref_plan.params, ref_plan.split, ref_plan.init, ref_plan.profile,
         medist.validate(ref_plan.params),
-        splitting.build_generator(ref_plan.split, ref_plan.lam),
+        splitting.build_generator(ref_plan.split, ref_plan.profile.lam),
         cfg, cfg.grid, cfg.h, RngStream(1, 2), chain.table,
         run, run.batch, count_exits(run.batch, cfg.grid), run.est_beta,
-        mc_expectation_untilted(run.batch, cfg.h, ref_plan.lam, ref_plan.init.w_total),
+        mc_expectation_untilted(run.batch, cfg.h, ref_plan.profile.lam, ref_plan.init.w_total),
         mejump.acceptance.criterion_2(ref_plan.split),
     ]
 
@@ -188,7 +188,7 @@ class TestPackageRecords:
             m = random_me_model(p, rng)
         assert medist.validate(m).messages == []
         run_plan = modelio.plan(m, "auto")
-        split, lam = run_plan.split, run_plan.lam + step
+        split, lam = run_plan.split, run_plan.profile.lam + step
         init = splitting.initial_split(m.alpha)
         w_total = init.wplus + init.wminus
         assert init.alphahat_plus.tobytes() == (init.wplus / w_total * init.alpha_plus).tobytes()
@@ -207,11 +207,9 @@ class TestPackageRecords:
         assert prof.term.tobytes() == np.concatenate([prof.defect, prof.defect]).tobytes()
         transient, abscissa = splitting.check_transience(split, lam)
         assert prof.lam == lam and prof.abscissa == abscissa and prof.transient == transient
-        shifted = modelio.RunPlan(run_plan.params, split, init, prof)
-        assert shifted.lam == lam and shifted.abscissa == abscissa
-        assert shifted.transient == transient
 
     def test_non_transient_plan(self):
         # "auto" steps off lambda_0 = 0 here; a plan at lambda_0 reports it
         run_plan = modelio.plan(decoupled_rotator(), 0.0)
-        assert run_plan.abscissa == run_plan.split.eta == 0.0 and not run_plan.transient
+        profile = run_plan.profile
+        assert profile.abscissa == run_plan.split.eta == 0.0 and not profile.transient

@@ -159,7 +159,7 @@ def bench_size(p, above, args):
         params, grid = reference_model(), estimators.Grid(0.0, 4.0, 40)
     else:
         params, grid = random_me_model(p, np.random.default_rng(p)), estimators.Grid(0.0, 2.0, 20)
-    lam = modelio.plan(params, "auto").lam + above
+    lam = modelio.plan(params, "auto").profile.lam + above
     reps = args.reps
     row = {"p": p, "above_lambda0": above, "lam": lam}
     row["plan_s"], run_plan = _timed(lambda: modelio.plan(params, lam), reps)
