@@ -6,7 +6,40 @@ nonnegative pieces, assemble the doubled original/anti-state generator at a
 tilting rate at least the subintensity threshold, simulate the terminating
 jump process, and recover tilted and untilted densities and expectations by
 signed Monte Carlo, cross-checked against exact matrix-analytic formulas.
+
+Importing the package loads numpy with OpenBLAS on one thread, unless numpy
+is already loaded or one of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+and ``OMP_NUM_THREADS`` is set; the variable is set only while numpy loads,
+so no child process inherits it.  The package's BLAS work is a few small
+oracles and the simulation makes none, so a second thread buys nothing; but
+the ``nproc - 1`` threads OpenBLAS would start spin for about 0.1 s on the
+CPUs the simulation's workers use, and their count would move the oracles'
+last digits with the host's core count.
 """
+
+
+def _load_numpy_on_one_blas_thread():
+    """Import numpy with ``OPENBLAS_NUM_THREADS=1``, then unset it again.
+
+    OpenBLAS reads its thread count once, when numpy loads it; a
+    ``set_num_threads`` call afterwards still leaves the started thread
+    spinning.  An explicit choice, or numpy loaded first by the host
+    program, is left alone.
+    """
+    import os
+    import sys
+
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(name in os.environ for name in names):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy_on_one_blas_thread()
 
 from .errors import (
     EigenConvergenceError,

@@ -98,6 +98,9 @@ DEFAULT_CHUNK = 65536
 #: Most worker threads a simulate_batch call may run, refused before any starts.
 MAX_WORKERS = 64
 
+#: Most paths a simulate_batch call may ask for: numpy's largest array length.
+MAX_PATHS = int(np.iinfo(np.intp).max)
+
 #: Sign of landing codes 0/1/2: positive, negative absorption, termination.
 SIGN_OF_LANDING = np.array([1, -1, 0], dtype=np.int8)
 
@@ -106,6 +109,8 @@ def check_run_shape(n_paths: int, seed: int, chunk: int, workers: int):
     """Refuse a run shape that cannot be simulated, for every caller."""
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
+    if n_paths > MAX_PATHS:
+        raise ValueError(f"n_paths must be at most {MAX_PATHS}, numpy's largest array length")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if chunk <= 0:

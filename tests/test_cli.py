@@ -26,7 +26,7 @@ from mejump.modelio import (
     write_model,
     write_trace,
 )
-from mejump.jumpsim import simulate_batch
+from mejump.jumpsim import MAX_PATHS, simulate_batch
 from mejump.models import exponential_model, random_me_model, reference_model
 
 from conftest import decoupled_rotator
@@ -198,8 +198,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("n_paths", 0), ("seed", -1), ("chunk", 0), ("workers", 0), ("workers", 65),
-            ("estimator", "kernel"),
+            ("n_paths", 0), ("n_paths", MAX_PATHS + 1), ("n_paths", 10**400), ("seed", -1),
+            ("chunk", 0), ("workers", 0), ("workers", 65), ("estimator", "kernel"),
         ],
     )
     def test_run_config_checks_its_own_values(self, field, value):
@@ -1044,6 +1044,26 @@ class TestUnallocatableRun:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("error: Unable to allocate ")
         assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, paths", [("--paths", 10**21), ("config", 10**21), ("config", 10**400)]
+    )
+    def test_more_paths_than_numpy_can_index_refused_by_name(
+        self, model_file, tmp_path, capsys, where, paths
+    ):
+        # numpy would refuse such an array with only "Maximum allowed
+        # dimension exceeded"; the run shape refuses it first, by field name
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_paths": paths} if where == "config" else {}))
+        out = tmp_path / "x.csv"
+        args = ["estimate", model_file, "--config", cfg, "--out", out]
+        args += ["--paths", paths] if where == "--paths" else []
+        code, stdout, err = run_cli(args, capsys)
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"error: config: n_paths must be at most {MAX_PATHS}, numpy's largest array length\n"
+        )
         assert not out.exists()
 
 

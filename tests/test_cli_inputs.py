@@ -16,9 +16,10 @@ import pathlib
 import tempfile
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from numpy.random import default_rng
 
 from mejump import cli
-from mejump.models import exponential_model, reference_model
+from mejump.models import exponential_model, random_me_model, reference_model
 
 HUGE = 10**400
 
@@ -36,12 +37,15 @@ JUNK = st.recursive(
     max_leaves=6,
 )
 
-#: Models the mutations start from: the reference model, an exponential and
-#: a model whose doubled chain is not transient at rate 0.
+#: Models the mutations start from: the reference model, an exponential, a
+#: model whose doubled chain is not transient at rate 0, and random models on
+#: 4 and 7 states.
 MODELS = [
     *({"alpha": m.alpha.tolist(), "T": m.T.tolist(), "s": m.s.tolist(), "name": name}
       for m, name in ((reference_model(), "reference"), (exponential_model(1.0), "exp"))),
     {"alpha": [0, 0, 1], "T": [[-1, -1, 0], [1, -1, 0], [0, 0, -1]], "s": [0, 0, 1]},
+    *({"alpha": m.alpha.tolist(), "T": m.T.tolist(), "s": m.s.tolist()}
+      for m in (random_me_model(p, default_rng(p)) for p in (4, 7))),
 ]
 
 #: A config that runs, and for each field the values a mutation may put there.
@@ -52,7 +56,9 @@ CONFIG = {
 }
 FIELD_VALUES = {
     "lambda": st.sampled_from(["auto", "x"]) | NUMBERS,
-    "n_paths": st.sampled_from([1, 10, 1000, 0, -5, 2.5, 1e3, "10"]),
+    # 10^21 and HUGE are refused before any allocation; a count numpy would
+    # try to allocate, such as 10^12, must never be drawn
+    "n_paths": st.sampled_from([1, 10, 1000, 0, -5, 2.5, 1e3, "10", 10**21, HUGE]),
     "seed": st.sampled_from([0, 1, -1, HUGE, 2.5, "x"]),
     "chunk": st.sampled_from([1, 7, 300, 65536, 0, -1, HUGE]),
     "workers": st.sampled_from([1, 2, 0, -1, 1.0]),

@@ -517,6 +517,15 @@ class TestSimulateBatch:
                 ref_gen, ref_init, n_paths=1000, seed=1, chunk=1, workers=workers
             )
 
+    def test_unindexable_path_count_refused_before_compiling(self, ref_gen, ref_init, monkeypatch):
+        # numpy cannot allocate a column longer than its largest index
+        def never(*args):
+            raise AssertionError("simulate_batch ran past its argument checks")
+
+        monkeypatch.setattr(jumpsim, "JumpChain", never)
+        with pytest.raises(ValueError, match=f"^n_paths must be at most {jumpsim.MAX_PATHS},"):
+            simulate_batch(ref_gen, ref_init, n_paths=jumpsim.MAX_PATHS + 1, seed=1)
+
     def test_failed_thread_start_stops_the_started_worker(self, ref_gen, ref_init, monkeypatch):
         # the second thread fails to start while the first holds chunk 0;
         # the first takes no other chunk and has stopped when the error

@@ -161,6 +161,7 @@ def strings(node):
 #: The refusals of a run shape, each message's literal start.
 RUN_SHAPE_MESSAGES = (
     "n_paths must be positive",
+    "n_paths must be at most",
     "seed must be non-negative",
     "chunk must be positive",
     "workers must be positive",

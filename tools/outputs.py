@@ -8,8 +8,12 @@ that every path it prints is relative.  There it leaves its output files,
 and the tool writes its ``stdout``, ``stderr`` and ``exit_code``; the wall
 times in ``reproduce-example``'s table are masked.  Running the tool on two
 checkouts and comparing the directories with ``diff -r`` shows every output
-byte a change moved.  The wide model's last digits depend on the BLAS
-thread count, so run both sides with the same ``OPENBLAS_NUM_THREADS``.
+byte a change moved.  The tool imports ``mejump`` before numpy, so it
+writes the wide model under the same one BLAS thread as the commands it runs,
+and the bytes do not depend on the host's core count.  The wide model's last
+digits do depend on the BLAS thread count, so if one side sets
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, set the
+same on the other.
 
 The list: ``--help`` of every subcommand; ``validate``, ``split --out`` and
 ``tilt --out`` on the reference model; the golden ``estimate`` run
@@ -138,10 +142,11 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     sys.path.insert(0, env["PYTHONPATH"])
-    import numpy as np
-
+    # mejump loads numpy on one BLAS thread, as in the commands below
     from mejump.modelio import write_model
     from mejump.models import random_me_model, reference_model
+
+    import numpy as np
 
     write_model(reference_model(), out / "reference.json", name="reference")
     write_model(random_me_model(100, np.random.default_rng(100)), out / "wide.json", name="wide")
