@@ -287,7 +287,7 @@ def criterion_8(run) -> CriterionResult:
         passed,
         f"{int(ok4.sum())}/{grid.n_bins} bins within 4 stderr; variance reduced "
         f"in {frac:.1%} of comparable bins (median ratio "
-        f"{np.nanmedian(ratio):.3f})",
+        f"{np.median(ratio[both]) if both.any() else math.nan:.3f})",
         extra=tuple(table),
     )
 
@@ -331,7 +331,8 @@ def _one_state_band(batch, rate: float = 2.0):
 def criterion_10(cfg) -> CriterionResult:
     batch = simulate(plan(exponential_model(1.0), 1.0), cfg)
     mean_tau = float(batch.tau.mean())
-    se_tau = float(batch.tau.std(ddof=1)) / math.sqrt(len(batch))
+    # one path has no sample stderr; nan fails the mean check
+    se_tau = float(batch.tau.std(ddof=1)) / math.sqrt(len(batch)) if len(batch) > 1 else math.nan
     mean_ok = abs(mean_tau - 0.5) <= 4 * se_tau
     ok4 = _one_state_band(batch)
     return CriterionResult(

@@ -567,9 +567,9 @@ def simulate_batch(
     path, times, frm, to = (np.concatenate(col) for col in zip(*parts))
     order = np.argsort(path, kind="stable")
     path, times, frm, to = path[order], times[order], frm[order], to[order]
-    # a path's last row answers with its exit code; its target is the
-    # landing's code 2p + landing
+    # a path's last row answers with its complemented exit code; its target
+    # is the landing's code 2p + landing
     exits = to < 0
-    to[exits] = batch.landing[path[exits]]
+    to[exits] = split_exit_code(~to[exits])[1]
     to[exits] += 2 * chain.p
     return PathBatch(chain.p, chunk, *columns, trace=(path, times, frm, to))

@@ -1,10 +1,12 @@
-"""Generated model and config files, run through the CLI in this process.
+"""Generated model and config files, and generated ``reproduce-example``
+flags, run through the CLI in this process.
 
 Whatever the files hold, a command exits 0, 1, 2 or 3; a failure prints one
-``error:`` line and no traceback, and leaves no output file behind.  The
-runs are kept small: at most 1000 paths on at most two workers, and h
-degrees from a short list, since a degree between 10^3 and 10^5 costs
-seconds of resolvent solves.
+``error:`` line and no traceback, and leaves no output file behind.
+``reproduce-example`` may also exit 4, when an acceptance criterion fails,
+as it may at a few hundred paths.  The runs are kept small: at most 1000
+paths on at most two workers, and h degrees from a short list, since a
+degree between 10^3 and 10^5 costs seconds of resolvent solves.
 """
 
 import contextlib
@@ -186,3 +188,30 @@ def test_generated_inputs_exit_cleanly(invocation):
             assert [line for line in lines if "error:" in line] == lines[-1:], lines
             assert lines[-1].startswith("error: ") and "Traceback" not in err.getvalue()
             assert sorted(path.name for path in here.iterdir()) == sorted(inputs)
+
+
+#: ``reproduce-example``'s flags: path counts it runs quickly or refuses, and
+#: never one it would try to allocate; seeds and rates it runs or refuses.
+REPRODUCE_FLAGS = st.tuples(
+    st.sampled_from(["1", "2", "10", "300", "1000", "0", "-1", str(10**21)]),
+    st.sampled_from(["0", "42", str(2**64), "-1", "-3"]),
+    st.sampled_from(["auto", "nan", "inf", "-0.0", "1", "1e300"]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(flags=REPRODUCE_FLAGS)
+@example(flags=("1000", "42", "auto"))
+def test_generated_reproduce_example_flags_exit_cleanly(flags):
+    paths, seed, rate = flags
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["reproduce-example", "--paths", paths, "--seed", seed, "--lambda", rate])
+    assert code in (0, 1, 2, 3, 4), err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in lines if "error:" in line]
+    if code in (1, 2, 3):
+        assert errors == lines[-1:] and lines[-1].startswith("error: "), lines
+    else:
+        assert errors == [], lines

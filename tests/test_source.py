@@ -367,13 +367,15 @@ def layout_arithmetic(node):
 
 
 def test_exit_code_layout_has_one_home():
-    # jumpsim encodes an exit code, decodes it (split_exit_code) and counts
-    # the codes; the estimators build one weight per code through that decode
+    # jumpsim encodes an exit code, decodes it (split_exit_code, for the batch
+    # and a trace's exit rows) and counts the codes; the estimators build one
+    # weight per code through that decode
     path = pathlib.Path(mejump.__file__).parent / "estimators.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree) if layout_arithmetic(node)] == []
     assert callers("split_exit_code") == {
-        "jumpsim.PathBatch.pre_exit", "jumpsim.PathBatch.landing", "estimators._code_weights",
+        "jumpsim.PathBatch.pre_exit", "jumpsim.PathBatch.landing", "jumpsim.simulate_batch",
+        "estimators._code_weights",
     }
     package = pathlib.Path(mejump.__file__).parent
     defined = {

@@ -7,32 +7,50 @@ import sys
 ROOT = pathlib.Path(__file__).parents[1]
 
 
+#: The spans the benchmark probe requires of a traced ``estimate``
+#: (``benchmarks/tests/test_benchmark.py``), less ``import.cli`` and ``cli``:
+#: the tool reads its layers through the probe's hooks, by these names.
+ESTIMATE_SPANS = {
+    "modelio.read_model", "modelio.render_csv", "medist.validate", "splitting.resolve_lambda",
+    "splitting.exit_profile", "jumpsim.compile", "jumpsim.simulate", "estimators.beta",
+    "estimators.qbar", "estimators.oracle", "linalg.mat_exp", "linalg.eig", "linalg.solve",
+}
+
+
 def test_bench_writes_every_layer(tmp_path):
-    # a fresh interpreter, as the tool's import timings need
+    # a fresh interpreter, as the tool's import timings need, with no BLAS
+    # thread count chosen, so that the package loads numpy on one thread
     out = tmp_path / "bench.json"
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
     subprocess.run(
         [
             sys.executable, str(ROOT / "tools" / "bench.py"), "--out", str(out),
             "--sizes", "3", "--paths", "10000", "--reps", "1",
         ],
         check=True, capture_output=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=dict(env, PYTHONPATH=str(ROOT / "src")),
     )
     result = json.loads(out.read_text(encoding="utf-8"))
     assert set(result) == {"environment", "settings", "import", "calibration", "rows"}
     assert set(result["calibration"]) == {"before_s", "after_s"}
     assert all(wall > 0 for wall in result["calibration"].values())
-    assert set(result["environment"]) == {"python", "numpy", "blas", "nproc", "machine"}
-    assert set(result["import"]) == {"numpy_s", "mejump_s", "numpy_random_s"}
+    assert set(result["environment"]) == {"python", "numpy", "blas", "nproc", "threads", "machine"}
+    if os.path.isdir("/proc/self/task"):
+        assert result["environment"]["threads"] == 1
+    assert set(result["import"]) == {"cli_s", "numpy_random_s"}
     assert [(row["p"], row["above_lambda0"]) for row in result["rows"]] == [(3, 0.0), (3, 1.0)]
-    layers = {
-        "plan_s", "oracle_s", "compile_s", "simulate_s", "paths_per_s", "jumps_per_s",
-        "jumps_per_path", "loop_iterations", "count_s", "finalize_s", "render_s",
-        "estimate_s", "estimate_peak_rss_mb",
+    measured = {
+        "paths_per_s", "jumps_per_s", "jumps_per_path", "loop_iterations", "estimate_s",
+        "estimate_peak_rss_mb",
     }
     for row in result["rows"]:
-        assert set(row) == {"p", "above_lambda0", "lam"} | layers
-        assert all(row[key] > 0 for key in layers)
+        assert set(row) == {"p", "above_lambda0", "lam", "layers"} | measured
+        assert ESTIMATE_SPANS <= set(row["layers"])
+        assert row["layers"]["jumpsim.simulate"] > 0 and row["layers"]["estimators.oracle"] > 0
+        assert all(row[key] > 0 for key in measured)
     # lambda_0 of the reference model is 2
     assert [row["lam"] for row in result["rows"]] == [2.0, 3.0]
 

@@ -1,52 +1,60 @@
-"""Layer timings of the mejump pipeline, measured in one process, as JSON.
+"""Layer timings of ``mejump estimate``, measured in one process, as JSON.
 
     PYTHONPATH=src python tools/bench.py --out BENCH.json
     PYTHONPATH=src python tools/bench.py --out smoke.json --sizes 3 --paths 10000 --reps 1
 
-Run from the root of a source checkout.  It first times ``import numpy``,
-``import mejump.cli`` (the package as the CLI loads it) and ``import
-numpy.random`` (which numpy loads on the first stream a run opens), so run it
-in a fresh interpreter.  Then, for each model size ``p`` in ``--sizes`` and for the
-tilting rates ``lambda_0`` (the ``"auto"`` rate) and ``lambda_0 + 1``, it
-times each layer of an ``estimate`` run and keeps the median over ``--reps``
-repetitions:
+Run it in a fresh interpreter with the ``src`` of the tree to time on
+``PYTHONPATH``; any tree whose ``estimate`` takes the flags below will do.
+The layers are timed by the benchmark probe's own hooks
+(``benchmarks/probe.py``), installed as a traced probe run installs them:
+import ``mejump.jumpsim`` (the package, which loads numpy on one BLAS
+thread), wrap the layers with ``probe._hook_simulate`` and
+``probe._hook_layers``, import ``mejump.cli``.  That whole import is
+``import.cli_s``.  Then ``numpy.random`` is imported (``numpy_random_s``),
+which the first random stream would otherwise load inside a
+``jumpsim.simulate`` span.
 
-* ``plan``: validation, sign split, rate and the doubled chain
-  (``modelio.plan``, the run's one build of the chain);
-* ``oracle``: the exact bin averages (``estimators.tilted_bin_averages``);
-* ``compile``: the rate gate and the tables of the plan's chain
-  (``jumpsim.JumpChain``), which builds no chain;
-* ``simulate``: ``jumpsim.simulate_batch``, with paths/s and jumps/s;
-* ``count`` and ``finalize``: the exit count table and the two density
-  estimators read off it;
-* ``render``: the CSV text (``modelio.render_estimate_csv``);
-* ``estimate``: the whole ``mejump estimate`` command on the row's model,
-  rate, grid and path count, run ``--reps`` times, each in a fresh
-  interpreter, with its wall time and its peak resident set in MB, which the
-  command's own process reads as ``VmHWM`` from ``/proc/self/status`` just
-  before it exits.  ``ru_maxrss`` would not do: a child's starts at the
-  high-water mark of the process that spawned it.
+For each model size ``p`` in ``--sizes`` and for the tilting rates
+``lambda_0`` (the ``"auto"`` rate) and ``lambda_0 + 1``, it runs
+``mejump.cli.main(["estimate", MODEL, "--lambda", ..., "--grid", ...,
+"--paths", ..., "--seed", "5", "--out", ...])`` ``--reps`` times in this
+process, each run inside a ``cli`` span as in the probe.  A row holds:
 
-Every batch runs at stream seed ``SEED`` in the default chunks
-(``jumpsim.DEFAULT_CHUNK``) on one worker.  ``loop_iterations`` is the
-number of iterations of the simulator's chunk loops in one
-``simulate_batch`` call, counted in one more, untimed call: each iteration
-is one call of ``jumpsim._draw_targets`` from transient states, and a chunk
-whose first states are drawn draws them from the start row ``2p``.
-``p = 3`` is the reference model; other sizes are ``random_me_model(p,
-default_rng(p))``, as the benchmark's wide model is at ``p = 100``.
+* ``layers``: per probe span name, the median over the runs of its self
+  time in seconds (``tracing.self_times``), which leaves out the spans
+  nested in it.  So ``jumpsim.simulate`` does not include
+  ``jumpsim.compile``; the exit count is in ``modelio.run_estimate``;
+  validation, sign split, rate and doubled chain are ``medist.validate``
+  and the ``splitting.*`` spans; parsing, printing and writing are ``cli``.
+* ``paths_per_s``, ``jumps_per_s`` and ``jumps_per_path``: the last run's
+  batch (``probe.batch_counts``) over the median ``jumpsim.simulate``.
+* ``loop_iterations``: iterations of the simulator's chunk loops in one
+  more, untimed run: each is one call of ``jumpsim._draw_targets`` from
+  transient states, and a chunk whose first states are drawn draws them
+  from the start row ``2p``.
+* ``estimate_s`` and ``estimate_peak_rss_mb``: the median wall time and
+  peak resident set (MB) of the same command run ``--reps`` times, each in
+  a fresh interpreter whose process reads its own ``VmHWM`` from
+  ``/proc/self/status`` just before it exits.  ``ru_maxrss`` would not do:
+  a child's starts at the high-water mark of the process that spawned it.
 
-The output records the Python, numpy and BLAS versions and the processor
-count, since timings compare only on one machine.  Under ``calibration`` it
-records the wall time of the benchmark's calibration job
-(``benchmarks/calibrate.py``, in a fresh interpreter), run once before the
-rows and once after them, so that two files tell how fast the host ran while
-each was written.
+Every run is at stream seed ``SEED`` in the default chunks
+(``jumpsim.DEFAULT_CHUNK``) on one worker.  ``p = 3`` is the reference
+model; other sizes are ``random_me_model(p, default_rng(p))``, as the
+benchmark's wide model is at ``p = 100``.
+
+The output records the Python, numpy and BLAS versions and the processor and
+thread counts, since timings compare only on one machine.  Under
+``calibration`` it records the wall time of the benchmark's calibration job
+(``benchmarks/calibrate.py``, in a fresh interpreter) before and after the
+rows, so that two files tell how fast the host ran while each was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -56,11 +64,16 @@ import sys
 import tempfile
 import time
 
+BENCHMARKS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks")
+sys.path.insert(0, BENCHMARKS)
+import probe  # noqa: E402  (the benchmark's hooks; neither module imports numpy)
+import tracing  # noqa: E402
+
 #: The stream seed of every simulated batch; the benchmark's wide model runs at 5.
 SEED = 5
 
 #: The benchmark's fixed reference job, which imports nothing from mejump.
-CALIBRATE = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "calibrate.py")
+CALIBRATE = os.path.join(BENCHMARKS, "calibrate.py")
 
 #: Runs ``mejump estimate`` on its arguments, then writes the process's
 #: ``VmHWM`` line (its peak resident set, in kB) to stderr.
@@ -74,14 +87,19 @@ sys.exit(code)
 """
 
 
-def _timed(fn, reps):
-    """The median wall time of ``reps`` calls of ``fn``, and its last result."""
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
+def _run(tracer, argv):
+    """Run ``mejump ARGV`` in this process: the self times of its spans and
+    the counts over its batch."""
+    from mejump import cli
+
+    tracer.spans.clear()
+    with tracer.span("cli"), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"mejump {' '.join(argv)} exited {code}")
+    counts = probe.batch_counts(*probe._batches[-1])
+    probe._batches.clear()
+    return tracing.self_times(tracer.spans), counts
 
 
 def _loop_iterations(jumpsim, simulate, p):
@@ -109,27 +127,17 @@ def _calibration_s():
     return time.perf_counter() - t0
 
 
-def _estimate_command(params, lam, grid, args):
-    """The median wall time and median peak resident set (MB) of ``--reps``
-    runs of ``mejump estimate``, each in a fresh interpreter."""
-    from mejump import modelio
-
+def _estimate_command(argv, reps):
+    """The median wall time and median peak resident set (MB) of ``reps``
+    runs of ``mejump ARGV``, each in a fresh interpreter."""
+    command = [sys.executable, "-c", ESTIMATE_CHILD, *argv]
     walls, peaks = [], []
-    with tempfile.TemporaryDirectory() as tmp:
-        model = os.path.join(tmp, "model.json")
-        modelio.write_model(params, model)
-        argv = [
-            sys.executable, "-c", ESTIMATE_CHILD, "estimate", model, "--lambda", repr(lam),
-            "--grid", f"{grid.x_min!r}:{grid.x_max!r}:{grid.n_bins}",
-            "--paths", str(args.paths), "--seed", str(SEED),
-            "--out", os.path.join(tmp, "estimate.csv"),
-        ]
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            done = subprocess.run(argv, capture_output=True, text=True, check=True)
-            walls.append(time.perf_counter() - t0)
-            # the last line reads "VmHWM:    46080 kB"
-            peaks.append(int(done.stderr.splitlines()[-1].split()[1]) / 1024)
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        done = subprocess.run(command, capture_output=True, text=True, check=True)
+        walls.append(time.perf_counter() - t0)
+        # the last line reads "VmHWM:    46080 kB"
+        peaks.append(int(done.stderr.splitlines()[-1].split()[1]) / 1024)
     return statistics.median(walls), statistics.median(peaks)
 
 
@@ -138,60 +146,50 @@ def _environment(numpy):
         blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy before 1.25 only prints its configuration
         blas = {}
+    tasks = "/proc/self/task"
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "nproc": len(os.sched_getaffinity(0)),
+        "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
         "machine": platform.machine(),
     }
 
 
-def bench_size(p, above, args):
+def bench_size(p, above, args, tracer):
     """One row of layer timings: the model of size ``p`` at ``above`` over
     its ``"auto"`` rate ``lambda_0``."""
     import numpy as np
 
-    from mejump import estimators, jumpsim, modelio
+    from mejump import jumpsim, modelio, splitting
     from mejump.models import random_me_model, reference_model
 
     if p == 3:
-        params, grid = reference_model(), estimators.Grid(0.0, 4.0, 40)
+        params, grid = reference_model(), "0.0:4.0:40"
     else:
-        params, grid = random_me_model(p, np.random.default_rng(p)), estimators.Grid(0.0, 2.0, 20)
-    lam = modelio.plan(params, "auto").profile.lam + above
-    reps = args.reps
+        params, grid = random_me_model(p, np.random.default_rng(p)), "0.0:2.0:20"
+    lam = float(splitting.resolve_lambda(splitting.sign_split(params.T, params.s), "auto")) + above
     row = {"p": p, "above_lambda0": above, "lam": lam}
-    row["plan_s"], run_plan = _timed(lambda: modelio.plan(params, lam), reps)
-    row["oracle_s"], (analytic, norm) = _timed(
-        lambda: estimators.tilted_bin_averages(params, lam, grid), reps
-    )
-    scale = run_plan.init.w_total / norm
-    gen, init = run_plan.profile, run_plan.init
-    row["compile_s"], _ = _timed(lambda: jumpsim.JumpChain(gen, init), reps)
-
-    def simulate():  # the default chunk, on one worker
-        return jumpsim.simulate_batch(gen, init, args.paths, SEED)
-
-    row["simulate_s"], batch = _timed(simulate, reps)
-    jumps = int(batch.n_jumps.sum(dtype=np.int64))
-    row["paths_per_s"] = args.paths / row["simulate_s"]
-    row["jumps_per_s"] = jumps / row["simulate_s"]
-    row["jumps_per_path"] = jumps / args.paths
-    row["loop_iterations"] = _loop_iterations(jumpsim, simulate, p)
-    row["count_s"], counts = _timed(lambda: estimators.count_exits(batch, grid), reps)
-
-    def finalize():
-        return (
-            estimators.mc_density_beta(counts, scale),
-            estimators.mc_density_qbar(counts, run_plan.profile, scale),
-        )
-
-    row["finalize_s"], (beta, qbar) = _timed(finalize, reps)
-    cfg = modelio.RunConfig(lam=lam, n_paths=args.paths, seed=SEED, grid=grid)
-    run = modelio.EstimateRun(run_plan, scale, cfg, batch, analytic, beta, qbar)
-    row["render_s"], _ = _timed(lambda: modelio.render_estimate_csv(run), reps)
-    row["estimate_s"], row["estimate_peak_rss_mb"] = _estimate_command(params, lam, grid, args)
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.json")
+        modelio.write_model(params, model)
+        argv = [
+            "estimate", model, "--lambda", repr(lam), "--grid", grid,
+            "--paths", str(args.paths), "--seed", str(SEED),
+            "--out", os.path.join(tmp, "estimate.csv"),
+        ]
+        runs = [_run(tracer, argv) for _ in range(args.reps)]
+        row["loop_iterations"] = _loop_iterations(jumpsim, lambda: _run(tracer, argv), p)
+        row["estimate_s"], row["estimate_peak_rss_mb"] = _estimate_command(argv, args.reps)
+    times = [layers for layers, _ in runs]
+    names = sorted(set().union(*times))
+    row["layers"] = {name: statistics.median(t.get(name, 0.0) for t in times) for name in names}
+    counts = runs[-1][1]
+    simulate_s = row["layers"]["jumpsim.simulate"]
+    row["paths_per_s"] = counts["n_paths"] / simulate_s
+    row["jumps_per_s"] = counts["jumps"] / simulate_s
+    row["jumps_per_path"] = counts["jumps"] / counts["n_paths"]
     return row
 
 
@@ -204,27 +202,27 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sizes = [int(p) for p in args.sizes.split(",")]
 
+    tracer = tracing.Tracer()
     t0 = time.perf_counter()
-    import numpy
+    import mejump.jumpsim  # the package first, so that numpy loads on one BLAS thread
+
+    probe._hook_simulate(mejump.jumpsim, tracer)
+    probe._hook_layers(tracer)
+    import mejump.cli  # noqa: F401  (binds the wrapped layers)
 
     t1 = time.perf_counter()
-    import mejump.cli  # noqa: F401  (the package as the CLI loads it)
+    import numpy.random  # binds numpy too
 
     t2 = time.perf_counter()
-    import numpy.random  # noqa: F401
-
-    t3 = time.perf_counter()
-    from mejump.jumpsim import DEFAULT_CHUNK
-
     before = _calibration_s()
-    rows = [bench_size(p, above, args) for p in sizes for above in (0.0, 1.0)]
+    rows = [bench_size(p, above, args, tracer) for p in sizes for above in (0.0, 1.0)]
     result = {
         "environment": _environment(numpy),
         "settings": {
             "paths": args.paths, "reps": args.reps, "seed": SEED,
-            "chunk": DEFAULT_CHUNK, "workers": 1,
+            "chunk": mejump.jumpsim.DEFAULT_CHUNK, "workers": 1,
         },
-        "import": {"numpy_s": t1 - t0, "mejump_s": t2 - t1, "numpy_random_s": t3 - t2},
+        "import": {"cli_s": t1 - t0, "numpy_random_s": t2 - t1},
         "calibration": {"before_s": before, "after_s": _calibration_s()},
         "rows": rows,
     }
@@ -234,9 +232,9 @@ def main(argv=None):
     for row in result["rows"]:
         print(
             f"p={row['p']:<4} lambda_0+{row['above_lambda0']:g}  simulate "
-            f"{row['simulate_s']:.4f} s  {row['jumps_per_s'] / 1e6:6.2f} Mjumps/s  "
-            f"{row['loop_iterations']:>5} iterations  estimate {row['estimate_s']:.3f} s "
-            f"{row['estimate_peak_rss_mb']:.0f} MB",
+            f"{row['layers']['jumpsim.simulate']:.4f} s  {row['jumps_per_s'] / 1e6:6.2f} "
+            f"Mjumps/s  {row['loop_iterations']:>5} iterations  estimate "
+            f"{row['estimate_s']:.3f} s {row['estimate_peak_rss_mb']:.0f} MB",
             file=sys.stderr,
         )
 
