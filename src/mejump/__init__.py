@@ -77,7 +77,6 @@ from .splitting import (
     build_generator,
     check_transience,
     doubled_matrix,
-    exit_profile,
     initial_split,
     resolve_lambda,
     sign_split,
@@ -92,7 +91,7 @@ __all__ = [
     "MEParams", "ValidationReport", "validate", "density", "laplace_transform", "tilt",
     "SignSplit", "InitialSplit", "DoubledGenerator",
     "sign_split", "initial_split", "build_generator",
-    "doubled_matrix", "exit_profile", "check_transience", "resolve_lambda",
+    "doubled_matrix", "check_transience", "resolve_lambda",
     "PathBatch", "RngStream", "simulate_batch",
     "Grid", "DensityEstimate", "ExitCounts", "ExpectationEstimate", "HSpec",
     "count_exits", "mc_density_beta", "mc_density_qbar", "mc_expectation_untilted",

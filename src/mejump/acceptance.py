@@ -294,11 +294,8 @@ def criterion_8(run) -> CriterionResult:
 
 def criterion_9(run) -> CriterionResult:
     h = HSpec("exp-decay", 2.0)
-    lam, w_total = run.plan.profile.lam, run.plan.init.w_total
-    est_b = mc_expectation_untilted(run.batch, h, lam, w_total, form="beta")
-    est_q = mc_expectation_untilted(
-        run.batch, h, lam, w_total, form="qbar", profile=run.plan.profile
-    )
+    est_b = mc_expectation_untilted(run.batch, h, run.plan.profile, run.plan.init, form="beta")
+    est_q = mc_expectation_untilted(run.batch, h, run.plan.profile, run.plan.init, form="qbar")
     target = REFERENCE_NORMALIZER
     ok = abs(est_b.value - target) <= 4 * est_b.stderr and abs(
         est_q.value - target
@@ -379,13 +376,16 @@ def criterion_12(ref_plan) -> CriterionResult:
     )
 
 
-def criterion_13(n_paths, seed) -> CriterionResult:
+def criterion_13(cfg) -> CriterionResult:
     import contextlib
     import io
 
     from . import cli  # deferred: cli imports this module
 
-    n = min(n_paths, 100_000)
+    n = min(cfg.n_paths, 100_000)
+    # four chunks when there are four paths to fill them, so the 4-worker run
+    # uses every worker it can
+    chunk = math.ceil(n / 4)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         model_path = tmp / "model.json"
@@ -396,7 +396,7 @@ def criterion_13(n_paths, seed) -> CriterionResult:
             out = tmp / f"out_{tag}.csv"
             args = [
                 "estimate", str(model_path), "--lambda", "2.0", "--paths", str(n),
-                "--seed", str(seed), "--chunk", "25000", "--workers", str(workers),
+                "--seed", str(cfg.seed), "--chunk", str(chunk), "--workers", str(workers),
                 "--out", str(out),
             ]
             with contextlib.redirect_stdout(io.StringIO()):
@@ -408,16 +408,15 @@ def criterion_13(n_paths, seed) -> CriterionResult:
         "estimate CSV is byte-identical across runs and worker counts",
         ok,
         f"exit codes {codes}; identical={outputs[0] == outputs[1] == outputs[2]} "
-        f"(n={n}, 4 chunks, workers 1/1/4)",
+        f"(n={n}, {len(range(0, n, chunk))} chunks, workers 1/1/4)",
     )
 
 
-def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
-    """Run every acceptance criterion on one plan of the reference model;
-    raises before any criterion runs if the run config refuses a value or
-    ``lam`` is below its threshold, and when criteria 7-9 simulate the plan's
-    chain if the rate gate refuses it."""
-    cfg = RunConfig(lam=lam, n_paths=n_paths, seed=seed)
+def run_all(cfg: RunConfig):
+    """Run every acceptance criterion on one plan of the reference model at
+    ``cfg``; raises before any criterion runs if ``cfg.lam`` is below its
+    threshold, and when criteria 7-9 simulate the plan's chain if the rate
+    gate refuses it."""
     params = reference_model()
     ref_plan = plan(params, cfg.lam)
     split = ref_plan.split
@@ -439,7 +438,7 @@ def run_all(n_paths: int = 1_000_000, seed: int = 42, lam="auto"):
     results.append(criterion_10(cfg))
     results.append(criterion_11(split))
     results.append(criterion_12(ref_plan))
-    results.append(criterion_13(n_paths, seed))
+    results.append(criterion_13(cfg))
     return results
 
 

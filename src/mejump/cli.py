@@ -256,15 +256,13 @@ def cmd_expect(args) -> int:
     # a model or rate refusal (exit 2 or 3) comes before a non-convergent h
     # (exit 1), and all of them before any path is simulated
     run_plan = plan(params, cfg.lam)
-    lam, w_total = run_plan.profile.lam, run_plan.init.w_total
+    lam = run_plan.profile.lam
     analytic = cfg.h.analytic_expectation(params)
     batch = simulate(run_plan, cfg)
     # bound here, not in modelio: the benchmark probe wraps this estimator
     # only after modelio is imported
-    est_b = mc_expectation_untilted(batch, cfg.h, lam, w_total, form="beta")
-    est_q = mc_expectation_untilted(
-        batch, cfg.h, lam, w_total, form="qbar", profile=run_plan.profile
-    )
+    est_b = mc_expectation_untilted(batch, cfg.h, run_plan.profile, run_plan.init, form="beta")
+    est_q = mc_expectation_untilted(batch, cfg.h, run_plan.profile, run_plan.init, form="qbar")
     print(f"model: {name or args.model} (p={params.p})")
     print(f"h: type={cfg.h.kind} c={cfg.h.c!r} degree={cfg.h.degree}")
     print(f"lambda: {lam!r}  seed: {cfg.seed}  n_paths: {cfg.n_paths}")
@@ -283,7 +281,7 @@ def cmd_reproduce_example(args) -> int:
 
     cfg = _load_run_config(args)
     print(f"acceptance run: n_paths={cfg.n_paths} seed={cfg.seed} lambda={cfg.lam}")
-    results = acceptance.run_all(n_paths=cfg.n_paths, seed=cfg.seed, lam=cfg.lam)
+    results = acceptance.run_all(cfg)
     print(acceptance.format_table(results))
     for r in results:
         if r.extra:

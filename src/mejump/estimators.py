@@ -298,33 +298,24 @@ class HSpec(Record):
 
 
 def mc_expectation_untilted(
-    batch: PathBatch,
-    h: HSpec,
-    lam: float,
-    w_total: float,
-    form: str = "beta",
-    profile: DoubledGenerator | None = None,
+    batch: PathBatch, h: HSpec, gen: DoubledGenerator, init: InitialSplit, form: str = "beta"
 ) -> ExpectationEstimate:
     """Estimate ``integral of h(x) f(x) dx`` as
-    ``w_total * mean(h(tau) e^{lam tau} * weight)``.
+    ``init.w_total * mean(h(tau) e^{lam tau} * weight)`` over a batch that
+    ``simulate_batch(gen, init, ...)`` drew, at the chain's own rate ``gen.lam``.
 
-    ``form="beta"`` weights by the landing sign; ``form="qbar"`` (requires
-    ``profile``) by the pre-exit conditional expected sign, summed chunk by chunk.
+    ``form="beta"`` weights by the landing sign; ``form="qbar"`` by the
+    pre-exit conditional expected sign ``gen.qbar``, summed chunk by chunk.
     """
-    if form == "beta":
-        profile = None
-    elif form != "qbar":
+    if form not in ("beta", "qbar"):
         raise ValueError(f"unknown form {form!r}")
-    elif profile is None:
-        raise ValueError('form="qbar" needs a DoubledGenerator')
-
-    weight_of_code = _code_weights(n_exit_codes(batch.p), profile)
+    weight_of_code = _code_weights(n_exit_codes(batch.p), gen if form == "qbar" else None)
     sum_v = 0.0
     sum_v2 = 0.0
     max_abs = 0.0
     for sl in batch.chunk_slices():
         sign = weight_of_code.take(batch.exit_code[sl])
-        weight = h.tilted_weight(batch.tau[sl], lam)
+        weight = h.tilted_weight(batch.tau[sl], gen.lam)
         # weights are >= 0 or NaN, and the maximum carries either NaN or inf
         top = float(np.max(weight))
         if not math.isfinite(top):
@@ -338,9 +329,8 @@ def mc_expectation_untilted(
     if not math.isfinite(sum_v2):
         raise ValueError("h(tau) e^{lam tau} is too large: the sum of its squares overflows")
     mean, stderr = _mean_and_stderr(sum_v, sum_v2, len(batch), 1.0)
-    return ExpectationEstimate(
-        value=float(w_total * mean), stderr=float(w_total * stderr), max_abs_weight=max_abs
-    )
+    w_total = init.w_total
+    return ExpectationEstimate(float(w_total * mean), float(w_total * stderr), max_abs)
 
 
 def analytic_untilted_doubled(split: SignSplit, init: InitialSplit, x):

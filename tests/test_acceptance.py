@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 from mejump import acceptance
+from mejump.errors import LambdaTooSmallError
 from mejump.modelio import RunConfig, plan, simulate
 from mejump.models import exponential_model
 
@@ -19,7 +20,7 @@ SEED = 42
 
 @pytest.fixture(scope="module")
 def results():
-    res = acceptance.run_all(n_paths=N_PATHS, seed=SEED, lam="auto")
+    res = acceptance.run_all(RunConfig(lam="auto", n_paths=N_PATHS, seed=SEED))
     return {r.cid: r for r in res}
 
 
@@ -43,15 +44,31 @@ def test_reference_model_is_planned_once():
     # criteria 1-12 read one plan of the reference model; criterion 10 plans
     # the one-state model, and criterion 13 runs the CLI, which plans its own
     with mock.patch.object(acceptance, "plan", wraps=acceptance.plan) as planned:
-        acceptance.run_all(n_paths=2000, seed=SEED)
+        acceptance.run_all(RunConfig(n_paths=2000, seed=SEED))
     assert [call.args[0].p for call in planned.call_args_list] == [3, 1]
 
 
 def test_bad_config_refused_before_any_criterion():
+    # the caller's RunConfig has checked its own values; the rate is checked
+    # against the reference model's threshold when run_all plans it
     with mock.patch.object(acceptance, "criterion_1") as first:
-        with pytest.raises(ValueError, match="n_paths must be positive"):
-            acceptance.run_all(n_paths=0)
+        with pytest.raises(LambdaTooSmallError):
+            acceptance.run_all(RunConfig(lam=1.5, n_paths=2000))
     first.assert_not_called()
+
+
+@pytest.mark.parametrize("n_paths, chunk, n_chunks", [(20_000, "5000", 4), (3, "1", 3)])
+def test_byte_identity_runs_the_chunks_it_reports(n_paths, chunk, n_chunks):
+    # below 100 000 paths the chunk shrinks with n, so the 4-worker run has
+    # four chunks to share out whenever there are four paths
+    from mejump import cli
+
+    with mock.patch.object(cli, "main", wraps=cli.main) as ran:
+        result = acceptance.criterion_13(RunConfig(n_paths=n_paths, seed=SEED))
+    assert result.passed
+    argvs = [call.args[0] for call in ran.call_args_list]
+    assert [argv[argv.index("--chunk") + 1] for argv in argvs] == [chunk] * 3
+    assert result.detail.endswith(f"(n={n_paths}, {n_chunks} chunks, workers 1/1/4)")
 
 
 def test_one_state_band_rarely_fails_at_twenty_thousand_paths():

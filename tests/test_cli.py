@@ -1381,7 +1381,7 @@ class TestReproduceExample:
         from mejump import acceptance
 
         failed = acceptance.CriterionResult(1, "a criterion", False, "detail")
-        monkeypatch.setattr(acceptance, "run_all", lambda **kwargs: [failed])
+        monkeypatch.setattr(acceptance, "run_all", lambda cfg: [failed])
         code, out, err = run_cli(["reproduce-example", "--paths", "1000"], capsys)
         assert code == 4
         assert err == "FAILED criteria: [1]\n"

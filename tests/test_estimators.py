@@ -222,7 +222,7 @@ class TestDensityBeta:
         se_total = contrib.std(ddof=1) / math.sqrt(len(batch))
         assert abs(total - 1.0) <= 4 * se_total
 
-    def test_empty_outcomes_rejected(self, ref_split):
+    def test_empty_outcomes_rejected(self, ref_split, ref_init):
         empty = one_chunk_batch(3, [], [], [])
         prof = splitting.exit_profile(ref_split, 2.0)
         with pytest.raises(ValueError, match="empty outcome set"):
@@ -230,7 +230,7 @@ class TestDensityBeta:
         with pytest.raises(ValueError, match="empty outcome set"):
             density_qbar(empty, prof, Grid(0.0, 1.0, 2), 1.0)
         with pytest.raises(ValueError, match="empty outcome set"):
-            mc_expectation_untilted(empty, HSpec("exp-decay", 3.0), 2.0, 1.0)
+            mc_expectation_untilted(empty, HSpec("exp-decay", 3.0), prof, ref_init)
 
     def test_qbar_on_raw_outcomes_uses_profile_dimension(self, ref_split):
         # a lone path leaving anti state 0 (code p) must take -qbar_original[0]
@@ -493,15 +493,16 @@ class TestExpectation:
         eta = linalg.spectral_abscissa(split.Tplus + split.Tminus)
         prof = splitting.exit_profile(split, 2.0)
         assert h.variance_warning(2.0, eta) is None
-        for form, kw in (("beta", {}), ("qbar", {"profile": prof})):
-            est = mc_expectation_untilted(batch, h, 2.0, init.w_total, form=form, **kw)
+        for form in ("beta", "qbar"):
+            est = mc_expectation_untilted(batch, h, prof, init, form=form)
             assert abs(est.value - 19.0 / 45.0) <= 4 * est.stderr
             assert est.max_abs_weight == pytest.approx(1.0)
 
     def test_exponential_example(self):
         params = exponential_model(1.0)
         split, init, batch, _ = make_batch(params, 1.0, 200_000, seed=16)
-        est = mc_expectation_untilted(batch, HSpec("exp-decay", 3.0), 1.0, init.w_total)
+        prof = splitting.exit_profile(split, 1.0)
+        est = mc_expectation_untilted(batch, HSpec("exp-decay", 3.0), prof, init)
         assert abs(est.value - 0.25) <= 4 * est.stderr
 
     def test_variance_guard_warns(self, ref_split):
@@ -515,40 +516,33 @@ class TestExpectation:
         assert HSpec("exp-decay", 1.0).variance_warning(2.0, eta) is not None
         assert HSpec("exp-decay", 2.0).variance_warning(2.0, eta) is None
 
-    def test_bad_form_refused(self, ref_split):
+    def test_bad_form_refused(self, ref_gen, ref_init):
         batch = one_chunk_batch(3, [0.5], [0], [0])
         h = HSpec("exp-decay", 2.0)
         with pytest.raises(ValueError, match="^unknown form 'gamma'$"):
-            mc_expectation_untilted(batch, h, 2.0, 1.0, form="gamma")
-        with pytest.raises(ValueError, match='^form="qbar" needs a DoubledGenerator$'):
-            mc_expectation_untilted(batch, h, 2.0, 1.0, form="qbar")
+            mc_expectation_untilted(batch, h, ref_gen, ref_init, form="gamma")
 
     @pytest.mark.parametrize("form", ["beta", "qbar"])
-    def test_one_path_has_zero_stderr(self, ref_split, form):
+    def test_one_path_has_zero_stderr(self, ref_gen, ref_init, form):
         batch = one_chunk_batch(3, [0.5], [0], [0])
-        prof = splitting.exit_profile(ref_split, 2.0)
-        est = mc_expectation_untilted(
-            batch, HSpec("exp-decay", 2.0), 2.0, 1.0, form=form, profile=prof
-        )
+        est = mc_expectation_untilted(batch, HSpec("exp-decay", 2.0), ref_gen, ref_init, form=form)
         assert est.value != 0.0 and est.stderr == 0.0
 
-    def test_nonfinite_integrand_rejected(self, ref):
+    def test_nonfinite_integrand_rejected(self, ref, ref_gen):
         # e^{1002 tau} overflows for tau above about 0.71; numpy stays silent
         # (the suite turns warnings into errors) and the estimator refuses
-        _, _, batch, _ = make_batch(ref, 2.0, 1000, seed=19)
+        _, init, batch, _ = make_batch(ref, 2.0, 1000, seed=19)
         with pytest.raises(ValueError, match="non-finite"):
-            mc_expectation_untilted(batch, HSpec("exp-decay", -1000.0), 2.0, 1.0)
+            mc_expectation_untilted(batch, HSpec("exp-decay", -1000.0), ref_gen, init)
 
     @pytest.mark.parametrize("form", ["beta", "qbar"])
-    def test_overflowing_square_sum_rejected(self, ref_split, form):
+    def test_overflowing_square_sum_rejected(self, ref_gen, ref_init, form):
         # tau^200 is finite at tau = 10, its square is not; numpy stays
         # silent and no OverflowError escapes from the variance
         batch = one_chunk_batch(3, [10.0, 10.0, 0.5], [0, 3, 1], [0, 1, 0])
-        prof = splitting.exit_profile(ref_split, 2.0)
+        h = HSpec("poly-exp-decay", 2.0, 200)
         with pytest.raises(ValueError, match="sum of its squares overflows"):
-            mc_expectation_untilted(
-                batch, HSpec("poly-exp-decay", 2.0, 200), 2.0, 1.0, form=form, profile=prof
-            )
+            mc_expectation_untilted(batch, h, ref_gen, ref_init, form=form)
 
     @pytest.mark.parametrize("n, chunk", [(100_000, 7000), (10, 3)])
     def test_chunked_fold_equals_whole_array_formula(self, ref, n, chunk):
@@ -567,9 +561,7 @@ class TestExpectation:
                 sum_v2 += float(np.sum(signed[sl] ** 2))
             mean = sum_v / n
             var = max(0.0, (sum_v2 - n * mean**2) / (n - 1))
-            est = mc_expectation_untilted(
-                batch, h, 2.0, init.w_total, form=form, profile=prof
-            )
+            est = mc_expectation_untilted(batch, h, prof, init, form=form)
             assert est.value == init.w_total * mean
             assert est.stderr == init.w_total * math.sqrt(var / n)
             assert est.max_abs_weight == np.max(np.abs(weight))
@@ -592,9 +584,7 @@ class TestExpectation:
             elif form == "density_qbar":
                 density_qbar(batch, prof, grid, 1.0)
             else:
-                mc_expectation_untilted(
-                    batch, HSpec("exp-decay", 2.0), 2.0, init.w_total, form=form, profile=prof
-                )
+                mc_expectation_untilted(batch, HSpec("exp-decay", 2.0), prof, init, form=form)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

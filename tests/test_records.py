@@ -108,7 +108,7 @@ def _one_of_each() -> list:
         splitting.build_generator(ref_plan.split, ref_plan.profile.lam),
         cfg, cfg.grid, cfg.h, RngStream(1, 2), chain.table,
         run, run.batch, count_exits(run.batch, cfg.grid), run.est_beta,
-        mc_expectation_untilted(run.batch, cfg.h, ref_plan.profile.lam, ref_plan.init.w_total),
+        mc_expectation_untilted(run.batch, cfg.h, ref_plan.profile, ref_plan.init),
         mejump.acceptance.criterion_2(ref_plan.split),
     ]
 

@@ -150,6 +150,26 @@ def test_one_function_builds_the_doubled_chain():
     assert not hasattr(jumpsim, "SignSplit")
 
 
+def test_the_chain_carries_its_own_rate():
+    # a function that takes the doubled chain reads the rate off it, so no
+    # caller can pair a chain, or a batch simulated from it, with another rate
+    package = pathlib.Path(mejump.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            # an argument's dump holds its annotation
+            takes_chain = any(
+                arg.arg in ("gen", "profile") or "DoubledGenerator" in ast.dump(arg)
+                for arg in args
+            )
+            if takes_chain and any(arg.arg == "lam" for arg in args):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == set()
+
+
 def strings(node):
     """Every string constant under ``node``, the literal parts of f-strings
     included."""

@@ -64,7 +64,7 @@ def test_outputs_records_every_invocation(tmp_path):
         path.parent.name: path.read_text(encoding="utf-8")
         for path in tmp_path.glob("*/exit_code")
     }
-    assert len(codes) == 32
+    assert len(codes) == 33
     refused = {
         "overwrite-estimate": 1, "overwrite-tilt": 1, "overwrite-split": 1, "expect-c-nan": 1,
         "expect-degree-20000": 1, "expect-huge-degree": 1, "validate-huge-alpha": 1,

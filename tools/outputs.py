@@ -15,22 +15,14 @@ digits do depend on the BLAS thread count, so if one side sets
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``, set the
 same on the other.
 
-The list: ``--help`` of every subcommand; ``validate``, ``split --out`` and
-``tilt --out`` on the reference model; the golden ``estimate`` run
-(``tests/data/golden_estimate.csv``); a traced reference ``estimate`` on one
-worker and on two, each printing its trace's summary; each single estimator;
-the benchmark's wide model ``random_me_model(100, default_rng(100))``;
-``expect`` with each kind of integrand; the refusals that keep ``estimate
---out``, ``tilt --out`` and ``split --out`` (through the ``_D.csv`` it would
-write) from writing over their model; ``expect`` with a
-NaN decay rate, with a degree whose exact value underflows (1000), with one
-whose value overflows (20000) and with one above the bound on degrees; the
-refusals of an integer past the float range in a model's ``alpha`` and in a
-config's ``grid.x_max``; the rate refusals of ``estimate`` (below
-``lambda_0``, a rate at which no path can be seen to land, and a chain that
-is not transient, on a model whose doubled chain is not transient at rate 0)
-and of ``expect`` (not transient), and ``split`` reporting that chain as not
-transient; and ``reproduce-example``.
+``INVOCATIONS`` below is the one list of what runs, each under the name of
+its directory.  The tool runs the ``src/`` beside it, so to run one list on
+two checkouts, copy this script into the other one (a ``git archive`` of the
+parent commit, say)::
+
+    python tools/outputs.py /tmp/new
+    python /tmp/parent/tools/outputs.py /tmp/old
+    diff -r /tmp/old /tmp/new
 """
 
 from __future__ import annotations
@@ -101,6 +93,9 @@ INVOCATIONS = [
     ("wide", ["estimate", "../wide.json", "--paths", "20000", "--out", "est.csv"]),
     ("expect-exp-decay", ["expect", REF, "--config", "../exp-decay.json"]),
     ("expect-poly-exp-decay", ["expect", REF, "--config", "../poly-exp-decay.json"]),
+    ("expect-2w", [
+        "expect", REF, "--config", "../exp-decay.json", "--workers", "2", "--chunk", "4000",
+    ]),
     ("overwrite-estimate", ["estimate", "model.json", "--paths", "1000", "--out", "model.json"]),
     ("overwrite-tilt", ["tilt", "model.json", "--out", "model.json"]),
     ("overwrite-split", ["split", "p_D.csv", "--out", "p"]),
