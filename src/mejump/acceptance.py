@@ -395,7 +395,7 @@ def criterion_13(cfg) -> CriterionResult:
         for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
             out = tmp / f"out_{tag}.csv"
             args = [
-                "estimate", str(model_path), "--lambda", "2.0", "--paths", str(n),
+                "estimate", str(model_path), "--lambda", str(cfg.lam), "--paths", str(n),
                 "--seed", str(cfg.seed), "--chunk", str(chunk), "--workers", str(workers),
                 "--out", str(out),
             ]
@@ -408,7 +408,7 @@ def criterion_13(cfg) -> CriterionResult:
         "estimate CSV is byte-identical across runs and worker counts",
         ok,
         f"exit codes {codes}; identical={outputs[0] == outputs[1] == outputs[2]} "
-        f"(n={n}, {len(range(0, n, chunk))} chunks, workers 1/1/4)",
+        f"(n={n}, lambda={cfg.lam}, {len(range(0, n, chunk))} chunks, workers 1/1/4)",
     )
 
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .jumpsim import SIGN_OF_LANDING, PathBatch, n_exit_codes, split_exit_code
+from .jumpsim import SIGN_OF_LANDING, PathBatch, n_exit_codes, run_workers, split_exit_code
 from .medist import MEParams, laplace_transform, resolvent_moment
 from .records import Record
 from .splitting import DoubledGenerator, InitialSplit, SignSplit, doubled_expm_action
@@ -260,7 +260,8 @@ class HSpec(Record):
         logarithms: a huge power times a vanishing exponential is then the
         weight they make, not ``inf * 0 = nan``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            weight = np.exp((lam - self.c) * tau)
+            weight = np.multiply(lam - self.c, tau)
+            np.exp(weight, out=weight)
             if self.degree:
                 weight = tau**self.degree * weight
                 lost = np.flatnonzero(~np.isfinite(weight))
@@ -305,26 +306,41 @@ def mc_expectation_untilted(
     ``simulate_batch(gen, init, ...)`` drew, at the chain's own rate ``gen.lam``.
 
     ``form="beta"`` weights by the landing sign; ``form="qbar"`` by the
-    pre-exit conditional expected sign ``gen.qbar``, summed chunk by chunk.
+    pre-exit conditional expected sign ``gen.qbar``.  Each generation chunk's
+    ``(max, sum, sum of squares)`` is folded on the batch's own worker count
+    (``jumpsim.run_workers``), and the partials are added in chunk order, so
+    the estimate does not depend on the worker count.
     """
     if form not in ("beta", "qbar"):
         raise ValueError(f"unknown form {form!r}")
     weight_of_code = _code_weights(n_exit_codes(batch.p), gen if form == "qbar" else None)
+    slices = batch.chunk_slices()
+    partials = [None] * len(slices)
+
+    def fold(indices):
+        for i in indices:
+            sign = weight_of_code.take(batch.exit_code[slices[i]])
+            weight = h.tilted_weight(batch.tau[slices[i]], gen.lam)
+            # weights are >= 0 or NaN, and the maximum carries either NaN or inf
+            top = float(np.max(weight))
+            if not math.isfinite(top):
+                raise ValueError("h(tau) e^{lam tau} is non-finite for some path")
+            # the signed weights and their squares, in place: the products
+            # weight * sign and signed**2 give, without a temporary each
+            weight *= sign
+            chunk_v = float(np.sum(weight))
+            with np.errstate(over="ignore"):
+                weight *= weight
+            partials[i] = top, chunk_v, float(np.sum(weight))
+
+    run_workers(fold, len(slices), batch.workers)
     sum_v = 0.0
     sum_v2 = 0.0
     max_abs = 0.0
-    for sl in batch.chunk_slices():
-        sign = weight_of_code.take(batch.exit_code[sl])
-        weight = h.tilted_weight(batch.tau[sl], gen.lam)
-        # weights are >= 0 or NaN, and the maximum carries either NaN or inf
-        top = float(np.max(weight))
-        if not math.isfinite(top):
-            raise ValueError("h(tau) e^{lam tau} is non-finite for some path")
+    for top, chunk_v, chunk_v2 in partials:
         max_abs = max(max_abs, top)
-        signed = weight * sign
-        with np.errstate(over="ignore"):
-            sum_v += float(np.sum(signed))
-            sum_v2 += float(np.sum(signed**2))
+        sum_v += chunk_v
+        sum_v2 += chunk_v2
     # a finite sum of squares bounds n mean^2, so nothing below overflows
     if not math.isfinite(sum_v2):
         raise ValueError("h(tau) e^{lam tau} is too large: the sum of its squares overflows")

@@ -21,7 +21,8 @@ step per output, so a fresh stream skips ``n`` uniforms in one ``advance``.
 output columns once; each chunk writes only its own slice of them, which
 makes the output independent of how many worker threads execute the chunks.
 The workers are plain ``threading.Thread``s, the calling thread one of them,
-so a run loads no thread pool.
+started by ``run_workers``, which the estimators' folds share, so a run
+loads no thread pool.
 
 There is one simulator, ``simulate_batch``, and it works on integer codes
 only: transient states are ``0..p-1`` (original) and ``p..2p-1`` (anti), the
@@ -95,7 +96,7 @@ from .splitting import DoubledGenerator, InitialSplit, admit_rate
 #: Paths per random stream in simulate_batch.
 DEFAULT_CHUNK = 65536
 
-#: Most worker threads a simulate_batch call may run, refused before any starts.
+#: Most worker threads a run_workers call may run, refused before any starts.
 MAX_WORKERS = 64
 
 #: Most paths a simulate_batch call may ask for: numpy's largest array length.
@@ -115,6 +116,11 @@ def check_run_shape(n_paths: int, seed: int, chunk: int, workers: int):
         raise ValueError(f"seed must be non-negative, got {seed}")
     if chunk <= 0:
         raise ValueError("chunk must be positive")
+    check_workers(workers)
+
+
+def check_workers(workers: int):
+    """Refuse a worker count outside ``1..MAX_WORKERS``, before any thread starts."""
     if workers <= 0:
         raise ValueError("workers must be positive")
     if workers > MAX_WORKERS:
@@ -326,11 +332,14 @@ class PathBatch(Record):
     off the exit code.  ``trace`` (present when tracing) is a tuple of
     arrays (path_index, time, from_code, to_code) sorted by path then time;
     the state held at time ``x`` is the ``from_code`` of a path's first row
-    with time ``> x``.
+    with time ``> x``.  ``chunk`` and ``workers`` are the paths per stream
+    and the worker count the batch was simulated with; the estimators' folds
+    run on its chunks, on as many workers.
     """
 
     p: int
     chunk: int
+    workers: int
     tau: np.ndarray
     exit_code: np.ndarray
     n_jumps: np.ndarray
@@ -484,6 +493,60 @@ def _simulate_chunks(chain, chunks, columns, arena, collect_trace):
                     n_jumps[lo:hi] -= before
 
 
+def run_workers(work, n_tasks: int, workers: int) -> list:
+    """Run ``work(tasks)`` on each of ``min(workers, n_tasks)`` workers, at
+    least one, and return their results in worker order: the package's one
+    thread scheme.  The ``tasks`` each worker is given yields task indices
+    ``0..n_tasks-1`` under one lock, in increasing order, each to one worker,
+    until none is left.  The calling thread is the first worker and starts a
+    plain ``threading.Thread`` for each other one.  If a thread fails to
+    start, no more tasks are handed out, and its error is raised once the
+    workers already started have stopped; otherwise, once all have stopped,
+    the first failing worker's exception, if any, is raised.  A worker count
+    outside ``1..MAX_WORKERS`` is refused first (``check_workers``).
+    """
+    check_workers(workers)
+    indices = iter(range(n_tasks))
+    lock = threading.Lock()
+
+    def taken():
+        while True:
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                return
+            yield index
+
+    # worker i's result, or the exception it raised; with no tasks, the
+    # calling thread runs work once on none
+    results = [None] * max(1, min(workers, n_tasks))
+
+    def run(i):
+        try:
+            results[i] = work(taken())
+        except BaseException as exc:  # re-raised below, once every worker has stopped
+            results[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, len(results)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    except BaseException:  # a thread failed to start: hand out no more tasks
+        with lock:
+            indices = iter(())  # the name taken() reads
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
 def simulate_batch(
     gen: DoubledGenerator,
     init: InitialSplit,
@@ -501,15 +564,11 @@ def simulate_batch(
     target, all from the chain's one guide table.  The output columns are
     allocated once and each chunk writes only its own slice of them, so results
     are bit-identical for fixed ``(seed, n_paths, chunk)`` whatever the worker
-    count.  Each of the ``min(workers, n_chunks)`` workers takes the next chunk
-    until none is left, and runs the chunks it takes as one pipeline
-    (``_simulate_chunks``) in its own ``_Arena`` for chunks of ``min(chunk,
-    n_paths)`` paths, taking the next chunk while the last one drains.  The
-    calling thread is the first worker and starts a ``threading.Thread`` for
-    each other one; once all have stopped, the first failing worker's
-    exception, if any, is raised.  If a thread fails to start, no more chunks
-    are handed out, and its error is raised once the workers already started
-    have stopped.
+    count.  The chunks are the tasks of ``run_workers``: each of the
+    ``min(workers, n_chunks)`` workers takes the next chunk until none is
+    left, and runs the chunks it takes as one pipeline (``_simulate_chunks``)
+    in its own ``_Arena`` for chunks of ``min(chunk, n_paths)`` paths, taking
+    the next chunk while the last one drains.
     """
     check_run_shape(n_paths, seed, chunk, workers)
     chain = JumpChain(gen, init)
@@ -519,46 +578,16 @@ def simulate_batch(
         np.empty(n_paths, dtype=np.int32),
     )
     slices = stream_slices(n_paths, chunk)
-    indices = iter(enumerate(slices))
-    lock = threading.Lock()
 
-    def taken():
-        """The chunks a worker takes, each with its stream, until none is left."""
-        while True:
-            with lock:
-                index, paths = next(indices, (None, None))
-            if index is None:
-                return
-            yield paths.start, paths.stop, RngStream(seed, index).generator()
+    def run(indices):
+        """Run the chunks of ``indices``, each with its stream, in one arena."""
+        chunks = (
+            (slices[i].start, slices[i].stop, RngStream(seed, i).generator()) for i in indices
+        )
+        return _simulate_chunks(chain, chunks, columns, _Arena(min(chunk, n_paths)), collect_trace)
 
-    # worker i's trace parts, or the exception it raised
-    results = [None] * min(workers, len(slices))
-
-    def run(i):
-        try:
-            arena = _Arena(min(chunk, n_paths))
-            results[i] = _simulate_chunks(chain, taken(), columns, arena, collect_trace)
-        except BaseException as exc:  # re-raised below, once every worker has stopped
-            results[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, len(results)):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    except BaseException:  # a thread failed to start: hand out no more chunks
-        with lock:
-            indices = iter(())  # the name taken() reads
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    batch = PathBatch(chain.p, chunk, *columns)
+    results = run_workers(run, len(slices), workers)
+    batch = PathBatch(chain.p, chunk, workers, *columns)
     if not collect_trace:
         return batch
     parts = [part for result in results for part in result]
@@ -572,4 +601,4 @@ def simulate_batch(
     exits = to < 0
     to[exits] = split_exit_code(~to[exits])[1]
     to[exits] += 2 * chain.p
-    return PathBatch(chain.p, chunk, *columns, trace=(path, times, frm, to))
+    return PathBatch(chain.p, chunk, workers, *columns, trace=(path, times, frm, to))

@@ -57,18 +57,26 @@ def test_bad_config_refused_before_any_criterion():
     first.assert_not_called()
 
 
-@pytest.mark.parametrize("n_paths, chunk, n_chunks", [(20_000, "5000", 4), (3, "1", 3)])
-def test_byte_identity_runs_the_chunks_it_reports(n_paths, chunk, n_chunks):
+@pytest.mark.parametrize(
+    "n_paths, chunk, n_chunks, lam",
+    [(20_000, "5000", 4, "auto"), (3, "1", 3, 3.0)],
+    ids=["20000-5000-4", "3-1-3"],
+)
+def test_byte_identity_runs_the_chunks_it_reports(n_paths, chunk, n_chunks, lam):
     # below 100 000 paths the chunk shrinks with n, so the 4-worker run has
-    # four chunks to share out whenever there are four paths
+    # four chunks to share out whenever there are four paths; every run is
+    # at the acceptance run's own rate
     from mejump import cli
 
     with mock.patch.object(cli, "main", wraps=cli.main) as ran:
-        result = acceptance.criterion_13(RunConfig(n_paths=n_paths, seed=SEED))
+        result = acceptance.criterion_13(RunConfig(lam=lam, n_paths=n_paths, seed=SEED))
     assert result.passed
     argvs = [call.args[0] for call in ran.call_args_list]
     assert [argv[argv.index("--chunk") + 1] for argv in argvs] == [chunk] * 3
-    assert result.detail.endswith(f"(n={n_paths}, {n_chunks} chunks, workers 1/1/4)")
+    assert [argv[argv.index("--lambda") + 1] for argv in argvs] == [str(lam)] * 3
+    assert result.detail.endswith(
+        f"(n={n_paths}, lambda={lam}, {n_chunks} chunks, workers 1/1/4)"
+    )
 
 
 def test_one_state_band_rarely_fails_at_twenty_thousand_paths():

@@ -1182,7 +1182,7 @@ taus = ast.literal_eval(sys.argv[1])
 if taus is not None:
     n = len(taus)
     modelio.simulate_batch = lambda *args, **kwargs: PathBatch(
-        p=3, chunk=n, tau=np.array(taus), exit_code=np.zeros(n, dtype=np.int32),
+        p=3, chunk=n, workers=1, tau=np.array(taus), exit_code=np.zeros(n, dtype=np.int32),
         n_jumps=np.ones(n, dtype=np.int32),
     )
 sys.exit(cli.main(sys.argv[2:]))
@@ -1215,6 +1215,21 @@ class TestExpectCommand:
         assert "0.4222222222222222" in out  # analytic 19/45
         assert "beta form" in out and "qbar form" in out
         assert "warning" not in err
+
+    def test_same_bytes_at_every_worker_count(self, model_file, tmp_path, capsys):
+        # five chunks of 4000 paths, which the simulation and both folds
+        # share out among the workers
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lambda": 3.0, "n_paths": 20000, "h": {"type": "exp-decay", "c": 2.0}}')
+        runs = [
+            run_cli(
+                ["expect", model_file, "--config", cfg, "--chunk", "4000", "--workers", workers],
+                capsys,
+            )
+            for workers in (1, 2, 3)
+        ]
+        assert runs[0][0] == 0 and "beta form" in runs[0][1]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_variance_warning_on_stderr(self, model_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

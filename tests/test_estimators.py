@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -36,6 +38,7 @@ def one_chunk_batch(p, tau, pre_exit, landing):
     return PathBatch(
         p=p,
         chunk=max(1, len(tau)),
+        workers=1,
         tau=np.asarray(tau, dtype=float),
         exit_code=3 * pre_exit + np.asarray(landing, dtype=np.int32),
         n_jumps=np.ones(len(tau), dtype=np.int32),
@@ -376,7 +379,9 @@ class TestFoldsMatchTheReference:
         def with_planted_times(batch):
             tau = batch.tau.copy()
             tau[at] = planted[:n]
-            return PathBatch(batch.p, batch.chunk, tau, batch.exit_code, batch.n_jumps)
+            return PathBatch(
+                batch.p, batch.chunk, batch.workers, tau, batch.exit_code, batch.n_jumps
+            )
 
         batch = with_planted_times(batch)
         prof = splitting.exit_profile(split, lam)
@@ -589,6 +594,89 @@ class TestExpectation:
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * columns
+
+    @staticmethod
+    def reblocked(batch, chunk, workers):
+        """The batch's paths in chunks of ``chunk``, folded on ``workers``."""
+        return PathBatch(batch.p, chunk, workers, batch.tau, batch.exit_code, batch.n_jumps)
+
+    @pytest.mark.parametrize("chunk, n_chunks", [(10_007, 1), (2100, 5), (640, 16)])
+    def test_fold_is_bit_identical_across_workers(self, ref, chunk, n_chunks, monkeypatch):
+        # the last chunk is short in each blocking; the threads write their
+        # partials into one list, so switch between them often
+        split, init, batch, _ = make_batch(ref, 2.0, 10_000, seed=23)
+        prof = splitting.exit_profile(split, 2.0)
+        h = HSpec("poly-exp-decay", 1.0, degree=1)
+        runs = []
+        run_workers = estimators.run_workers
+
+        def counted(work, n_tasks, workers):
+            runs.append((n_tasks, workers))
+            return run_workers(work, n_tasks, workers)
+
+        monkeypatch.setattr(estimators, "run_workers", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for form in ("beta", "qbar"):
+                got = {
+                    workers: mc_expectation_untilted(
+                        self.reblocked(batch, chunk, workers), h, prof, init, form=form
+                    )
+                    for workers in (1, 2, 3, 64)
+                }
+                want = got[1]
+                for est in got.values():
+                    assert est.value == want.value and est.stderr == want.stderr
+                    assert est.max_abs_weight == want.max_abs_weight
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [(n_chunks, workers) for workers in (1, 2, 3, 64)] * 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nonfinite_weight_in_the_last_chunk_rejected(self, ref_gen, ref_init, workers):
+        # e^{2 tau} overflows at tau = 1000, which only the short last chunk holds
+        tau = [0.5] * 9 + [1000.0]
+        batch = self.reblocked(one_chunk_batch(3, tau, [0] * 10, [0] * 10), 3, workers)
+        with pytest.raises(ValueError, match="^h\\(tau\\) e\\^\\{lam tau\\} is non-finite"):
+            mc_expectation_untilted(batch, HSpec("exp-decay", 0.0), ref_gen, ref_init)
+
+    @pytest.mark.parametrize("workers, bound", [(0, "positive"), (65, "at most 64")])
+    def test_batch_worker_count_refused_before_any_thread(
+        self, ref_gen, ref_init, workers, bound, monkeypatch
+    ):
+        # a hand-built batch of one-path chunks would otherwise start a
+        # thread per chunk
+        def never(thread):
+            raise AssertionError("a fold thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", never)
+        batch = self.reblocked(one_chunk_batch(3, [0.5] * 100, [0] * 100, [0] * 100), 1, workers)
+        with pytest.raises(ValueError, match=f"^workers must be {bound}$"):
+            mc_expectation_untilted(batch, HSpec("exp-decay", 2.0), ref_gen, ref_init)
+
+    def test_failing_fold_worker_raises_once_every_worker_stops(
+        self, ref_gen, ref_init, monkeypatch
+    ):
+        # whichever worker takes chunk 0 fails on it; the others fold every
+        # other chunk, and the failure is raised after all have stopped
+        tau = np.arange(10_000) / 10_000
+        batch = self.reblocked(one_chunk_batch(3, tau, [0] * tau.size, [0] * tau.size), 1000, 3)
+        ran = []
+        tilted_weight = HSpec.tilted_weight
+
+        def failing_weight(h, t, lam):
+            if t[0] == 0.0:
+                raise RuntimeError("chunk 0 failed")
+            ran.append(round(t[0] * 10_000))
+            return tilted_weight(h, t, lam)
+
+        monkeypatch.setattr(HSpec, "tilted_weight", failing_weight)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 0 failed"):
+            mc_expectation_untilted(batch, HSpec("exp-decay", 2.0), ref_gen, ref_init)
+        assert threading.active_count() == threads
+        assert sorted(ran) == list(range(1000, 10_000, 1000))
 
 
 class TestHSpec:

@@ -17,11 +17,11 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_no_module_level_scipy_import_in_package():
-    # the linalg kernel and criterion 4's quadrature are numpy: no scipy
-    # import anywhere in the package, function bodies included
+def imported_modules():
+    """(file name, line, top-level module name) of every import in the
+    package, function bodies included; a relative import names its module
+    without the package."""
     package = pathlib.Path(mejump.__file__).parent
-    found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -30,8 +30,14 @@ def test_no_module_level_scipy_import_in_package():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
+            for name in names:
+                yield path.name, node.lineno, name.split(".")[0]
+
+
+def test_no_module_level_scipy_import_in_package():
+    # the linalg kernel and criterion 4's quadrature are numpy: no scipy
+    # import anywhere in the package, function bodies included
+    found = [f"{name}:{line}" for name, line, module in imported_modules() if module == "scipy"]
     assert found == []
 
 
@@ -133,6 +139,21 @@ def test_each_run_derives_its_chain_once():
     assert callers("admit_rate") == {"jumpsim.JumpChain.__init__"}
     assert "modelio.run_estimate" not in callers("plan")
     assert "modelio.run_estimate" in callers("simulate")
+
+
+def test_threads_are_started_in_one_place():
+    # jumpsim.run_workers is the package's one thread scheme: the simulator
+    # and the expectation fold hand it their chunks, and no other function
+    # builds a thread or a lock, or imports threading
+    assert callers("Thread") == {"jumpsim.run_workers"}
+    assert callers("Lock") == {"jumpsim.run_workers"}
+    assert callers("run_workers") == {
+        "jumpsim.simulate_batch", "estimators.mc_expectation_untilted",
+    }
+    assert {
+        name for name, _, module in imported_modules()
+        if module in ("threading", "_thread", "concurrent")
+    } == {"jumpsim.py"}
 
 
 def test_one_function_builds_the_doubled_chain():

@@ -41,18 +41,29 @@ def test_bench_writes_every_layer(tmp_path):
     if os.path.isdir("/proc/self/task"):
         assert result["environment"]["threads"] == 1
     assert set(result["import"]) == {"cli_s", "numpy_random_s"}
-    assert [(row["p"], row["above_lambda0"]) for row in result["rows"]] == [(3, 0.0), (3, 1.0)]
+    assert "workers" not in result["settings"]
+    # lambda_0 of the reference model is 2; the expect row is the
+    # benchmark's ref-expect-2w workload, at lambda 3 on two workers
+    assert [
+        (row["command"], row["p"], row.get("above_lambda0"), row["lam"], row["workers"])
+        for row in result["rows"]
+    ] == [("estimate", 3, 0.0, 2.0, 1), ("estimate", 3, 1.0, 3.0, 1), ("expect", 3, None, 3.0, 2)]
     measured = {
-        "paths_per_s", "jumps_per_s", "jumps_per_path", "loop_iterations", "estimate_s",
-        "estimate_peak_rss_mb",
+        "paths_per_s", "jumps_per_s", "jumps_per_path", "command_s", "command_peak_rss_mb",
     }
-    for row in result["rows"]:
-        assert set(row) == {"p", "above_lambda0", "lam", "layers"} | measured
+    estimate, expect = result["rows"][:-1], result["rows"][-1]
+    for row in estimate:
+        assert set(row) == {
+            "command", "p", "above_lambda0", "lam", "workers", "layers", "loop_iterations",
+        } | measured
         assert ESTIMATE_SPANS <= set(row["layers"])
         assert row["layers"]["jumpsim.simulate"] > 0 and row["layers"]["estimators.oracle"] > 0
-        assert all(row[key] > 0 for key in measured)
-    # lambda_0 of the reference model is 2
-    assert [row["lam"] for row in result["rows"]] == [2.0, 3.0]
+        assert all(row[key] > 0 for key in measured | {"loop_iterations"})
+    assert set(expect) == {"command", "p", "lam", "workers", "layers"} | measured
+    assert all(expect[key] > 0 for key in measured)
+    # the two expectation folds, each its own layer, and the exact value
+    for span in ("jumpsim.simulate", "estimators.beta", "estimators.qbar", "estimators.oracle"):
+        assert expect["layers"][span] > 0, span
 
 
 def test_outputs_records_every_invocation(tmp_path):

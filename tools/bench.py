@@ -1,10 +1,11 @@
-"""Layer timings of ``mejump estimate``, measured in one process, as JSON.
+"""Layer timings of ``mejump estimate`` and ``expect``, measured in one process, as JSON.
 
     PYTHONPATH=src python tools/bench.py --out BENCH.json
     PYTHONPATH=src python tools/bench.py --out smoke.json --sizes 3 --paths 10000 --reps 1
 
 Run it in a fresh interpreter with the ``src`` of the tree to time on
-``PYTHONPATH``; any tree whose ``estimate`` takes the flags below will do.
+``PYTHONPATH``; any tree whose ``estimate`` and ``expect`` take the flags
+below will do.
 The layers are timed by the benchmark probe's own hooks
 (``benchmarks/probe.py``), installed as a traced probe run installs them:
 import ``mejump.jumpsim`` (the package, which loads numpy on one BLAS
@@ -18,8 +19,14 @@ For each model size ``p`` in ``--sizes`` and for the tilting rates
 ``lambda_0`` (the ``"auto"`` rate) and ``lambda_0 + 1``, it runs
 ``mejump.cli.main(["estimate", MODEL, "--lambda", ..., "--grid", ...,
 "--paths", ..., "--seed", "5", "--out", ...])`` ``--reps`` times in this
-process, each run inside a ``cli`` span as in the probe.  A row holds:
+process, each run inside a ``cli`` span as in the probe.  One more row runs
+``expect`` with the settings of the benchmark's ``ref-expect-2w`` workload:
+the reference model at ``lambda = 3`` with ``h(x) = e^{-2x}``
+(``exp-decay``, ``c = 2``) on two workers, so its ``estimators.beta`` and
+``estimators.qbar`` layers are the two expectation folds.  A row holds:
 
+* ``command``, ``p``, ``lam`` and ``workers``, and for an ``estimate`` row
+  ``above_lambda0``, the rate's distance above ``lambda_0``.
 * ``layers``: per probe span name, the median over the runs of its self
   time in seconds (``tracing.self_times``), which leaves out the spans
   nested in it.  So ``jumpsim.simulate`` does not include
@@ -28,20 +35,20 @@ process, each run inside a ``cli`` span as in the probe.  A row holds:
   and the ``splitting.*`` spans; parsing, printing and writing are ``cli``.
 * ``paths_per_s``, ``jumps_per_s`` and ``jumps_per_path``: the last run's
   batch (``probe.batch_counts``) over the median ``jumpsim.simulate``.
-* ``loop_iterations``: iterations of the simulator's chunk loops in one
-  more, untimed run: each is one call of ``jumpsim._draw_targets`` from
-  transient states, and a chunk whose first states are drawn draws them
-  from the start row ``2p``.
-* ``estimate_s`` and ``estimate_peak_rss_mb``: the median wall time and
+* ``loop_iterations`` (``estimate`` rows): iterations of the simulator's
+  chunk loops in one more, untimed run: each is one call of
+  ``jumpsim._draw_targets`` from transient states, and a chunk whose first
+  states are drawn draws them from the start row ``2p``.
+* ``command_s`` and ``command_peak_rss_mb``: the median wall time and
   peak resident set (MB) of the same command run ``--reps`` times, each in
   a fresh interpreter whose process reads its own ``VmHWM`` from
   ``/proc/self/status`` just before it exits.  ``ru_maxrss`` would not do:
   a child's starts at the high-water mark of the process that spawned it.
 
 Every run is at stream seed ``SEED`` in the default chunks
-(``jumpsim.DEFAULT_CHUNK``) on one worker.  ``p = 3`` is the reference
-model; other sizes are ``random_me_model(p, default_rng(p))``, as the
-benchmark's wide model is at ``p = 100``.
+(``jumpsim.DEFAULT_CHUNK``), on one worker unless its row says otherwise.
+``p = 3`` is the reference model; other sizes are ``random_me_model(p,
+default_rng(p))``, as the benchmark's wide model is at ``p = 100``.
 
 The output records the Python, numpy and BLAS versions and the processor and
 thread counts, since timings compare only on one machine.  Under
@@ -75,9 +82,9 @@ SEED = 5
 #: The benchmark's fixed reference job, which imports nothing from mejump.
 CALIBRATE = os.path.join(BENCHMARKS, "calibrate.py")
 
-#: Runs ``mejump estimate`` on its arguments, then writes the process's
-#: ``VmHWM`` line (its peak resident set, in kB) to stderr.
-ESTIMATE_CHILD = """\
+#: Runs ``mejump`` on its arguments, then writes the process's ``VmHWM``
+#: line (its peak resident set, in kB) to stderr.
+COMMAND_CHILD = """\
 import sys
 from mejump.cli import main
 code = main(sys.argv[1:])
@@ -127,10 +134,10 @@ def _calibration_s():
     return time.perf_counter() - t0
 
 
-def _estimate_command(argv, reps):
+def _command(argv, reps):
     """The median wall time and median peak resident set (MB) of ``reps``
     runs of ``mejump ARGV``, each in a fresh interpreter."""
-    command = [sys.executable, "-c", ESTIMATE_CHILD, *argv]
+    command = [sys.executable, "-c", COMMAND_CHILD, *argv]
     walls, peaks = [], []
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -157,9 +164,24 @@ def _environment(numpy):
     }
 
 
+def _measure(row, argv, args, tracer):
+    """Add to ``row`` the layers, rates and command measurements of
+    ``mejump ARGV`` run ``--reps`` times."""
+    runs = [_run(tracer, argv) for _ in range(args.reps)]
+    row["command_s"], row["command_peak_rss_mb"] = _command(argv, args.reps)
+    times = [layers for layers, _ in runs]
+    names = sorted(set().union(*times))
+    row["layers"] = {name: statistics.median(t.get(name, 0.0) for t in times) for name in names}
+    counts = runs[-1][1]
+    simulate_s = row["layers"]["jumpsim.simulate"]
+    row["paths_per_s"] = counts["n_paths"] / simulate_s
+    row["jumps_per_s"] = counts["jumps"] / simulate_s
+    row["jumps_per_path"] = counts["jumps"] / counts["n_paths"]
+
+
 def bench_size(p, above, args, tracer):
-    """One row of layer timings: the model of size ``p`` at ``above`` over
-    its ``"auto"`` rate ``lambda_0``."""
+    """One ``estimate`` row: the model of size ``p`` at ``above`` over its
+    ``"auto"`` rate ``lambda_0``."""
     import numpy as np
 
     from mejump import jumpsim, modelio, splitting
@@ -170,7 +192,7 @@ def bench_size(p, above, args, tracer):
     else:
         params, grid = random_me_model(p, np.random.default_rng(p)), "0.0:2.0:20"
     lam = float(splitting.resolve_lambda(splitting.sign_split(params.T, params.s), "auto")) + above
-    row = {"p": p, "above_lambda0": above, "lam": lam}
+    row = {"command": "estimate", "p": p, "above_lambda0": above, "lam": lam, "workers": 1}
     with tempfile.TemporaryDirectory() as tmp:
         model = os.path.join(tmp, "model.json")
         modelio.write_model(params, model)
@@ -179,17 +201,27 @@ def bench_size(p, above, args, tracer):
             "--paths", str(args.paths), "--seed", str(SEED),
             "--out", os.path.join(tmp, "estimate.csv"),
         ]
-        runs = [_run(tracer, argv) for _ in range(args.reps)]
+        _measure(row, argv, args, tracer)
         row["loop_iterations"] = _loop_iterations(jumpsim, lambda: _run(tracer, argv), p)
-        row["estimate_s"], row["estimate_peak_rss_mb"] = _estimate_command(argv, args.reps)
-    times = [layers for layers, _ in runs]
-    names = sorted(set().union(*times))
-    row["layers"] = {name: statistics.median(t.get(name, 0.0) for t in times) for name in names}
-    counts = runs[-1][1]
-    simulate_s = row["layers"]["jumpsim.simulate"]
-    row["paths_per_s"] = counts["n_paths"] / simulate_s
-    row["jumps_per_s"] = counts["jumps"] / simulate_s
-    row["jumps_per_path"] = counts["jumps"] / counts["n_paths"]
+    return row
+
+
+def bench_expect(args, tracer):
+    """The ``expect`` row, at the settings of the ``ref-expect-2w`` workload."""
+    from mejump import modelio
+    from mejump.models import reference_model
+
+    row = {"command": "expect", "p": 3, "lam": 3.0, "workers": 2}
+    with tempfile.TemporaryDirectory() as tmp:
+        model, config = os.path.join(tmp, "model.json"), os.path.join(tmp, "h.json")
+        modelio.write_model(reference_model(), model)
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"h": {"type": "exp-decay", "c": 2.0}}, fh)
+        argv = [
+            "expect", model, "--config", config, "--lambda", repr(row["lam"]),
+            "--paths", str(args.paths), "--seed", str(SEED), "--workers", str(row["workers"]),
+        ]
+        _measure(row, argv, args, tracer)
     return row
 
 
@@ -216,11 +248,12 @@ def main(argv=None):
     t2 = time.perf_counter()
     before = _calibration_s()
     rows = [bench_size(p, above, args, tracer) for p in sizes for above in (0.0, 1.0)]
+    rows.append(bench_expect(args, tracer))
     result = {
         "environment": _environment(numpy),
         "settings": {
             "paths": args.paths, "reps": args.reps, "seed": SEED,
-            "chunk": mejump.jumpsim.DEFAULT_CHUNK, "workers": 1,
+            "chunk": mejump.jumpsim.DEFAULT_CHUNK,
         },
         "import": {"cli_s": t1 - t0, "numpy_random_s": t2 - t1},
         "calibration": {"before_s": before, "after_s": _calibration_s()},
@@ -230,11 +263,12 @@ def main(argv=None):
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for row in result["rows"]:
+        layers = row["layers"]
         print(
-            f"p={row['p']:<4} lambda_0+{row['above_lambda0']:g}  simulate "
-            f"{row['layers']['jumpsim.simulate']:.4f} s  {row['jumps_per_s'] / 1e6:6.2f} "
-            f"Mjumps/s  {row['loop_iterations']:>5} iterations  estimate "
-            f"{row['estimate_s']:.3f} s {row['estimate_peak_rss_mb']:.0f} MB",
+            f"{row['command']:<8} p={row['p']:<4} lambda={row['lam']:<8.4g} "
+            f"workers={row['workers']}  simulate {layers['jumpsim.simulate']:.4f} s  {row['jumps_per_s'] / 1e6:6.2f} "
+            f"Mjumps/s  folds {layers['estimators.beta'] + layers['estimators.qbar']:.4f} s  "
+            f"command {row['command_s']:.3f} s {row['command_peak_rss_mb']:.0f} MB",
             file=sys.stderr,
         )
 
